@@ -23,12 +23,14 @@ from .hypercontraction import (
     GrowthDiagnostic,
     HyperReport,
     HyperWitness,
+    NecessaryScan,
     defect_diag,
     defect_diag_radial,
     defect_diagonal,
     growth_diagnostic,
     is_n_hyper_up_to,
     necessary_condition,
+    necessary_scan,
     radial_necessary,
     subnormality_obstruction,
 )

@@ -24,7 +24,7 @@ from .curvature import (
     radial_grid,
 )
 from .errors import WeightSpecError
-from .hypercontraction import is_n_hyper_up_to, necessary_condition
+from .hypercontraction import is_n_hyper_up_to, necessary_condition, necessary_scan
 from .similarity import ray_ratio_sq, similarity_scan
 from .truncation import (
     build_truncated,
@@ -57,13 +57,15 @@ def _load_weight(path: str):
         raise UsageError(f"weight file {path}: {exc}") from exc
 
 
-def _parse_alpha(text: str) -> tuple[int, ...]:
+def _parse_alpha(text: str, m: int) -> tuple[int, ...]:
     try:
         alpha = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse multi-index {text!r}") from exc
     if any(x < 0 for x in alpha):
         raise UsageError(f"multi-index entries must be nonnegative: {text!r}")
+    if len(alpha) != m:
+        raise UsageError(f"multi-index {text!r} has {len(alpha)} entries, the weight has m = {m}")
     return alpha
 
 
@@ -177,6 +179,14 @@ def cmd_check_hyper(args) -> int:
     return _emit(report, args)
 
 
+def _condition_witness(chk) -> dict:
+    return {
+        "alpha": list(chk.alpha),
+        "lhs": rpt.frac_str(chk.lhs),
+        "rhs": rpt.frac_str(chk.rhs),
+    }
+
+
 def cmd_necessary(args) -> int:
     W = _load_weight(args.weights[0])
     report = {
@@ -185,37 +195,21 @@ def cmd_necessary(args) -> int:
         "params": {"weight": W.spec_dict(), "order": args.n},
     }
     if args.alpha is not None:
-        alpha = _parse_alpha(args.alpha)
+        alpha = _parse_alpha(args.alpha, W.m)
         chk = necessary_condition(W, args.n, alpha)
         report["params"]["alpha"] = list(alpha)
         report["lhs"] = rpt.frac_str(chk.lhs)
         report["rhs"] = rpt.frac_str(chk.rhs)
         report["holds"] = chk.holds
         if not chk.holds:
-            report["witness"] = {
-                "alpha": list(alpha),
-                "lhs": rpt.frac_str(chk.lhs),
-                "rhs": rpt.frac_str(chk.rhs),
-            }
+            report["witness"] = _condition_witness(chk)
         return _emit(report, args)
     report["params"]["degree"] = args.degree
-    checked = 0
-    for alpha in mi.enumerate_leq_degree(W.m, args.degree):
-        if mi.degree(alpha) == 0:
-            continue
-        chk = necessary_condition(W, args.n, alpha)
-        checked += 1
-        if not chk.holds:
-            report["checked"] = checked
-            report["verdict"] = "violated"
-            report["witness"] = {
-                "alpha": list(alpha),
-                "lhs": rpt.frac_str(chk.lhs),
-                "rhs": rpt.frac_str(chk.rhs),
-            }
-            return _emit(report, args)
-    report["checked"] = checked
-    report["verdict"] = "all-hold"
+    res = necessary_scan(W, args.n, args.degree)
+    report["checked"] = res.checked
+    report["verdict"] = res.verdict
+    if res.witness is not None:
+        report["witness"] = _condition_witness(res.witness)
     return _emit(report, args)
 
 
@@ -382,7 +376,7 @@ def cmd_truncate(args) -> int:
             "float_deviation": dev,
         }
     if args.alpha is not None:
-        alpha = _parse_alpha(args.alpha)
+        alpha = _parse_alpha(args.alpha, W.m)
         k_max = args.k_max if args.k_max is not None else mi.degree(alpha) + 1
         curve = decay_curve(tt, alpha, k_max)
         report["decay"] = {

@@ -8,15 +8,31 @@ operator (I - M_T)^k (I) is diagonal with entries
 
 T is an n-hypercontraction iff d_k >= 0 for all alpha and all 1 <= k <= n.
 Everything in this module is exact rational arithmetic.
+
+The scans (``is_n_hyper_up_to``, ``defect_diagonal``, ``necessary_scan``)
+share one engine that never evaluates the multinomial sum.  Writing
+(I - M_T)^k (I) = (I - M_T)((I - M_T)^{k-1} (I)) and
+[M_T(X)]_alpha = sum_i s_i(alpha) X_{alpha - e_i} with
+s_i(alpha) = rho(alpha - e_i)/rho(alpha) gives the backward-difference
+recurrence
+
+    d_0 = 1,    d_k(alpha) = d_{k-1}(alpha) - sum_{i: alpha_i > 0} s_i(alpha) d_{k-1}(alpha - e_i),
+
+so degree layer N needs only layer N - 1.  Each index costs one
+``rho_ratio`` per nonzero coordinate and n*m exact multiply-adds, and the
+engine holds two layers at a time.  ``defect_diag`` keeps the multinomial
+sum as the independent oracle the tests compare the engine against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+from typing import Iterator
 
 from . import multiindex as mi
+from .errors import DimensionMismatch
 from .multiindex import MultiIndex
 from .weights import RadialSequence, WeightFunction
 
@@ -33,6 +49,51 @@ def defect_diag(W: WeightFunction, k: int, alpha: MultiIndex) -> Fraction:
         term = Fraction(coeff) * W.rho_ratio(alpha, beta)
         total += term if b % 2 == 0 else -term
     return total
+
+
+def _defect_layers(
+    W: WeightFunction, n: int, max_degree: int
+) -> Iterator[tuple[MultiIndex, list[tuple[int, int]]]]:
+    """Yield (alpha, row) for every |alpha| <= max_degree in graded-lex
+    order, where row[k - 1] = (p, q) is d_k(alpha) = p/q for k = 1..n.
+
+    Entries are reduced integer pairs with q > 0: each entry is accumulated
+    over one common denominator and reduced by a single gcd, which is much
+    cheaper than a Fraction per multiply-add.  Only the previous degree
+    layer is kept, so a caller may stop anywhere in a layer.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    m = W.m
+    units = [mi.unit(m, i) for i in range(m)]
+    prev: dict[MultiIndex, list[tuple[int, int]]] = {}
+    for degree in range(max_degree + 1):
+        layer = {}
+        for alpha in mi.enumerate_exact_degree(m, degree):
+            # (s_i(alpha) numerator, denominator, row of alpha - e_i)
+            terms = []
+            for i, a in enumerate(alpha):
+                if a:
+                    s = W.rho_ratio(alpha, units[i])
+                    below = alpha[:i] + (a - 1,) + alpha[i + 1 :]
+                    terms.append((s.numerator, s.denominator, prev[below]))
+            row = []
+            p, q = 1, 1
+            for k in range(n):
+                # p/q holds d_k(alpha); subtract s_i(alpha) d_k(alpha - e_i).
+                for sn, sd, below_row in terms:
+                    bp, bq = below_row[k - 1] if k else (1, 1)
+                    tn, tq = sn * bp, sd * bq
+                    if tq == q:
+                        p -= tn
+                    else:
+                        p, q = p * tq - tn * q, q * tq
+                g = gcd(p, q)
+                p, q = p // g, q // g
+                row.append((p, q))
+            layer[alpha] = row
+            yield alpha, row
+        prev = layer
 
 
 @dataclass(frozen=True)
@@ -53,9 +114,11 @@ class DefectDiagonal:
 
 def defect_diagonal(W: WeightFunction, k: int, max_degree: int) -> DefectDiagonal:
     """Tabulate d_k over all |alpha| <= max_degree."""
+    if k < 0:
+        raise ValueError("defect order k must be >= 0")
     entries = {
-        alpha: defect_diag(W, k, alpha)
-        for alpha in mi.enumerate_leq_degree(W.m, max_degree)
+        alpha: Fraction(*row[k - 1]) if k else Fraction(1)
+        for alpha, row in _defect_layers(W, k, max_degree)
     }
     return DefectDiagonal(order=k, max_degree=max_degree, entries=entries)
 
@@ -108,15 +171,14 @@ def is_n_hyper_up_to(W: WeightFunction, n: int, max_degree: int) -> HyperReport:
     """
     if n < 1:
         raise ValueError("order n must be >= 1")
-    for alpha in mi.enumerate_leq_degree(W.m, max_degree):
-        for k in range(1, n + 1):
-            value = defect_diag(W, k, alpha)
-            if value < 0:
+    for alpha, row in _defect_layers(W, n, max_degree):
+        for k, (p, q) in enumerate(row, start=1):
+            if p < 0:
                 return HyperReport(
                     order=n,
                     max_degree=max_degree,
                     verdict="violation",
-                    witness=HyperWitness(order=k, alpha=alpha, value=value),
+                    witness=HyperWitness(order=k, alpha=alpha, value=Fraction(p, q)),
                 )
     return HyperReport(
         order=n,
@@ -150,6 +212,8 @@ def necessary_condition(W: WeightFunction, n: int, alpha: MultiIndex) -> Conditi
     alpha = tuple(alpha)
     if n < 1:
         raise ValueError("order n must be >= 1")
+    if len(alpha) != W.m:
+        raise DimensionMismatch(f"multi-index has length {len(alpha)}, weight has m = {W.m}")
     d = mi.degree(alpha)
     if d == 0:
         raise ValueError("the condition is only defined for alpha != 0")
@@ -158,6 +222,48 @@ def necessary_condition(W: WeightFunction, n: int, alpha: MultiIndex) -> Conditi
         if alpha[i] >= 1:
             lhs += W.rho_ratio(alpha, mi.unit(W.m, i))
     return ConditionCheck(alpha=alpha, order=n, lhs=lhs, rhs=Fraction(d, d + n - 1))
+
+
+@dataclass(frozen=True)
+class NecessaryScan:
+    """Result of checking the neighbour-sum bound at every
+    0 < |alpha| <= max_degree in graded-lex order.
+
+    ``verdict`` is "violated" or "all-hold"; ``checked`` counts the indices
+    evaluated, including the witness, at which the scan stops.
+    """
+
+    order: int
+    max_degree: int
+    verdict: str
+    checked: int
+    witness: ConditionCheck | None
+
+
+def necessary_scan(W: WeightFunction, n: int, max_degree: int) -> NecessaryScan:
+    """Scan the neighbour-sum bound over 0 < |alpha| <= max_degree.
+
+    The neighbour sum is 1 - d_1(alpha), so the scan runs on the defect
+    engine at order 1 and agrees with ``necessary_condition`` index by index.
+    """
+    if n < 1:
+        raise ValueError("order n must be >= 1")
+    checked = 0
+    for alpha, row in _defect_layers(W, 1, max_degree):
+        d = mi.degree(alpha)
+        if d == 0:
+            continue
+        checked += 1
+        chk = ConditionCheck(
+            alpha=alpha, order=n, lhs=1 - Fraction(*row[0]), rhs=Fraction(d, d + n - 1)
+        )
+        if not chk.holds:
+            return NecessaryScan(
+                order=n, max_degree=max_degree, verdict="violated", checked=checked, witness=chk
+            )
+    return NecessaryScan(
+        order=n, max_degree=max_degree, verdict="all-hold", checked=checked, witness=None
+    )
 
 
 def radial_necessary(sequence: RadialSequence, n: int, degree: int) -> bool:

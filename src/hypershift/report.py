@@ -31,10 +31,15 @@ def canonical_json(obj) -> str:
 
 def write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never observe a
-    partially written report."""
+    partially written report.  The file gets the mode a plain open() would
+    give it (0666 less the process umask), not mkstemp's private 0600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
     try:
+        # The umask can only be read by setting it; restore it at once.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

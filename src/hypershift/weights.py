@@ -603,28 +603,32 @@ def _ball_radius_sq(w) -> mp.mpf:
 
 def _geometric_tails(a_last: mp.mpf, t: mp.mpf, d: int, ratio: Fraction):
     """Tail bounds for sum a(j) t^j, its first, and its second t-derivative
-    beyond degree d, assuming a(j+1)/a(j) <= ratio for j >= d.
+    beyond degree d, assuming a(j+1)/a(j) <= r = ratio for j >= d.
 
-    All three reduce to geometric series in x = ratio * t:
+    With a(d+i) <= a(d) r^i all three reduce to geometric series in
+    x = r t.  Each derivative takes one factor r out of the sum instead of
+    dividing by t, so no negative power of t appears for d <= 1; writing
+    j(j-1) = d(d-1) + 2di + i(i-1) for j = d+i, the bounds are exact when
+    a(j+1)/a(j) = r:
         sum_{j>d} a(j) t^j          <= a(d) t^d x/(1-x)
-        sum_{j>d} j a(j) t^{j-1}    <= a(d) t^{d-1} [d x/(1-x) + x/(1-x)^2]
+        sum_{j>d} j a(j) t^{j-1}    <= a(d) r t^d [d/(1-x) + 1/(1-x)^2]
         sum_{j>d} j(j-1) a(j) t^{j-2}
-            <= a(d) t^{d-2} [d(d-1) x/(1-x) + 2d x/(1-x)^2 + x(1+x)/(1-x)^3]
+            <= a(d) r [d t^{d-1} ((d-1)/(1-x) + 2/(1-x)^2) + 2 r t^d/(1-x)^3]
     """
-    x = _to_mpf(ratio) * t
+    r = _to_mpf(ratio)
+    x = r * t
     if x >= 1:
         raise TailUnreliableError(
             f"series ratio bound {float(x):.6f} >= 1 at truncation degree {d}; "
             "increase the truncation degree or shrink the radius"
         )
-    g1 = x / (1 - x)
-    g2 = x / (1 - x) ** 2
-    g3 = x * (1 + x) / (1 - x) ** 3
-    tail0 = a_last * t**d * g1
-    t1 = t ** (d - 1) if d >= 1 else mp.mpf(1)
-    tail1 = a_last * t1 * (d * g1 + g2)
-    t2 = t ** (d - 2) if d >= 2 else mp.mpf(1)
-    tail2 = a_last * t2 * (d * (d - 1) * g1 + 2 * d * g2 + g3)
+    u = 1 / (1 - x)
+    td = t**d
+    # d t^{d-1} is 0 at d = 0; t^{-1} is never formed.
+    dtd1 = d * t ** (d - 1) if d else mp.mpf(0)
+    tail0 = a_last * td * x * u
+    tail1 = a_last * r * td * u * (d + u)
+    tail2 = a_last * r * u * (dtd1 * (d - 1 + 2 * u) + 2 * r * td * u * u)
     return tail0, tail1, tail2
 
 

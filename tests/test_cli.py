@@ -150,6 +150,17 @@ def test_necessary_degree_scan(capsys, weight_files):
     assert report["checked"] == 4
 
 
+@pytest.mark.parametrize("alpha", ["1", "1,2,3"])
+def test_necessary_alpha_must_match_the_weight_dimension(capsys, weight_files, alpha):
+    # power2m2 has m = 2: a short index used to end in an IndexError and a
+    # long one in a wrong answer with exit 0.
+    code = main(["necessary", "--weights", weight_files["power2m2"], "--n", "2", "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_necessary_needs_exactly_one_selector(capsys, weight_files):
     base = ["necessary", "--weights", weight_files["power2m1"], "--n", "2"]
     assert main(base) == 2

@@ -20,12 +20,15 @@ from hypershift import (
     growth_diagnostic,
     is_n_hyper_up_to,
     necessary_condition,
+    necessary_scan,
     radial_necessary,
     subnormality_obstruction,
 )
+from hypershift import DimensionMismatch
 from hypershift import multiindex as mi
+from hypershift.hypercontraction import HyperWitness, _defect_layers
 
-from helpers import random_radial_sequence, random_table_weight
+from helpers import random_fraction, random_radial_sequence, random_table_weight, random_weight
 
 F = Fraction
 
@@ -92,6 +95,103 @@ def test_defect_diagonal_table_and_minimum():
 def test_perturbed_defect_entry_is_negative():
     W = PerturbedPower(2, 2, 2)
     assert defect_diag(W, 1, (2, 511)) == F(-256, 257)
+
+
+# -- the layered defect engine ------------------------------------------------
+
+
+def reference_scan(W, n, max_degree):
+    """The multinomial-sum scan the engine replaced: graded-lex order,
+    orders ascending within an index, stop at the first negative entry."""
+    for alpha in mi.enumerate_leq_degree(W.m, max_degree):
+        for k in range(1, n + 1):
+            value = defect_diag(W, k, alpha)
+            if value < 0:
+                return HyperWitness(order=k, alpha=alpha, value=value)
+    return None
+
+
+def assert_engine_matches_oracle(W, n, max_degree, keep=lambda alpha: True):
+    order = mi.enumerate_leq_degree(W.m, max_degree)
+    seen = []
+    for alpha, row in _defect_layers(W, n, max_degree):
+        seen.append(alpha)
+        assert len(row) == n
+        if not keep(alpha):
+            continue
+        for k, (p, q) in enumerate(row, start=1):
+            assert q > 0 and F(p, q) == defect_diag(W, k, alpha)
+            assert F(p, q).denominator == q  # reduced
+    assert seen == order
+
+
+def random_polynomial_weight(rng, m):
+    coeffs = [random_fraction(rng) for _ in range(rng.randint(1, 4))]
+    return RadialWeight(m, PolynomialSequence(coeffs))
+
+
+def test_engine_matches_multinomial_oracle_on_random_tables():
+    rng = random.Random(41)
+    for _ in range(12):
+        m = rng.choice([1, 2, 3])
+        D = 5 if m < 3 else 4
+        assert_engine_matches_oracle(random_table_weight(rng, m=m, degree=D), 3, D)
+
+
+def test_engine_matches_multinomial_oracle_on_radial_polynomials():
+    rng = random.Random(43)
+    for _ in range(8):
+        m = rng.choice([1, 2, 3])
+        assert_engine_matches_oracle(random_polynomial_weight(rng, m), rng.randint(1, 4), 6)
+
+
+def test_engine_matches_multinomial_oracle_on_the_perturbed_window():
+    # The engine must run every layer below the window; only the entries
+    # around the block-2 ray over (0, 511) are compared with the oracle.
+    W = PerturbedPower(2, 2, 2)
+    assert_engine_matches_oracle(W, 2, 514, keep=lambda a: sum(a) >= 510 and a[0] <= 4)
+
+
+def test_scan_witness_matches_reference_scan():
+    rng = random.Random(47)
+    hits = 0
+    for _ in range(40):
+        m = rng.choice([1, 2, 3])
+        D = 6 if m < 3 else 4
+        W = rng.choice([random_weight(rng, m=m, degree=D), random_polynomial_weight(rng, m)])
+        n = rng.randint(1, 3)
+        report = is_n_hyper_up_to(W, n, D)
+        assert report.witness == reference_scan(W, n, D)
+        hits += report.witness is not None
+    assert hits > 5
+
+
+def test_defect_diagonal_matches_oracle_at_every_order():
+    rng = random.Random(53)
+    W = random_table_weight(rng, m=2, degree=5)
+    for k in range(4):
+        table = defect_diagonal(W, k, 5)
+        assert list(table.entries) == mi.enumerate_leq_degree(2, 5)
+        for alpha, value in table.entries.items():
+            assert value == defect_diag(W, k, alpha)
+
+
+def test_scans_at_degree_zero_and_below():
+    W = PowerKernel(2, 2)
+    report = is_n_hyper_up_to(W, 2, 0)
+    assert (report.verdict, report.witness) == ("no-violation-up-to-0", None)
+    assert defect_diagonal(W, 2, 0).entries == {(0, 0): 1}
+    scan = necessary_scan(W, 2, 0)
+    assert (scan.verdict, scan.checked, scan.witness) == ("all-hold", 0, None)
+    for bad in (
+        lambda: is_n_hyper_up_to(W, 2, -1),
+        lambda: defect_diagonal(W, 1, -1),
+        lambda: defect_diagonal(W, -1, 3),
+        lambda: necessary_scan(W, 2, -1),
+        lambda: necessary_scan(W, 0, 3),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 # -- hypercontraction scans --------------------------------------------------
@@ -179,6 +279,33 @@ def test_necessary_condition_domain_errors():
         necessary_condition(W, 0, (1, 0))
     with pytest.raises(ValueError):
         necessary_condition(W, 2, (0, 0))
+    # The index must have the weight's dimension, neither shorter nor longer.
+    with pytest.raises(DimensionMismatch):
+        necessary_condition(W, 2, (1,))
+    with pytest.raises(DimensionMismatch):
+        necessary_condition(W, 2, (1, 2, 3))
+
+
+def test_necessary_scan_matches_pointwise_checks():
+    rng = random.Random(59)
+    violated = 0
+    for _ in range(30):
+        m = rng.choice([1, 2, 3])
+        D = 6 if m < 3 else 4
+        W = rng.choice([random_weight(rng, m=m, degree=D), random_polynomial_weight(rng, m)])
+        n = rng.randint(1, 3)
+        scan = necessary_scan(W, n, D)
+        checked, witness = 0, None
+        for alpha in mi.enumerate_leq_degree(m, D)[1:]:
+            chk = necessary_condition(W, n, alpha)
+            checked += 1
+            if not chk.holds:
+                witness = chk
+                break
+        assert (scan.checked, scan.witness) == (checked, witness)
+        assert scan.verdict == ("all-hold" if witness is None else "violated")
+        violated += witness is not None
+    assert violated > 5
 
 
 def test_radial_necessary_matches_full_condition():

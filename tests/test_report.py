@@ -81,3 +81,14 @@ def test_write_atomic_cleans_up_on_failure(tmp_path):
         write_atomic(str(target), "text")
     assert os.path.isdir(target)
     assert glob.glob(str(tmp_path / ".tmp-report-*")) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_write_atomic_applies_the_umask(tmp_path, umask):
+    target = tmp_path / "out.json"
+    old = os.umask(umask)
+    try:
+        write_atomic(str(target), "text\n")
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -384,3 +384,20 @@ def test_metric_truncation_degree_controls_tail():
     fine = eval_metric(W, (0.6,), max_degree=90)
     assert fine.tail_bound < coarse.tail_bound / 1e10
     assert abs(fine.value - coarse.value) <= coarse.tail_bound
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_metric_jet_tails_match_geometric_closed_forms(d):
+    # PowerKernel(1, 1) has h = g(t) = 1/(1-t) with a(j) = 1 and ratio bound
+    # 1, so the geometric tail bounds are exact: beyond degree d the series
+    # of g, g' = 1/(1-t)^2 and g'' = 2/(1-t)^3 leave exactly these tails.
+    jet = metric_jet(PowerKernel(1, 1), (0.5,), max_degree=d, precision_bits=120)
+    with mp.workprec(120):
+        t = mp.mpf(1) / 4
+        tails = (
+            1 / (1 - t) - sum(t**j for j in range(d + 1)),
+            1 / (1 - t) ** 2 - sum(j * t ** (j - 1) for j in range(1, d + 1)),
+            2 / (1 - t) ** 3 - sum(j * (j - 1) * t ** (j - 2) for j in range(2, d + 1)),
+        )
+        for got, want in zip((jet.tail_h, jet.tail_grad, jet.tail_hess), tails):
+            assert abs(got - want) <= mp.mpf(10) ** -30
