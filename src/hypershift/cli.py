@@ -4,7 +4,10 @@ Subcommands emit canonical JSON reports (sorted keys, "p/q" rationals,
 17-digit floats) on stdout, optionally writing the same bytes to --out
 atomically.  Exit codes: 0 for a clean run, 1 when the emitted report
 contains a witness object (a violation, growth flag, or failed stage), 2
-for malformed input or usage errors.
+for malformed input or usage errors, 3 when the numerics refuse to give an
+answer (no rigorous tail bound, a non-Hermitian Hessian, or another internal
+RuntimeError); exit 3 prints one JSON line {"error": ..., "kind": ...} on
+stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .curvature import (
     psh_boundedness_report,
     radial_grid,
 )
-from .errors import WeightSpecError
+from .errors import NonHermitianError, WeightSpecError
 from .hypercontraction import is_n_hyper_up_to, necessary_condition, necessary_scan
 from .similarity import ray_ratio_sq, similarity_scan
 from .truncation import (
@@ -253,13 +256,10 @@ def cmd_similarity_scan(args) -> int:
         }
     csv_text = None
     if args.format == "csv":
-        rows = []
-        for alpha in mi.enumerate_leq_degree(W1.m, args.degree):
-            for i in range(W1.m):
-                for l in range(args.ray_length + 1):
-                    r = ray_ratio_sq(W1, W2, alpha, i, l)
-                    rows.append([mi.degree(alpha), i, l, float(r)])
-        csv_text = rpt.render_csv(["degree", "direction", "length", "ratio_sq"], rows)
+        csv_text = rpt.render_csv(
+            ["degree", "direction", "length", "ratio_sq"],
+            [[mi.degree(c.alpha), c.direction, c.length, float(c.value)] for c in res.cells],
+        )
     return _emit(report, args, csv_text=csv_text)
 
 
@@ -628,16 +628,11 @@ def main(argv=None) -> int:
         if args.command == "necessary" and (args.degree is None) == (args.alpha is None):
             raise UsageError("necessary needs exactly one of --degree or --alpha")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WeightSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NonHermitianError, RuntimeError) as exc:
+        # NonHermitianError is a ValueError: it must be caught before exit 2.
+        sys.stderr.write(rpt.canonical_json({"error": str(exc), "kind": type(exc).__name__}))
+        return 3
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

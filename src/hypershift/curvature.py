@@ -55,6 +55,15 @@ def _hessian_from_jet(jet) -> list[list[mp.mpc]]:
     return out
 
 
+def _hessian_difference(w, jet1, jet2) -> CurvatureMatrix:
+    """H(h1) - H(h2) at w from the two metric jets there."""
+    rows = tuple(
+        tuple(x - y for x, y in zip(ra, rb))
+        for ra, rb in zip(_hessian_from_jet(jet1), _hessian_from_jet(jet2))
+    )
+    return CurvatureMatrix(point=tuple(mp.mpc(x) for x in w), entries=rows)
+
+
 def log_metric_hessian(
     W: WeightFunction,
     w,
@@ -87,12 +96,9 @@ def curvature_difference(
     if W1.m != W2.m:
         raise ValueError(f"weights have dimensions {W1.m} and {W2.m}")
     with mp.workprec(precision_bits):
-        a = log_metric_hessian(W1, w, max_degree=max_degree, precision_bits=precision_bits)
-        b = log_metric_hessian(W2, w, max_degree=max_degree, precision_bits=precision_bits)
-        rows = tuple(
-            tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
-        )
-        return CurvatureMatrix(point=a.point, entries=rows)
+        jet1 = metric_jet(W1, w, max_degree=max_degree, precision_bits=precision_bits)
+        jet2 = metric_jet(W2, w, max_degree=max_degree, precision_bits=precision_bits)
+        return _hessian_difference(w, jet1, jet2)
 
 
 def psd_check(H: CurvatureMatrix, tol: float = 1e-10) -> bool:
@@ -275,7 +281,11 @@ def psh_boundedness_report(
     precision_bits: int = 80,
     psd_tol: float = 1e-10,
 ) -> PshReport:
-    """Evaluate psi = log(h1/h2) and its Hessian over the grid."""
+    """Evaluate psi = log(h1/h2) and its Hessian over the grid.
+
+    Each point costs one metric jet per weight: psi comes from the jets'
+    values and the Hessian of psi from the same jets.
+    """
     if W1.m != W2.m:
         raise ValueError(f"weights have dimensions {W1.m} and {W2.m}")
     grid = list(grid)
@@ -284,12 +294,10 @@ def psh_boundedness_report(
     records: list[PshPoint] = []
     with mp.workprec(precision_bits):
         for w in grid:
-            h1 = eval_metric(W1, w, max_degree=max_degree, precision_bits=precision_bits)
-            h2 = eval_metric(W2, w, max_degree=max_degree, precision_bits=precision_bits)
-            psi = float(mp.log(h1.value) - mp.log(h2.value))
-            H = curvature_difference(
-                W1, W2, w, max_degree=max_degree, precision_bits=precision_bits
-            )
+            jet1 = metric_jet(W1, w, max_degree=max_degree, precision_bits=precision_bits)
+            jet2 = metric_jet(W2, w, max_degree=max_degree, precision_bits=precision_bits)
+            psi = float(mp.log(jet1.h) - mp.log(jet2.h))
+            H = _hessian_difference(w, jet1, jet2)
             records.append(
                 PshPoint(w=tuple(w), psi=psi, hessian=H, eigenvalues=eigenvalues(H))
             )

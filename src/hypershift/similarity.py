@@ -85,7 +85,8 @@ class RatioScanReport:
     over lengths 0..ray_length//2; the verdict is "growth-flagged" when
     spread >= growth_factor * spread_half, else "bounded-in-scan".  The flag
     is a heuristic: a finite scan cannot certify unboundedness, it can only
-    notice the window extremes still widening with ray length.
+    notice the window extremes still widening with ray length.  ``cells``
+    holds every scanned ratio in scan order.
     """
 
     base_degree: int
@@ -98,6 +99,7 @@ class RatioScanReport:
     spread: Fraction
     spread_half: Fraction
     verdict: str
+    cells: tuple  # RayWitness per (alpha, direction, length), scan order
 
 
 def similarity_scan(
@@ -121,11 +123,13 @@ def similarity_scan(
     half = ray_length // 2
     lo = hi = None
     lo_half = hi_half = None
+    cells = []
     for alpha in mi.enumerate_leq_degree(W1.m, base_degree):
         for i in range(W1.m):
             for l in range(ray_length + 1):
                 r = ray_ratio_sq(W1, W2, alpha, i, l)
                 wit = RayWitness(alpha=alpha, direction=i, length=l, value=r)
+                cells.append(wit)
                 if lo is None or r < lo.value:
                     lo = wit
                 if hi is None or r > hi.value:
@@ -149,6 +153,7 @@ def similarity_scan(
         spread=spread,
         spread_half=spread_half,
         verdict="growth-flagged" if flagged else "bounded-in-scan",
+        cells=tuple(cells),
     )
 
 

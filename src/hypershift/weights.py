@@ -18,8 +18,8 @@ Four families are provided:
   counterexample family scaled by a block count.
 
 All weight values are exact ``Fraction``s.  Instances are immutable after
-construction apart from an internal value cache, so they are safe to share
-across threads for reading.
+construction apart from internal value and series caches, so they are safe
+to share across threads for reading.
 """
 
 from __future__ import annotations
@@ -59,7 +59,14 @@ class RadialSequence:
     ``ratio_sup(d)`` returns an upper bound for sup_{j >= d} a(j+1)/a(j), or
     None when no rigorous bound is known; tail estimates refuse to run in the
     latter case rather than guess.
+
+    ``series`` evaluates the truncated power series of the sequence and
+    memoizes it on the instance, so every weight that shares a sequence
+    shares its evaluations.
     """
+
+    def __init__(self):
+        self._series: dict[tuple, tuple] = {}
 
     def value(self, i: int) -> Fraction:
         raise NotImplementedError
@@ -74,11 +81,58 @@ class RadialSequence:
     def spec_dict(self) -> dict:
         raise NotImplementedError
 
+    def series(self, t: mp.mpf, max_degree: int) -> tuple:
+        """g(t), g'(t), g''(t) of g(t) = sum_{d <= max_degree} a(d) t^d and the
+        geometric tail bounds of the three series beyond max_degree, at the
+        working precision.
+
+        Memoized on the exact key (t, max_degree, working precision); the
+        result depends on nothing else, so a hit is bit-identical to a fresh
+        evaluation.  Raises SequenceExhausted when the sequence ends before
+        max_degree and TailUnreliableError when no ratio bound is known.
+        """
+        key = (t, max_degree, mp.mp.prec)
+        hit = self._series.get(key)
+        if hit is not None:
+            return hit
+        limit = self.max_index()
+        if limit is not None and limit < max_degree:
+            raise SequenceExhausted(
+                f"radial sequence ends at index {limit}, truncation degree {max_degree} requested"
+            )
+        # Running powers of t: p = t^d, p1 = t^(d-1), p2 = t^(d-2).
+        g = mp.mpf(0)
+        gp = mp.mpf(0)
+        gpp = mp.mpf(0)
+        p = mp.mpf(1)
+        p1 = p2 = mp.mpf(0)
+        for d in range(max_degree + 1):
+            a_d = _to_mpf(self.value(d))
+            g += a_d * p
+            if d >= 1:
+                gp += d * a_d * p1
+            if d >= 2:
+                gpp += d * (d - 1) * a_d * p2
+            p2 = p1
+            p1 = p
+            p *= t
+
+        ratio = self.ratio_sup(max_degree)
+        if ratio is None:
+            raise TailUnreliableError(
+                "no ratio bound available for this radial sequence; tail is unreliable"
+            )
+        a_last = _to_mpf(self.value(max_degree))
+        hit = (g, gp, gpp) + _geometric_tails(a_last, t, max_degree, ratio)
+        self._series[key] = hit
+        return hit
+
 
 class PowerSequence(RadialSequence):
     """a(i) = C(n + i - 1, i), the radial profile of PowerKernel(n)."""
 
     def __init__(self, n: int):
+        super().__init__()
         if n < 1:
             raise ValueError("kernel power n must be >= 1")
         self.n = n
@@ -100,6 +154,7 @@ class GeometricSequence(RadialSequence):
     """a(i) = r^i for a positive rational ratio r."""
 
     def __init__(self, r: Fraction):
+        super().__init__()
         r = Fraction(r)
         if r <= 0:
             raise ValueError("geometric ratio must be positive")
@@ -126,6 +181,7 @@ class PolynomialSequence(RadialSequence):
     """
 
     def __init__(self, coefficients: list[Fraction]):
+        super().__init__()
         coeffs = [Fraction(c) for c in coefficients]
         if not coeffs:
             raise ValueError("polynomial sequence needs at least one coefficient")
@@ -161,6 +217,7 @@ class ExplicitSequence(RadialSequence):
     """A finite explicit list of positive rationals."""
 
     def __init__(self, values: list[Fraction]):
+        super().__init__()
         vals = [Fraction(v) for v in values]
         if not vals:
             raise ValueError("explicit sequence must be nonempty")
@@ -266,8 +323,7 @@ class PowerKernel(WeightFunction):
 
     def __init__(self, n: int, m: int):
         super().__init__(m)
-        if n < 1:
-            raise ValueError("kernel power n must be >= 1")
+        self.sequence = PowerSequence(n)
         self.n = n
 
     def _rho(self, alpha: MultiIndex) -> Fraction:
@@ -290,7 +346,7 @@ class PowerKernel(WeightFunction):
         return Fraction(num, den)
 
     def radial_sequence(self) -> PowerSequence:
-        return PowerSequence(self.n)
+        return self.sequence
 
     def spec_dict(self) -> dict:
         return {"kind": "power", "n": self.n, "m": self.m}
@@ -482,7 +538,7 @@ class PerturbedPower(WeightFunction):
         for alpha, d in self.perturbed_entries():
             rho = self.base.rho(alpha)
             corrections.append((alpha, rho / d - rho))
-        return PowerSequence(self.n), corrections
+        return self.base.radial_sequence(), corrections
 
     def spec_dict(self) -> dict:
         return {"kind": "perturbed45", "n": self.n, "m": self.m, "L": self.blocks}
@@ -691,37 +747,7 @@ def metric_jet(
             )
 
         base, corrections = W.metric_decomposition()
-        limit = base.max_index()
-        if limit is not None and limit < max_degree:
-            raise SequenceExhausted(
-                f"radial sequence ends at index {limit}, truncation degree {max_degree} requested"
-            )
-
-        # g(t), g'(t), g''(t) for the radial base via running powers of t.
-        g = mp.mpf(0)
-        gp = mp.mpf(0)
-        gpp = mp.mpf(0)
-        p = mp.mpf(1)  # t^d
-        p1 = zero  # t^(d-1)
-        p2 = zero  # t^(d-2)
-        for d in range(max_degree + 1):
-            a_d = _to_mpf(base.value(d))
-            g += a_d * p
-            if d >= 1:
-                gp += d * a_d * p1
-            if d >= 2:
-                gpp += d * (d - 1) * a_d * p2
-            p2 = p1
-            p1 = p
-            p *= t
-
-        ratio = base.ratio_sup(max_degree)
-        if ratio is None:
-            raise TailUnreliableError(
-                "no ratio bound available for this radial sequence; tail is unreliable"
-            )
-        a_last = _to_mpf(base.value(max_degree))
-        tail0, tail1, tail2 = _geometric_tails(a_last, t, max_degree, ratio)
+        g, gp, gpp, tail0, tail1, tail2 = base.series(t, max_degree)
 
         h = g
         grad = [gp * mp.conj(wv[i]) for i in range(m)]
@@ -770,20 +796,11 @@ def eval_metric(
 ) -> MetricValue:
     """Evaluate the diagonal metric h(w) = sum_alpha rho(alpha) |w^alpha|^2.
 
-    The radial base series is truncated at ``max_degree`` with a rigorous
-    geometric tail bound; exact correction terms (table entries, ray
-    perturbations) are summed in full regardless of the truncation degree.
-    At w = 0 the result is exactly rho(0) for every weight family.
+    The value part of ``metric_jet``: the radial base series is truncated at
+    ``max_degree`` with a rigorous geometric tail bound; exact correction
+    terms (table entries, ray perturbations) are summed in full regardless
+    of the truncation degree.  At w = 0 the result is exactly rho(0) for
+    every weight family.
     """
-    if len(w) != W.m:
-        raise ValueError(f"point has dimension {len(w)}, weight has m = {W.m}")
-    with mp.workprec(precision_bits):
-        t = _ball_radius_sq([mp.mpc(x) for x in w])
-        if t >= 1:
-            raise BallDomainError(f"|w|^2 = {float(t):.6f} is not inside the unit ball")
-        if t == 0:
-            return MetricValue(
-                value=_to_mpf(W.rho((0,) * W.m)), tail_bound=mp.mpf(0), max_degree=max_degree
-            )
     jet = metric_jet(W, w, max_degree=max_degree, precision_bits=precision_bits)
-    return MetricValue(value=jet.h, tail_bound=jet.tail_h, max_degree=max_degree)
+    return MetricValue(jet.h, jet.tail_h, max_degree)

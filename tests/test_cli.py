@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from hypershift import PerturbedPower, PolynomialSequence, PowerKernel, RadialWeight
+import hypershift.cli as cli
+from hypershift import (
+    NonHermitianError,
+    PerturbedPower,
+    PolynomialSequence,
+    PowerKernel,
+    RadialWeight,
+)
 from hypershift.cli import main
 
 F = Fraction
@@ -283,6 +290,41 @@ def test_curvature_rejects_bad_grid(capsys, weight_files):
     assert main(["curvature", "--weights", weight_files["power2m1"], "--grid", "cube"]) == 2
     assert main(["curvature", "--weights", weight_files["power2m1"], "--grid", "radial:ax2"]) == 2
     capsys.readouterr()
+
+
+def _refusal(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_refused_numerics_exit_3(capsys, tmp_path):
+    # a(i) = 5 - i + i^2 has a negative coefficient, so no ratio bound: the
+    # tail of the metric series cannot be certified.
+    p = tmp_path / "nobound.json"
+    p.write_text(
+        json.dumps(
+            {"kind": "radial", "m": 1, "a": {"generator": "polynomial", "coefficients": ["5", "-1", "1"]}}
+        )
+    )
+    assert main(["curvature", "--weights", str(p)]) == 3
+    err = _refusal(capsys)
+    assert err["kind"] == "TailUnreliableError"
+    assert "ratio bound" in err["error"]
+
+
+def test_non_hermitian_hessian_exits_3(capsys, weight_files, monkeypatch):
+    # NonHermitianError is a ValueError, but it is a refusal, not bad input.
+    def refuse(H, tol):
+        raise NonHermitianError("matrix deviates from Hermitian")
+
+    monkeypatch.setattr(cli, "psd_check", refuse)
+    argv = ["curvature", "--weights", weight_files["power2m1"], "--grid", "radial:1x2"]
+    assert main(argv) == 3
+    assert _refusal(capsys) == {"error": "matrix deviates from Hermitian", "kind": "NonHermitianError"}
 
 
 # -- truncate -----------------------------------------------------------------

@@ -7,9 +7,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import hypershift.curvature as curvature_module
 from hypershift import (
     CurvatureMatrix,
     NonHermitianError,
+    PerturbedPower,
     PolynomialSequence,
     PowerKernel,
     RadialWeight,
@@ -17,6 +19,7 @@ from hypershift import (
     curvature_difference,
     default_grid,
     eigenvalues,
+    eval_metric,
     finite_diff_check,
     log_metric_hessian,
     min_eigenvalue,
@@ -300,3 +303,53 @@ def test_psh_report_input_validation():
         psh_boundedness_report(W, PowerKernel(2, 2), [(0.0,)])
     with pytest.raises(ValueError):
         psh_boundedness_report(W, W, [])
+
+
+# -- one metric jet per weight per point --------------------------------------
+
+
+def _psh_pair(kind):
+    if kind == "perturbed45":
+        W = PerturbedPower(2, 2, 2)
+        return W, W.base
+    return (
+        RadialWeight(2, PolynomialSequence([F(1), F(2), F(1)])),
+        RadialWeight(2, PolynomialSequence([F(3), F(1, 2), F(0), F(1)])),
+    )
+
+
+@pytest.mark.parametrize("bits", [80, 120])
+@pytest.mark.parametrize("kind", ["perturbed45", "polynomial"])
+def test_psh_report_equals_the_four_jet_composition(kind, bits):
+    # The report takes psi and the Hessian from one jet per weight and a
+    # shared series memo.  The reference composes eval_metric twice and
+    # curvature_difference on freshly built weights, so no memo is warm.
+    deg = 60
+    grid = radial_grid(2, 2, 4)
+    report = psh_boundedness_report(*_psh_pair(kind), grid, max_degree=deg, precision_bits=bits)
+    assert report.n_points == len(grid)
+    for p, w in zip(report.points, grid):
+        with mp.workprec(bits):
+            h1 = eval_metric(_psh_pair(kind)[0], w, max_degree=deg, precision_bits=bits)
+            h2 = eval_metric(_psh_pair(kind)[1], w, max_degree=deg, precision_bits=bits)
+            psi = float(mp.log(h1.value) - mp.log(h2.value))
+        H = curvature_difference(*_psh_pair(kind), w, max_degree=deg, precision_bits=bits)
+        assert p.psi == psi
+        assert p.hessian.entries == H.entries
+        assert p.hessian.point == H.point
+
+
+def test_psh_report_takes_one_jet_per_weight_per_point(monkeypatch):
+    real = curvature_module.metric_jet
+    calls = []
+
+    def counting(W, w, *args, **kwargs):
+        calls.append(W)
+        return real(W, w, *args, **kwargs)
+
+    monkeypatch.setattr(curvature_module, "metric_jet", counting)
+    W = PerturbedPower(2, 2, 2)
+    grid = radial_grid(2, 2, 4)
+    psh_boundedness_report(W, W.base, grid, max_degree=40)
+    assert len(calls) == 2 * len(grid)
+    assert calls.count(W) == calls.count(W.base) == len(grid)

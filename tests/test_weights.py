@@ -401,3 +401,35 @@ def test_metric_jet_tails_match_geometric_closed_forms(d):
         )
         for got, want in zip((jet.tail_h, jet.tail_grad, jet.tail_hess), tails):
             assert abs(got - want) <= mp.mpf(10) ** -30
+
+
+# -- the memoized radial series -----------------------------------------------
+
+
+def test_series_memo_matches_a_fresh_sequence():
+    # One t at two precisions and two truncation degrees, each asked twice:
+    # every answer equals that of a sequence that was never asked before.
+    seq = PolynomialSequence([F(1), F(2), F(1)])
+    answers = {}
+    for _ in range(2):
+        for bits in (80, 120):
+            for d in (30, 90):
+                with mp.workprec(bits):
+                    t = mp.mpf(0.37)
+                    fresh = PolynomialSequence([F(1), F(2), F(1)]).series(t, d)
+                    got = seq.series(t, d)
+                assert got == fresh
+                answers.setdefault((bits, d), got)
+                assert got is answers[(bits, d)]
+    # The precision is part of the key: the two precisions round differently.
+    assert answers[(80, 90)][0] != answers[(120, 90)][0]
+
+
+def test_weights_share_their_radial_sequence():
+    W = PerturbedPower(2, 2, 2)
+    seq = W.base.radial_sequence()
+    assert W.base.radial_sequence() is seq
+    assert W.metric_decomposition()[0] is seq
+    base = PowerKernel(2, 2)
+    T = TableWeight(2, {(1, 1): F(1)}, fallback=base)
+    assert T.metric_decomposition()[0] is base.radial_sequence()
