@@ -234,6 +234,8 @@ def radial_grid(m: int, steps: int, angles: int, max_radius: float = 0.95) -> li
     """Grid with `steps` equally spaced radii up to max_radius."""
     if steps < 1:
         raise ValueError("need at least one radial step")
+    if angles < 1:
+        raise ValueError("need at least one angle")
     radii = [max_radius * (k + 1) / steps for k in range(steps)]
     return default_grid(m, radii=radii, angles=angles, max_radius=max_radius)
 

@@ -18,9 +18,16 @@ recurrence
 
     d_0 = 1,    d_k(alpha) = d_{k-1}(alpha) - sum_{i: alpha_i > 0} s_i(alpha) d_{k-1}(alpha - e_i),
 
-so degree layer N needs only layer N - 1.  Each index costs one
-``rho_ratio`` per nonzero coordinate and n*m exact multiply-adds, and the
-engine holds two layers at a time.  ``defect_diag`` keeps the multinomial
+so degree layer N needs only layer N - 1.  Each index costs n*m exact
+multiply-adds, and the engine holds two layers at a time.  The unit steps
+come from the weight's ``metric_decomposition``: off its finitely many
+corrections rho is the radial base a(|alpha|) |alpha|!/alpha!, where
+
+    s_i(alpha) = alpha_i a(N - 1) / (N a(N)),    N = |alpha|,
+
+so one exact factor per degree layer serves every index, and ``rho_ratio``
+is called only where alpha or alpha - e_i is a correction (or everywhere,
+for a weight with no radial base).  ``defect_diag`` keeps the multinomial
 sum as the independent oracle the tests compare the engine against.
 """
 
@@ -32,7 +39,7 @@ from math import comb, gcd
 from typing import Iterator
 
 from . import multiindex as mi
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TailUnreliableError, WeightDomainError
 from .multiindex import MultiIndex
 from .weights import RadialSequence, WeightFunction
 
@@ -66,17 +73,37 @@ def _defect_layers(
         raise ValueError("max_degree must be >= 0")
     m = W.m
     units = [mi.unit(m, i) for i in range(m)]
+    # Indices in `exact` (a correction or one step above one) take
+    # W.rho_ratio; all others take alpha_i times the layer factor
+    # c = a(N-1)/(N a(N)).  A weight with no base, or a table whose fallback
+    # is undefined at one of its entries, takes W.rho_ratio everywhere and
+    # so fails, if at all, at the same index as a per-index scan.
+    try:
+        base, corrections = W.metric_decomposition()
+    except (TailUnreliableError, WeightDomainError):
+        base, corrections = None, []
+    exact = {alpha for alpha, _ in corrections}
+    exact |= {mi.add(alpha, e) for alpha in exact for e in units}
     prev: dict[MultiIndex, list[tuple[int, int]]] = {}
     for degree in range(max_degree + 1):
+        if base is not None and degree:
+            c = base.value(degree - 1) / (degree * base.value(degree))
+            cn, cd = c.numerator, c.denominator
         layer = {}
         for alpha in mi.enumerate_exact_degree(m, degree):
+            on_base = base is not None and alpha not in exact
             # (s_i(alpha) numerator, denominator, row of alpha - e_i)
             terms = []
             for i, a in enumerate(alpha):
                 if a:
-                    s = W.rho_ratio(alpha, units[i])
+                    if on_base:
+                        g = gcd(a, cd)
+                        sn, sd = a // g * cn, cd // g
+                    else:
+                        s = W.rho_ratio(alpha, units[i])
+                        sn, sd = s.numerator, s.denominator
                     below = alpha[:i] + (a - 1,) + alpha[i + 1 :]
-                    terms.append((s.numerator, s.denominator, prev[below]))
+                    terms.append((sn, sd, prev[below]))
             row = []
             p, q = 1, 1
             for k in range(n):

@@ -9,10 +9,11 @@ the adjoint shift tuple acts on the orthonormal diagonal basis by
 
 Four families are provided:
 
-* ``PowerKernel(n, m)``: rho_n(alpha) = (n + |alpha| - 1)! / (alpha! (n-1)!),
-  the coefficient family of (1 - <z, w>)^{-n}.
 * ``RadialWeight``: rho(alpha) = a(|alpha|) |alpha|! / alpha! for a positive
   coefficient sequence a.
+* ``PowerKernel(n, m)``: the radial weight on a(i) = C(n + i - 1, i), i.e.
+  rho_n(alpha) = (n + |alpha| - 1)! / (alpha! (n-1)!), the coefficient family
+  of (1 - <z, w>)^{-n}.
 * ``TableWeight``: finitely many explicit values with an optional fallback.
 * ``PerturbedPower``: a power kernel divided along finitely many rays, the
   counterexample family scaled by a block count.
@@ -304,6 +305,13 @@ class WeightFunction:
             h(w) = sum_d a(d) |w|^{2d} + sum_corr delta * |w^alpha|^2
 
         and only the radial base needs a series tail bound.
+
+        The defect engine relies on the same split: rho equals the radial
+        base exactly at every index not listed in the corrections, so a
+        unit step s_i(alpha) = rho(alpha - e_i)/rho(alpha) is read from the
+        base unless alpha or alpha - e_i is listed.  A subclass that
+        overrides ``_rho`` must therefore also override this method (or
+        ``radial_sequence``), or the engine scans the base instead of it.
         """
         base = self.radial_sequence()
         if base is None:
@@ -314,42 +322,6 @@ class WeightFunction:
 
     def spec_dict(self) -> dict:
         raise NotImplementedError
-
-
-class PowerKernel(WeightFunction):
-    """rho_n(alpha) = (n + |alpha| - 1)! / (alpha! (n - 1)!)."""
-
-    kind = "power"
-
-    def __init__(self, n: int, m: int):
-        super().__init__(m)
-        self.sequence = PowerSequence(n)
-        self.n = n
-
-    def _rho(self, alpha: MultiIndex) -> Fraction:
-        d = mi.degree(alpha)
-        return Fraction(factorial(self.n + d - 1), mi.factorial(alpha) * factorial(self.n - 1))
-
-    def rho_ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
-        # rho(alpha - beta)/rho(alpha) telescopes to falling factorials:
-        # prod_i alpha_i (alpha_i - 1) ... / (n+|alpha|-1)(n+|alpha|-2)...
-        if len(beta) != self.m:
-            raise ValueError("dimension mismatch in rho_ratio")
-        num = 1
-        b_deg = 0
-        for a, b in zip(alpha, beta):
-            if b > a:
-                raise ValueError(f"{beta!r} is not dominated by {alpha!r}")
-            num *= _falling(a, b)
-            b_deg += b
-        den = _falling(self.n + mi.degree(alpha) - 1, b_deg)
-        return Fraction(num, den)
-
-    def radial_sequence(self) -> PowerSequence:
-        return self.sequence
-
-    def spec_dict(self) -> dict:
-        return {"kind": "power", "n": self.n, "m": self.m}
 
 
 class RadialWeight(WeightFunction):
@@ -384,6 +356,20 @@ class RadialWeight(WeightFunction):
 
     def spec_dict(self) -> dict:
         return {"kind": "radial", "m": self.m, "a": self.sequence.spec_dict()}
+
+
+class PowerKernel(RadialWeight):
+    """rho_n(alpha) = (n + |alpha| - 1)! / (alpha! (n - 1)!), the radial
+    weight on ``PowerSequence(n)``."""
+
+    kind = "power"
+
+    def __init__(self, n: int, m: int):
+        super().__init__(m, PowerSequence(n))
+        self.n = n
+
+    def spec_dict(self) -> dict:
+        return {"kind": "power", "n": self.n, "m": self.m}
 
 
 class TableWeight(WeightFunction):

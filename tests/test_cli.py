@@ -287,9 +287,13 @@ def test_curvature_pair_report(capsys, weight_files):
 
 
 def test_curvature_rejects_bad_grid(capsys, weight_files):
-    assert main(["curvature", "--weights", weight_files["power2m1"], "--grid", "cube"]) == 2
-    assert main(["curvature", "--weights", weight_files["power2m1"], "--grid", "radial:ax2"]) == 2
-    capsys.readouterr()
+    # radial:2x0 used to scan the origin alone and report all_psd true.
+    for grid in ("cube", "radial:ax2", "radial:0x4", "radial:2x0", "radial:2x-1"):
+        assert main(["curvature", "--weights", weight_files["power2m1"], "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
 
 def _refusal(capsys):

@@ -240,8 +240,9 @@ def test_radial_grid_respects_the_ball_budget():
     assert len(pts) == len(set(pts)) > 1
     for p in pts:
         assert sum(abs(x) ** 2 for x in p) <= 0.95**2 + 1e-12
-    with pytest.raises(ValueError):
-        radial_grid(2, steps=0, angles=4)
+    for steps, angles in ((0, 4), (2, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            radial_grid(2, steps=steps, angles=angles)
 
 
 # -- grid reports ------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Byte-for-byte guards on canonical JSON reports.
+"""Byte-for-byte guards on canonical JSON reports and refusals.
 
-Each file under tests/data/ is the exact stdout of one CLI invocation.  A
-change that is meant to move these numbers (closed-form radial bases, error
-budgets) regenerates the files and says why, e.g.
+Each ``.json`` file under tests/data/ named in CASES is the exact stdout of
+one CLI invocation and each ``.err`` file its exact stderr; every case also
+pins its exit code.  A change that is meant to move these numbers (closed-form
+radial bases, error budgets) regenerates the files and says why, e.g.
 
     PYTHONPATH=src python -m hypershift.cli example45 --eval-degree 40 \\
         > tests/data/example45_eval40.json
@@ -16,23 +17,67 @@ from hypershift.cli import main
 
 DATA = Path(__file__).parent / "data"
 
+
+def _scan(command, weight, *args):
+    return [command, "--weights", str(DATA / weight), *args]
+
+
 CASES = {
-    "example45_eval40.json": ["example45", "--eval-degree", "40"],
-    "curvature_pair_2x4_eval60.json": [
-        "curvature",
-        "--weights",
-        str(DATA / "poly_a.json"),
-        "--weights",
-        str(DATA / "poly_b.json"),
-        "--grid",
-        "radial:2x4",
-        "--eval-degree",
-        "60",
-    ],
+    "example45_eval40.json": (0, ["example45", "--eval-degree", "40"]),
+    "curvature_pair_2x4_eval60.json": (
+        0,
+        [
+            "curvature",
+            "--weights",
+            str(DATA / "poly_a.json"),
+            "--weights",
+            str(DATA / "poly_b.json"),
+            "--grid",
+            "radial:2x4",
+            "--eval-degree",
+            "60",
+        ],
+    ),
+    # A power:2 table with rho(2,3) halved: the scan stops at a witness.
+    "check_hyper_table_halved.json": (
+        1,
+        _scan("check-hyper", "table_power2_halved.json", "--n", "2", "--degree", "8"),
+    ),
+    "check_hyper_power33.json": (
+        0,
+        _scan("check-hyper", "power33.json", "--n", "3", "--degree", "12"),
+    ),
+    "necessary_cubic_m3.json": (
+        0,
+        _scan("necessary", "cubic_m3.json", "--n", "2", "--degree", "15"),
+    ),
+    # Both radial bases fail at the start of degree layer 3, after layers
+    # 0..2 passed: an explicit list of three terms, and a cubic with a(3) = 0.
+    "check_hyper_explicit3.err": (
+        2,
+        _scan("check-hyper", "explicit3.json", "--n", "2", "--degree", "5"),
+    ),
+    "necessary_explicit3.err": (
+        2,
+        _scan("necessary", "explicit3.json", "--n", "2", "--degree", "5"),
+    ),
+    "check_hyper_poly_drop.err": (
+        2,
+        _scan("check-hyper", "poly_drop.json", "--n", "2", "--degree", "5"),
+    ),
+    "necessary_poly_drop.err": (
+        2,
+        _scan("necessary", "poly_drop.json", "--n", "2", "--degree", "5"),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_the_pinned_file(capsys, name):
-    assert main(CASES[name]) == 0
-    assert capsys.readouterr().out == (DATA / name).read_text()
+    code, argv = CASES[name]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if name.endswith(".err"):
+        assert (captured.out, captured.err) == ("", (DATA / name).read_text())
+    else:
+        assert captured.out == (DATA / name).read_text()

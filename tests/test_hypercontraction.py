@@ -8,6 +8,7 @@ import pytest
 
 from hypershift import (
     ExplicitSequence,
+    GeometricSequence,
     PerturbedPower,
     PolynomialSequence,
     PowerKernel,
@@ -150,6 +151,115 @@ def test_engine_matches_multinomial_oracle_on_the_perturbed_window():
     # around the block-2 ray over (0, 511) are compared with the oracle.
     W = PerturbedPower(2, 2, 2)
     assert_engine_matches_oracle(W, 2, 514, keep=lambda a: sum(a) >= 510 and a[0] <= 4)
+
+
+def sparse_power_table(rng, m, max_degree):
+    """A few entries over a power:n fallback: pairs of entries that are each
+    other's +-e_i neighbours with random values, and one entry equal to its
+    fallback value (so it is not a correction)."""
+    fallback = PowerKernel(rng.randint(1, 3), m)
+    entries = {}
+    for _ in range(2):
+        alpha = rng.choice(mi.enumerate_leq_degree(m, max_degree - 1))
+        above = mi.add(alpha, mi.unit(m, rng.randrange(m)))
+        for beta in (alpha, above):
+            entries[beta] = random_fraction(rng) * fallback.rho(beta)
+    same = rng.choice([a for a in mi.enumerate_leq_degree(m, max_degree) if a not in entries])
+    entries[same] = fallback.rho(same)
+    return TableWeight(m, entries, fallback)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_engine_matches_multinomial_oracle_on_sparse_tables(m):
+    rng = random.Random(61 + m)
+    D = {1: 7, 2: 5, 3: 4}[m]
+    for _ in range(8):
+        assert_engine_matches_oracle(sparse_power_table(rng, m, D), 3, D)
+
+
+def pointwise_necessary_scan(W, n, max_degree):
+    """(checked, witness) of necessary_condition over 0 < |alpha| <= D."""
+    checked = 0
+    for alpha in mi.enumerate_leq_degree(W.m, max_degree)[1:]:
+        chk = necessary_condition(W, n, alpha)
+        checked += 1
+        if not chk.holds:
+            return checked, chk
+    return checked, None
+
+
+def test_sparse_table_scans_match_the_oracles():
+    rng = random.Random(67)
+    hits = 0
+    for _ in range(24):
+        m = rng.choice([1, 2, 3])
+        D = 6 if m < 3 else 4
+        W = sparse_power_table(rng, m, D)
+        n = rng.randint(1, 3)
+        report = is_n_hyper_up_to(W, n, D)
+        assert report.witness == reference_scan(W, n, D)
+        scan = necessary_scan(W, n, D)
+        assert (scan.checked, scan.witness) == pointwise_necessary_scan(W, n, D)
+        hits += report.witness is not None
+    assert hits > 5
+
+
+def count_rho_ratio_calls(monkeypatch):
+    """Record the alpha of every rho_ratio call made on any weight family."""
+    calls = []
+    for cls in (RadialWeight, TableWeight, PerturbedPower):
+        original = cls.rho_ratio
+
+        def counting(self, alpha, beta, original=original):
+            calls.append(tuple(alpha))
+            return original(self, alpha, beta)
+
+        monkeypatch.setattr(cls, "rho_ratio", counting)
+    return calls
+
+
+def test_engine_reads_radial_weights_from_their_base(monkeypatch):
+    calls = count_rho_ratio_calls(monkeypatch)
+    weights = [PowerKernel(3, 2), RadialWeight(3, PolynomialSequence([F(1), F(2)]))]
+    weights += [
+        RadialWeight(2, seq)
+        for seq in (
+            PowerSequence(2),
+            GeometricSequence(F(3, 2)),
+            PolynomialSequence([F(1), F(0), F(1, 2)]),
+            ExplicitSequence([F(k + 1, 2) for k in range(9)]),
+        )
+    ]
+    for W in weights:
+        defect_diagonal(W, 3, 8 if W.m == 2 else 5)
+    assert calls == []
+
+
+def test_engine_calls_rho_ratio_only_next_to_corrections(monkeypatch):
+    calls = count_rho_ratio_calls(monkeypatch)
+    rng = random.Random(71)
+    for m in (1, 2, 3):
+        W = sparse_power_table(rng, m, 4)
+        _, corrections = W.metric_decomposition()
+        listed = {alpha for alpha, _ in corrections}
+        assert len(listed) == len(W.entries) - 1  # the fallback-valued entry
+        near = listed | {mi.add(a, mi.unit(m, i)) for a in listed for i in range(m)}
+        expected = [
+            alpha
+            for alpha in mi.enumerate_leq_degree(m, 4)
+            if alpha in near
+            for a in alpha
+            if a
+        ]
+        calls.clear()
+        defect_diagonal(W, 2, 4)
+        assert calls == expected
+    # The counterexample scan stops at its single correction (2, 511) and
+    # calls rho_ratio there once per nonzero coordinate.
+    calls.clear()
+    report = is_n_hyper_up_to(PerturbedPower(2, 2, 2), 2, 514)
+    assert report.witness == HyperWitness(order=1, alpha=(2, 511), value=F(-256, 257))
+    assert sorted(set(calls)) == [(2, 511)]
 
 
 def test_scan_witness_matches_reference_scan():
@@ -295,13 +405,7 @@ def test_necessary_scan_matches_pointwise_checks():
         W = rng.choice([random_weight(rng, m=m, degree=D), random_polynomial_weight(rng, m)])
         n = rng.randint(1, 3)
         scan = necessary_scan(W, n, D)
-        checked, witness = 0, None
-        for alpha in mi.enumerate_leq_degree(m, D)[1:]:
-            chk = necessary_condition(W, n, alpha)
-            checked += 1
-            if not chk.holds:
-                witness = chk
-                break
+        checked, witness = pointwise_necessary_scan(W, n, D)
         assert (scan.checked, scan.witness) == (checked, witness)
         assert scan.verdict == ("all-hold" if witness is None else "violated")
         violated += witness is not None

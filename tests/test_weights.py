@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -433,3 +434,47 @@ def test_weights_share_their_radial_sequence():
     base = PowerKernel(2, 2)
     T = TableWeight(2, {(1, 1): F(1)}, fallback=base)
     assert T.metric_decomposition()[0] is base.radial_sequence()
+
+
+def decomposition_families():
+    base = PowerKernel(2, 2)
+    table = TableWeight(
+        2,
+        {(1, 1): F(7, 3), (2, 1): F(5), (2, 2): base.rho((2, 2)), (0, 3): F(1, 2)},
+        fallback=base,
+    )
+    radial = [
+        RadialWeight(2, seq)
+        for seq in (
+            PowerSequence(3),
+            GeometricSequence(F(2, 3)),
+            PolynomialSequence([F(1), F(1, 2), F(3)]),
+            ExplicitSequence([F(k * k + 1, k + 2) for k in range(8)]),
+        )
+    ]
+    window = [(j, b) for j in range(5) for b in range(509, 514)]
+    small = mi.enumerate_leq_degree(2, 7)
+    yield PowerKernel(3, 3), mi.enumerate_leq_degree(3, 5)
+    for W in radial:
+        yield W, small
+    yield PerturbedPower(2, 2, 2), window
+    yield table, small
+
+
+def test_unit_steps_follow_the_metric_decomposition():
+    # rho is the radial base exactly off the listed corrections, so every
+    # unit step with neither end listed is alpha_i a(N-1) / (N a(N)).
+    for W, indices in decomposition_families():
+        base, corrections = W.metric_decomposition()
+        delta = dict(corrections)
+        for alpha in indices:
+            N = mi.degree(alpha)
+            radial = base.value(N) * F(factorial(N), mi.factorial(alpha))
+            assert W.rho(alpha) == radial + delta.get(alpha, 0)
+            for i, a in enumerate(alpha):
+                below = mi.sub(alpha, mi.unit(W.m, i)) if a else None
+                if below is None or alpha in delta or below in delta:
+                    continue
+                step = a * base.value(N - 1) / (N * base.value(N))
+                assert step == W.rho(below) / W.rho(alpha) == W.rho_ratio(alpha, mi.unit(W.m, i))
+
