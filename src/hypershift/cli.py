@@ -19,27 +19,12 @@ from fractions import Fraction
 
 from . import multiindex as mi
 from . import report as rpt
-from .curvature import (
-    eigenvalues,
-    log_metric_hessian,
-    psd_check,
-    psh_boundedness_report,
-    radial_grid,
-)
 from .errors import NonHermitianError, WeightSpecError
 from .hypercontraction import is_n_hyper_up_to, necessary_condition, necessary_scan
-from .similarity import ray_ratio_sq, similarity_scan
-from .truncation import (
-    build_truncated,
-    commutator_defect,
-    commutator_float_norm,
-    decay_curve,
-    defect_operator,
-    defect_operator_dense,
-)
 from .weights import PerturbedPower, parse_fraction, weight_from_dict
 
-import numpy as np
+# The curvature, similarity and truncation layers (and numpy) are imported in
+# the handlers that use them, so each call loads only what its subcommand runs.
 
 
 class UsageError(Exception):
@@ -73,6 +58,8 @@ def _parse_alpha(text: str, m: int) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str, m: int, max_radius: float = 0.95):
+    from .curvature import radial_grid
+
     if text.startswith("radial:"):
         body = text[len("radial:"):]
         try:
@@ -217,6 +204,8 @@ def cmd_necessary(args) -> int:
 
 
 def cmd_similarity_scan(args) -> int:
+    from .similarity import similarity_scan
+
     W1 = _load_weight(args.weights[0])
     W2 = _load_weight(args.weights[1])
     growth = parse_fraction(args.growth_factor)
@@ -264,6 +253,8 @@ def cmd_similarity_scan(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    from .curvature import eigenvalues, log_metric_hessian, psd_check, psh_boundedness_report
+
     weights = [_load_weight(p) for p in args.weights]
     m = weights[0].m
     grid = _parse_grid(args.grid, m)
@@ -351,6 +342,17 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_truncate(args) -> int:
+    import numpy as np
+
+    from .truncation import (
+        build_truncated,
+        commutator_defect,
+        commutator_float_norm,
+        decay_curve,
+        defect_operator,
+        defect_operator_dense,
+    )
+
     W = _load_weight(args.weights[0])
     tt = build_truncated(W, args.degree)
     report = {
@@ -410,6 +412,9 @@ def run_example45(
     against the unperturbed kernel on a default grid.  Stages (a)-(c) are
     pass/fail; (d) is informational.
     """
+    from .curvature import psh_boundedness_report, radial_grid
+    from .similarity import ray_ratio_sq
+
     if blocks < 2:
         raise UsageError("the counterexample needs at least 2 blocks")
     W = PerturbedPower(n, m, blocks)

@@ -206,6 +206,8 @@ def default_grid(
     |w| <= max_radius.  Always contains the origin."""
     if m < 1:
         raise ValueError("dimension must be >= 1")
+    if angles < 1:
+        raise ValueError("need at least one angle")
     if radii is None:
         radii = [0.1 * k for k in range(1, 10)] + [0.95]
     coords = [(0.0, 0.0)]
@@ -234,8 +236,6 @@ def radial_grid(m: int, steps: int, angles: int, max_radius: float = 0.95) -> li
     """Grid with `steps` equally spaced radii up to max_radius."""
     if steps < 1:
         raise ValueError("need at least one radial step")
-    if angles < 1:
-        raise ValueError("need at least one angle")
     radii = [max_radius * (k + 1) / steps for k in range(steps)]
     return default_grid(m, radii=radii, angles=angles, max_radius=max_radius)
 

@@ -34,7 +34,11 @@ def write_atomic(path: str, text: str) -> None:
     partially written report.  The file gets the mode a plain open() would
     give it (0666 less the process umask), not mkstemp's private 0600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
+    except OSError as exc:
+        # Name the requested path, not the random temporary one.
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         # The umask can only be read by setting it; restore it at once.
         umask = os.umask(0)

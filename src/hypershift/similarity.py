@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import multiindex as mi
 from .multiindex import MultiIndex
 from .weights import WeightFunction, eval_metric
@@ -180,6 +178,8 @@ def metric_ratio_report(
     Similar tuples have quotients pinched between positive constants; this
     report gives the observed range, not a certificate.
     """
+    import mpmath as mp
+
     _check_pair(W1, W2)
     points = list(points)
     if not points:

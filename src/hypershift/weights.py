@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-
-import mpmath as mp
+from typing import TYPE_CHECKING
 
 from . import multiindex as mi
 from .errors import (
@@ -40,6 +39,11 @@ from .errors import (
     WeightSpecError,
 )
 from .multiindex import MultiIndex
+
+# mpmath is imported inside the functions that evaluate metrics, so the exact
+# layers (rho, rho_ratio, the defect engine) load without it.
+if TYPE_CHECKING:
+    import mpmath as mp
 
 
 def _falling(x: int, k: int) -> int:
@@ -92,6 +96,8 @@ class RadialSequence:
         evaluation.  Raises SequenceExhausted when the sequence ends before
         max_degree and TailUnreliableError when no ratio bound is known.
         """
+        import mpmath as mp
+
         key = (t, max_degree, mp.mp.prec)
         hit = self._series.get(key)
         if hit is not None:
@@ -633,10 +639,14 @@ class MetricJet:
 
 
 def _to_mpf(x: Fraction) -> mp.mpf:
+    import mpmath as mp
+
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
 def _ball_radius_sq(w) -> mp.mpf:
+    import mpmath as mp
+
     t = mp.mpf(0)
     for wi in w:
         t += abs(mp.mpc(wi)) ** 2
@@ -657,6 +667,8 @@ def _geometric_tails(a_last: mp.mpf, t: mp.mpf, d: int, ratio: Fraction):
         sum_{j>d} j(j-1) a(j) t^{j-2}
             <= a(d) r [d t^{d-1} ((d-1)/(1-x) + 2/(1-x)^2) + 2 r t^d/(1-x)^3]
     """
+    import mpmath as mp
+
     r = _to_mpf(ratio)
     x = r * t
     if x >= 1:
@@ -676,6 +688,8 @@ def _geometric_tails(a_last: mp.mpf, t: mp.mpf, d: int, ratio: Fraction):
 
 def _shifted_power(wv, alpha: MultiIndex, i: int):
     """w^{alpha - e_i}, evaluated directly so that w_i = 0 is handled."""
+    import mpmath as mp
+
     out = mp.mpf(1)
     for k, (x, a) in enumerate(zip(wv, alpha)):
         e = a - 1 if k == i else a
@@ -697,6 +711,8 @@ def metric_jet(
     Raises BallDomainError if |w| >= 1 and TailUnreliableError when no
     rigorous tail bound exists at this truncation degree.
     """
+    import mpmath as mp
+
     if len(w) != W.m:
         raise ValueError(f"point has dimension {len(w)}, weight has m = {W.m}")
     if max_degree < 0:

@@ -232,6 +232,10 @@ def test_default_grid_on_the_line():
     assert all(abs(p[0]) <= 0.95 + 1e-12 for p in pts)
     with pytest.raises(ValueError):
         default_grid(0)
+    # No angle leaves only the origin, which must not pass for a grid.
+    for angles in (0, -1):
+        with pytest.raises(ValueError, match="at least one angle"):
+            default_grid(2, angles=angles)
 
 
 def test_radial_grid_respects_the_ball_budget():
