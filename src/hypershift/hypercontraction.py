@@ -18,17 +18,31 @@ recurrence
 
     d_0 = 1,    d_k(alpha) = d_{k-1}(alpha) - sum_{i: alpha_i > 0} s_i(alpha) d_{k-1}(alpha - e_i),
 
-so degree layer N needs only layer N - 1.  Each index costs n*m exact
-multiply-adds, and the engine holds two layers at a time.  The unit steps
-come from the weight's ``metric_decomposition``: off its finitely many
-corrections rho is the radial base a(|alpha|) |alpha|!/alpha!, where
+so degree layer N needs only layer N - 1.  The unit steps come from the
+weight's ``metric_decomposition``: off its finitely many corrections C, rho
+is the radial base a(|alpha|) |alpha|!/alpha!, where
 
-    s_i(alpha) = alpha_i a(N - 1) / (N a(N)),    N = |alpha|,
+    s_i(alpha) = alpha_i c_N,    c_N = a(N - 1) / (N a(N)),    N = |alpha|.
 
-so one exact factor per degree layer serves every index, and ``rho_ratio``
-is called only where alpha or alpha - e_i is a correction (or everywhere,
-for a weight with no radial base).  ``defect_diag`` keeps the multinomial
-sum as the independent oracle the tests compare the engine against.
+An entry d_k(alpha) with k <= n reads rho only at alpha - beta, |beta| <= k,
+so outside the cone C + {beta : |beta| <= n} it depends only on N:
+
+    d_k(N) = d_{k-1}(N) - N c_N d_{k-1}(N - 1),
+
+the closed sum of ``defect_diag_radial``.  Each degree layer therefore
+carries one radial row and exact rows only on its part of the finite cone,
+computed in lex order with the recurrence above; a lower neighbour outside
+the cone reads the previous radial row, and ``rho_ratio`` is called only
+where alpha or alpha - e_i is a correction.  A weight with no radial base
+puts every index in the cone and calls ``rho_ratio`` at each.  A scan costs O(n) per layer plus n*m exact
+multiply-adds per cone index, whatever the number of indices.
+
+The scans take the graded-lex-first witness of a layer from two candidates:
+the first violating cone entry (no cone row past it is computed), and the
+first index outside the cone when the radial row violates.
+``defect_diagonal`` expands the radial rows to every index.  ``defect_diag``
+keeps the multinomial sum as the independent oracle the tests compare the
+engine against, and ``defect_diag_radial`` the oracle for the radial row.
 """
 
 from __future__ import annotations
@@ -58,39 +72,41 @@ def defect_diag(W: WeightFunction, k: int, alpha: MultiIndex) -> Fraction:
     return total
 
 
-def _defect_layers(
-    W: WeightFunction, n: int, max_degree: int
-) -> Iterator[tuple[MultiIndex, list[tuple[int, int]]]]:
-    """Yield (alpha, row) for every |alpha| <= max_degree in graded-lex
-    order, where row[k - 1] = (p, q) is d_k(alpha) = p/q for k = 1..n.
+def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
+    """Yield (N, radial, cone, rows) for each degree layer N <= max_degree.
 
-    Entries are reduced integer pairs with q > 0: each entry is accumulated
-    over one common denominator and reduced by a single gcd, which is much
-    cheaper than a Fraction per multiply-add.  Only the previous degree
-    layer is kept, so a caller may stop anywhere in a layer.
+    A row is [(p, q)] with row[k - 1] = d_k = p/q for k = 1..n, a reduced
+    integer pair with q > 0.  ``radial`` is the row of every index of layer
+    N outside the cone, or None for a weight with no radial base.  ``cone``
+    lists the layer's cone indices in lex order (every index when there is
+    no base) and ``rows`` yields (alpha, row) for them lazily in that order,
+    so a caller that stops early computes no row past its stop.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     m = W.m
     units = [mi.unit(m, i) for i in range(m)]
-    # Indices in `exact` (a correction or one step above one) take
+    # Cone indices in `exact` (a correction or one step above one) take
     # W.rho_ratio; all others take alpha_i times the layer factor
     # c = a(N-1)/(N a(N)).  A weight with no base, or a table whose fallback
-    # is undefined at one of its entries, takes W.rho_ratio everywhere and
-    # so fails, if at all, at the same index as a per-index scan.
+    # is undefined at one of its entries, puts every index in the cone and
+    # takes W.rho_ratio everywhere, so it fails, if at all, at the same
+    # index as a per-index scan.
     try:
         base, corrections = W.metric_decomposition()
     except (TailUnreliableError, WeightDomainError):
         base, corrections = None, []
     exact = {alpha for alpha, _ in corrections}
+    cones: dict[int, set[MultiIndex]] = {}
+    for alpha in exact:
+        for beta in mi.enumerate_leq_degree(m, n):
+            gamma = mi.add(alpha, beta)
+            cones.setdefault(mi.degree(gamma), set()).add(gamma)
     exact |= {mi.add(alpha, e) for alpha in exact for e in units}
-    prev: dict[MultiIndex, list[tuple[int, int]]] = {}
-    for degree in range(max_degree + 1):
-        if base is not None and degree:
-            c = base.value(degree - 1) / (degree * base.value(degree))
-            cn, cd = c.numerator, c.denominator
-        layer = {}
-        for alpha in mi.enumerate_exact_degree(m, degree):
+
+    def rows(cone, cn, cd, prev, prev_radial, layer):
+        # A lower neighbour missing from `prev` lies outside the cone.
+        for alpha in cone:
             on_base = base is not None and alpha not in exact
             # (s_i(alpha) numerator, denominator, row of alpha - e_i)
             terms = []
@@ -103,7 +119,7 @@ def _defect_layers(
                         s = W.rho_ratio(alpha, units[i])
                         sn, sd = s.numerator, s.denominator
                     below = alpha[:i] + (a - 1,) + alpha[i + 1 :]
-                    terms.append((sn, sd, prev[below]))
+                    terms.append((sn, sd, prev.get(below, prev_radial)))
             row = []
             p, q = 1, 1
             for k in range(n):
@@ -120,7 +136,76 @@ def _defect_layers(
                 row.append((p, q))
             layer[alpha] = row
             yield alpha, row
-        prev = layer
+
+    prev: dict[MultiIndex, list[tuple[int, int]]] = {}
+    prev_radial = None
+    cn = cd = 1
+    for degree in range(max_degree + 1):
+        radial = None
+        if base is None:
+            cone = mi.enumerate_exact_degree(m, degree)
+        else:
+            cone = sorted(cones.get(degree, ()))
+            radial = [(1, 1)] * n
+            if degree:
+                # d_k(N) = d_{k-1}(N) - (a(N-1)/a(N)) d_{k-1}(N-1)
+                step = base.value(degree - 1) / base.value(degree)
+                c = step / degree
+                cn, cd = c.numerator, c.denominator
+                value = Fraction(1)
+                for k in range(n):
+                    value -= step * (Fraction(*prev_radial[k - 1]) if k else 1)
+                    radial[k] = (value.numerator, value.denominator)
+        layer: dict[MultiIndex, list[tuple[int, int]]] = {}
+        layer_rows = rows(cone, cn, cd, prev, prev_radial, layer)
+        yield degree, radial, cone, layer_rows
+        for _ in layer_rows:  # finish the layer when the caller stopped early
+            pass
+        prev, prev_radial = layer, radial
+
+
+def _defect_layers(
+    W: WeightFunction, n: int, max_degree: int
+) -> Iterator[tuple[MultiIndex, list[tuple[int, int]]]]:
+    """Yield (alpha, row) for every |alpha| <= max_degree in graded-lex
+    order, where row[k - 1] = (p, q) is d_k(alpha) = p/q for k = 1..n.
+
+    Indices outside the cone share their layer's radial row.  Only the
+    previous degree layer is kept, so a caller may stop anywhere in a layer.
+    """
+    for degree, radial, _, rows in _cone_layers(W, n, max_degree):
+        hit = next(rows, None)
+        for alpha in mi.enumerate_exact_degree(W.m, degree):
+            if hit is not None and hit[0] == alpha:
+                yield hit
+                hit = next(rows, None)
+            else:
+                yield alpha, radial
+
+
+def _first_violation(
+    W: WeightFunction, n: int, max_degree: int, violates
+) -> tuple[MultiIndex, list[tuple[int, int]]] | None:
+    """The graded-lex-first (alpha, row) with ``violates(|alpha|, row)``.
+
+    In each layer the witness is the earlier of two candidates: the first
+    violating cone entry, and the first index outside the cone when the
+    radial row violates.  Cone rows past the second candidate are never
+    computed, so ``rho_ratio`` is not called beyond the witness.
+    """
+    for degree, radial, cone, rows in _cone_layers(W, n, max_degree):
+        outside = None
+        if radial is not None and violates(degree, radial):
+            inside = set(cone)
+            outside = next((a for a in mi._compositions(degree, W.m) if a not in inside), None)
+        for alpha, row in rows:
+            if outside is not None and alpha > outside:
+                break
+            if violates(degree, row):
+                return alpha, row
+        if outside is not None:
+            return outside, radial
+    return None
 
 
 @dataclass(frozen=True)
@@ -198,20 +283,21 @@ def is_n_hyper_up_to(W: WeightFunction, n: int, max_degree: int) -> HyperReport:
     """
     if n < 1:
         raise ValueError("order n must be >= 1")
-    for alpha, row in _defect_layers(W, n, max_degree):
-        for k, (p, q) in enumerate(row, start=1):
-            if p < 0:
-                return HyperReport(
-                    order=n,
-                    max_degree=max_degree,
-                    verdict="violation",
-                    witness=HyperWitness(order=k, alpha=alpha, value=Fraction(p, q)),
-                )
+    hit = _first_violation(W, n, max_degree, lambda degree, row: any(p < 0 for p, q in row))
+    if hit is None:
+        return HyperReport(
+            order=n,
+            max_degree=max_degree,
+            verdict=f"no-violation-up-to-{max_degree}",
+            witness=None,
+        )
+    alpha, row = hit
+    k, (p, q) = next((k, e) for k, e in enumerate(row, start=1) if e[0] < 0)
     return HyperReport(
         order=n,
         max_degree=max_degree,
-        verdict=f"no-violation-up-to-{max_degree}",
-        witness=None,
+        verdict="violation",
+        witness=HyperWitness(order=k, alpha=alpha, value=Fraction(p, q)),
     )
 
 
@@ -272,24 +358,34 @@ def necessary_scan(W: WeightFunction, n: int, max_degree: int) -> NecessaryScan:
 
     The neighbour sum is 1 - d_1(alpha), so the scan runs on the defect
     engine at order 1 and agrees with ``necessary_condition`` index by index.
+    ``checked`` is the witness's graded-lex rank, which counts the nonzero
+    indices up to and including it.
     """
     if n < 1:
         raise ValueError("order n must be >= 1")
-    checked = 0
-    for alpha, row in _defect_layers(W, 1, max_degree):
-        d = mi.degree(alpha)
-        if d == 0:
-            continue
-        checked += 1
-        chk = ConditionCheck(
-            alpha=alpha, order=n, lhs=1 - Fraction(*row[0]), rhs=Fraction(d, d + n - 1)
+
+    def violates(degree, row):
+        # 1 - p/q > N/(N + n - 1), cleared of its positive denominators.
+        p, q = row[0]
+        return degree > 0 and (q - p) * (degree + n - 1) > degree * q
+
+    hit = _first_violation(W, 1, max_degree, violates)
+    if hit is None:
+        checked = comb(max_degree + W.m, W.m) - 1
+        return NecessaryScan(
+            order=n, max_degree=max_degree, verdict="all-hold", checked=checked, witness=None
         )
-        if not chk.holds:
-            return NecessaryScan(
-                order=n, max_degree=max_degree, verdict="violated", checked=checked, witness=chk
-            )
+    alpha, row = hit
+    d = mi.degree(alpha)
+    chk = ConditionCheck(
+        alpha=alpha, order=n, lhs=1 - Fraction(*row[0]), rhs=Fraction(d, d + n - 1)
+    )
     return NecessaryScan(
-        order=n, max_degree=max_degree, verdict="all-hold", checked=checked, witness=None
+        order=n,
+        max_degree=max_degree,
+        verdict="violated",
+        checked=mi.graded_lex_rank(alpha),
+        witness=chk,
     )
 
 

@@ -108,6 +108,22 @@ def enumerate_leq_degree(m: int, max_degree: int) -> list[MultiIndex]:
     return out
 
 
+def graded_lex_rank(alpha: MultiIndex) -> int:
+    """The position of alpha in ``enumerate_leq_degree(len(alpha), |alpha|)``,
+    counted from 0, without enumerating: the C(N - 1 + m, m) indices of lower
+    degree plus, coordinate by coordinate, the compositions of the rest that
+    start with a smaller entry (a hockey-stick sum of binomials)."""
+    alpha = validate(alpha)
+    m = len(alpha)
+    rest = degree(alpha)
+    rank = comb(rest - 1 + m, m)
+    for i, a in enumerate(alpha[:-1]):
+        tail = m - 1 - i
+        rank += comb(rest + tail, tail) - comb(rest - a + tail, tail)
+        rest -= a
+    return rank
+
+
 def dominated_by(alpha: MultiIndex, max_degree: int | None = None) -> Iterator[MultiIndex]:
     """All beta <= alpha, optionally restricted to |beta| <= max_degree.
 

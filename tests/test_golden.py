@@ -51,6 +51,20 @@ CASES = {
         0,
         _scan("necessary", "cubic_m3.json", "--n", "2", "--degree", "15"),
     ),
+    # The counterexample's defect and neighbour-sum witnesses at (2, 511),
+    # and a clean scan of its m = 3 form past the perturbed ray.
+    "check_hyper_perturbed45.json": (
+        1,
+        _scan("check-hyper", "perturbed45.json", "--n", "2", "--degree", "514"),
+    ),
+    "necessary_perturbed45.json": (
+        1,
+        _scan("necessary", "perturbed45.json", "--n", "2", "--degree", "514"),
+    ),
+    "check_hyper_perturbed45_m3.json": (
+        0,
+        _scan("check-hyper", "perturbed45_m3.json", "--n", "2", "--degree", "60"),
+    ),
     # Both radial bases fail at the start of degree layer 3, after layers
     # 0..2 passed: an explicit list of three terms, and a cubic with a(3) = 0.
     "check_hyper_explicit3.err": (

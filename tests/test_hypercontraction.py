@@ -25,9 +25,9 @@ from hypershift import (
     radial_necessary,
     subnormality_obstruction,
 )
-from hypershift import DimensionMismatch
+from hypershift import DimensionMismatch, TailUnreliableError, WeightDomainError
 from hypershift import multiindex as mi
-from hypershift.hypercontraction import HyperWitness, _defect_layers
+from hypershift.hypercontraction import HyperWitness, _cone_layers, _defect_layers
 
 from helpers import random_fraction, random_radial_sequence, random_table_weight, random_weight
 
@@ -202,6 +202,141 @@ def test_sparse_table_scans_match_the_oracles():
         assert (scan.checked, scan.witness) == pointwise_necessary_scan(W, n, D)
         hits += report.witness is not None
     assert hits > 5
+
+
+def in_cone(W, n, alpha):
+    """alpha lies within order n above a correction of W (every index, for
+    a weight with no radial base)."""
+    try:
+        _, corrections = W.metric_decomposition()
+    except (TailUnreliableError, WeightDomainError):
+        return True
+    return any(
+        mi.leq(c, alpha) and mi.degree(alpha) - mi.degree(c) <= n for c, _ in corrections
+    )
+
+
+def assert_scans_match_the_oracles(W, n, max_degree):
+    report = is_n_hyper_up_to(W, n, max_degree)
+    assert report.witness == reference_scan(W, n, max_degree)
+    scan = necessary_scan(W, n, max_degree)
+    assert (scan.checked, scan.witness) == pointwise_necessary_scan(W, n, max_degree)
+    return report.witness
+
+
+def halving_base(m):
+    """a(N) = 2^-N: every radial d_1 with N >= 1 is -1."""
+    return RadialWeight(m, GeometricSequence(F(1, 2)))
+
+
+def test_witness_is_a_cone_entry_before_the_first_outside_index():
+    # Layer 1 of m = 2 is (0, 1), (1, 0); only (0, 1) is in the cone, and it
+    # is negative with a value the radial row does not have.
+    W = TableWeight(2, {(0, 1): F(1, 4)}, halving_base(2))
+    for n in (1, 2, 3):
+        wit = assert_scans_match_the_oracles(W, n, 4)
+        assert wit == HyperWitness(order=1, alpha=(0, 1), value=F(-3))
+        assert in_cone(W, n, (0, 1)) and not in_cone(W, n, (1, 0))
+        assert defect_diag(W, 1, (1, 0)) == -1
+
+
+def test_witness_is_the_first_outside_index_before_a_negative_cone_entry():
+    # The cone entry (1, 0) is negative too, but (0, 1) comes first and
+    # reads the radial row.
+    W = TableWeight(2, {(1, 0): F(1, 4)}, halving_base(2))
+    for n in (1, 2, 3):
+        wit = assert_scans_match_the_oracles(W, n, 4)
+        assert wit == HyperWitness(order=1, alpha=(0, 1), value=F(-1))
+        assert not in_cone(W, n, (0, 1)) and in_cone(W, n, (1, 0))
+        assert defect_diag(W, 1, (1, 0)) == -3
+    # Layer 2 at order 1: the cone entry (0, 2) passes, the first outside
+    # index (1, 1) fails on the radial row and the cone entry (2, 0) after
+    # it fails as well.  The correction at 0 lets layer 1 pass.
+    W = TableWeight(2, {(0, 0): F(1, 2), (0, 2): F(1), (2, 0): F(1, 8)}, halving_base(2))
+    wit = assert_scans_match_the_oracles(W, 1, 4)
+    assert wit == HyperWitness(order=1, alpha=(1, 1), value=F(-1))
+    assert [in_cone(W, 1, a) for a in mi.enumerate_exact_degree(2, 2)] == [True, False, True]
+    assert defect_diag(W, 1, (0, 2)) == F(1, 2) and defect_diag(W, 1, (2, 0)) == -3
+
+
+def test_layers_wholly_inside_the_cone():
+    # A correction at 0 puts every |alpha| <= n in the cone.  Its radial
+    # row is negative from layer 1 on, but layer 1 passes inside the cone
+    # and the witness is the cone entry (0, 2).
+    W = TableWeight(2, {(0, 0): F(1, 4)}, halving_base(2))
+    assert defect_diag(W, 1, (0, 1)) == F(1, 2) and defect_diag(W, 2, (0, 1)) == 0
+    wit = assert_scans_match_the_oracles(W, 2, 5)
+    assert wit == HyperWitness(order=1, alpha=(0, 2), value=F(-1))
+    assert all(in_cone(W, 2, alpha) for alpha in mi.enumerate_exact_degree(2, 2))
+    # m = 1: each layer is one index, so the layers c..c+n of a correction
+    # at c lie wholly in the cone; the radial row (a(N) = 2^N) passes.
+    for c in range(4):
+        for value in (F(1, 8), F(8)):
+            W = TableWeight(1, {(c,): value * 2**c}, RadialWeight(1, GeometricSequence(2)))
+            for n in (1, 2, 3):
+                assert_scans_match_the_oracles(W, n, 8)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_corrections_at_degree_zero_and_one(m):
+    rng = random.Random(73 + m)
+    fallback = PowerKernel(2, m)
+    hits = 0
+    for _ in range(12):
+        entries = {(0,) * m: random_fraction(rng)}
+        alpha = mi.unit(m, rng.randrange(m))
+        entries[alpha] = random_fraction(rng) * fallback.rho(alpha)
+        W = TableWeight(m, entries, fallback)
+        hits += assert_scans_match_the_oracles(W, rng.randint(1, 3), 5 if m < 3 else 4) is not None
+    assert hits > 3
+
+
+def test_table_without_fallback_scans_every_index_as_cone():
+    rng = random.Random(79)
+    hits = 0
+    for _ in range(10):
+        m = rng.choice([1, 2, 3])
+        D = 5 if m < 3 else 3
+        W = random_table_weight(rng, m=m, degree=D)
+        assert all(in_cone(W, 1, alpha) for alpha in mi.enumerate_leq_degree(m, D))
+        hits += assert_scans_match_the_oracles(W, rng.randint(1, 3), D) is not None
+    assert hits > 3
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        PowerSequence(1),
+        PowerSequence(3),
+        PolynomialSequence([F(1), F(-1, 3), F(1, 2)]),
+        GeometricSequence(F(3, 2)),
+        GeometricSequence(F(1, 2)),
+        ExplicitSequence([F(k * k + 1, k + 2) for k in range(41)]),
+    ],
+)
+def test_radial_row_is_the_radial_reduction(seq):
+    layers = _cone_layers(RadialWeight(2, seq), 3, 40)
+    for N, radial, cone, _ in layers:
+        assert cone == []
+        assert radial == [
+            (v.numerator, v.denominator) for v in (defect_diag_radial(seq, k, N) for k in (1, 2, 3))
+        ]
+    assert N == 40
+
+
+def test_deep_scans_stop_at_the_perturbed_witness():
+    # The witnesses lie past ~1.5M and ~23M indices: only a scan whose cost
+    # does not grow with the number of indices reaches them in a test.
+    for W, n, D, order, alpha, value in [
+        (PerturbedPower(3, 2, 2), 3, 1800, 1, (2, 1726), F(-863, 865)),
+        (PerturbedPower(2, 3, 2), 2, 514, 1, (2, 511, 0), F(-256, 257)),
+    ]:
+        report = is_n_hyper_up_to(W, n, D)
+        assert report.witness == HyperWitness(order=order, alpha=alpha, value=value)
+        assert defect_diag(W, order, alpha) == value
+    scan = necessary_scan(PerturbedPower(2, 3, 2), 2, 514)
+    assert scan.witness.alpha == (2, 511, 0)
+    assert scan.checked == mi.enumerate_exact_degree(3, 513).index((2, 511, 0)) + comb(515, 3)
 
 
 def count_rho_ratio_calls(monkeypatch):

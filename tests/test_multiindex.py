@@ -58,6 +58,18 @@ def test_enumeration_counts(m, d):
     assert len(mi.enumerate_leq_degree(m, d)) == comb(d + m, m)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_graded_lex_rank_is_the_enumeration_position(m):
+    order = mi.enumerate_leq_degree(m, 8)
+    for D in range(9):
+        prefix = order[: comb(D + m, m)]
+        assert prefix == mi.enumerate_leq_degree(m, D)
+        for alpha in prefix:
+            assert mi.graded_lex_rank(alpha) == prefix.index(alpha)
+    with pytest.raises(ValueError):
+        mi.graded_lex_rank((1, -1))
+
+
 def test_dominated_by_is_the_product_order_box():
     got = set(mi.dominated_by((2, 1)))
     assert got == {(a, b) for a in range(3) for b in range(2)}
