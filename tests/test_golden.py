@@ -65,6 +65,39 @@ CASES = {
         0,
         _scan("check-hyper", "perturbed45_m3.json", "--n", "2", "--degree", "60"),
     ),
+    # The matrix model: exact defect and decay through composed column maps,
+    # with commutator_float and float_deviation from the dense float64 path
+    # pinned byte for byte.
+    "truncate_power22_d40.json": (
+        0,
+        _scan(
+            "truncate", "power22.json", "--degree", "40", "--defect-order", "3",
+            "--alpha", "2,4", "--k-max", "8",
+        ),
+    ),
+    "truncate_power33_d14.json": (
+        0,
+        _scan(
+            "truncate", "power33.json", "--degree", "14", "--defect-order", "2",
+            "--alpha", "1,2,3",
+        ),
+    ),
+    "truncate_power22_decay.csv": (
+        0,
+        _scan(
+            "truncate", "power22.json", "--degree", "12", "--alpha", "3,2",
+            "--k-max", "7", "--format", "csv",
+        ),
+    ),
+    # perturbed45 is power(2,2) below its ray at degree 512, so this pins the
+    # perturbed45 spec path through a model small enough for the dense path.
+    "truncate_perturbed45_d30.json": (
+        0,
+        _scan(
+            "truncate", "perturbed45.json", "--degree", "30", "--defect-order", "2",
+            "--alpha", "5,20",
+        ),
+    ),
     # Both radial bases fail at the start of degree layer 3, after layers
     # 0..2 passed: an explicit list of three terms, and a cubic with a(3) = 0.
     "check_hyper_explicit3.err": (
