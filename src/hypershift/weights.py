@@ -19,8 +19,8 @@ Four families are provided:
   counterexample family scaled by a block count.
 
 All weight values are exact ``Fraction``s.  Instances are immutable after
-construction apart from internal value and series caches, so they are safe
-to share across threads for reading.
+construction apart from internal value, ratio and series caches, so they are
+safe to share across threads for reading.
 """
 
 from __future__ import annotations
@@ -338,6 +338,8 @@ class RadialWeight(WeightFunction):
     def __init__(self, m: int, sequence: RadialSequence):
         super().__init__(m)
         self.sequence = sequence
+        # (N, b) -> a(N - b) / (a(N) (N)_b), the radial factor of rho_ratio.
+        self._radial_factor: dict[tuple[int, int], Fraction] = {}
 
     def _rho(self, alpha: MultiIndex) -> Fraction:
         d = mi.degree(alpha)
@@ -354,8 +356,11 @@ class RadialWeight(WeightFunction):
             num *= _falling(a, b)
             b_deg += b
         d = mi.degree(alpha)
-        a_ratio = self.sequence.value(d - b_deg) / self.sequence.value(d)
-        return a_ratio * Fraction(num, _falling(d, b_deg))
+        factor = self._radial_factor.get((d, b_deg))
+        if factor is None:
+            factor = self.sequence.value(d - b_deg) / (self.sequence.value(d) * _falling(d, b_deg))
+            self._radial_factor[(d, b_deg)] = factor
+        return factor * num
 
     def radial_sequence(self) -> RadialSequence:
         return self.sequence

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from hypershift import (
     PerturbedPower,
     PowerKernel,
+    TableWeight,
+    WeightFunction,
     build_truncated,
     commutator_defect,
     commutator_float_norm,
@@ -20,7 +23,9 @@ from hypershift import (
     gram,
     m_power_diag,
 )
+from hypershift import hypercontraction, truncation
 from hypershift import multiindex as mi
+from hypershift.truncation import power_layers
 
 from helpers import random_table_weight, random_weight
 
@@ -31,16 +36,16 @@ F = Fraction
 
 
 def test_compose_applies_right_map_first():
-    f = {0: (1, F(2))}
-    g = {5: (0, F(3)), 6: (2, F(7))}
-    assert compose(f, g) == {5: (1, F(6))}
+    f = {0: (1, 2, 1)}
+    g = {5: (0, 3, 1), 6: (2, 7, 1)}
+    assert compose(f, g) == {5: (1, 6, 1)}
 
 
 def test_gram_catches_row_collisions():
     # Two columns hitting the same row produce genuine off-diagonal entries.
-    f = {0: (0, F(1)), 1: (0, F(4))}
+    f = {0: (0, 1, 1), 1: (0, 4, 1)}
     result = gram(f)
-    assert result.diagonal == {0: F(1), 1: F(4)}
+    assert result.diagonal == {0: (1, 1), 1: (4, 1)}
     assert result.off_diagonal == {(0, 1): 2.0, (1, 0): 2.0}
 
 
@@ -50,7 +55,8 @@ def test_gram_of_monomial_map_is_diagonal():
     assert g.off_diagonal == {}
     for col, w in g.diagonal.items():
         alpha = tt.basis[col]
-        assert w == tt.weight.rho_ratio(alpha, (1, 2))
+        r = tt.weight.rho_ratio(alpha, (1, 2))
+        assert w == (r.numerator, r.denominator)
 
 
 # -- construction ------------------------------------------------------------
@@ -60,7 +66,7 @@ def test_line_model_is_the_unit_superdiagonal():
     tt = build_truncated(PowerKernel(1, 1), 3)
     assert tt.dimension == 4
     assert tt.basis == ((0,), (1,), (2,), (3,))
-    assert tt.maps[0] == {1: (0, F(1)), 2: (1, F(1)), 3: (2, F(1))}
+    assert tt.maps[0] == {1: (0, 1, 1), 2: (1, 1, 1), 3: (2, 1, 1)}
     A = tt.dense_matrices()[0]
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 2] = expected[2, 3] = 1.0
@@ -80,8 +86,8 @@ def test_plane_model_at_degree_one():
     tt = build_truncated(PowerKernel(1, 2), 1)
     assert tt.basis == ((0, 0), (0, 1), (1, 0))
     p = tt.position
-    assert tt.maps[0] == {p[(1, 0)]: (p[(0, 0)], F(1))}
-    assert tt.maps[1] == {p[(0, 1)]: (p[(0, 0)], F(1))}
+    assert tt.maps[0] == {p[(1, 0)]: (p[(0, 0)], 1, 1)}
+    assert tt.maps[1] == {p[(0, 1)]: (p[(0, 0)], 1, 1)}
 
 
 def test_power_map_validates_dimension():
@@ -212,3 +218,150 @@ def test_perturbed_model_defect_at_scale():
     pos = tt.position[(2, 511)]
     assert op.diagonal[pos] == F(-256, 257)
     assert min(op.diagonal) == F(-256, 257)
+
+
+# -- layered powers and their independence -----------------------------------
+
+
+def _weights_up_to_three_variables(rng, count):
+    for _ in range(count):
+        m = rng.randint(1, 3)
+        yield random_weight(rng, m=m, degree=8)
+
+
+def test_power_layers_equal_powers_composed_from_the_identity():
+    rng = random.Random(89)
+    for W in _weights_up_to_three_variables(rng, 12):
+        tt = build_truncated(W, rng.randint(2, 5))
+        k_max = rng.randint(0, 6)
+        layers = list(power_layers(tt, k_max))
+        assert len(layers) == k_max + 1
+        for d, layer in enumerate(layers):
+            assert list(layer) == mi.enumerate_exact_degree(W.m, d)
+            for beta, f in layer.items():
+                assert f == tt.power_map(beta)
+    with pytest.raises(ValueError):
+        next(power_layers(tt, -1))
+
+
+def test_power_diag_equals_the_sum_over_powers_from_the_identity():
+    rng = random.Random(97)
+    for W in _weights_up_to_three_variables(rng, 8):
+        tt = build_truncated(W, 4)
+        k = rng.randint(0, 5)
+        expected = [F(0)] * tt.dimension
+        for beta in mi.enumerate_exact_degree(W.m, k):
+            for col, w in gram(tt.power_map(beta)).diagonal.items():
+                expected[col] += mi.multinomial(k, beta) * F(*w)
+        assert m_power_diag(tt, k) == tuple(expected)
+
+
+def _decay_formula(W, alpha, k_max):
+    # [M_T^k(I)]_{alpha,alpha} = sum_{|beta| = k, beta <= alpha} (k choose beta)
+    # rho(alpha - beta)/rho(alpha), zero once k exceeds |alpha|.
+    return [
+        sum(
+            (
+                mi.multinomial(k, beta) * W.rho_ratio(alpha, beta)
+                for beta in mi.enumerate_exact_degree(W.m, k)
+                if mi.leq(beta, alpha)
+            ),
+            F(0),
+        )
+        for k in range(k_max + 1)
+    ]
+
+
+def test_decay_curve_is_the_dominated_multinomial_sum():
+    rng = random.Random(101)
+    for W in _weights_up_to_three_variables(rng, 12):
+        tt = build_truncated(W, 4)
+        alpha = rng.choice(tt.basis)
+        k_max = mi.degree(alpha) + 2
+        assert decay_curve(tt, alpha, k_max) == _decay_formula(W, alpha, k_max)
+
+
+def _dense_defect_reference(tt, k):
+    # The dense defect as first written: every power multiplied out from the
+    # identity, each term scaled before it is added.
+    mats = tt.dense_matrices()
+    dim = tt.dimension
+    out = np.zeros((dim, dim))
+    for beta in mi.enumerate_leq_degree(tt.weight.m, k):
+        M = np.eye(dim)
+        for i, b in enumerate(beta):
+            for _ in range(b):
+                M = mats[i] @ M
+        sign = -1.0 if mi.degree(beta) % 2 else 1.0
+        out += sign * mi.multinomial(k, beta) * (M.T @ M)
+    return out
+
+
+def test_dense_defect_is_bitwise_the_reference_formula():
+    rng = random.Random(103)
+    for W in _weights_up_to_three_variables(rng, 10):
+        tt = build_truncated(W, rng.randint(1, 4))
+        k = rng.randint(0, 3)
+        assert np.array_equal(defect_operator_dense(tt, k), _dense_defect_reference(tt, k))
+
+
+def test_compose_runs_once_per_monomial_past_degree_one(monkeypatch):
+    calls = []
+    real = truncation.compose
+
+    def counting(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(truncation, "compose", counting)
+
+    def composed(m, k):
+        # Layer d holds C(d + m - 1, m - 1) monomials; layers 0 and 1 are
+        # the identity and the T_i, which need no composition.
+        return sum(comb(d + m - 1, m - 1) for d in range(2, k + 1))
+
+    for m in (1, 2, 3):
+        calls.clear()
+        tt = build_truncated(PowerKernel(2, m), 6)
+        assert len(calls) == m * (m - 1)  # both orders of every pair
+        calls.clear()
+        defect_operator(tt, 3)
+        assert len(calls) == composed(m, 3)
+        calls.clear()
+        m_power_diag(tt, 4)
+        assert len(calls) == composed(m, 4)
+        calls.clear()
+        decay_curve(tt, (1,) * m, 8)
+        assert len(calls) == composed(m, 8)
+
+
+def test_matrix_model_never_calls_the_defect_engine(monkeypatch):
+    # The model reads the weight only through rho_ratio, so it still agrees
+    # with the multinomial formula when every engine entry point refuses.
+    rng = random.Random(107)
+    weights = list(_weights_up_to_three_variables(rng, 6))
+    weights.append(TableWeight(2, {(1, 2): F(1, 5), (0, 3): F(7)}, fallback=PowerKernel(2, 2)))
+    cases = []
+    for W in weights:
+        D = rng.randint(2, 4)
+        k = rng.randint(0, 3)
+        basis = mi.enumerate_leq_degree(W.m, D)
+        defect = [defect_diag(W, k, alpha) for alpha in basis]
+        ones = [1 - defect_diag(W, 1, alpha) for alpha in basis]
+        cases.append((W, D, k, defect, ones, _decay_formula(W, basis[-1], D + 1)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the matrix model called the defect engine")
+
+    for cls in (WeightFunction, TableWeight, PerturbedPower):
+        monkeypatch.setattr(cls, "metric_decomposition", refuse)
+    for name, obj in list(vars(hypercontraction).items()):
+        if callable(obj) and getattr(obj, "__module__", None) == hypercontraction.__name__:
+            monkeypatch.setattr(hypercontraction, name, refuse)
+    for W, D, k, defect, ones, decay in cases:
+        tt = build_truncated(W, D)
+        op = defect_operator(tt, k)
+        assert list(op.diagonal) == defect
+        assert op.off_diagonal == {}
+        assert list(m_power_diag(tt, 1)) == ones
+        assert decay_curve(tt, tt.basis[-1], D + 1) == decay

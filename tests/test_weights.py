@@ -28,7 +28,7 @@ from hypershift import (
 )
 from hypershift import multiindex as mi
 
-from helpers import random_table_weight, random_weight
+from helpers import random_radial_sequence, random_table_weight, random_weight
 
 F = Fraction
 
@@ -113,6 +113,19 @@ def test_rho_ratio_agrees_with_quotient_of_values():
             alpha = (rng.randint(0, 5), rng.randint(0, 5))
             beta = tuple(rng.randint(0, a) for a in alpha)
             assert W.rho_ratio(alpha, beta) == W.rho(mi.sub(alpha, beta)) / W.rho(alpha)
+
+
+def test_radial_rho_ratio_is_the_quotient_cold_and_warm():
+    # The radial factor a(N - b)/(a(N) (N)_b) is cached per (N, b) and shared
+    # by every shape of alpha and beta with those degrees.
+    rng = random.Random(13)
+    for _ in range(6):
+        W = RadialWeight(3, random_radial_sequence(rng, needed_length=12))
+        for alpha in mi.enumerate_leq_degree(3, 6):
+            for beta in mi.dominated_by(alpha):
+                expected = W.rho(mi.sub(alpha, beta)) / W.rho(alpha)
+                assert W.rho_ratio(alpha, beta) == expected
+                assert W.rho_ratio(alpha, beta) == expected
 
 
 def test_rho_ratio_rejects_undominated():
