@@ -17,7 +17,14 @@ layer is kept, so an order-k defect or a decay curve to k_max costs one
 composition per monomial.  The weight enters only through ``rho_ratio`` at
 construction; nothing here calls the defect engine or
 ``metric_decomposition``, which is what makes the model an independent
-oracle.  A dense float64 path cross-checks the exact one.
+oracle.
+
+A float64 path cross-checks the exact one on float column maps
+col -> (row, x), where x = sqrt(p/q) is the real matrix entry.  Every column
+of a product of such maps has a single nonzero term, so multiplying the
+entries in the order of the dense products (each power from its first
+factor) gives bit for bit the float64 matrices that numpy would form; the
+dense matrices remain only as a test reference (``dense_matrices``).
 """
 
 from __future__ import annotations
@@ -27,8 +34,6 @@ from fractions import Fraction
 from math import gcd, sqrt
 from typing import Iterator
 
-import numpy as np
-
 from . import multiindex as mi
 from .multiindex import MultiIndex
 from .weights import WeightFunction
@@ -36,6 +41,8 @@ from .weights import WeightFunction
 # col -> (row, p, q): the squared matrix entry is p/q with gcd(p, q) = 1 and
 # q > 0; absent columns map to zero.
 ColumnMap = dict[int, tuple[int, int, int]]
+# col -> (row, x): the float64 matrix entry x = sqrt(p/q) of a ColumnMap.
+FloatColumnMap = dict[int, tuple[int, float]]
 
 
 def compose(f: ColumnMap, g: ColumnMap) -> ColumnMap:
@@ -125,8 +132,11 @@ class TruncatedTuple:
                 out = compose(self.maps[i], out)
         return out
 
-    def dense_matrices(self) -> list[np.ndarray]:
-        """float64 matrices of the T_i, for the cross-check path."""
+    def dense_matrices(self) -> list:
+        """float64 numpy matrices of the T_i: the dense reference that the
+        float column-map path is tested against."""
+        import numpy as np
+
         mats = []
         for f in self.maps:
             A = np.zeros((self.dimension, self.dimension))
@@ -221,25 +231,52 @@ def commutator_defect(tt: TruncatedTuple) -> Fraction:
     return Fraction(worst_p, worst_q)
 
 
+def _float_maps(tt: TruncatedTuple) -> list[FloatColumnMap]:
+    """The T_i as float column maps, entries as in ``dense_matrices``."""
+    return [{col: (row, sqrt(p / q)) for col, (row, p, q) in f.items()} for f in tt.maps]
+
+
+def _compose_float(f: FloatColumnMap, g: FloatColumnMap) -> FloatColumnMap:
+    """The float map f o g (apply g first)."""
+    out: FloatColumnMap = {}
+    for col, (row_g, x_g) in g.items():
+        hit = f.get(row_g)
+        if hit is not None:
+            out[col] = (hit[0], hit[1] * x_g)
+    return out
+
+
 def commutator_float_norm(tt: TruncatedTuple) -> float:
-    """Max-entry norm of the dense-path commutators."""
-    mats = tt.dense_matrices()
+    """Max-entry norm of the float64 commutators T_i T_j - T_j T_i."""
+    maps = _float_maps(tt)
     worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            C = mats[i] @ mats[j] - mats[j] @ mats[i]
-            worst = max(worst, float(np.max(np.abs(C))))
+    for i in range(len(maps)):
+        for j in range(i + 1, len(maps)):
+            ab = _compose_float(maps[i], maps[j])
+            ba = _compose_float(maps[j], maps[i])
+            for col in ab.keys() | ba.keys():
+                x = ab.get(col)
+                y = ba.get(col)
+                if x is not None and y is not None and x[0] == y[0]:
+                    worst = max(worst, abs(x[1] - y[1]))
+                else:
+                    # Column col of the difference holds both entries apart.
+                    for hit in (x, y):
+                        if hit is not None:
+                            worst = max(worst, abs(hit[1]))
     return worst
 
 
 @dataclass(frozen=True)
 class DefectOperator:
     """The order-k defect of the truncated tuple, assembled from generic
-    gram products: exact diagonal in basis order plus whatever off-diagonal
-    entries the generic path produced (always none, and checked)."""
+    gram products: the diagonal in basis order plus whatever off-diagonal
+    entries the generic path produced (always none for a shift tuple, and
+    checked).  The diagonal is exact on the ``defect_operator`` path and
+    float64 on the ``defect_operator_dense`` path."""
 
     order: int
-    diagonal: tuple[Fraction, ...]
+    diagonal: tuple[Fraction, ...] | tuple[float, ...]
     off_diagonal: dict[tuple[int, int], float]
 
 
@@ -269,28 +306,33 @@ def defect_operator(tt: TruncatedTuple, k: int) -> DefectOperator:
     return DefectOperator(order=k, diagonal=diagonal, off_diagonal=off)
 
 
-def _dense_gram(mats: list[np.ndarray], beta: MultiIndex, c: float) -> np.ndarray:
-    """c (T^beta)^T T^beta for beta != 0 on the float64 path, with T^beta
-    multiplied out from its first factor; the power is freed on return."""
-    M = None
-    for i, b in enumerate(beta):
-        for _ in range(b):
-            M = mats[i] if M is None else mats[i] @ M
-    G = M.T @ M
-    G *= c
-    return G
-
-
-def defect_operator_dense(tt: TruncatedTuple, k: int) -> np.ndarray:
-    """The same operator on the float64 path, as a dense matrix."""
+def defect_operator_dense(tt: TruncatedTuple, k: int) -> DefectOperator:
+    """The same operator on the float64 path, entry for entry the dense
+    numpy sum: each T^beta multiplied out from its first factor, its gram
+    formed generically and scaled, and the terms added to the identity in
+    ``enumerate_leq_degree`` order.  Off-diagonal entries that no gram
+    reaches are 0 and are not stored."""
     if k < 0:
         raise ValueError("defect order k must be >= 0")
-    mats = tt.dense_matrices()
-    out = np.eye(tt.dimension)  # the beta = 0 term
+    maps = _float_maps(tt)
+    diag = [1.0] * tt.dimension  # the beta = 0 term
+    off: dict[tuple[int, int], float] = {}
     for beta in mi.enumerate_leq_degree(tt.weight.m, k)[1:]:
-        sign = -1.0 if mi.degree(beta) % 2 else 1.0
-        out += _dense_gram(mats, beta, sign * mi.multinomial(k, beta))
-    return out
+        c = (-1.0 if mi.degree(beta) % 2 else 1.0) * mi.multinomial(k, beta)
+        M = None
+        for i, b in enumerate(beta):
+            for _ in range(b):
+                M = maps[i] if M is None else _compose_float(maps[i], M)
+        by_row: dict[int, list[tuple[int, float]]] = {}
+        for col, (row, x) in M.items():
+            by_row.setdefault(row, []).append((col, x))
+        for cols in by_row.values():
+            for c1, x1 in cols:
+                diag[c1] += x1 * x1 * c
+                for c2, x2 in cols:
+                    if c2 != c1:
+                        off[(c1, c2)] = off.get((c1, c2), 0.0) + x1 * x2 * c
+    return DefectOperator(order=k, diagonal=tuple(diag), off_diagonal=off)
 
 
 def m_power_diag(tt: TruncatedTuple, k: int) -> tuple[Fraction, ...]:

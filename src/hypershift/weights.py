@@ -524,6 +524,10 @@ class PerturbedPower(WeightFunction):
 
     def rho_ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
         ratio = self.base.rho_ratio(alpha, beta)
+        if len(alpha) != self.m:
+            raise ValueError("dimension mismatch")
+        if alpha[1] not in self._block_of and alpha[1] - beta[1] not in self._block_of:
+            return ratio  # neither alpha nor alpha - beta lies on a perturbed ray
         d_top = self.divisor(alpha)
         d_sub = self.divisor(mi.sub(alpha, beta))
         if d_top != d_sub:

@@ -407,6 +407,16 @@ def test_truncate_alpha_outside_model(capsys, weight_files):
     capsys.readouterr()
 
 
+def test_truncate_k_max_needs_alpha(capsys, weight_files):
+    # --k-max sets the length of the decay curve at --alpha; alone it used
+    # to be dropped with exit 0.
+    argv = ["truncate", "--weights", weight_files["power2m1"], "--degree", "4", "--k-max", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncate --k-max needs --alpha\n"
+
+
 # -- example45 ----------------------------------------------------------------
 
 

@@ -66,7 +66,7 @@ CASES = {
         _scan("check-hyper", "perturbed45_m3.json", "--n", "2", "--degree", "60"),
     ),
     # The matrix model: exact defect and decay through composed column maps,
-    # with commutator_float and float_deviation from the dense float64 path
+    # with commutator_float and float_deviation from the float64 cross-check
     # pinned byte for byte.
     "truncate_power22_d40.json": (
         0,
@@ -90,7 +90,7 @@ CASES = {
         ),
     ),
     # perturbed45 is power(2,2) below its ray at degree 512, so this pins the
-    # perturbed45 spec path through a model small enough for the dense path.
+    # perturbed45 spec path through a model small enough for a quick test.
     "truncate_perturbed45_d30.json": (
         0,
         _scan(

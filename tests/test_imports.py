@@ -68,7 +68,7 @@ def test_importing_the_cli_loads_no_numerics():
             ],
             [],
         ),
-        (["truncate", "--weights", "poly_a.json", "--degree", "4", "--defect-order", "2"], ["numpy"]),
+        (["truncate", "--weights", "poly_a.json", "--degree", "4", "--defect-order", "2"], []),
     ],
     ids=["check-hyper", "necessary", "similarity-scan", "truncate"],
 )

@@ -131,7 +131,7 @@ def test_defect_operator_dense_path_agrees():
         W = random_table_weight(rng, m=2, degree=6)
         tt = build_truncated(W, 4)
         k = rng.randint(1, 3)
-        dense = defect_operator_dense(tt, k)
+        dense = _expand(defect_operator_dense(tt, k))
         exact = defect_operator(tt, k)
         assert np.max(np.abs(dense - np.diag([float(x) for x in exact.diagonal]))) < 1e-10
 
@@ -281,6 +281,14 @@ def test_decay_curve_is_the_dominated_multinomial_sum():
         assert decay_curve(tt, alpha, k_max) == _decay_formula(W, alpha, k_max)
 
 
+def _expand(op):
+    # A float DefectOperator as the dense matrix it stands for.
+    out = np.diag(np.array(op.diagonal, dtype=float))
+    for (c1, c2), v in op.off_diagonal.items():
+        out[c1, c2] = v
+    return out
+
+
 def _dense_defect_reference(tt, k):
     # The dense defect as first written: every power multiplied out from the
     # identity, each term scaled before it is added.
@@ -302,7 +310,50 @@ def test_dense_defect_is_bitwise_the_reference_formula():
     for W in _weights_up_to_three_variables(rng, 10):
         tt = build_truncated(W, rng.randint(1, 4))
         k = rng.randint(0, 3)
-        assert np.array_equal(defect_operator_dense(tt, k), _dense_defect_reference(tt, k))
+        dense = _expand(defect_operator_dense(tt, k))
+        assert np.array_equal(dense, _dense_defect_reference(tt, k))
+
+
+def _dense_commutator_reference(tt):
+    # max |T_i T_j - T_j T_i| over all pairs, with dense numpy products.
+    mats = tt.dense_matrices()
+    worst = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            worst = max(worst, float(np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]))))
+    return worst
+
+
+def test_float_commutator_is_bitwise_the_dense_reference():
+    rng = random.Random(109)
+    for W in _weights_up_to_three_variables(rng, 12):
+        tt = build_truncated(W, rng.randint(0, 5))
+        assert commutator_float_norm(tt) == _dense_commutator_reference(tt)
+
+
+def _colliding_tuple():
+    # Not a shift tuple: each map sends two columns to one row, so the
+    # powers have grams with off-diagonal entries, and the maps do not
+    # commute.  Only the generic float path and the dense reference apply.
+    W = PowerKernel(1, 2)
+    basis = tuple(mi.enumerate_leq_degree(2, 2))
+    maps = (
+        {1: (0, 1, 1), 2: (0, 4, 3), 4: (1, 2, 5), 5: (2, 7, 2)},
+        {3: (0, 3, 1), 4: (0, 1, 2), 5: (3, 5, 7), 1: (4, 9, 4)},
+    )
+    position = {alpha: p for p, alpha in enumerate(basis)}
+    return truncation.TruncatedTuple(W, 2, basis, position, maps)
+
+
+def test_float_defect_keeps_off_diagonal_entries_of_colliding_maps():
+    tt = _colliding_tuple()
+    assert commutator_float_norm(tt) == _dense_commutator_reference(tt) > 0
+    for k in range(4):
+        op = defect_operator_dense(tt, k)
+        assert op.order == k
+        if k:
+            assert any(v != 0 for v in op.off_diagonal.values())
+        assert np.array_equal(_expand(op), _dense_defect_reference(tt, k))
 
 
 def test_compose_runs_once_per_monomial_past_degree_one(monkeypatch):

@@ -206,6 +206,36 @@ def test_perturbed_rho_ratio_matches_quotient():
         assert W.rho_ratio(alpha, beta) == W.rho(mi.sub(alpha, beta)) / W.rho(alpha)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_perturbed_rho_ratio_near_and_off_the_rays(m):
+    # The divisors change only on the perturbed entries, so check those,
+    # every index one unit step away, and random indices elsewhere, with
+    # unit steps and random dominated betas.
+    rng = random.Random(17 + m)
+    W = PerturbedPower(2, m, 2)
+    units = [mi.unit(m, i) for i in range(m)]
+    points = set()
+    for alpha, _ in W.perturbed_entries():
+        points.add(alpha)
+        for e in units:
+            points.add(mi.add(alpha, e))
+            if mi.leq(e, alpha):
+                points.add(mi.sub(alpha, e))
+    top = W.base_degrees[-1] + 4
+    points.update(tuple(rng.randint(0, top) for _ in range(m)) for _ in range(40))
+    for alpha in sorted(points):
+        betas = [e for e in units if mi.leq(e, alpha)]
+        betas.append(tuple(rng.randint(0, min(a, 3)) for a in alpha))
+        for beta in betas:
+            assert W.rho_ratio(alpha, beta) == W.rho(mi.sub(alpha, beta)) / W.rho(alpha)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        W.rho_ratio((1,) * (m + 1), units[0])
+    with pytest.raises(ValueError, match="^dimension mismatch in rho_ratio$"):
+        W.rho_ratio((1,) * m, (1,) * (m + 1))
+    with pytest.raises(ValueError, match="is not dominated by"):
+        W.rho_ratio((0,) * m, units[0])
+
+
 def test_perturbed_requires_two_dimensions_and_order_two():
     with pytest.raises(ValueError):
         PerturbedPower(1, 2, 2)
