@@ -38,6 +38,76 @@ CASES = {
             "60",
         ],
     ),
+    "curvature_pair_2x4_eval60.csv": (
+        0,
+        [
+            "curvature",
+            "--weights",
+            str(DATA / "poly_a.json"),
+            "--weights",
+            str(DATA / "poly_b.json"),
+            "--grid",
+            "radial:2x4",
+            "--eval-degree",
+            "60",
+            "--format",
+            "csv",
+        ],
+    ),
+    "curvature_poly_a_2x4_eval60.json": (
+        0,
+        _scan("curvature", "poly_a.json", "--grid", "radial:2x4", "--eval-degree", "60"),
+    ),
+    "curvature_poly_a_2x4_eval60.csv": (
+        0,
+        _scan(
+            "curvature", "poly_a.json", "--grid", "radial:2x4", "--eval-degree", "60",
+            "--format", "csv",
+        ),
+    ),
+    # power(1,2) against power(3,2): the ray ratios keep widening with the
+    # ray length, so the scan flags growth and the report carries a witness.
+    "similarity_scan_power12_power32.json": (
+        1,
+        [
+            "similarity-scan",
+            "--weights",
+            str(DATA / "power12.json"),
+            "--weights",
+            str(DATA / "power32.json"),
+            "--degree",
+            "4",
+            "--ray-length",
+            "8",
+        ],
+    ),
+    "similarity_scan_poly_ab.csv": (
+        0,
+        [
+            "similarity-scan",
+            "--weights",
+            str(DATA / "poly_a.json"),
+            "--weights",
+            str(DATA / "poly_b.json"),
+            "--degree",
+            "2",
+            "--ray-length",
+            "2",
+            "--format",
+            "csv",
+        ],
+    ),
+    # The neighbour-sum condition at one index: violated at the midpoint of
+    # the counterexample's last block, and holding with equality below it.
+    "necessary_perturbed45_alpha_2_511.json": (
+        1,
+        _scan("necessary", "perturbed45.json", "--n", "2", "--alpha", "2,511"),
+    ),
+    "necessary_perturbed45_alpha_1_510.json": (
+        0,
+        _scan("necessary", "perturbed45.json", "--n", "2", "--alpha", "1,510"),
+    ),
+    "verify_identities.json": (0, ["verify-identities"]),
     # A power:2 table with rho(2,3) halved: the scan stops at a witness.
     "check_hyper_table_halved.json": (
         1,
