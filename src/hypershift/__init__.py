@@ -28,14 +28,12 @@ from .errors import (
 from .hypercontraction import (
     ConditionCheck,
     DefectDiagonal,
-    GrowthDiagnostic,
     HyperReport,
     HyperWitness,
     NecessaryScan,
     defect_diag,
     defect_diag_radial,
     defect_diagonal,
-    growth_diagnostic,
     is_n_hyper_up_to,
     necessary_condition,
     necessary_scan,
@@ -46,7 +44,6 @@ from .weights import (
     ExplicitSequence,
     GeometricSequence,
     MetricJet,
-    MetricValue,
     PerturbedPower,
     PolynomialSequence,
     PowerKernel,
@@ -55,7 +52,6 @@ from .weights import (
     TableWeight,
     WeightFunction,
     RadialSequence,
-    eval_metric,
     metric_jet,
     parse_fraction,
     weight_from_dict,
@@ -70,10 +66,8 @@ _LAZY = {
         (
             "similarity",
             (
-                "MetricRatioReport",
                 "RatioScanReport",
                 "RayWitness",
-                "metric_ratio_report",
                 "ray_ratio_sq",
                 "ray_ratio_sq_literal",
                 "similarity_scan",
@@ -90,7 +84,6 @@ _LAZY = {
                 "eigenvalues",
                 "finite_diff_check",
                 "log_metric_hessian",
-                "min_eigenvalue",
                 "psd_check",
                 "psh_boundedness_report",
                 "radial_grid",

@@ -1,11 +1,14 @@
 """Command line interface.
 
-Subcommands emit canonical JSON reports (sorted keys, "p/q" rationals,
-17-digit floats) on stdout, optionally writing the same bytes to --out
-atomically.  Exit codes: 0 for a clean run, 1 when the emitted report
-contains a witness object (a violation, growth flag, or failed stage), 2
-for malformed input or usage errors, 3 when the numerics refuse to give an
-answer (no rigorous tail bound, a non-Hermitian Hessian, or another internal
+Subcommands emit canonical JSON reports on stdout, optionally writing the
+same bytes to --out atomically.  Handlers put result values (Fractions,
+index tuples, Hessian entries, grid points) into the report dicts as they
+are, often through ``report.pick``; ``report.canonical_json`` alone decides
+how each is written.  Exit codes: 0 for a clean run, 1 when the emitted
+report contains a witness object (a violation, growth flag, or failed
+stage), 2 for malformed input or usage errors (a --tol that is negative or
+not finite among them), 3 when the numerics refuse to give an answer (no
+rigorous tail bound, a non-Hermitian Hessian, or another internal
 RuntimeError); exit 3 prints one JSON line {"error": ..., "kind": ...} on
 stderr.
 """
@@ -71,12 +74,11 @@ def _parse_grid(text: str, m: int, max_radius: float = 0.95):
     raise UsageError(f"unknown grid spec {text!r}")
 
 
-def _point_json(w) -> list:
-    return [[float(complex(x).real), float(complex(x).imag)] for x in w]
-
-
-def _matrix_json(H) -> list:
-    return [[[float(complex(x).real), float(complex(x).imag)] for x in row] for row in H.entries]
+# Report blocks read straight off result objects.
+_DEFECT_WITNESS = ("order", "alpha", "value")  # HyperWitness
+_CONDITION = ("alpha", "lhs", "rhs")  # ConditionCheck
+_RAY = ("alpha", "direction", "length")  # RayWitness
+_PSH = ("psi_min", "psi_max", "hessian_min_eig", "all_psd", "unbounded_trend", "n_points")
 
 
 def _emit(report: dict, args, csv_text: str | None = None) -> int:
@@ -106,7 +108,7 @@ def cmd_verify_identities(args) -> int:
             for i in range(mi.degree(beta) + 1):
                 count += 1
                 if not mi.verify_vandermonde(beta, i):
-                    failures.append({"identity": "vandermonde", "beta": list(beta), "i": i})
+                    failures.append({"identity": "vandermonde", "beta": beta, "i": i})
     checks["vandermonde"] = count
 
     count = 0
@@ -162,20 +164,8 @@ def cmd_check_hyper(args) -> int:
         "verdict": res.verdict,
     }
     if res.witness is not None:
-        report["witness"] = {
-            "order": res.witness.order,
-            "alpha": list(res.witness.alpha),
-            "value": rpt.frac_str(res.witness.value),
-        }
+        report["witness"] = rpt.pick(res.witness, *_DEFECT_WITNESS)
     return _emit(report, args)
-
-
-def _condition_witness(chk) -> dict:
-    return {
-        "alpha": list(chk.alpha),
-        "lhs": rpt.frac_str(chk.lhs),
-        "rhs": rpt.frac_str(chk.rhs),
-    }
 
 
 def cmd_necessary(args) -> int:
@@ -188,19 +178,17 @@ def cmd_necessary(args) -> int:
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha, W.m)
         chk = necessary_condition(W, args.n, alpha)
-        report["params"]["alpha"] = list(alpha)
-        report["lhs"] = rpt.frac_str(chk.lhs)
-        report["rhs"] = rpt.frac_str(chk.rhs)
-        report["holds"] = chk.holds
+        report["params"]["alpha"] = alpha
+        report.update(rpt.pick(chk, "lhs", "rhs", "holds"))
         if not chk.holds:
-            report["witness"] = _condition_witness(chk)
+            report["witness"] = rpt.pick(chk, *_CONDITION)
         return _emit(report, args)
     report["params"]["degree"] = args.degree
     res = necessary_scan(W, args.n, args.degree)
     report["checked"] = res.checked
     report["verdict"] = res.verdict
     if res.witness is not None:
-        report["witness"] = _condition_witness(res.witness)
+        report["witness"] = rpt.pick(res.witness, *_CONDITION)
     return _emit(report, args)
 
 
@@ -219,31 +207,14 @@ def cmd_similarity_scan(args) -> int:
             "weight2": W2.spec_dict(),
             "degree": args.degree,
             "ray_length": args.ray_length,
-            "growth_factor": rpt.frac_str(growth),
+            "growth_factor": growth,
         },
-        "min_ratio_sq": rpt.frac_str(res.min_ratio_sq),
-        "max_ratio_sq": rpt.frac_str(res.max_ratio_sq),
-        "argmin": {
-            "alpha": list(res.argmin.alpha),
-            "direction": res.argmin.direction,
-            "length": res.argmin.length,
-        },
-        "argmax": {
-            "alpha": list(res.argmax.alpha),
-            "direction": res.argmax.direction,
-            "length": res.argmax.length,
-        },
-        "spread": rpt.frac_str(res.spread),
-        "spread_half": rpt.frac_str(res.spread_half),
-        "verdict": res.verdict,
+        **rpt.pick(res, "min_ratio_sq", "max_ratio_sq", "spread", "spread_half", "verdict"),
+        "argmin": rpt.pick(res.argmin, *_RAY),
+        "argmax": rpt.pick(res.argmax, *_RAY),
     }
     if res.verdict == "growth-flagged":
-        report["witness"] = {
-            "alpha": list(res.argmax.alpha),
-            "direction": res.argmax.direction,
-            "length": res.argmax.length,
-            "value": rpt.frac_str(res.argmax.value),
-        }
+        report["witness"] = rpt.pick(res.argmax, *_RAY, "value")
     csv_text = None
     if args.format == "csv":
         csv_text = rpt.render_csv(
@@ -269,9 +240,9 @@ def cmd_curvature(args) -> int:
             eigs = eigenvalues(H)
             records.append(
                 {
-                    "w": _point_json(w),
-                    "hessian": _matrix_json(H),
-                    "eigenvalues": list(eigs),
+                    "w": w,
+                    "hessian": H.entries,
+                    "eigenvalues": eigs,
                     "min_eig": eigs[0],
                     "psd": psd_check(H, tol=args.tol),
                 }
@@ -294,7 +265,7 @@ def cmd_curvature(args) -> int:
         csv_text = None
         if args.format == "csv":
             def point_cell(w):
-                return ";".join(f"{re:.17g}{im:+.17g}j" for re, im in w)
+                return ";".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in w)
 
             csv_text = rpt.render_csv(
                 ["index", "point", "min_eig", "psd"],
@@ -317,20 +288,9 @@ def cmd_curvature(args) -> int:
             "precision_bits": prec,
             "tol": args.tol,
         },
-        "psi_min": res.psi_min,
-        "psi_max": res.psi_max,
-        "hessian_min_eig": res.hessian_min_eig,
-        "all_psd": res.all_psd,
-        "unbounded_trend": res.unbounded_trend,
-        "n_points": res.n_points,
-        "shells": [[r, v] for r, v in res.shells],
+        **rpt.pick(res, *_PSH, "shells"),
         "records": [
-            {
-                "w": _point_json(p.w),
-                "hessian": _matrix_json(p.hessian),
-                "eigenvalues": list(p.eigenvalues),
-                "psi": p.psi,
-            }
+            {**rpt.pick(p, "w", "eigenvalues", "psi"), "hessian": p.hessian.entries}
             for p in res.points
         ],
     }
@@ -359,7 +319,7 @@ def cmd_truncate(args) -> int:
         "command": "truncate",
         "params": {"weight": W.spec_dict(), "degree": args.degree},
         "dimension": tt.dimension,
-        "commutator_exact": rpt.frac_str(commutator_defect(tt)),
+        "commutator_exact": commutator_defect(tt),
         "commutator_float": commutator_float_norm(tt),
     }
     csv_text = None
@@ -375,8 +335,8 @@ def cmd_truncate(args) -> int:
         )
         report["defect"] = {
             "order": k,
-            "min": rpt.frac_str(min(op.diagonal)),
-            "max": rpt.frac_str(max(op.diagonal)),
+            "min": min(op.diagonal),
+            "max": max(op.diagonal),
             "off_diagonal_entries": len(op.off_diagonal),
             "float_deviation": dev,
         }
@@ -384,10 +344,7 @@ def cmd_truncate(args) -> int:
         alpha = _parse_alpha(args.alpha, W.m)
         k_max = args.k_max if args.k_max is not None else mi.degree(alpha) + 1
         curve = decay_curve(tt, alpha, k_max)
-        report["decay"] = {
-            "alpha": list(alpha),
-            "values": [rpt.frac_str(v) for v in curve],
-        }
+        report["decay"] = {"alpha": alpha, "values": curve}
         if args.format == "csv":
             csv_text = rpt.render_csv(
                 ["k", "value"], [[k, float(v)] for k, v in enumerate(curve)]
@@ -450,7 +407,7 @@ def run_example45(
         "pass": margin > 0,
         "max_deviation": float(max_dev),
         "margin": float(margin),
-        "worst_t": rpt.frac_str(worst_t),
+        "worst_t": worst_t,
         "t_grid_size": len(t_grid),
         "base_degrees": W.base_degrees,
     }
@@ -465,18 +422,12 @@ def run_example45(
     scan = is_n_hyper_up_to(W, n, scan_degree)
     stage_b = {
         "pass": (not chk.holds) and scan.witness is not None and scan.witness.value < 0,
-        "alpha": list(mid),
-        "lhs": rpt.frac_str(chk.lhs),
-        "rhs": rpt.frac_str(chk.rhs),
+        **rpt.pick(chk, *_CONDITION),
         "scan_degree": scan_degree,
         "verdict": scan.verdict,
     }
     if scan.witness is not None:
-        stage_b["defect_witness"] = {
-            "order": scan.witness.order,
-            "alpha": list(scan.witness.alpha),
-            "value": rpt.frac_str(scan.witness.value),
-        }
+        stage_b["defect_witness"] = rpt.pick(scan.witness, *_DEFECT_WITNESS)
     stages["necessary_violation"] = stage_b
 
     # (c) ray ratio witnesses: going up the first coordinate from each block
@@ -486,9 +437,7 @@ def run_example45(
     for l in range(2, blocks + 1):
         base_pt = (0, W.base_degrees[l - 1]) + (0,) * (m - 2)
         r = ray_ratio_sq(W, base, base_pt, 0, l - 1)
-        witnesses.append(
-            {"block": l, "alpha": list(base_pt), "length": l - 1, "ratio_sq": rpt.frac_str(r)}
-        )
+        witnesses.append({"block": l, "alpha": base_pt, "length": l - 1, "ratio_sq": r})
         if r != l:
             all_match = False
     stages["ray_ratio"] = {"pass": all_match, "witnesses": witnesses}
@@ -498,15 +447,7 @@ def run_example45(
     psh = psh_boundedness_report(
         W, base, grid, max_degree=eval_degree, precision_bits=precision_bits
     )
-    stages["curvature"] = {
-        "pass": True,
-        "psi_min": psh.psi_min,
-        "psi_max": psh.psi_max,
-        "hessian_min_eig": psh.hessian_min_eig,
-        "all_psd": psh.all_psd,
-        "unbounded_trend": psh.unbounded_trend,
-        "n_points": psh.n_points,
-    }
+    stages["curvature"] = {"pass": True, **rpt.pick(psh, *_PSH)}
 
     ok = all(s["pass"] for s in stages.values())
     report = {

@@ -15,13 +15,13 @@ what the grid reports check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin
+from math import cos, isfinite, pi, sin
 
 import mpmath as mp
 import numpy as np
 
 from .errors import NonHermitianError
-from .weights import WeightFunction, eval_metric, metric_jet
+from .weights import WeightFunction, metric_jet
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,19 @@ def curvature_difference(
         return _hessian_difference(w, jet1, jet2)
 
 
+def _check_tol(tol: float) -> None:
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"psd tolerance must be finite and >= 0, got {tol}")
+
+
 def psd_check(H: CurvatureMatrix, tol: float = 1e-10) -> bool:
     """True iff the matrix is positive semidefinite up to tolerance.
 
     The matrix must be Hermitian within tol * scale (scale = largest entry
     magnitude, floored at 1); the test is min eigenvalue >= -tol * scale.
+    Raises ValueError for a tolerance that is negative or not finite.
     """
+    _check_tol(tol)
     A = H.as_array()
     scale = max(float(np.max(np.abs(A))), 1.0)
     dev = float(np.max(np.abs(A - A.conj().T)))
@@ -122,11 +129,6 @@ def eigenvalues(H: CurvatureMatrix) -> tuple[float, ...]:
     """Eigenvalues of the Hermitian part, ascending."""
     A = H.as_array()
     return tuple(float(x) for x in np.linalg.eigvalsh((A + A.conj().T) / 2))
-
-
-def min_eigenvalue(H: CurvatureMatrix) -> float:
-    """Smallest eigenvalue of the Hermitian part."""
-    return eigenvalues(H)[0]
 
 
 def _displace(w, coord: int, part: str, step: float):
@@ -159,9 +161,7 @@ def finite_diff_check(
     m = W.m
 
     def f(pt) -> mp.mpf:
-        return mp.log(
-            eval_metric(W, pt, max_degree=max_degree, precision_bits=precision_bits).value
-        )
+        return mp.log(metric_jet(W, pt, max_degree=max_degree, precision_bits=precision_bits).h)
 
     with mp.workprec(precision_bits):
         h = mp.mpf(step)
@@ -286,8 +286,10 @@ def psh_boundedness_report(
     """Evaluate psi = log(h1/h2) and its Hessian over the grid.
 
     Each point costs one metric jet per weight: psi comes from the jets'
-    values and the Hessian of psi from the same jets.
+    values and the Hessian of psi from the same jets.  A psd_tol that is
+    negative or not finite raises ValueError before any jet runs.
     """
+    _check_tol(psd_tol)
     if W1.m != W2.m:
         raise ValueError(f"weights have dimensions {W1.m} and {W2.m}")
     grid = list(grid)

@@ -427,50 +427,3 @@ def subnormality_obstruction(W: WeightFunction, alpha: MultiIndex) -> int:
         raise RuntimeError("internal inconsistency locating the obstruction order")
     return n_min
 
-
-@dataclass(frozen=True)
-class GrowthDiagnostic:
-    """Extremes of the normalised coefficients a(k)/k^(n-1) over a window,
-    with a divergence flag when the spread max/min exceeds
-    ``divergence_ratio``."""
-
-    order: int
-    k_min: int
-    k_max: int
-    minimum: Fraction
-    maximum: Fraction
-    divergent: bool
-
-
-def growth_diagnostic(
-    sequence: RadialSequence,
-    n: int,
-    k_min: int,
-    k_max: int,
-    divergence_ratio: Fraction = Fraction(10**6),
-) -> GrowthDiagnostic:
-    """Compare a(k) against the reference growth rate k^(n-1).
-
-    Order-n hypercontractive behaviour pins the radial coefficients between
-    constant multiples of k^(n-1); a huge spread in a(k)/k^(n-1) over the
-    window is cheap evidence that no such bracketing exists.
-    """
-    if n < 1:
-        raise ValueError("order n must be >= 1")
-    if k_min < 1 or k_max < k_min:
-        raise ValueError("need 1 <= k_min <= k_max")
-    lo = hi = None
-    for k in range(k_min, k_max + 1):
-        r = sequence.value(k) / Fraction(k) ** (n - 1)
-        if lo is None or r < lo:
-            lo = r
-        if hi is None or r > hi:
-            hi = r
-    return GrowthDiagnostic(
-        order=n,
-        k_min=k_min,
-        k_max=k_max,
-        minimum=lo,
-        maximum=hi,
-        divergent=hi / lo > divergence_ratio,
-    )

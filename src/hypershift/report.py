@@ -1,9 +1,12 @@
 """Report serialization: canonical JSON, CSV rows, atomic file writes.
 
-Reports are plain dicts.  Exact rationals are rendered as "p/q" strings,
-floats with 17 significant digits (enough to round-trip a double), and the
-JSON encoding is canonicalized (sorted keys, fixed separators, trailing
-newline) so identical inputs produce byte-identical files.
+Reports are plain dicts whose values may be result objects' own fields.
+``canonical_json`` holds the one rule for writing them: a ``Fraction`` is a
+"p/q" string, a complex number (Python's, or an mpmath mpc/mpf) is an
+[re, im] pair of floats, a tuple is a list, a float is its shortest
+round-trip repr, and any other type is refused.  The encoding is
+canonicalized (sorted keys, fixed separators, trailing newline) so identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -25,8 +28,30 @@ def float_str(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _encode(obj):
+    """The report value of an object json cannot write itself.
+
+    mpmath numbers are recognised by their ``_mpc_``/``_mpf_`` attributes,
+    so this module never imports mpmath.
+    """
+    if isinstance(obj, Fraction):
+        return frac_str(obj)
+    if isinstance(obj, complex) or hasattr(obj, "_mpc_") or hasattr(obj, "_mpf_"):
+        z = complex(obj)
+        return [z.real, z.imag]
+    raise TypeError(f"{type(obj).__name__} is not a report value")
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    return (
+        json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode)
+        + "\n"
+    )
+
+
+def pick(obj, *names: str) -> dict:
+    """The named attributes of a result object, as a report block."""
+    return {name: getattr(obj, name) for name in names}
 
 
 def write_atomic(path: str, text: str) -> None:

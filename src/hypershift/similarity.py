@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import multiindex as mi
 from .multiindex import MultiIndex
-from .weights import WeightFunction, eval_metric
+from .weights import WeightFunction
 
 
 def _check_pair(W1: WeightFunction, W2: WeightFunction) -> None:
@@ -154,47 +154,3 @@ def similarity_scan(
         cells=tuple(cells),
     )
 
-
-@dataclass(frozen=True)
-class MetricRatioReport:
-    """Extremes of h_1(w)/h_2(w) over a finite point sample."""
-
-    minimum: float
-    maximum: float
-    argmin: tuple
-    argmax: tuple
-    n_points: int
-
-
-def metric_ratio_report(
-    W1: WeightFunction,
-    W2: WeightFunction,
-    points,
-    max_degree: int = 40,
-    precision_bits: int = 80,
-) -> MetricRatioReport:
-    """Evaluate the metric quotient at each sample point.
-
-    Similar tuples have quotients pinched between positive constants; this
-    report gives the observed range, not a certificate.
-    """
-    import mpmath as mp
-
-    _check_pair(W1, W2)
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one sample point")
-    lo = hi = None
-    lo_w = hi_w = None
-    with mp.workprec(precision_bits):
-        for w in points:
-            h1 = eval_metric(W1, w, max_degree=max_degree, precision_bits=precision_bits)
-            h2 = eval_metric(W2, w, max_degree=max_degree, precision_bits=precision_bits)
-            q = h1.value / h2.value
-            if lo is None or q < lo:
-                lo, lo_w = q, tuple(w)
-            if hi is None or q > hi:
-                hi, hi_w = q, tuple(w)
-    return MetricRatioReport(
-        minimum=float(lo), maximum=float(hi), argmin=lo_w, argmax=hi_w, n_points=len(points)
-    )

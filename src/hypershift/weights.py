@@ -39,6 +39,7 @@ from .errors import (
     WeightSpecError,
 )
 from .multiindex import MultiIndex
+from .report import frac_str
 
 # mpmath is imported inside the functions that evaluate metrics, so the exact
 # layers (rho, rho_ratio, the defect engine) load without it.
@@ -176,7 +177,7 @@ class GeometricSequence(RadialSequence):
         return self.r
 
     def spec_dict(self) -> dict:
-        return {"generator": "geometric", "r": _frac_str(self.r)}
+        return {"generator": "geometric", "r": frac_str(self.r)}
 
 
 class PolynomialSequence(RadialSequence):
@@ -217,7 +218,7 @@ class PolynomialSequence(RadialSequence):
         return Fraction(start + 1, start) ** deg
 
     def spec_dict(self) -> dict:
-        return {"generator": "polynomial", "coefficients": [_frac_str(c) for c in self.coefficients]}
+        return {"generator": "polynomial", "coefficients": [frac_str(c) for c in self.coefficients]}
 
 
 class ExplicitSequence(RadialSequence):
@@ -245,7 +246,7 @@ class ExplicitSequence(RadialSequence):
         return len(self.values) - 1
 
     def spec_dict(self) -> dict:
-        return {"list": [_frac_str(v) for v in self.values]}
+        return {"list": [frac_str(v) for v in self.values]}
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +436,7 @@ class TableWeight(WeightFunction):
             "kind": "table",
             "m": self.m,
             "entries": [
-                {"alpha": list(a), "rho": _frac_str(v)}
+                {"alpha": list(a), "rho": frac_str(v)}
                 for a, v in sorted(self.entries.items(), key=lambda p: (mi.degree(p[0]), p[0]))
             ],
         }
@@ -549,10 +550,6 @@ class PerturbedPower(WeightFunction):
 # Serialization of weight specifications
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def parse_fraction(text) -> Fraction:
     """Parse "p/q" (or a bare integer) into an exact Fraction."""
     if isinstance(text, bool):
@@ -617,20 +614,6 @@ def weight_from_dict(spec: dict) -> WeightFunction:
 
 # ---------------------------------------------------------------------------
 # Diagonal metric evaluation
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    """A truncated metric evaluation with a rigorous tail bound.
-
-    ``value`` is the truncated sum (radial base through degree ``max_degree``
-    plus all exact correction terms); the true metric lies within
-    ``tail_bound`` of it.
-    """
-
-    value: mp.mpf
-    tail_bound: mp.mpf
-    max_degree: int
 
 
 @dataclass(frozen=True)
@@ -798,20 +781,3 @@ def metric_jet(
             max_degree=max_degree,
         )
 
-
-def eval_metric(
-    W: WeightFunction,
-    w,
-    max_degree: int = 40,
-    precision_bits: int = 80,
-) -> MetricValue:
-    """Evaluate the diagonal metric h(w) = sum_alpha rho(alpha) |w^alpha|^2.
-
-    The value part of ``metric_jet``: the radial base series is truncated at
-    ``max_degree`` with a rigorous geometric tail bound; exact correction
-    terms (table entries, ray perturbations) are summed in full regardless
-    of the truncation degree.  At w = 0 the result is exactly rho(0) for
-    every weight family.
-    """
-    jet = metric_jet(W, w, max_degree=max_degree, precision_bits=precision_bits)
-    return MetricValue(jet.h, jet.tail_h, max_degree)

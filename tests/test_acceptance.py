@@ -5,6 +5,7 @@ reads as a checklist.  Everything exact is compared as Fractions with zero
 tolerance; float comparisons carry their tolerance inline.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from hypershift import (
 )
 from hypershift import multiindex as mi
 from hypershift.cli import run_example45
+from hypershift.report import canonical_json
 
 from helpers import random_table_weight, random_weight
 
@@ -112,7 +114,8 @@ def test_criterion_4_violations_are_witnessed_by_defects():
 
 
 def test_criterion_5_counterexample_reproduction():
-    report = run_example45()
+    # The report as the CLI writes it: rationals as "p/q", tuples as lists.
+    report = json.loads(canonical_json(run_example45()))
     assert report["pass"] is True
     assert "witness" not in report
     stages = report["stages"]

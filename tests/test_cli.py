@@ -296,6 +296,26 @@ def test_curvature_rejects_bad_grid(capsys, weight_files):
         assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("names", [["power2m2"], ["perturbed", "power2m2"]], ids=["single", "pair"])
+def test_curvature_rejects_bad_tol(capsys, weight_files, monkeypatch, tol, names):
+    # -1 used to exit 3 with a false non-Hermitian refusal on one weight and
+    # 0 with all_psd false on a pair; nan and inf ran every jet and then
+    # failed to encode the report.  A pair refuses before any jet runs.
+    if len(names) == 2:
+        def no_jets(*args, **kwargs):
+            raise AssertionError("a metric jet ran")
+
+        monkeypatch.setattr(hypershift.curvature, "metric_jet", no_jets)
+    argv = ["curvature", "--grid", "radial:1x1", "--tol", tol]
+    for name in names:
+        argv += ["--weights", weight_files[name]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: psd tolerance must be finite and >= 0, got {float(tol)}\n"
+
+
 def _refusal(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""

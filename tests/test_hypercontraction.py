@@ -18,7 +18,6 @@ from hypershift import (
     defect_diag,
     defect_diag_radial,
     defect_diagonal,
-    growth_diagnostic,
     is_n_hyper_up_to,
     necessary_condition,
     necessary_scan,
@@ -601,26 +600,3 @@ def test_obstruction_is_minimal_on_random_weights():
         if n > 1:
             assert necessary_condition(W, n - 1, alpha).holds
 
-
-def test_growth_diagnostic_window():
-    diag = growth_diagnostic(PolynomialSequence([F(1), F(1)]), 2, 1, 100)
-    assert (diag.minimum, diag.maximum) == (F(101, 100), F(2))
-    assert not diag.divergent
-    assert (diag.order, diag.k_min, diag.k_max) == (2, 1, 100)
-
-    flat = growth_diagnostic(PolynomialSequence([F(1)]), 1, 1, 10)
-    assert (flat.minimum, flat.maximum, flat.divergent) == (F(1), F(1), False)
-
-    slow = growth_diagnostic(PowerSequence(1), 2, 1, 60, divergence_ratio=F(50))
-    assert slow.minimum == F(1, 60) and slow.maximum == 1
-    assert slow.divergent
-
-
-def test_growth_diagnostic_errors():
-    seq = PowerSequence(2)
-    with pytest.raises(ValueError):
-        growth_diagnostic(seq, 0, 1, 5)
-    with pytest.raises(ValueError):
-        growth_diagnostic(seq, 1, 0, 5)
-    with pytest.raises(ValueError):
-        growth_diagnostic(seq, 1, 5, 4)

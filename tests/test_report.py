@@ -3,8 +3,10 @@
 import glob
 import json
 import os
+from decimal import Decimal
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from hypershift.report import (
@@ -12,6 +14,7 @@ from hypershift.report import (
     canonical_json,
     float_str,
     frac_str,
+    pick,
     render_csv,
     write_atomic,
 )
@@ -49,6 +52,47 @@ def test_canonical_json_rejects_non_finite():
         canonical_json({"x": float("nan")})
     with pytest.raises(ValueError):
         canonical_json({"x": float("inf")})
+
+
+def test_canonical_json_writes_fractions_as_p_over_q():
+    assert canonical_json({"x": F(-2, 6), "y": [F(5)]}) == '{"x":"-1/3","y":["5/1"]}\n'
+
+
+@pytest.mark.parametrize(
+    "value, pair",
+    [
+        (complex(0.25, -1.5), [0.25, -1.5]),
+        (mp.mpc(0.25, -1.5), [0.25, -1.5]),
+        (mp.mpf(0.1), [0.1, 0.0]),
+    ],
+    ids=["complex", "mpc", "mpf"],
+)
+def test_canonical_json_writes_complex_numbers_as_pairs(value, pair):
+    assert json.loads(canonical_json({"h": value})) == {"h": pair}
+    assert canonical_json({"h": value}) == canonical_json({"h": pair})
+
+
+def test_canonical_json_writes_nested_tuples_as_lists():
+    nested = ((1, (2, 3)), (F(1, 2), (1j,)))
+    assert canonical_json(nested) == '[[1,[2,3]],["1/2",[[0.0,1.0]]]]\n'
+
+
+def test_canonical_json_refuses_other_types():
+    with pytest.raises(TypeError, match="Decimal"):
+        canonical_json({"x": Decimal("0.5")})
+    with pytest.raises(TypeError):
+        canonical_json({"x": {1, 2}})
+
+
+def test_canonical_json_rejects_non_finite_complex_parts():
+    with pytest.raises(ValueError):
+        canonical_json({"h": complex(float("nan"), 0.0)})
+    with pytest.raises(ValueError):
+        canonical_json({"h": mp.mpc(mp.inf, 0)})
+
+
+def test_pick_reads_named_fields():
+    assert pick(F(3, 4), "numerator", "denominator") == {"numerator": 3, "denominator": 4}
 
 
 def test_render_csv_cell_formats():

@@ -13,7 +13,6 @@ from hypershift import (
     PowerSequence,
     RadialWeight,
     TableWeight,
-    metric_ratio_report,
     ray_ratio_sq,
     ray_ratio_sq_literal,
     similarity_scan,
@@ -166,37 +165,3 @@ def test_scan_input_errors():
     with pytest.raises(ValueError):
         similarity_scan(W, PowerKernel(2, 2), 3, 3)
 
-
-# -- metric quotient sampling ------------------------------------------------
-
-
-def test_metric_ratio_same_weight_is_one():
-    W = PowerKernel(2, 2)
-    pts = [(0.0, 0.0), (0.3, 0.4), (0.1j, 0.5)]
-    report = metric_ratio_report(W, W, pts)
-    assert abs(report.minimum - 1) < 1e-15
-    assert abs(report.maximum - 1) < 1e-15
-    assert report.n_points == 3
-
-
-def test_metric_ratio_constant_multiple():
-    # a(i) = 3(i+1) against the order-2 kernel: quotient identically 3.
-    W1 = RadialWeight(1, PolynomialSequence([F(3), F(3)]))
-    W2 = bergman_line()
-    pts = [(0.0,), (0.5,), (0.7j,)]
-    report = metric_ratio_report(W1, W2, pts, max_degree=120, precision_bits=120)
-    assert abs(report.minimum - 3) < 1e-12
-    assert abs(report.maximum - 3) < 1e-12
-
-
-def test_metric_ratio_radial_form_of_power_kernel():
-    W1 = RadialWeight(1, PowerSequence(2))
-    W2 = PowerKernel(2, 1)
-    report = metric_ratio_report(W1, W2, [(0.2,), (0.6,)])
-    assert abs(report.minimum - 1) < 1e-18
-    assert abs(report.maximum - 1) < 1e-18
-
-
-def test_metric_ratio_needs_points():
-    with pytest.raises(ValueError):
-        metric_ratio_report(PowerKernel(1, 1), PowerKernel(2, 1), [])

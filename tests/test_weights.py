@@ -21,7 +21,6 @@ from hypershift import (
     TailUnreliableError,
     WeightDomainError,
     WeightSpecError,
-    eval_metric,
     metric_jet,
     parse_fraction,
     weight_from_dict,
@@ -306,10 +305,10 @@ def test_table_weight_only_serializes_power_fallbacks():
 def test_eval_metric_at_origin_is_rho_theta():
     # Exact for every family, including a table with no fallback.
     W = TableWeight(2, {(0, 0): F(5, 3), (1, 0): F(1), (0, 1): F(2)})
-    got = eval_metric(W, (0.0, 0.0))
+    got = metric_jet(W, (0.0, 0.0))
     with mp.workprec(80):
-        assert abs(got.value - mp.mpf(5) / 3) < mp.mpf(10) ** -20
-    assert got.tail_bound == 0
+        assert abs(got.h - mp.mpf(5) / 3) < mp.mpf(10) ** -20
+    assert got.tail_h == 0
 
 
 def test_metric_jet_at_origin_is_exact():
@@ -324,16 +323,16 @@ def test_metric_jet_at_origin_is_exact():
 
 def test_eval_metric_power_kernel_closed_form():
     # h(w) = (1 - |w|^2)^(-n); at m=1, w=0.5, n=1 this is 4/3.
-    got = eval_metric(PowerKernel(1, 1), (0.5,), max_degree=120, precision_bits=120)
+    got = metric_jet(PowerKernel(1, 1), (0.5,), max_degree=120, precision_bits=120)
     with mp.workprec(120):
-        assert abs(got.value - mp.mpf(4) / 3) <= got.tail_bound + mp.mpf(10) ** -30
-    assert got.tail_bound < 1e-20
+        assert abs(got.h - mp.mpf(4) / 3) <= got.tail_h + mp.mpf(10) ** -30
+    assert got.tail_h < 1e-20
 
     with mp.workprec(120):
         for n, m, w in [(2, 2, (0.3, 0.4j)), (3, 2, (0.5, 0.1)), (2, 1, (0.7j,))]:
-            got = eval_metric(PowerKernel(n, m), w, max_degree=150, precision_bits=120)
+            got = metric_jet(PowerKernel(n, m), w, max_degree=150, precision_bits=120)
             t = sum(abs(mp.mpc(x)) ** 2 for x in w)
-            assert abs(got.value - (1 - t) ** (-n)) <= got.tail_bound + mp.mpf(10) ** -30
+            assert abs(got.h - (1 - t) ** (-n)) <= got.tail_h + mp.mpf(10) ** -30
 
 
 def test_metric_jet_matches_closed_form_derivatives():
@@ -359,10 +358,10 @@ def test_metric_corrections_enter_exactly():
     W = TableWeight(2, {(1, 1): base.rho((1, 1)) / 2}, fallback=base)
     w = (0.5, 0.4)
     with mp.workprec(120):
-        h_base = eval_metric(base, w, max_degree=150, precision_bits=120)
-        h_pert = eval_metric(W, w, max_degree=150, precision_bits=120)
+        h_base = metric_jet(base, w, max_degree=150, precision_bits=120)
+        h_pert = metric_jet(W, w, max_degree=150, precision_bits=120)
         delta = -mp.mpf(3) * mp.mpf(0.5) ** 2 * mp.mpf(0.4) ** 2  # rho((1,1)) = 6
-        assert abs((h_pert.value - h_base.value) - delta) < 1e-25
+        assert abs((h_pert.h - h_base.h) - delta) < 1e-25
 
 
 def test_metric_decomposition_merges_and_sorts():
@@ -390,11 +389,11 @@ def test_perturbed_metric_decomposition():
 def test_metric_domain_errors():
     W = PowerKernel(2, 2)
     with pytest.raises(BallDomainError):
-        eval_metric(W, (1.0, 0.0))
+        metric_jet(W, (1.0, 0.0))
     with pytest.raises(BallDomainError):
-        eval_metric(W, (0.8, 0.7))
+        metric_jet(W, (0.8, 0.7))
     with pytest.raises(ValueError):
-        eval_metric(W, (0.5,))
+        metric_jet(W, (0.5,))
     with pytest.raises(ValueError):
         metric_jet(W, (0.1, 0.1), precision_bits=32)
 
@@ -403,31 +402,31 @@ def test_metric_tail_refusals():
     # Geometric growth 2 at |w|^2 = 0.64 has ratio * t > 1: no usable tail.
     W = RadialWeight(1, GeometricSequence(F(2)))
     with pytest.raises(TailUnreliableError):
-        eval_metric(W, (0.8,))
+        metric_jet(W, (0.8,))
     # ... but converges fine well inside the ball.
-    got = eval_metric(W, (0.5,), max_degree=80)
+    got = metric_jet(W, (0.5,), max_degree=80)
     with mp.workprec(80):
-        assert abs(got.value - 1 / (1 - mp.mpf(0.5))) <= got.tail_bound + mp.mpf(10) ** -18
+        assert abs(got.h - 1 / (1 - mp.mpf(0.5))) <= got.tail_h + mp.mpf(10) ** -18
 
     nobound = RadialWeight(1, PolynomialSequence([F(1), F(-1), F(1)]))
     with pytest.raises(TailUnreliableError):
-        eval_metric(nobound, (0.3,))
+        metric_jet(nobound, (0.3,))
 
     bare = TableWeight(1, {(0,): F(1)})
     with pytest.raises(TailUnreliableError):
-        eval_metric(bare, (0.3,))
+        metric_jet(bare, (0.3,))
 
     short = RadialWeight(1, ExplicitSequence([F(1), F(1)]))
     with pytest.raises(SequenceExhausted):
-        eval_metric(short, (0.3,), max_degree=40)
+        metric_jet(short, (0.3,), max_degree=40)
 
 
 def test_metric_truncation_degree_controls_tail():
     W = PowerKernel(2, 1)
-    coarse = eval_metric(W, (0.6,), max_degree=30)
-    fine = eval_metric(W, (0.6,), max_degree=90)
-    assert fine.tail_bound < coarse.tail_bound / 1e10
-    assert abs(fine.value - coarse.value) <= coarse.tail_bound
+    coarse = metric_jet(W, (0.6,), max_degree=30)
+    fine = metric_jet(W, (0.6,), max_degree=90)
+    assert fine.tail_h < coarse.tail_h / 1e10
+    assert abs(fine.h - coarse.h) <= coarse.tail_h
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
