@@ -426,4 +426,3 @@ def subnormality_obstruction(W: WeightFunction, alpha: MultiIndex) -> int:
     ).holds:
         raise RuntimeError("internal inconsistency locating the obstruction order")
     return n_min
-

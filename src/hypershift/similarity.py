@@ -153,4 +153,3 @@ def similarity_scan(
         verdict="growth-flagged" if flagged else "bounded-in-scan",
         cells=tuple(cells),
     )
-

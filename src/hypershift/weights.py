@@ -780,4 +780,3 @@ def metric_jet(
             tail_hess=tail2,
             max_degree=max_degree,
         )
-

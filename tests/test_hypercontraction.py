@@ -599,4 +599,3 @@ def test_obstruction_is_minimal_on_random_weights():
         assert not necessary_condition(W, n, alpha).holds
         if n > 1:
             assert necessary_condition(W, n - 1, alpha).holds
-

@@ -164,4 +164,3 @@ def test_scan_input_errors():
         similarity_scan(W, W, 3, 3, growth_factor=F(1))
     with pytest.raises(ValueError):
         similarity_scan(W, PowerKernel(2, 2), 3, 3)
-
