@@ -225,7 +225,7 @@ def cmd_similarity_scan(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    from .curvature import eigenvalues, log_metric_hessian, psd_check, psh_boundedness_report
+    from .curvature import eigenvalues, log_metric_hessians, psd_check, psh_boundedness_report
 
     weights = [_load_weight(p) for p in args.weights]
     m = weights[0].m
@@ -235,8 +235,7 @@ def cmd_curvature(args) -> int:
     if len(weights) == 1:
         W = weights[0]
         records = []
-        for w in grid:
-            H = log_metric_hessian(W, w, max_degree=deg, precision_bits=prec)
+        for w, H in zip(grid, log_metric_hessians(W, grid, max_degree=deg, precision_bits=prec)):
             eigs = eigenvalues(H)
             records.append(
                 {

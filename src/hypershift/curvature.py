@@ -21,7 +21,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import NonHermitianError
-from .weights import WeightFunction, metric_jet
+from .weights import WeightFunction, metric_jet, metric_jets
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,14 @@ class CurvatureMatrix:
 def _hessian_from_jet(jet) -> list[list[mp.mpc]]:
     m = len(jet.grad)
     h = jet.h
+    hh = h * h
+    cgrad = [mp.conj(g) for g in jet.grad]
     out = []
     for i in range(m):
         row = []
         for j in range(m):
-            num = h * jet.hess[i][j] - jet.grad[i] * mp.conj(jet.grad[j])
-            row.append(num / (h * h))
+            num = h * jet.hess[i][j] - jet.grad[i] * cgrad[j]
+            row.append(num / hh)
         out.append(row)
     return out
 
@@ -64,6 +66,14 @@ def _hessian_difference(w, jet1, jet2) -> CurvatureMatrix:
     return CurvatureMatrix(point=tuple(mp.mpc(x) for x in w), entries=rows)
 
 
+def _log_hessian(w, jet) -> CurvatureMatrix:
+    """H(h) at w from the metric jet there."""
+    return CurvatureMatrix(
+        point=tuple(mp.mpc(x) for x in w),
+        entries=tuple(tuple(row) for row in _hessian_from_jet(jet)),
+    )
+
+
 def log_metric_hessian(
     W: WeightFunction,
     w,
@@ -74,11 +84,21 @@ def log_metric_hessian(
     diag(rho(e_i)/rho(0))."""
     with mp.workprec(precision_bits):
         jet = metric_jet(W, w, max_degree=max_degree, precision_bits=precision_bits)
-        rows = _hessian_from_jet(jet)
-        return CurvatureMatrix(
-            point=tuple(mp.mpc(x) for x in w),
-            entries=tuple(tuple(row) for row in rows),
-        )
+        return _log_hessian(w, jet)
+
+
+def log_metric_hessians(
+    W: WeightFunction,
+    grid,
+    max_degree: int = 40,
+    precision_bits: int = 80,
+) -> list[CurvatureMatrix]:
+    """``log_metric_hessian`` at every grid point, in grid order, from one
+    ``metric_jets`` call over the grid."""
+    grid = list(grid)
+    with mp.workprec(precision_bits):
+        jets = metric_jets([W], grid, max_degree=max_degree, precision_bits=precision_bits)
+        return [_log_hessian(w, jet) for w, (jet,) in zip(grid, jets)]
 
 
 def curvature_difference(
@@ -285,9 +305,10 @@ def psh_boundedness_report(
 ) -> PshReport:
     """Evaluate psi = log(h1/h2) and its Hessian over the grid.
 
-    Each point costs one metric jet per weight: psi comes from the jets'
-    values and the Hessian of psi from the same jets.  A psd_tol that is
-    negative or not finite raises ValueError before any jet runs.
+    One ``metric_jets`` call yields one jet per weight per point: psi comes
+    from the jets' values and the Hessian of psi from the same jets.  A
+    psd_tol that is negative or not finite raises ValueError before any jet
+    runs.
     """
     _check_tol(psd_tol)
     if W1.m != W2.m:
@@ -297,9 +318,8 @@ def psh_boundedness_report(
         raise ValueError("grid must be nonempty")
     records: list[PshPoint] = []
     with mp.workprec(precision_bits):
-        for w in grid:
-            jet1 = metric_jet(W1, w, max_degree=max_degree, precision_bits=precision_bits)
-            jet2 = metric_jet(W2, w, max_degree=max_degree, precision_bits=precision_bits)
+        jets = metric_jets([W1, W2], grid, max_degree=max_degree, precision_bits=precision_bits)
+        for w, (jet1, jet2) in zip(grid, jets):
             psi = float(mp.log(jet1.h) - mp.log(jet2.h))
             H = _hessian_difference(w, jet1, jet2)
             records.append(

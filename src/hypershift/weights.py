@@ -68,11 +68,15 @@ class RadialSequence:
 
     ``series`` evaluates the truncated power series of the sequence and
     memoizes it on the instance, so every weight that shares a sequence
-    shares its evaluations.
+    shares its evaluations.  The coefficient triples the series sums are
+    memoized per working precision next to it, so a new t costs only the
+    multiply-adds.
     """
 
     def __init__(self):
         self._series: dict[tuple, tuple] = {}
+        # precision -> [(a_d, d a_d, d (d-1) a_d)] for d = 0, 1, ...
+        self._coefficients: dict[int, list[tuple]] = {}
 
     def value(self, i: int) -> Fraction:
         raise NotImplementedError
@@ -108,6 +112,10 @@ class RadialSequence:
             raise SequenceExhausted(
                 f"radial sequence ends at index {limit}, truncation degree {max_degree} requested"
             )
+        coeffs = self._coefficients.setdefault(mp.mp.prec, [])
+        for d in range(len(coeffs), max_degree + 1):
+            a_d = _to_mpf(self.value(d))
+            coeffs.append((a_d, d * a_d, d * (d - 1) * a_d))
         # Running powers of t: p = t^d, p1 = t^(d-1), p2 = t^(d-2).
         g = mp.mpf(0)
         gp = mp.mpf(0)
@@ -115,12 +123,12 @@ class RadialSequence:
         p = mp.mpf(1)
         p1 = p2 = mp.mpf(0)
         for d in range(max_degree + 1):
-            a_d = _to_mpf(self.value(d))
+            a_d, da_d, dda_d = coeffs[d]
             g += a_d * p
             if d >= 1:
-                gp += d * a_d * p1
+                gp += da_d * p1
             if d >= 2:
-                gpp += d * (d - 1) * a_d * p2
+                gpp += dda_d * p2
             p2 = p1
             p1 = p
             p *= t
@@ -130,8 +138,7 @@ class RadialSequence:
             raise TailUnreliableError(
                 "no ratio bound available for this radial sequence; tail is unreliable"
             )
-        a_last = _to_mpf(self.value(max_degree))
-        hit = (g, gp, gpp) + _geometric_tails(a_last, t, max_degree, ratio)
+        hit = (g, gp, gpp) + _geometric_tails(coeffs[max_degree][0], t, max_degree, ratio)
         self._series[key] = hit
         return hit
 
@@ -636,15 +643,6 @@ def _to_mpf(x: Fraction) -> mp.mpf:
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-def _ball_radius_sq(w) -> mp.mpf:
-    import mpmath as mp
-
-    t = mp.mpf(0)
-    for wi in w:
-        t += abs(mp.mpc(wi)) ** 2
-    return t
-
-
 def _geometric_tails(a_last: mp.mpf, t: mp.mpf, d: int, ratio: Fraction):
     """Tail bounds for sum a(j) t^j, its first, and its second t-derivative
     beyond degree d, assuming a(j+1)/a(j) <= r = ratio for j >= d.
@@ -678,15 +676,210 @@ def _geometric_tails(a_last: mp.mpf, t: mp.mpf, d: int, ratio: Fraction):
     return tail0, tail1, tail2
 
 
-def _shifted_power(wv, alpha: MultiIndex, i: int):
-    """w^{alpha - e_i}, evaluated directly so that w_i = 0 is handled."""
+def _coordinate_power(x, e: int):
+    """x**e at the working precision.  Metric jets raise coordinates to
+    powers only through here, once per distinct (x, e) in a call."""
+    return x**e
+
+
+def _shifted_power(wv, alpha: MultiIndex, i: int, power):
+    """w^{alpha - e_i}, evaluated directly so that w_i = 0 is handled;
+    ``power(x, e)`` returns x**e."""
     import mpmath as mp
 
     out = mp.mpf(1)
     for k, (x, a) in enumerate(zip(wv, alpha)):
         e = a - 1 if k == i else a
         if e:
-            out *= x**e
+            out *= power(x, e)
+    return out
+
+
+def _sequence_key(seq: RadialSequence):
+    """Equal keys mark radial sequences with bit-identical series: the same
+    instance, or the same class with the same spec."""
+    try:
+        return type(seq), repr(seq.spec_dict())
+    except NotImplementedError:
+        return seq
+
+
+def _correction_table(W: WeightFunction) -> tuple:
+    """(base, base key, entries) for the metric of W at the working
+    precision.  Each entry holds alpha, dv = delta, dv alpha_i and
+    dv alpha_i alpha_j, multiplied left to right as the jet sums them."""
+    base, corrections = W.metric_decomposition()
+    entries = []
+    for alpha, delta in corrections:
+        dv = _to_mpf(delta)
+        da = [dv * a for a in alpha]
+        daa = [[da_i * a for a in alpha] for da_i in da]
+        entries.append((alpha, dv, da, daa))
+    return base, _sequence_key(base), entries
+
+
+def _origin_jet(W: WeightFunction, max_degree: int) -> MetricJet:
+    """The jet at w = 0, exact from three weight layers: h = rho(0),
+    grad = 0, mixed Hessian = diag(rho(e_i))."""
+    import mpmath as mp
+
+    m = W.m
+    zero = mp.mpf(0)
+    h0 = _to_mpf(W.rho((0,) * m))
+    hess0 = tuple(
+        tuple(_to_mpf(W.rho(mi.unit(m, i))) if i == j else zero for j in range(m))
+        for i in range(m)
+    )
+    return MetricJet(
+        h=h0,
+        grad=(zero,) * m,
+        hess=hess0,
+        tail_h=zero,
+        tail_grad=zero,
+        tail_hess=zero,
+        max_degree=max_degree,
+    )
+
+
+def _base_assembly(base: RadialSequence, wv, t, max_degree: int) -> tuple:
+    """(g, grad, hess, tails) of the radial base series at the point wv."""
+    import mpmath as mp
+
+    m = len(wv)
+    zero = mp.mpf(0)
+    g, gp, gpp, tail0, tail1, tail2 = base.series(t, max_degree)
+    cw = [mp.conj(x) for x in wv]
+    grad = tuple(gp * cw[i] for i in range(m))
+    hess = tuple(
+        tuple(gpp * cw[i] * wv[j] + (gp if i == j else zero) for j in range(m))
+        for i in range(m)
+    )
+    return g, grad, hess, (tail0, tail1, tail2)
+
+
+def _corrected_jet(assembly: tuple, entries: list, wv, power, max_degree: int) -> MetricJet:
+    """The base assembly plus every exact correction term, summed in full."""
+    import mpmath as mp
+
+    h, grad, hess, (tail0, tail1, tail2) = assembly
+    if entries:
+        m = len(wv)
+        grad = list(grad)
+        hess = [list(row) for row in hess]
+        for alpha, dv, da, daa in entries:
+            wpow = mp.mpf(1)  # w^alpha
+            for x, a in zip(wv, alpha):
+                if a:
+                    wpow *= power(x, a)
+            h += dv * (abs(wpow) ** 2)
+            shifted = [
+                _shifted_power(wv, alpha, i, power) if alpha[i] else None for i in range(m)
+            ]
+            cwpow = mp.conj(wpow)
+            for i in range(m):
+                if shifted[i] is not None:
+                    grad[i] += da[i] * shifted[i] * cwpow
+            cshifted = [None if s is None else mp.conj(s) for s in shifted]
+            for i in range(m):
+                if shifted[i] is None:
+                    continue
+                for j in range(m):
+                    if shifted[j] is None:
+                        continue
+                    hess[i][j] += daa[i][j] * shifted[i] * cshifted[j]
+        grad = tuple(grad)
+        hess = tuple(tuple(row) for row in hess)
+    return MetricJet(
+        h=h,
+        grad=grad,
+        hess=hess,
+        tail_h=tail0,
+        tail_grad=tail1,
+        tail_hess=tail2,
+        max_degree=max_degree,
+    )
+
+
+def metric_jets(
+    weights,
+    points,
+    max_degree: int = 40,
+    precision_bits: int = 80,
+) -> list[tuple[MetricJet, ...]]:
+    """Evaluate h(w) = sum_alpha rho(alpha) |w^alpha|^2 together with its
+    Wirtinger gradient and mixed Hessian for every weight at every point,
+    truncating the radial base series at ``max_degree`` and summing every
+    exact correction term in full.  Returns one tuple per point holding the
+    jet of each weight in order.
+
+    One call shares work that does not depend on the weight or the point:
+    each weight's correction table is built once, at the first point off
+    the origin; each coordinate power x**e is taken once; and at each point
+    the base series terms are assembled once for all weights on equal
+    radial sequences.  Every jet is bit for bit the jet of that weight at
+    that point alone, and the errors come in the order of evaluating the
+    points one by one and, at each point, the weights in order.
+
+    Raises BallDomainError if |w| >= 1 and TailUnreliableError when no
+    rigorous tail bound exists at this truncation degree.
+    """
+    import mpmath as mp
+
+    weights = list(weights)
+    tables: list[tuple | None] = [None] * len(weights)
+    coordinates: dict = {}  # coordinate as given -> (mpc, |x|^2)
+    powers: dict[tuple, object] = {}
+
+    def coordinate(x):
+        hit = coordinates.get(x)
+        if hit is None:
+            xv = mp.mpc(x)
+            hit = coordinates[x] = (xv, abs(xv) ** 2)
+        return hit
+
+    def power(x, e):
+        # x._mpc_ is the exact value of x; it hashes faster than x itself.
+        key = (x._mpc_, e, precision_bits)
+        hit = powers.get(key)
+        if hit is None:
+            hit = powers[key] = _coordinate_power(x, e)
+        return hit
+
+    out = []
+    with mp.workprec(precision_bits):
+        for w in points:
+            wv = t = None
+            assemblies: dict = {}
+            jets = []
+            for k, W in enumerate(weights):
+                if len(w) != W.m:
+                    raise ValueError(f"point has dimension {len(w)}, weight has m = {W.m}")
+                if max_degree < 0:
+                    raise ValueError("max_degree must be >= 0")
+                if precision_bits < 53:
+                    raise ValueError("precision_bits must be at least 53")
+                if t is None:
+                    # Converted after the first weight's checks, as in a
+                    # one-point jet, so bad input is reported first.
+                    wv = []
+                    t = mp.mpf(0)
+                    for x in w:
+                        xv, sq = coordinate(x)
+                        wv.append(xv)
+                        t += sq
+                    if t >= 1:
+                        raise BallDomainError(f"|w|^2 = {float(t):.6f} is not inside the unit ball")
+                if t == 0:
+                    jets.append(_origin_jet(W, max_degree))
+                    continue
+                if tables[k] is None:
+                    tables[k] = _correction_table(W)
+                base, key, entries = tables[k]
+                assembly = assemblies.get(key)
+                if assembly is None:
+                    assembly = assemblies[key] = _base_assembly(base, wv, t, max_degree)
+                jets.append(_corrected_jet(assembly, entries, wv, power, max_degree))
+            out.append(tuple(jets))
     return out
 
 
@@ -696,87 +889,6 @@ def metric_jet(
     max_degree: int = 40,
     precision_bits: int = 80,
 ) -> MetricJet:
-    """Evaluate h(w) = sum_alpha rho(alpha) |w^alpha|^2 together with its
-    Wirtinger gradient and mixed Hessian, truncating the radial base series
-    at ``max_degree`` and summing every exact correction term in full.
-
-    Raises BallDomainError if |w| >= 1 and TailUnreliableError when no
-    rigorous tail bound exists at this truncation degree.
-    """
-    import mpmath as mp
-
-    if len(w) != W.m:
-        raise ValueError(f"point has dimension {len(w)}, weight has m = {W.m}")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    if precision_bits < 53:
-        raise ValueError("precision_bits must be at least 53")
-    m = W.m
-    with mp.workprec(precision_bits):
-        wv = [mp.mpc(x) for x in w]
-        t = _ball_radius_sq(wv)
-        if t >= 1:
-            raise BallDomainError(f"|w|^2 = {float(t):.6f} is not inside the unit ball")
-        zero = mp.mpf(0)
-
-        if t == 0:
-            # Exact from three weight layers: h = rho(0), grad = 0,
-            # mixed Hessian = diag(rho(e_i)).
-            theta = (0,) * m
-            h0 = _to_mpf(W.rho(theta))
-            hess0 = tuple(
-                tuple(
-                    _to_mpf(W.rho(mi.unit(m, i))) if i == j else zero for j in range(m)
-                )
-                for i in range(m)
-            )
-            return MetricJet(
-                h=h0,
-                grad=(zero,) * m,
-                hess=hess0,
-                tail_h=zero,
-                tail_grad=zero,
-                tail_hess=zero,
-                max_degree=max_degree,
-            )
-
-        base, corrections = W.metric_decomposition()
-        g, gp, gpp, tail0, tail1, tail2 = base.series(t, max_degree)
-
-        h = g
-        grad = [gp * mp.conj(wv[i]) for i in range(m)]
-        hess = [
-            [gpp * mp.conj(wv[i]) * wv[j] + (gp if i == j else zero) for j in range(m)]
-            for i in range(m)
-        ]
-
-        for alpha, delta in corrections:
-            dv = _to_mpf(delta)
-            wpow = mp.mpf(1)  # w^alpha
-            for x, a in zip(wv, alpha):
-                if a:
-                    wpow *= x**a
-            h += dv * (abs(wpow) ** 2)
-            shifted = [
-                _shifted_power(wv, alpha, i) if alpha[i] else None for i in range(m)
-            ]
-            for i in range(m):
-                if shifted[i] is not None:
-                    grad[i] += dv * alpha[i] * shifted[i] * mp.conj(wpow)
-            for i in range(m):
-                if shifted[i] is None:
-                    continue
-                for j in range(m):
-                    if shifted[j] is None:
-                        continue
-                    hess[i][j] += dv * alpha[i] * alpha[j] * shifted[i] * mp.conj(shifted[j])
-
-        return MetricJet(
-            h=h,
-            grad=tuple(grad),
-            hess=tuple(tuple(row) for row in hess),
-            tail_h=tail0,
-            tail_grad=tail1,
-            tail_hess=tail2,
-            max_degree=max_degree,
-        )
+    """The metric jet of W at the single point w: ``metric_jets([W], [w])``
+    with the same arguments."""
+    return metric_jets([W], [w], max_degree=max_degree, precision_bits=precision_bits)[0][0]

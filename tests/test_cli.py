@@ -307,6 +307,7 @@ def test_curvature_rejects_bad_tol(capsys, weight_files, monkeypatch, tol, names
             raise AssertionError("a metric jet ran")
 
         monkeypatch.setattr(hypershift.curvature, "metric_jet", no_jets)
+        monkeypatch.setattr(hypershift.curvature, "metric_jets", no_jets)
     argv = ["curvature", "--grid", "radial:1x1", "--tol", tol]
     for name in names:
         argv += ["--weights", weight_files[name]]

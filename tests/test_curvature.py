@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hypershift.curvature as curvature_module
+import hypershift.weights as weights_module
 from hypershift import (
     CurvatureMatrix,
     NonHermitianError,
@@ -343,17 +344,71 @@ def test_psh_report_equals_the_four_jet_composition(kind, bits):
         assert p.hessian.point == H.point
 
 
+@pytest.mark.parametrize("kind", ["perturbed45", "polynomial"])
+def test_grid_log_hessians_equal_the_per_point_ones(kind):
+    grid = radial_grid(2, 2, 4)
+    W = _psh_pair(kind)[0]
+    got = curvature_module.log_metric_hessians(W, grid, max_degree=60, precision_bits=120)
+    assert len(got) == len(grid)
+    for H, w in zip(got, grid):
+        ref = log_metric_hessian(_psh_pair(kind)[0], w, max_degree=60, precision_bits=120)
+        assert (H.point, H.entries) == (ref.point, ref.entries)
+
+
 def test_psh_report_takes_one_jet_per_weight_per_point(monkeypatch):
-    real = curvature_module.metric_jet
-    calls = []
+    # One metric_jets call per report yields one jet per weight per point.
+    # Within it, each coordinate power is taken once per distinct (coordinate,
+    # exponent) and each weight's correction table is built once.
+    real_jets = curvature_module.metric_jets
+    real_power = weights_module._coordinate_power
+    real_table = weights_module._correction_table
+    calls, powers, tables = [], [], []
 
-    def counting(W, w, *args, **kwargs):
-        calls.append(W)
-        return real(W, w, *args, **kwargs)
+    def counting_jets(weights, points, *args, **kwargs):
+        out = real_jets(weights, points, *args, **kwargs)
+        calls.append((list(weights), [len(jets) for jets in out]))
+        return out
 
-    monkeypatch.setattr(curvature_module, "metric_jet", counting)
+    def counting_power(x, e):
+        powers.append((x, e))
+        return real_power(x, e)
+
+    def counting_table(W):
+        tables.append(W)
+        return real_table(W)
+
+    monkeypatch.setattr(curvature_module, "metric_jets", counting_jets)
+    monkeypatch.setattr(weights_module, "_coordinate_power", counting_power)
+    monkeypatch.setattr(weights_module, "_correction_table", counting_table)
     W = PerturbedPower(2, 2, 2)
     grid = radial_grid(2, 2, 4)
     psh_boundedness_report(W, W.base, grid, max_degree=40)
-    assert len(calls) == 2 * len(grid)
-    assert calls.count(W) == calls.count(W.base) == len(grid)
+    assert calls == [([W, W.base], [2] * len(grid))]
+    assert len(powers) == len(set(powers))
+    # The correction at (2, 511) needs w_1^511 and w_1^510 at every second
+    # coordinate of a grid point off the origin, zero included.
+    second = {w[1] for w in grid if any(w)}
+    assert len(second) == 9
+    assert sorted(e for _, e in powers if e >= 510) == [510] * len(second) + [511] * len(second)
+    assert tables == [W, W.base]
+
+
+def test_psh_report_at_the_origin_needs_no_tail_bound():
+    # At w = 0 every jet is exact from three weight layers, so a table
+    # without a fallback has a report there although it has no tail bound.
+    bare = TableWeight(2, {(0, 0): F(1), (1, 0): F(2), (0, 1): F(3)})
+    P = PowerKernel(2, 2)
+    expected = {
+        (bare, P): (0.0, (0.0, 1.0), True),
+        (P, bare): (-1.0, (-1.0, 0.0), False),
+        (bare, bare): (0.0, (0.0, 0.0), True),
+    }
+    for (W1, W2), (min_eig, eigs, psd) in expected.items():
+        report = psh_boundedness_report(W1, W2, [(0j, 0j)])
+        assert (report.psi_min, report.psi_max) == (0.0, 0.0)
+        assert report.hessian_min_eig == min_eig
+        assert report.points[0].eigenvalues == eigs
+        assert report.all_psd is psd
+        assert report.unbounded_trend is False
+        assert report.shells == ((0.0, 0.0),)
+        assert report.n_points == 1

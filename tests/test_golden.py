@@ -22,6 +22,36 @@ def _scan(command, weight, *args):
     return [command, "--weights", str(DATA / weight), *args]
 
 
+def _curvature(*names):
+    argv = ["curvature", "--grid", "radial:2x4"]
+    for name in names:
+        argv += ["--weights", str(DATA / f"{name}.json")]
+    return argv
+
+
+# Weights whose metric the numerics refuse past the origin: an explicit list
+# of three terms (exit 2), a table without a fallback and a polynomial with a
+# negative coefficient (exit 3, no tail bound).  Each refuses alone, as the
+# first and as the second weight of a pair; between two refusing weights the
+# first one's refusal wins.
+_CURVATURE_REFUSALS = {
+    "curvature_" + "_".join(names) + ".err": (code, _curvature(*names))
+    for names, code in [
+        (("explicit3",), 2),
+        (("explicit3", "power22"), 2),
+        (("power22", "explicit3"), 2),
+        (("table_nofallback",), 3),
+        (("table_nofallback", "power22"), 3),
+        (("power22", "table_nofallback"), 3),
+        (("poly_nobound",), 3),
+        (("poly_nobound", "power22"), 3),
+        (("power22", "poly_nobound"), 3),
+        (("explicit3", "table_nofallback"), 2),
+        (("table_nofallback", "explicit3"), 3),
+    ]
+}
+
+
 CASES = {
     "example45_eval40.json": (0, ["example45", "--eval-degree", "40"]),
     "curvature_pair_2x4_eval60.json": (
@@ -65,6 +95,22 @@ CASES = {
             "--format", "csv",
         ),
     ),
+    # The counterexample against its power base on a grid and degree where
+    # the ray corrections move the jets, its m = 3 form, and the perturbed
+    # weight alone.
+    "curvature_perturbed45_power22_6x4_eval120.json": (
+        0,
+        _scan(
+            "curvature", "perturbed45.json", "--weights", str(DATA / "power22.json"),
+            "--grid", "radial:6x4", "--eval-degree", "120",
+        ),
+    ),
+    "curvature_perturbed45_m3_power23_2x4.json": (0, _curvature("perturbed45_m3", "power23")),
+    "curvature_perturbed45_3x4.json": (
+        0,
+        _scan("curvature", "perturbed45.json", "--grid", "radial:3x4"),
+    ),
+    **_CURVATURE_REFUSALS,
     # power(1,2) against power(3,2): the ray ratios keep widening with the
     # ray length, so the scan flags growth and the report carries a witness.
     "similarity_scan_power12_power32.json": (

@@ -1,0 +1,253 @@
+"""Grid-level metric jets against a per-point reference.
+
+``reference_jet`` is the per-point metric jet as it was written before jets
+were evaluated a grid at a time: it sums the radial series term by term with
+no memo, converts every correction and takes every coordinate power afresh.
+``metric_jets`` shares the correction tables, the coordinate powers and the
+base assembly across a call, and must give the same bits.
+"""
+
+from fractions import Fraction
+
+import mpmath as mp
+import pytest
+
+from hypershift import (
+    GeometricSequence,
+    PerturbedPower,
+    PolynomialSequence,
+    PowerKernel,
+    RadialSequence,
+    RadialWeight,
+    TableWeight,
+    metric_jet,
+    radial_grid,
+    weight_from_dict,
+)
+from hypershift import multiindex as mi
+from hypershift.errors import TailUnreliableError
+from hypershift.weights import MetricJet, _geometric_tails, _to_mpf, metric_jets
+
+F = Fraction
+
+
+def reference_series(seq, t, max_degree):
+    """g, g', g'' of the truncated radial series and their tail bounds."""
+    g = mp.mpf(0)
+    gp = mp.mpf(0)
+    gpp = mp.mpf(0)
+    p = mp.mpf(1)
+    p1 = p2 = mp.mpf(0)
+    for d in range(max_degree + 1):
+        a_d = _to_mpf(seq.value(d))
+        g += a_d * p
+        if d >= 1:
+            gp += d * a_d * p1
+        if d >= 2:
+            gpp += d * (d - 1) * a_d * p2
+        p2 = p1
+        p1 = p
+        p *= t
+    a_last = _to_mpf(seq.value(max_degree))
+    return (g, gp, gpp) + _geometric_tails(a_last, t, max_degree, seq.ratio_sup(max_degree))
+
+
+def _reference_shifted_power(wv, alpha, i):
+    out = mp.mpf(1)
+    for k, (x, a) in enumerate(zip(wv, alpha)):
+        e = a - 1 if k == i else a
+        if e:
+            out *= x**e
+    return out
+
+
+def reference_jet(W, w, max_degree, precision_bits):
+    m = W.m
+    with mp.workprec(precision_bits):
+        wv = [mp.mpc(x) for x in w]
+        t = mp.mpf(0)
+        for wi in wv:
+            t += abs(mp.mpc(wi)) ** 2
+        zero = mp.mpf(0)
+
+        if t == 0:
+            theta = (0,) * m
+            h0 = _to_mpf(W.rho(theta))
+            hess0 = tuple(
+                tuple(
+                    _to_mpf(W.rho(mi.unit(m, i))) if i == j else zero for j in range(m)
+                )
+                for i in range(m)
+            )
+            return MetricJet(
+                h=h0,
+                grad=(zero,) * m,
+                hess=hess0,
+                tail_h=zero,
+                tail_grad=zero,
+                tail_hess=zero,
+                max_degree=max_degree,
+            )
+
+        base, corrections = W.metric_decomposition()
+        g, gp, gpp, tail0, tail1, tail2 = reference_series(base, t, max_degree)
+
+        h = g
+        grad = [gp * mp.conj(wv[i]) for i in range(m)]
+        hess = [
+            [gpp * mp.conj(wv[i]) * wv[j] + (gp if i == j else zero) for j in range(m)]
+            for i in range(m)
+        ]
+
+        for alpha, delta in corrections:
+            dv = _to_mpf(delta)
+            wpow = mp.mpf(1)  # w^alpha
+            for x, a in zip(wv, alpha):
+                if a:
+                    wpow *= x**a
+            h += dv * (abs(wpow) ** 2)
+            shifted = [
+                _reference_shifted_power(wv, alpha, i) if alpha[i] else None for i in range(m)
+            ]
+            for i in range(m):
+                if shifted[i] is not None:
+                    grad[i] += dv * alpha[i] * shifted[i] * mp.conj(wpow)
+            for i in range(m):
+                if shifted[i] is None:
+                    continue
+                for j in range(m):
+                    if shifted[j] is None:
+                        continue
+                    hess[i][j] += dv * alpha[i] * alpha[j] * shifted[i] * mp.conj(shifted[j])
+
+        return MetricJet(
+            h=h,
+            grad=tuple(grad),
+            hess=tuple(tuple(row) for row in hess),
+            tail_h=tail0,
+            tail_grad=tail1,
+            tail_hess=tail2,
+            max_degree=max_degree,
+        )
+
+
+def _fields(jet):
+    return (jet.h, jet.grad, jet.hess, jet.tail_h, jet.tail_grad, jet.tail_hess)
+
+
+def _grid(m):
+    # The origin, points with zero coordinates and, off the radial grid,
+    # repeated coordinates at new radii and off-axis angles.
+    extra = [
+        (0.3 + 0.2j,) + (0.5j,) * (m - 1),
+        (0.0,) * (m - 1) + (-0.61 + 0.1j,),
+        (0.2 - 0.7j,) + (0.0,) * (m - 1),
+    ]
+    return radial_grid(m, 2, 4) + extra
+
+
+def _with_base(W):
+    return W, W.base
+
+
+def _table_and_power():
+    # At (3, 7) and (7, 3), (delta alpha_i) alpha_j and delta (alpha_i alpha_j)
+    # round differently at 80 or 120 bits, so the order of the products shows.
+    P = PowerKernel(2, 2)
+    entries = {(2, 3): F(30), (1, 1): F(5), (0, 4): F(7), (3, 7): F(1, 3), (7, 3): F(2, 7)}
+    return TableWeight(2, entries, fallback=P), P
+
+
+class ThirdsSequence(RadialSequence):
+    """a(i) = (i + 1)/3, a sequence with no spec: shared only as one instance."""
+
+    def value(self, i):
+        return F(i + 1, 3)
+
+    def ratio_sup(self, start):
+        return F(start + 2, start + 1)
+
+
+def _unspecified_sequences():
+    a = ThirdsSequence()
+    return RadialWeight(2, a), TableWeight(2, {(1, 2): F(5, 3)}, fallback=RadialWeight(2, a))
+
+
+PAIRS = {
+    "perturbed45_base": lambda: _with_base(PerturbedPower(2, 2, 2)),
+    "perturbed45_m3_base": lambda: _with_base(PerturbedPower(2, 3, 2)),
+    "perturbed45_power_specs": lambda: (
+        weight_from_dict({"kind": "perturbed45", "n": 2, "m": 2, "L": 2}),
+        weight_from_dict({"kind": "power", "n": 2, "m": 2}),
+    ),
+    "table_power_fallback": _table_and_power,
+    "polynomials": lambda: (
+        RadialWeight(2, PolynomialSequence([F(1), F(2), F(1)])),
+        RadialWeight(2, PolynomialSequence([F(3), F(1, 2), F(0), F(1)])),
+    ),
+    # Coefficients that are not dyadic, so the series products round.
+    "nondyadic": lambda: (
+        RadialWeight(2, GeometricSequence(F(2, 3))),
+        RadialWeight(2, PolynomialSequence([F(1, 3), F(2, 7), F(1, 5)])),
+    ),
+    "unspecified_sequences": _unspecified_sequences,
+}
+
+
+@pytest.mark.parametrize("bits", [80, 120])
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_metric_jets_are_bit_identical_to_the_reference(pair, bits):
+    deg = 60
+    W1, W2 = PAIRS[pair]()
+    grid = _grid(W1.m)
+    jets = metric_jets([W1, W2], grid, max_degree=deg, precision_bits=bits)
+    assert len(jets) == len(grid)
+    for w, (jet1, jet2) in zip(grid, jets):
+        for W, jet in ((W1, jet1), (W2, jet2)):
+            ref = reference_jet(W, w, deg, bits)
+            assert _fields(jet) == _fields(ref)
+            assert jet.max_degree == deg
+            assert _fields(metric_jet(W, w, max_degree=deg, precision_bits=bits)) == _fields(ref)
+
+
+def test_base_series_is_shared_by_equal_sequences_only():
+    # Spec-equal bases share one series per point: the second weight's own
+    # sequence is never summed.  Different sequences each sum their own.
+    W1, W2 = PAIRS["perturbed45_power_specs"]()
+    metric_jets([W1, W2], _grid(2))
+    assert W1.base.sequence._series and not W2.sequence._series
+    W1, W2 = PAIRS["polynomials"]()
+    metric_jets([W1, W2], _grid(2))
+    assert W1.sequence._series and W2.sequence._series
+
+
+def test_metric_jets_serve_weights_in_order_at_every_point():
+    W1, W2 = _table_and_power()
+    grid = _grid(2)
+    forward = metric_jets([W1, W2], grid, max_degree=30)
+    backward = metric_jets([W2, W1, W2], grid, max_degree=30)
+    for (a1, a2), (b2, b1, c2) in zip(forward, backward):
+        assert _fields(a1) == _fields(b1)
+        assert _fields(a2) == _fields(b2) == _fields(c2)
+    assert metric_jets([W1, W2], [], max_degree=30) == []
+    assert metric_jets([], grid, max_degree=30) == [()] * len(grid)
+
+
+def test_metric_jets_refuse_in_point_then_weight_order():
+    # No tail bound for the table without fallback: the origin is exact, so
+    # the refusal comes at the first point off it, whichever weight is first.
+    bare = TableWeight(2, {(0, 0): F(1), (1, 0): F(2), (0, 1): F(3)})
+    P = PowerKernel(2, 2)
+    origin = metric_jets([bare, P], [(0j, 0j)])
+    assert _fields(origin[0][0]) == _fields(reference_jet(bare, (0j, 0j), 40, 80))
+    for weights in ([bare, P], [P, bare]):
+        with pytest.raises(TailUnreliableError, match="table weight without fallback"):
+            metric_jets(weights, [(0j, 0j), (0.1, 0.2)])
+    # Each jet checks the point's dimension, then the degree, then the ball,
+    # before it needs the weight's decomposition.
+    with pytest.raises(ValueError, match="point has dimension 1"):
+        metric_jets([P], [(0.5,)], max_degree=-1)
+    with pytest.raises(ValueError, match="max_degree"):
+        metric_jets([P], [(2.0, 0.0)], max_degree=-1)
+    with pytest.raises(ValueError, match="unit ball"):
+        metric_jets([bare, P], [(0j, 0j), (0.8, 0.7)])
