@@ -28,7 +28,8 @@ from .weights import PerturbedPower, parse_fraction, weight_from_dict
 
 # The curvature, similarity and truncation layers are imported in the
 # handlers that use them, so each call loads only what its subcommand runs:
-# numpy and mpmath come in with curvature and example45 alone.
+# mpmath comes in with curvature and example45 alone, and no subcommand loads
+# numpy.
 
 
 class UsageError(Exception):
@@ -225,7 +226,13 @@ def cmd_similarity_scan(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    from .curvature import eigenvalues, log_metric_hessians, psd_check, psh_boundedness_report
+    from .curvature import (
+        check_tol,
+        eigenvalues,
+        log_metric_hessians,
+        psd_check,
+        psh_boundedness_report,
+    )
 
     weights = [_load_weight(p) for p in args.weights]
     m = weights[0].m
@@ -234,6 +241,7 @@ def cmd_curvature(args) -> int:
     deg = args.eval_degree
     if len(weights) == 1:
         W = weights[0]
+        check_tol(args.tol)  # before the grid's jets, as the pair report does
         records = []
         for w, H in zip(grid, log_metric_hessians(W, grid, max_degree=deg, precision_bits=prec)):
             eigs = eigenvalues(H)

@@ -15,10 +15,10 @@ what the grid reports check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cos, isfinite, pi, sin
 
 import mpmath as mp
-import numpy as np
 
 from .errors import NonHermitianError
 from .weights import WeightFunction, metric_jet, metric_jets
@@ -27,19 +27,47 @@ from .weights import WeightFunction, metric_jet, metric_jets
 @dataclass(frozen=True)
 class CurvatureMatrix:
     """The mixed Hessian of log h (or of a difference of two logs) at a
-    point, stored at working precision."""
+    point, stored at working precision ``precision_bits``."""
 
     point: tuple
     entries: tuple  # m x m nested tuples of mpc
+    precision_bits: int = 53
 
     @property
     def m(self) -> int:
         return len(self.entries)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [[complex(x) for x in row] for row in self.entries], dtype=complex
-        )
+    @cached_property
+    def spectrum(self) -> tuple:
+        """Eigenvalues of the Hermitian part as mpf, ascending, computed once
+        at ``precision_bits``."""
+        return _spectrum(self.entries, self.precision_bits)
+
+
+def _spectrum(entries, precision_bits: int) -> tuple:
+    """Ascending eigenvalues of (A + A^*)/2 at the given precision.
+
+    For m = 2 the closed form: with mu = (a + d)/2 and
+    r = hypot((a - d)/2, |b|), the eigenvalue far from 0 is mu + r taken
+    with the sign of mu, and the near one is det/far, which avoids the
+    cancellation in mu - r.  Other sizes go through ``mp.eighe``.
+    """
+    m = len(entries)
+    with mp.workprec(precision_bits):
+        def herm(i, j):
+            return (mp.mpc(entries[i][j]) + mp.conj(entries[j][i])) / 2
+
+        if m != 2:
+            A = mp.matrix([[herm(i, j) for j in range(m)] for i in range(m)])
+            return tuple(mp.eighe(A, eigvals_only=True))
+        a, d, b = herm(0, 0).real, herm(1, 1).real, herm(0, 1)
+        mu = (a + d) / 2
+        r = mp.hypot((a - d) / 2, abs(b))
+        far = mu + r if mu >= 0 else mu - r
+        if not far:
+            return (far, far)
+        near = (a * d - (b.real * b.real + b.imag * b.imag)) / far
+        return (near, far) if near <= far else (far, near)
 
 
 def _hessian_from_jet(jet) -> list[list[mp.mpc]]:
@@ -63,7 +91,9 @@ def _hessian_difference(w, jet1, jet2) -> CurvatureMatrix:
         tuple(x - y for x, y in zip(ra, rb))
         for ra, rb in zip(_hessian_from_jet(jet1), _hessian_from_jet(jet2))
     )
-    return CurvatureMatrix(point=tuple(mp.mpc(x) for x in w), entries=rows)
+    return CurvatureMatrix(
+        point=tuple(mp.mpc(x) for x in w), entries=rows, precision_bits=mp.mp.prec
+    )
 
 
 def _log_hessian(w, jet) -> CurvatureMatrix:
@@ -71,6 +101,7 @@ def _log_hessian(w, jet) -> CurvatureMatrix:
     return CurvatureMatrix(
         point=tuple(mp.mpc(x) for x in w),
         entries=tuple(tuple(row) for row in _hessian_from_jet(jet)),
+        precision_bits=mp.mp.prec,
     )
 
 
@@ -121,7 +152,8 @@ def curvature_difference(
         return _hessian_difference(w, jet1, jet2)
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """Raise ValueError for a psd tolerance that is negative or not finite."""
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"psd tolerance must be finite and >= 0, got {tol}")
 
@@ -133,22 +165,21 @@ def psd_check(H: CurvatureMatrix, tol: float = 1e-10) -> bool:
     magnitude, floored at 1); the test is min eigenvalue >= -tol * scale.
     Raises ValueError for a tolerance that is negative or not finite.
     """
-    _check_tol(tol)
-    A = H.as_array()
-    scale = max(float(np.max(np.abs(A))), 1.0)
-    dev = float(np.max(np.abs(A - A.conj().T)))
+    check_tol(tol)
+    A = [[complex(x) for x in row] for row in H.entries]
+    scale = max(max(abs(x) for row in A for x in row), 1.0)
+    dev = max(abs(x - A[j][i].conjugate()) for i, row in enumerate(A) for j, x in enumerate(row))
     if dev > tol * scale:
         raise NonHermitianError(
             f"matrix deviates from Hermitian by {dev:.3e} (scale {scale:.3e})"
         )
-    eigs = np.linalg.eigvalsh((A + A.conj().T) / 2)
-    return bool(eigs[0] >= -tol * scale)
+    return eigenvalues(H)[0] >= -tol * scale
 
 
 def eigenvalues(H: CurvatureMatrix) -> tuple[float, ...]:
-    """Eigenvalues of the Hermitian part, ascending."""
-    A = H.as_array()
-    return tuple(float(x) for x in np.linalg.eigvalsh((A + A.conj().T) / 2))
+    """Eigenvalues of the Hermitian part, ascending, rounded to float from
+    ``H.spectrum`` (a -0.0 is written as 0.0)."""
+    return tuple(float(x) + 0.0 for x in H.spectrum)
 
 
 def _displace(w, coord: int, part: str, step: float):
@@ -310,7 +341,7 @@ def psh_boundedness_report(
     psd_tol that is negative or not finite raises ValueError before any jet
     runs.
     """
-    _check_tol(psd_tol)
+    check_tol(psd_tol)
     if W1.m != W2.m:
         raise ValueError(f"weights have dimensions {W1.m} and {W2.m}")
     grid = list(grid)

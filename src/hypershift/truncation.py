@@ -24,7 +24,7 @@ col -> (row, x), where x = sqrt(p/q) is the real matrix entry.  Every column
 of a product of such maps has a single nonzero term, so multiplying the
 entries in the order of the dense products (each power from its first
 factor) gives bit for bit the float64 matrices that numpy would form; the
-dense matrices remain only as a test reference (``dense_matrices``).
+tests keep the dense matrices as their reference.
 """
 
 from __future__ import annotations
@@ -132,19 +132,6 @@ class TruncatedTuple:
                 out = compose(self.maps[i], out)
         return out
 
-    def dense_matrices(self) -> list:
-        """float64 numpy matrices of the T_i: the dense reference that the
-        float column-map path is tested against."""
-        import numpy as np
-
-        mats = []
-        for f in self.maps:
-            A = np.zeros((self.dimension, self.dimension))
-            for col, (row, p, q) in f.items():
-                A[row, col] = sqrt(p / q)
-            mats.append(A)
-        return mats
-
 
 def build_truncated(W: WeightFunction, max_degree: int) -> TruncatedTuple:
     """Build the truncated adjoint tuple; T_i e_alpha =
@@ -232,7 +219,7 @@ def commutator_defect(tt: TruncatedTuple) -> Fraction:
 
 
 def _float_maps(tt: TruncatedTuple) -> list[FloatColumnMap]:
-    """The T_i as float column maps, entries as in ``dense_matrices``."""
+    """The T_i as float column maps, x = sqrt(p/q) at (row, col)."""
     return [{col: (row, sqrt(p / q)) for col, (row, p, q) in f.items()} for f in tt.maps]
 
 

@@ -1,10 +1,15 @@
-"""Shared builders for randomized test weights.
+"""Shared builders for randomized test weights, and the dense numpy
+references the float paths are tested against.
 
 Everything takes an explicit random.Random so tests stay reproducible; no
-module-level RNG state.
+module-level RNG state.  numpy is a test dependency only: the package itself
+never imports it.
 """
 
 from fractions import Fraction
+from math import sqrt
+
+import numpy as np
 
 from hypershift import (
     ExplicitSequence,
@@ -50,3 +55,20 @@ def random_weight(rng, m=2, degree=10):
     if kind == "radial":
         return RadialWeight(m, random_radial_sequence(rng, needed_length=degree + 24))
     return random_table_weight(rng, m=m, degree=degree)
+
+
+def as_array(H):
+    """A CurvatureMatrix as a complex128 numpy array, entry by entry."""
+    return np.array([[complex(x) for x in row] for row in H.entries], dtype=complex)
+
+
+def dense_matrices(tt):
+    """float64 numpy matrices of the T_i of a TruncatedTuple: the dense
+    reference that the float column-map path is tested against."""
+    mats = []
+    for f in tt.maps:
+        A = np.zeros((tt.dimension, tt.dimension))
+        for col, (row, p, q) in f.items():
+            A[row, col] = sqrt(p / q)
+        mats.append(A)
+    return mats

@@ -301,13 +301,13 @@ def test_curvature_rejects_bad_grid(capsys, weight_files):
 def test_curvature_rejects_bad_tol(capsys, weight_files, monkeypatch, tol, names):
     # -1 used to exit 3 with a false non-Hermitian refusal on one weight and
     # 0 with all_psd false on a pair; nan and inf ran every jet and then
-    # failed to encode the report.  A pair refuses before any jet runs.
-    if len(names) == 2:
-        def no_jets(*args, **kwargs):
-            raise AssertionError("a metric jet ran")
+    # failed to encode the report.  Both refuse before any jet runs.
+    def no_jets(*args, **kwargs):
+        raise AssertionError("a metric jet ran")
 
-        monkeypatch.setattr(hypershift.curvature, "metric_jet", no_jets)
-        monkeypatch.setattr(hypershift.curvature, "metric_jets", no_jets)
+    for name in ("metric_jet", "metric_jets", "log_metric_hessians"):
+        monkeypatch.setattr(hypershift.curvature, name, no_jets)
+    monkeypatch.setattr(hypershift.weights, "metric_jets", no_jets)
     argv = ["curvature", "--grid", "radial:1x1", "--tol", tol]
     for name in names:
         argv += ["--weights", weight_files[name]]

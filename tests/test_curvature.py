@@ -1,11 +1,14 @@
 """Mixed Hessians of log-metrics, PSD checks, and grid reports."""
 
+import json
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypershift.curvature as curvature_module
 import hypershift.weights as weights_module
@@ -27,12 +30,14 @@ from hypershift import (
     psh_boundedness_report,
     radial_grid,
 )
+from hypershift.cli import main
+from helpers import as_array
 
 F = Fraction
 
 
 def hermitian_dev(H):
-    A = H.as_array()
+    A = as_array(H)
     return float(np.max(np.abs(A - A.conj().T)))
 
 
@@ -43,13 +48,13 @@ def hermitian_dev(H):
 @pytest.mark.parametrize("m", [1, 2])
 def test_hessian_at_origin_is_n_times_identity(n, m):
     H = log_metric_hessian(PowerKernel(n, m), (0.0,) * m)
-    A = H.as_array()
+    A = as_array(H)
     assert np.max(np.abs(A - n * np.eye(m))) < 1e-25
 
 
 def test_hessian_at_origin_reads_degree_one_weights():
     W = TableWeight(2, {(0, 0): F(1), (1, 0): F(5), (0, 1): F(7)})
-    A = log_metric_hessian(W, (0.0, 0.0)).as_array()
+    A = as_array(log_metric_hessian(W, (0.0, 0.0)))
     assert np.max(np.abs(A - np.diag([5.0, 7.0]))) < 1e-25
 
 
@@ -119,13 +124,122 @@ def test_eigenvalues_are_ascending():
         assert np.allclose(eigs, np.linalg.eigvalsh(A))
 
 
+# -- spectrum ----------------------------------------------------------------
+
+# Hypothesis runs derandomized and without an example database, so every run
+# draws the same examples.
+SPECTRUM_SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+_real = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+_magnitude = st.floats(min_value=1e-6, max_value=1e3)
+_phase = st.floats(min_value=0.0, max_value=6.3)
+
+
+@st.composite
+def hermitian_2x2(draw):
+    """(a, b, d) of [[a, b], [conj b, d]]: generic, diagonal, zero,
+    negative definite, or nearly singular (a d close to |b|^2)."""
+    kind = draw(st.sampled_from(["generic", "diagonal", "zero", "negative", "singular"]))
+    if kind == "zero":
+        return 0.0, 0j, 0.0
+    a, d = draw(_real), draw(_real)
+    if kind == "diagonal":
+        return a, 0j, d
+    if kind == "generic":
+        return a, complex(draw(_real), draw(_real)), d
+    a, d = draw(_magnitude), draw(_magnitude)
+    b = complex(mp.rect(mp.sqrt(a * d), draw(_phase)))
+    if kind == "negative":
+        # |b|^2 < a d: both eigenvalues of -[[a, b], [conj b, d]] negative.
+        return -a, -b * draw(st.floats(min_value=0.0, max_value=0.99)), -d
+    return a, b * (1 + draw(st.floats(min_value=-1e-12, max_value=1e-12))), d
+
+
+def _matrix(rows, precision_bits=53):
+    return CurvatureMatrix(
+        point=(0,) * len(rows),
+        entries=tuple(tuple(mp.mpc(x) for x in row) for row in rows),
+        precision_bits=precision_bits,
+    )
+
+
+@SPECTRUM_SETTINGS
+@given(hermitian_2x2(), st.sampled_from([53, 80, 120]))
+def test_closed_form_spectrum_matches_eighe(abd, prec):
+    # mu and r carry a few roundings in units of scale = max |entry|; the
+    # near eigenvalue det/far carries the roundings of a d and |b|^2, at most
+    # scale^2 2^-prec each, divided by |far| = ||A||_2 >= scale.  Together
+    # they stay below 8 scale 2^-prec.
+    a, b, d = abd
+    H = _matrix(((a, b), (b.conjugate(), d)), precision_bits=prec)
+    got = H.spectrum
+    with mp.workprec(200):
+        ref = mp.eighe(mp.matrix([[mp.mpc(x) for x in row] for row in H.entries]), eigvals_only=True)
+        scale = max(abs(mp.mpc(x)) for row in H.entries for x in row)
+        bound = 8 * scale * mp.mpf(2) ** -prec
+        assert got[0] <= got[1]
+        assert all(abs(g - r) <= bound for g, r in zip(got, ref))
+
+
+@st.composite
+def hermitian_rows(draw):
+    m = draw(st.sampled_from([1, 3]))
+    B = [[complex(draw(_real), draw(_real)) for _ in range(m)] for _ in range(m)]
+    return [[B[i][j] + B[j][i].conjugate() for j in range(m)] for i in range(m)]
+
+
+@SPECTRUM_SETTINGS
+@given(hermitian_rows())
+def test_general_spectrum_matches_numpy(rows):
+    # mp.eighe at 80 bits against LAPACK in float64, whose own error grows
+    # with m: on 6000 seeded 3 x 3 matrices it reached 8.7 ulp * scale, so
+    # the bound is 4 m ulp * scale (exactly 4 ulp * scale for m = 1).
+    m = len(rows)
+    got = eigenvalues(_matrix(rows, precision_bits=80))
+    ref = np.linalg.eigvalsh(np.array(rows))
+    scale = max(abs(x) for row in rows for x in row)
+    assert list(got) == sorted(got)
+    assert all(abs(g - r) <= 4 * m * 2.0**-52 * scale for g, r in zip(got, ref))
+
+
+def test_eigenvalues_write_an_underflowing_negative_as_zero():
+    # mpmath has no float range: an eigenvalue below it rounds to a float
+    # zero, which is written as 0.0 and never as -0.0.
+    eigs = eigenvalues(_matrix([[mp.mpf("-1e-400")]]))
+    assert eigs == (0.0,)
+    assert str(eigs[0]) == "0.0"
+
+
+def test_one_spectrum_per_grid_point(monkeypatch, capsys, tmp_path):
+    # The single-weight report reads eigenvalues and psd from one spectrum
+    # per record, and psh_boundedness_report one per point.
+    calls = []
+    real = curvature_module._spectrum
+
+    def counting(entries, precision_bits):
+        calls.append(precision_bits)
+        return real(entries, precision_bits)
+
+    monkeypatch.setattr(curvature_module, "_spectrum", counting)
+    grid = radial_grid(2, 2, 4)
+    spec = tmp_path / "w.json"
+    spec.write_text('{"kind": "power", "n": 2, "m": 2}')
+    assert main(["curvature", "--weights", str(spec), "--grid", "radial:2x4"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_points"] == len(grid)
+    assert calls == [80] * len(grid)
+    calls.clear()
+    W = PerturbedPower(2, 2, 2)
+    psh_boundedness_report(W, W.base, grid, max_degree=40)
+    assert calls == [80] * len(grid)
+
+
 # -- differences -------------------------------------------------------------
 
 
 def test_difference_of_equal_weights_vanishes():
     W = PowerKernel(2, 2)
     D = curvature_difference(W, W, (0.2, 0.3j), max_degree=80, precision_bits=100)
-    assert float(np.max(np.abs(D.as_array()))) < 1e-20
+    assert float(np.max(np.abs(as_array(D)))) < 1e-20
 
 
 def test_difference_at_origin_counts_kernel_orders():
@@ -138,7 +252,7 @@ def test_difference_is_antisymmetric_in_arguments():
     w = (0.3, 0.2 - 0.1j)
     D12 = curvature_difference(W1, W2, w, max_degree=80, precision_bits=100)
     D21 = curvature_difference(W2, W1, w, max_degree=80, precision_bits=100)
-    assert float(np.max(np.abs(D12.as_array() + D21.as_array()))) < 1e-20
+    assert float(np.max(np.abs(as_array(D12) + as_array(D21)))) < 1e-20
 
 
 def test_constant_rescaling_has_zero_difference():
@@ -185,8 +299,8 @@ def test_unitary_covariance_of_radial_hessians(m, seed):
     W = PowerKernel(2, m)
     rng = random.Random(seed + 1)
     w = np.array([complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(m)])
-    H_w = log_metric_hessian(W, tuple(w), max_degree=40, precision_bits=100).as_array()
-    H_Uw = log_metric_hessian(W, tuple(U @ w), max_degree=40, precision_bits=100).as_array()
+    H_w = as_array(log_metric_hessian(W, tuple(w), max_degree=40, precision_bits=100))
+    H_Uw = as_array(log_metric_hessian(W, tuple(U @ w), max_degree=40, precision_bits=100))
     assert np.max(np.abs(H_Uw - U.conj() @ H_w @ U.T)) < 1e-9
 
 

@@ -27,7 +27,7 @@ from hypershift import hypercontraction, truncation
 from hypershift import multiindex as mi
 from hypershift.truncation import power_layers
 
-from helpers import random_table_weight, random_weight
+from helpers import dense_matrices, random_table_weight, random_weight
 
 F = Fraction
 
@@ -67,7 +67,7 @@ def test_line_model_is_the_unit_superdiagonal():
     assert tt.dimension == 4
     assert tt.basis == ((0,), (1,), (2,), (3,))
     assert tt.maps[0] == {1: (0, 1, 1), 2: (1, 1, 1), 3: (2, 1, 1)}
-    A = tt.dense_matrices()[0]
+    A = dense_matrices(tt)[0]
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 2] = expected[2, 3] = 1.0
     assert np.array_equal(A, expected)
@@ -77,7 +77,7 @@ def test_degree_zero_model_is_a_single_zero():
     tt = build_truncated(PowerKernel(2, 2), 0)
     assert tt.dimension == 1
     assert tt.maps == ({}, {})
-    assert all(np.array_equal(A, np.zeros((1, 1))) for A in tt.dense_matrices())
+    assert all(np.array_equal(A, np.zeros((1, 1))) for A in dense_matrices(tt))
     with pytest.raises(ValueError):
         build_truncated(PowerKernel(2, 2), -1)
 
@@ -292,7 +292,7 @@ def _expand(op):
 def _dense_defect_reference(tt, k):
     # The dense defect as first written: every power multiplied out from the
     # identity, each term scaled before it is added.
-    mats = tt.dense_matrices()
+    mats = dense_matrices(tt)
     dim = tt.dimension
     out = np.zeros((dim, dim))
     for beta in mi.enumerate_leq_degree(tt.weight.m, k):
@@ -316,7 +316,7 @@ def test_dense_defect_is_bitwise_the_reference_formula():
 
 def _dense_commutator_reference(tt):
     # max |T_i T_j - T_j T_i| over all pairs, with dense numpy products.
-    mats = tt.dense_matrices()
+    mats = dense_matrices(tt)
     worst = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
