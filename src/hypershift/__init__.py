@@ -79,11 +79,10 @@ _LAZY = {
                 "CurvatureMatrix",
                 "PshPoint",
                 "PshReport",
-                "curvature_difference",
+                "curvature_points",
                 "default_grid",
                 "eigenvalues",
                 "finite_diff_check",
-                "log_metric_hessian",
                 "psd_check",
                 "psh_boundedness_report",
                 "radial_grid",

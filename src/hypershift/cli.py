@@ -226,13 +226,7 @@ def cmd_similarity_scan(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    from .curvature import (
-        check_tol,
-        eigenvalues,
-        log_metric_hessians,
-        psd_check,
-        psh_boundedness_report,
-    )
+    from .curvature import check_tol, curvature_points, psd_check, psh_boundedness_report
 
     weights = [_load_weight(p) for p in args.weights]
     m = weights[0].m
@@ -242,18 +236,14 @@ def cmd_curvature(args) -> int:
     if len(weights) == 1:
         W = weights[0]
         check_tol(args.tol)  # before the grid's jets, as the pair report does
-        records = []
-        for w, H in zip(grid, log_metric_hessians(W, grid, max_degree=deg, precision_bits=prec)):
-            eigs = eigenvalues(H)
-            records.append(
-                {
-                    "w": w,
-                    "hessian": H.entries,
-                    "eigenvalues": eigs,
-                    "min_eig": eigs[0],
-                    "psd": psd_check(H, tol=args.tol),
-                }
-            )
+        records = [
+            {
+                **rpt.pick(p, "w", "eigenvalues", "min_eig"),
+                "hessian": p.hessian.entries,
+                "psd": psd_check(p.hessian, tol=args.tol),
+            }
+            for p in curvature_points([W], grid, max_degree=deg, precision_bits=prec)
+        ]
         report = {
             "schema_version": rpt.SCHEMA_VERSION,
             "command": "curvature",

@@ -9,7 +9,8 @@ computed from high-precision series jets.  The curvature form of the
 associated Hermitian line bundle is -H; sign conventions are kept explicit
 at the call sites rather than baked in.  For two metrics, psi = log(h1/h2)
 is plurisubharmonic iff H(h1) - H(h2) is positive semidefinite, which is
-what the grid reports check.
+what the grid reports check.  ``curvature_points`` is the one place these
+matrices are built, for one metric or for a pair.
 """
 
 from __future__ import annotations
@@ -85,71 +86,64 @@ def _hessian_from_jet(jet) -> list[list[mp.mpc]]:
     return out
 
 
-def _hessian_difference(w, jet1, jet2) -> CurvatureMatrix:
-    """H(h1) - H(h2) at w from the two metric jets there."""
-    rows = tuple(
-        tuple(x - y for x, y in zip(ra, rb))
-        for ra, rb in zip(_hessian_from_jet(jet1), _hessian_from_jet(jet2))
-    )
-    return CurvatureMatrix(
-        point=tuple(mp.mpc(x) for x in w), entries=rows, precision_bits=mp.mp.prec
-    )
+@dataclass(frozen=True)
+class PshPoint:
+    """psi and its mixed Hessian at the grid point w; the eigenvalues are
+    read from the Hessian's spectrum."""
+
+    w: tuple
+    psi: float
+    hessian: CurvatureMatrix
+
+    @property
+    def eigenvalues(self) -> tuple[float, ...]:
+        return eigenvalues(self.hessian)
+
+    @property
+    def min_eig(self) -> float:
+        return self.eigenvalues[0]
 
 
-def _log_hessian(w, jet) -> CurvatureMatrix:
-    """H(h) at w from the metric jet there."""
-    return CurvatureMatrix(
-        point=tuple(mp.mpc(x) for x in w),
-        entries=tuple(tuple(row) for row in _hessian_from_jet(jet)),
-        precision_bits=mp.mp.prec,
-    )
-
-
-def log_metric_hessian(
-    W: WeightFunction,
-    w,
-    max_degree: int = 40,
-    precision_bits: int = 80,
-) -> CurvatureMatrix:
-    """Mixed Hessian of log h at w; exact at w = 0 where it equals
-    diag(rho(e_i)/rho(0))."""
-    with mp.workprec(precision_bits):
-        jet = metric_jet(W, w, max_degree=max_degree, precision_bits=precision_bits)
-        return _log_hessian(w, jet)
-
-
-def log_metric_hessians(
-    W: WeightFunction,
+def curvature_points(
+    weights,
     grid,
     max_degree: int = 40,
     precision_bits: int = 80,
-) -> list[CurvatureMatrix]:
-    """``log_metric_hessian`` at every grid point, in grid order, from one
-    ``metric_jets`` call over the grid."""
-    grid = list(grid)
-    with mp.workprec(precision_bits):
-        jets = metric_jets([W], grid, max_degree=max_degree, precision_bits=precision_bits)
-        return [_log_hessian(w, jet) for w, (jet,) in zip(grid, jets)]
+) -> list[PshPoint]:
+    """psi and its mixed Hessian at every grid point, in grid order, from
+    one ``metric_jets`` call over the grid.
 
-
-def curvature_difference(
-    W1: WeightFunction,
-    W2: WeightFunction,
-    w,
-    max_degree: int = 40,
-    precision_bits: int = 80,
-) -> CurvatureMatrix:
-    """Hessian of log(h1/h2) = H(h1) - H(h2) at w, in this argument order.
-
-    The sign convention is carried by the argument order alone; swapping
-    the weights negates the result.
+    For one weight psi = log h, whose Hessian at w = 0 is exactly
+    diag(rho(e_i)/rho(0)).  For a pair (W1, W2), psi = log h1 - log h2 and
+    its Hessian is H(h1) - H(h2); the sign convention is carried by the
+    argument order alone, so swapping the weights negates both.  Raises
+    ValueError unless there are one or two weights of one dimension.
     """
-    if W1.m != W2.m:
-        raise ValueError(f"weights have dimensions {W1.m} and {W2.m}")
+    weights = list(weights)
+    if len(weights) not in (1, 2):
+        raise ValueError(f"curvature needs one or two weights, got {len(weights)}")
+    if weights[0].m != weights[-1].m:
+        raise ValueError(f"weights have dimensions {weights[0].m} and {weights[1].m}")
+    grid = list(grid)
+    points = []
     with mp.workprec(precision_bits):
-        jet1 = metric_jet(W1, w, max_degree=max_degree, precision_bits=precision_bits)
-        jet2 = metric_jet(W2, w, max_degree=max_degree, precision_bits=precision_bits)
-        return _hessian_difference(w, jet1, jet2)
+        jets = metric_jets(weights, grid, max_degree=max_degree, precision_bits=precision_bits)
+        for w, (jet, *rest) in zip(grid, jets):
+            psi = mp.log(jet.h)
+            rows = _hessian_from_jet(jet)
+            for other in rest:
+                psi -= mp.log(other.h)
+                rows = [
+                    [x - y for x, y in zip(ra, rb)]
+                    for ra, rb in zip(rows, _hessian_from_jet(other))
+                ]
+            H = CurvatureMatrix(
+                point=tuple(mp.mpc(x) for x in w),
+                entries=tuple(tuple(row) for row in rows),
+                precision_bits=precision_bits,
+            )
+            points.append(PshPoint(w=tuple(w), psi=float(psi), hessian=H))
+    return points
 
 
 def check_tol(tol: float) -> None:
@@ -229,8 +223,8 @@ def finite_diff_check(
             mm = f(_displace(_displace(w, ci, pi, -step), cj, pj, -step))
             return (pp - pm - mp_ + mm) / (4 * h * h)
 
-        analytic = log_metric_hessian(
-            W, w, max_degree=max_degree, precision_bits=precision_bits
+        (analytic,) = curvature_points(
+            [W], [w], max_degree=max_degree, precision_bits=precision_bits
         )
         worst = mp.mpf(0)
         for i in range(m):
@@ -240,7 +234,7 @@ def finite_diff_check(
                     + second(i, "im", j, "im")
                     + mp.mpc(0, 1) * (second(i, "re", j, "im") - second(i, "im", j, "re"))
                 ) / 4
-                dev = abs(fd - analytic.entries[i][j])
+                dev = abs(fd - analytic.hessian.entries[i][j])
                 if dev > worst:
                     worst = dev
         return float(worst)
@@ -292,18 +286,6 @@ def radial_grid(m: int, steps: int, angles: int, max_radius: float = 0.95) -> li
 
 
 @dataclass(frozen=True)
-class PshPoint:
-    w: tuple
-    psi: float
-    hessian: CurvatureMatrix
-    eigenvalues: tuple
-
-    @property
-    def min_eig(self) -> float:
-        return self.eigenvalues[0]
-
-
-@dataclass(frozen=True)
 class PshReport:
     """Grid summary for psi = log(h1/h2): value range, worst Hessian
     eigenvalue, and a radial trend heuristic.
@@ -334,28 +316,16 @@ def psh_boundedness_report(
     precision_bits: int = 80,
     psd_tol: float = 1e-10,
 ) -> PshReport:
-    """Evaluate psi = log(h1/h2) and its Hessian over the grid.
-
-    One ``metric_jets`` call yields one jet per weight per point: psi comes
-    from the jets' values and the Hessian of psi from the same jets.  A
-    psd_tol that is negative or not finite raises ValueError before any jet
-    runs.
+    """Evaluate psi = log(h1/h2) and its Hessian over the grid from
+    ``curvature_points``.  A psd_tol that is negative or not finite raises
+    ValueError before any jet runs.
     """
     check_tol(psd_tol)
-    if W1.m != W2.m:
-        raise ValueError(f"weights have dimensions {W1.m} and {W2.m}")
-    grid = list(grid)
-    if not grid:
+    records = curvature_points(
+        [W1, W2], grid, max_degree=max_degree, precision_bits=precision_bits
+    )
+    if not records:
         raise ValueError("grid must be nonempty")
-    records: list[PshPoint] = []
-    with mp.workprec(precision_bits):
-        jets = metric_jets([W1, W2], grid, max_degree=max_degree, precision_bits=precision_bits)
-        for w, (jet1, jet2) in zip(grid, jets):
-            psi = float(mp.log(jet1.h) - mp.log(jet2.h))
-            H = _hessian_difference(w, jet1, jet2)
-            records.append(
-                PshPoint(w=tuple(w), psi=psi, hessian=H, eigenvalues=eigenvalues(H))
-            )
 
     lo = min(records, key=lambda r: r.psi)
     hi = max(records, key=lambda r: r.psi)

@@ -820,8 +820,10 @@ def metric_jets(
     that point alone, and the errors come in the order of evaluating the
     points one by one and, at each point, the weights in order.
 
-    Raises BallDomainError if |w| >= 1 and TailUnreliableError when no
-    rigorous tail bound exists at this truncation degree.
+    Raises BallDomainError if |w| >= 1, and TailUnreliableError when no
+    rigorous tail bound exists at this truncation degree or the truncated
+    h is not positive (negative corrections outweighing a short base
+    series), since such a value is not a metric.
     """
     import mpmath as mp
 
@@ -878,7 +880,13 @@ def metric_jets(
                 assembly = assemblies.get(key)
                 if assembly is None:
                     assembly = assemblies[key] = _base_assembly(base, wv, t, max_degree)
-                jets.append(_corrected_jet(assembly, entries, wv, power, max_degree))
+                jet = _corrected_jet(assembly, entries, wv, power, max_degree)
+                if jet.h <= 0:
+                    raise TailUnreliableError(
+                        f"truncated metric h = {float(jet.h):.6g} is not positive at "
+                        f"|w|^2 = {float(t):.6f}; increase the truncation degree"
+                    )
+                jets.append(jet)
             out.append(tuple(jets))
     return out
 

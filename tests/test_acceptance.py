@@ -23,8 +23,8 @@ from hypershift import (
     decay_curve,
     defect_diag,
     defect_operator,
+    curvature_points,
     finite_diff_check,
-    log_metric_hessian,
     necessary_condition,
     ray_ratio_sq,
     ray_ratio_sq_literal,
@@ -161,16 +161,18 @@ def test_criterion_5_counterexample_reproduction():
 def test_criterion_6_curvature_numerics():
     for n in (1, 2, 3):
         for m in (1, 2, 3):
-            H = log_metric_hessian(PowerKernel(n, m), (0.0,) * m, max_degree=40)
+            (p,) = curvature_points([PowerKernel(n, m)], [(0.0,) * m], max_degree=40)
+            H = p.hessian
             for i in range(m):
                 for j in range(m):
                     expected = n if i == j else 0
                     assert abs(complex(H.entries[i][j]) - expected) < 1e-9
 
     for n in (1, 2, 3):
-        H = log_metric_hessian(
-            PowerKernel(n, 1), (0.5,), max_degree=100, precision_bits=100
+        (p,) = curvature_points(
+            [PowerKernel(n, 1)], [(0.5,)], max_degree=100, precision_bits=100
         )
+        H = p.hessian
         assert abs(complex(H.entries[0][0]) - 16 * n / 9) < 1e-8
 
     rng = random.Random(4045)

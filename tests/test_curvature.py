@@ -20,11 +20,10 @@ from hypershift import (
     PowerKernel,
     RadialWeight,
     TableWeight,
-    curvature_difference,
+    curvature_points,
     default_grid,
     eigenvalues,
     finite_diff_check,
-    log_metric_hessian,
     metric_jet,
     psd_check,
     psh_boundedness_report,
@@ -34,6 +33,18 @@ from hypershift.cli import main
 from helpers import as_array
 
 F = Fraction
+
+
+def log_metric_hessian(W, w, **kwargs):
+    """The Hessian of log h at the single point w."""
+    (point,) = curvature_points([W], [w], **kwargs)
+    return point.hessian
+
+
+def curvature_difference(W1, W2, w, **kwargs):
+    """The Hessian of log(h1/h2) at the single point w."""
+    (point,) = curvature_points([W1, W2], [w], **kwargs)
+    return point.hessian
 
 
 def hermitian_dev(H):
@@ -462,11 +473,43 @@ def test_psh_report_equals_the_four_jet_composition(kind, bits):
 def test_grid_log_hessians_equal_the_per_point_ones(kind):
     grid = radial_grid(2, 2, 4)
     W = _psh_pair(kind)[0]
-    got = curvature_module.log_metric_hessians(W, grid, max_degree=60, precision_bits=120)
+    got = curvature_points([W], grid, max_degree=60, precision_bits=120)
     assert len(got) == len(grid)
-    for H, w in zip(got, grid):
+    for p, w in zip(got, grid):
+        H = p.hessian
         ref = log_metric_hessian(_psh_pair(kind)[0], w, max_degree=60, precision_bits=120)
         assert (H.point, H.entries) == (ref.point, ref.entries)
+
+
+def test_pair_point_is_the_difference_of_the_single_points():
+    grid = radial_grid(2, 2, 4)
+    for kind in ("perturbed45", "polynomial"):
+        W1, W2 = _psh_pair(kind)
+        pair = curvature_points([W1, W2], grid, max_degree=60, precision_bits=120)
+        ones = curvature_points([W1], grid, max_degree=60, precision_bits=120)
+        twos = curvature_points([W2], grid, max_degree=60, precision_bits=120)
+        assert len(pair) == len(grid)
+        for p, p1, p2, w in zip(pair, ones, twos, grid):
+            with mp.workprec(120):
+                diff = tuple(
+                    tuple(x - y for x, y in zip(ra, rb))
+                    for ra, rb in zip(p1.hessian.entries, p2.hessian.entries)
+                )
+                h1 = metric_jet(W1, w, max_degree=60, precision_bits=120).h
+                h2 = metric_jet(W2, w, max_degree=60, precision_bits=120).h
+                assert p.psi == float(mp.log(h1) - mp.log(h2))
+                assert p1.psi == float(mp.log(h1))
+            assert p.hessian.entries == diff
+            assert p.hessian.point == p1.hessian.point
+            assert p.w == w
+    W = PowerKernel(2, 2)
+    for weights, message in (
+        ([], "one or two weights, got 0"),
+        ([W, W, W], "one or two weights, got 3"),
+        ([W, PowerKernel(2, 1)], "weights have dimensions 2 and 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            curvature_points(weights, [(0.0, 0.0)])
 
 
 def test_psh_report_takes_one_jet_per_weight_per_point(monkeypatch):

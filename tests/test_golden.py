@@ -22,8 +22,8 @@ def _scan(command, weight, *args):
     return [command, "--weights", str(DATA / weight), *args]
 
 
-def _curvature(*names):
-    argv = ["curvature", "--grid", "radial:2x4"]
+def _curvature(*names, grid="radial:2x4"):
+    argv = ["curvature", "--grid", grid]
     for name in names:
         argv += ["--weights", str(DATA / f"{name}.json")]
     return argv
@@ -49,6 +49,17 @@ _CURVATURE_REFUSALS = {
         (("explicit3", "table_nofallback"), 2),
         (("table_nofallback", "explicit3"), 3),
     ]
+}
+
+# A power:1 table with rho = 1/1000 on degrees 1 to 6: truncated at degree
+# 0, its base series no longer outweighs the negative corrections, and h is
+# -3.25 at |w| = 0.95.  That is no metric, so it is refused (exit 3) alone
+# and as either weight of a pair.
+_NONPOSITIVE_REFUSALS = {
+    "curvature_" + "_".join(names) + ".err": (
+        3, _curvature(*names, grid="radial:2x1") + ["--eval-degree", "0"]
+    )
+    for names in [("table_thin",), ("table_thin", "power12"), ("power12", "table_thin")]
 }
 
 
@@ -111,6 +122,7 @@ CASES = {
         _scan("curvature", "perturbed45.json", "--grid", "radial:3x4"),
     ),
     **_CURVATURE_REFUSALS,
+    **_NONPOSITIVE_REFUSALS,
     # power(1,2) against power(3,2): the ray ratios keep widening with the
     # ray length, so the scan flags growth and the report carries a witness.
     "similarity_scan_power12_power32.json": (

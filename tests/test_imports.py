@@ -127,11 +127,16 @@ def test_subcommand_loads_only_its_numerics(argv, loaded):
 
 
 @pytest.mark.parametrize(
-    "name", ["example45_eval40.json", "curvature_perturbed45_m3_power23_2x4.json"]
+    "name",
+    [
+        "example45_eval40.json",
+        "curvature_perturbed45_m3_power23_2x4.json",
+        "curvature_perturbed45_3x4.json",
+    ],
 )
 def test_golden_report_without_numpy(name):
     # The m = 3 pair takes the general eigenvalue path, example45 the m = 2
-    # closed form.
+    # closed form, and the perturbed weight alone the single-weight report.
     code, argv = CASES[name]
     result = json.loads(run_python(NO_NUMPY_PROBE, json.dumps(argv)))
     assert result["code"] == code
@@ -149,6 +154,6 @@ def test_every_exported_name_resolves():
         "print(len(hypershift.__all__), missing, unlisted, unstarred)"
     )
     count, rest = out.split(" ", 1)
-    # 34 names of the exact core and 28 resolved on first use.
-    assert int(count) == 62
+    # 34 names of the exact core and 27 resolved on first use.
+    assert int(count) == 61
     assert rest.strip() == "[] [] []"
