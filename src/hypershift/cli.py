@@ -220,7 +220,7 @@ def cmd_similarity_scan(args) -> int:
     if args.format == "csv":
         csv_text = rpt.render_csv(
             ["degree", "direction", "length", "ratio_sq"],
-            [[mi.degree(c.alpha), c.direction, c.length, float(c.value)] for c in res.cells],
+            ([mi.degree(alpha), i, l, float(r)] for alpha, i, l, r in res.cells()),
         )
     return _emit(report, args, csv_text=csv_text)
 

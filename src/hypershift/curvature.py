@@ -89,13 +89,13 @@ def _hessian_from_jet(jet) -> list[list[mp.mpc]]:
 @dataclass(frozen=True)
 class PshPoint:
     """psi and its mixed Hessian at the grid point w; the eigenvalues are
-    read from the Hessian's spectrum."""
+    rounded from the Hessian's spectrum once, on first read."""
 
     w: tuple
     psi: float
     hessian: CurvatureMatrix
 
-    @property
+    @cached_property
     def eigenvalues(self) -> tuple[float, ...]:
         return eigenvalues(self.hessian)
 

@@ -19,8 +19,9 @@ recurrence
     d_0 = 1,    d_k(alpha) = d_{k-1}(alpha) - sum_{i: alpha_i > 0} s_i(alpha) d_{k-1}(alpha - e_i),
 
 so degree layer N needs only layer N - 1.  The unit steps come from the
-weight's ``metric_decomposition``: off its finitely many corrections C, rho
-is the radial base a(|alpha|) |alpha|!/alpha!, where
+weight's ``metric_decomposition``, read through ``weights.radial_split``
+(which the similarity scan shares): off its finitely many corrections C,
+rho is the radial base a(|alpha|) |alpha|!/alpha!, where
 
     s_i(alpha) = alpha_i c_N,    c_N = a(N - 1) / (N a(N)),    N = |alpha|.
 
@@ -53,9 +54,9 @@ from math import comb, gcd
 from typing import Iterator
 
 from . import multiindex as mi
-from .errors import DimensionMismatch, TailUnreliableError, WeightDomainError
+from .errors import DimensionMismatch
 from .multiindex import MultiIndex
-from .weights import RadialSequence, WeightFunction
+from .weights import RadialSequence, WeightFunction, radial_split
 
 
 def defect_diag(W: WeightFunction, k: int, alpha: MultiIndex) -> Fraction:
@@ -88,15 +89,9 @@ def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
     units = [mi.unit(m, i) for i in range(m)]
     # Cone indices in `exact` (a correction or one step above one) take
     # W.rho_ratio; all others take alpha_i times the layer factor
-    # c = a(N-1)/(N a(N)).  A weight with no base, or a table whose fallback
-    # is undefined at one of its entries, puts every index in the cone and
-    # takes W.rho_ratio everywhere, so it fails, if at all, at the same
-    # index as a per-index scan.
-    try:
-        base, corrections = W.metric_decomposition()
-    except (TailUnreliableError, WeightDomainError):
-        base, corrections = None, []
-    exact = {alpha for alpha, _ in corrections}
+    # c = a(N-1)/(N a(N)).  A weight with no base puts every index in the
+    # cone and takes W.rho_ratio everywhere.
+    base, exact = radial_split(W)
     cones: dict[int, set[MultiIndex]] = {}
     for alpha in exact:
         for beta in mi.enumerate_leq_degree(m, n):

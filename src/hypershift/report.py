@@ -15,6 +15,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from typing import Iterable
 
 SCHEMA_VERSION = 1
 
@@ -78,7 +79,7 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def render_csv(header: list[str], rows: list[list]) -> str:
+def render_csv(header: list[str], rows: Iterable[list]) -> str:
     """Simple CSV: numeric cells formatted at 17 significant digits, other
     cells str()'d; no quoting is ever needed for the values emitted here."""
     out = [",".join(header)]

@@ -9,6 +9,23 @@ through l + 1 steps telescopes to a single quotient of weight ratios:
     R(alpha, i, l) = [rho_1(alpha)/rho_1(alpha + (l+1) e_i)]
                    / [rho_2(alpha)/rho_2(alpha + (l+1) e_i)].
 
+Off the finitely many corrections C of two weights with radial bases a_1
+and a_2 (``weights.radial_split``), rho_k(alpha) = a_k(|alpha|) |alpha|!/alpha!
+and the multinomial factors cancel, so with N = |alpha|
+
+    R(alpha, i, l) = q(N + l + 1) / q(N),    q = a_2 / a_1,
+
+a function of (N, l) alone.  ``similarity_scan`` therefore computes one
+ratio per (N, l), at the first cell of that pair in scan order whose base
+point and top alpha + (l+1) e_i both lie outside C, and exact ratios only at
+cells that touch C.  A ray whose cells are all off C and whose degree row is
+already filled is skipped whole.  A scan over |alpha| <= D and lengths
+0..L thus makes at most (D + 1)(L + 1) table calls to ``ray_ratio_sq`` plus
+one per cell touching C, instead of one per cell, C(D + m, m) m (L + 1);
+the remaining per-ray work is a set lookup.  When either weight has no
+radial base every cell is computed exactly, as a per-cell scan would, so a
+weight that fails fails at the same cell with the same error.
+
 Exact rational arithmetic throughout.
 """
 
@@ -16,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import multiindex as mi
 from .multiindex import MultiIndex
-from .weights import WeightFunction
+from .weights import WeightFunction, radial_split
 
 
 def _check_pair(W1: WeightFunction, W2: WeightFunction) -> None:
@@ -83,10 +101,15 @@ class RatioScanReport:
     over lengths 0..ray_length//2; the verdict is "growth-flagged" when
     spread >= growth_factor * spread_half, else "bounded-in-scan".  The flag
     is a heuristic: a finite scan cannot certify unboundedness, it can only
-    notice the window extremes still widening with ray length.  ``cells``
-    holds every scanned ratio in scan order.
+    notice the window extremes still widening with ray length.
+
+    The scanned ratios are kept as ``table`` ((|alpha|, length) -> ratio,
+    shared by every cell off the corrections) and ``exact`` ((alpha,
+    direction, length) -> ratio, every other cell); ``cells()`` expands
+    them in scan order.
     """
 
+    m: int
     base_degree: int
     ray_length: int
     growth_factor: Fraction
@@ -97,7 +120,71 @@ class RatioScanReport:
     spread: Fraction
     spread_half: Fraction
     verdict: str
-    cells: tuple  # RayWitness per (alpha, direction, length), scan order
+    table: dict
+    exact: dict
+
+    def cells(self) -> Iterator[tuple[MultiIndex, int, int, Fraction]]:
+        """(alpha, direction, length, ratio) for every scanned cell, in scan
+        order."""
+        table, exact = self.table, self.exact
+        for alpha in mi.enumerate_leq_degree(self.m, self.base_degree):
+            N = mi.degree(alpha)
+            for i in range(self.m):
+                for l in range(self.ray_length + 1):
+                    r = exact.get((alpha, i, l))
+                    yield alpha, i, l, table[N, l] if r is None else r
+
+
+def _scanned_cells(
+    W1: WeightFunction,
+    W2: WeightFunction,
+    base_degree: int,
+    ray_length: int,
+    table: dict,
+    exact: dict,
+) -> Iterator[tuple[MultiIndex, int, int, Fraction]]:
+    """Yield (alpha, direction, length, ratio) for every cell whose ratio is
+    computed, in scan order, filling ``table`` and ``exact`` as it goes.
+
+    Every cell not yielded repeats a (degree, length) entry yielded before
+    it, so its ratio equals an earlier one.
+    """
+    m = W1.m
+    base1, corrected1 = radial_split(W1)
+    base2, corrected2 = radial_split(W2)
+    tabled = base1 is not None and base2 is not None
+    corrected = corrected1 | corrected2
+    # (alpha, i) -> lengths l whose top alpha + (l+1) e_i is corrected.
+    hits: dict[tuple[MultiIndex, int], set[int]] = {}
+    for c in corrected:
+        for i in range(m):
+            for steps in range(1, min(c[i], ray_length + 1) + 1):
+                alpha = c[:i] + (c[i] - steps,) + c[i + 1 :]
+                hits.setdefault((alpha, i), set()).add(steps - 1)
+    lengths = range(ray_length + 1)
+    filled: dict[int, int] = {}  # degree -> table entries filled
+    for alpha in mi.enumerate_leq_degree(m, base_degree):
+        N = mi.degree(alpha)
+        for i in range(m):
+            if not tabled or alpha in corrected:
+                for l in lengths:
+                    r = exact[alpha, i, l] = ray_ratio_sq(W1, W2, alpha, i, l)
+                    yield alpha, i, l, r
+                continue
+            ray_hits = hits.get((alpha, i), ())
+            if filled.get(N) == ray_length + 1:
+                todo = sorted(ray_hits)  # the table row is full
+            else:
+                todo = lengths
+            for l in todo:
+                if l in ray_hits:
+                    r = exact[alpha, i, l] = ray_ratio_sq(W1, W2, alpha, i, l)
+                elif (N, l) in table:
+                    continue
+                else:
+                    r = table[N, l] = ray_ratio_sq(W1, W2, alpha, i, l)
+                    filled[N] = filled.get(N, 0) + 1
+                yield alpha, i, l, r
 
 
 def similarity_scan(
@@ -111,6 +198,8 @@ def similarity_scan(
 
     Base points run in graded lexicographic order, directions ascending,
     lengths ascending, so witnesses are the first extreme in that order.
+    Only computed cells are compared: a cell read from the table repeats a
+    value compared before it and cannot be a first extreme.
     """
     _check_pair(W1, W2)
     if base_degree < 0 or ray_length < 0:
@@ -119,37 +208,36 @@ def similarity_scan(
     if growth_factor <= 1:
         raise ValueError("growth_factor must exceed 1")
     half = ray_length // 2
-    lo = hi = None
+    lo = hi = None  # (alpha, direction, length, ratio)
     lo_half = hi_half = None
-    cells = []
-    for alpha in mi.enumerate_leq_degree(W1.m, base_degree):
-        for i in range(W1.m):
-            for l in range(ray_length + 1):
-                r = ray_ratio_sq(W1, W2, alpha, i, l)
-                wit = RayWitness(alpha=alpha, direction=i, length=l, value=r)
-                cells.append(wit)
-                if lo is None or r < lo.value:
-                    lo = wit
-                if hi is None or r > hi.value:
-                    hi = wit
-                if l <= half:
-                    if lo_half is None or r < lo_half:
-                        lo_half = r
-                    if hi_half is None or r > hi_half:
-                        hi_half = r
-    spread = hi.value / lo.value
+    table: dict[tuple[int, int], Fraction] = {}
+    exact: dict[tuple[MultiIndex, int, int], Fraction] = {}
+    for cell in _scanned_cells(W1, W2, base_degree, ray_length, table, exact):
+        r = cell[3]
+        if lo is None or r < lo[3]:
+            lo = cell
+        if hi is None or r > hi[3]:
+            hi = cell
+        if cell[2] <= half:
+            if lo_half is None or r < lo_half:
+                lo_half = r
+            if hi_half is None or r > hi_half:
+                hi_half = r
+    spread = hi[3] / lo[3]
     spread_half = hi_half / lo_half
     flagged = spread >= growth_factor * spread_half
     return RatioScanReport(
+        m=W1.m,
         base_degree=base_degree,
         ray_length=ray_length,
         growth_factor=growth_factor,
-        min_ratio_sq=lo.value,
-        max_ratio_sq=hi.value,
-        argmin=lo,
-        argmax=hi,
+        min_ratio_sq=lo[3],
+        max_ratio_sq=hi[3],
+        argmin=RayWitness(*lo),
+        argmax=RayWitness(*hi),
         spread=spread,
         spread_half=spread_half,
         verdict="growth-flagged" if flagged else "bounded-in-scan",
-        cells=tuple(cells),
+        table=table,
+        exact=exact,
     )

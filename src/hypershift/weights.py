@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import TYPE_CHECKING
 
 from . import multiindex as mi
@@ -45,14 +45,6 @@ from .report import frac_str
 # layers (rho, rho_ratio, the defect engine) load without it.
 if TYPE_CHECKING:
     import mpmath as mp
-
-
-def _falling(x: int, k: int) -> int:
-    """Falling factorial x (x-1) ... (x-k+1)."""
-    out = 1
-    for t in range(k):
-        out *= x - t
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +353,12 @@ class RadialWeight(WeightFunction):
         for a, b in zip(alpha, beta):
             if b > a:
                 raise ValueError(f"{beta!r} is not dominated by {alpha!r}")
-            num *= _falling(a, b)
+            num *= perm(a, b)
             b_deg += b
         d = mi.degree(alpha)
         factor = self._radial_factor.get((d, b_deg))
         if factor is None:
-            factor = self.sequence.value(d - b_deg) / (self.sequence.value(d) * _falling(d, b_deg))
+            factor = self.sequence.value(d - b_deg) / (self.sequence.value(d) * perm(d, b_deg))
             self._radial_factor[(d, b_deg)] = factor
         return factor * num
 
@@ -551,6 +543,23 @@ class PerturbedPower(WeightFunction):
 
     def spec_dict(self) -> dict:
         return {"kind": "perturbed45", "n": self.n, "m": self.m, "L": self.blocks}
+
+
+def radial_split(W: WeightFunction) -> tuple[RadialSequence | None, frozenset]:
+    """(base, corrected indices) from W's ``metric_decomposition``.
+
+    rho equals the radial base a(|alpha|) |alpha|!/alpha! at every index
+    outside the finite corrected set, so the exact scans read it from the
+    base there.  A weight with no radial base, or a table whose fallback is
+    undefined at one of its entries, gives (None, frozenset()): the scans
+    then read rho at every index, and fail, if at all, where a per-index
+    scan fails.
+    """
+    try:
+        base, corrections = W.metric_decomposition()
+    except (TailUnreliableError, WeightDomainError):
+        return None, frozenset()
+    return base, frozenset(alpha for alpha, _ in corrections)
 
 
 # ---------------------------------------------------------------------------

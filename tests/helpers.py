@@ -1,5 +1,6 @@
-"""Shared builders for randomized test weights, and the dense numpy
-references the float paths are tested against.
+"""Shared builders for randomized test weights, the dense numpy references
+the float paths are tested against, and the per-cell similarity scan the
+tabled one is tested against.
 
 Everything takes an explicit random.Random so tests stay reproducible; no
 module-level RNG state.  numpy is a test dependency only: the package itself
@@ -8,6 +9,7 @@ never imports it.
 
 from fractions import Fraction
 from math import sqrt
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,7 +20,9 @@ from hypershift import (
     PowerKernel,
     PowerSequence,
     RadialWeight,
+    RayWitness,
     TableWeight,
+    ray_ratio_sq,
 )
 from hypershift import multiindex as mi
 
@@ -72,3 +76,41 @@ def dense_matrices(tt):
             A[row, col] = sqrt(p / q)
         mats.append(A)
     return mats
+
+
+def reference_similarity_scan(W1, W2, base_degree, ray_length, growth_factor=Fraction(2)):
+    """The per-cell similarity scan: ``ray_ratio_sq`` at every cell in scan
+    order (graded-lex base points, directions, lengths), keeping the first
+    extremes.  ``cells`` lists every cell as a RayWitness."""
+    half = ray_length // 2
+    lo = hi = None
+    lo_half = hi_half = None
+    cells = []
+    for alpha in mi.enumerate_leq_degree(W1.m, base_degree):
+        for i in range(W1.m):
+            for l in range(ray_length + 1):
+                r = ray_ratio_sq(W1, W2, alpha, i, l)
+                wit = RayWitness(alpha=alpha, direction=i, length=l, value=r)
+                cells.append(wit)
+                if lo is None or r < lo.value:
+                    lo = wit
+                if hi is None or r > hi.value:
+                    hi = wit
+                if l <= half:
+                    if lo_half is None or r < lo_half:
+                        lo_half = r
+                    if hi_half is None or r > hi_half:
+                        hi_half = r
+    spread = hi.value / lo.value
+    spread_half = hi_half / lo_half
+    flagged = spread >= growth_factor * spread_half
+    return SimpleNamespace(
+        min_ratio_sq=lo.value,
+        max_ratio_sq=hi.value,
+        argmin=lo,
+        argmax=hi,
+        spread=spread,
+        spread_half=spread_half,
+        verdict="growth-flagged" if flagged else "bounded-in-scan",
+        cells=cells,
+    )

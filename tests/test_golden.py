@@ -62,6 +62,28 @@ _NONPOSITIVE_REFUSALS = {
     for names in [("table_thin",), ("table_thin", "power12"), ("power12", "table_thin")]
 }
 
+# Ray scans that reach an undefined weight value exit 2 with the first
+# failing cell's error: an explicit list of three terms and a cubic with
+# a(3) = 0 both fail at degree 3 on the ray from the origin (the first
+# weight's error wins between the two), and a table without a fallback at
+# (2, 0).
+_SIMILARITY_REFUSALS = {
+    f"similarity_scan_{a}_{b}.err": (
+        2,
+        [
+            "similarity-scan", "--weights", str(DATA / f"{a}.json"),
+            "--weights", str(DATA / f"{b}.json"), "--degree", "2", "--ray-length", "3",
+        ],
+    )
+    for a, b in [
+        ("explicit3", "power22"),
+        ("poly_drop", "power22"),
+        ("explicit3", "poly_drop"),
+        ("poly_drop", "explicit3"),
+        ("table_nofallback", "power22"),
+    ]
+}
+
 
 CASES = {
     "example45_eval40.json": (0, ["example45", "--eval-degree", "40"]),
@@ -154,6 +176,25 @@ CASES = {
             "--format",
             "csv",
         ],
+    ),
+    **_SIMILARITY_REFUSALS,
+    # Rays through the halved table entry (2, 3) against the power base,
+    # every cell in scan order.
+    "similarity_scan_table_halved_power22.csv": (
+        0,
+        _scan(
+            "similarity-scan", "table_power2_halved.json", "--weights",
+            str(DATA / "power22.json"), "--degree", "6", "--ray-length", "6", "--format", "csv",
+        ),
+    ),
+    # The counterexample against its base: the ray from (2, 0) in direction
+    # 1 tops out at the halved entry (2, 511), where the ratio is 2.
+    "similarity_scan_perturbed45_power22_l520.json": (
+        1,
+        _scan(
+            "similarity-scan", "perturbed45.json", "--weights", str(DATA / "power22.json"),
+            "--degree", "3", "--ray-length", "520",
+        ),
     ),
     # The neighbour-sum condition at one index: violated at the midpoint of
     # the counterexample's last block, and holding with equality below it.

@@ -1,7 +1,9 @@
 """Ray-product ratio diagnostics and the similarity scan."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +18,24 @@ from hypershift import (
     ray_ratio_sq,
     ray_ratio_sq_literal,
     similarity_scan,
+    weight_from_dict,
 )
 from hypershift import multiindex as mi
+from hypershift import similarity
 
-from helpers import random_radial_sequence
+from helpers import (
+    random_radial_sequence,
+    random_table_weight,
+    random_weight,
+    reference_similarity_scan,
+)
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
+
+
+def data_weight(name):
+    return weight_from_dict(json.loads((DATA / f"{name}.json").read_text()))
 
 
 def hardy_line():
@@ -164,3 +178,136 @@ def test_scan_input_errors():
         similarity_scan(W, W, 3, 3, growth_factor=F(1))
     with pytest.raises(ValueError):
         similarity_scan(W, PowerKernel(2, 2), 3, 3)
+
+
+# -- the tabled scan against the per-cell reference -------------------------
+
+
+def assert_matches_reference(W1, W2, base_degree, ray_length, growth_factor=F(2)):
+    """Run both scans and compare them cell for cell and on every field the
+    CLI reports; return the tabled report."""
+    want = reference_similarity_scan(W1, W2, base_degree, ray_length, growth_factor)
+    got = similarity_scan(W1, W2, base_degree, ray_length, growth_factor=growth_factor)
+    assert list(got.cells()) == [(c.alpha, c.direction, c.length, c.value) for c in want.cells]
+    assert (got.argmin, got.argmax) == (want.argmin, want.argmax)
+    assert (got.min_ratio_sq, got.max_ratio_sq) == (want.min_ratio_sq, want.max_ratio_sq)
+    assert (got.spread, got.spread_half, got.verdict) == (
+        want.spread,
+        want.spread_half,
+        want.verdict,
+    )
+    return got
+
+
+def cubic(m):
+    return RadialWeight(m, PolynomialSequence([F(3), F(1, 2), F(0), F(2)]))
+
+
+def both_orders(W1, W2):
+    return [(W1, W2), (W2, W1)]
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_tabled_scan_power_against_cubic(swap):
+    W1, W2 = both_orders(PowerKernel(2, 2), cubic(2))[swap]
+    report = assert_matches_reference(W1, W2, 6, 7)
+    # No corrections: one table entry per (degree, length), no exact cell.
+    assert report.exact == {}
+    assert sorted(report.table) == [(N, l) for N in range(7) for l in range(8)]
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_tabled_scan_through_a_table_entry(swap):
+    W1, W2 = both_orders(data_weight("table_power2_halved"), data_weight("power22"))[swap]
+    report = assert_matches_reference(W1, W2, 6, 6)
+    # The exact cells are the 2 * 7 cells of the rays from the corrected index
+    # (2, 3) and the rays into it: from (2, 0), (2, 1), (2, 2) in direction 1
+    # and from (0, 3), (1, 3) in direction 0.
+    for alpha, i, l in report.exact:
+        top = mi.add(alpha, mi.scale(mi.unit(2, i), l + 1))
+        assert (2, 3) in (alpha, top)
+    assert len(report.exact) == 14 + 3 + 2
+    assert ((2, 0), 1, 2) in report.exact and ((0, 3), 0, 1) in report.exact
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_tabled_scan_reaches_the_counterexample_ray(swap):
+    W1, W2 = both_orders(PerturbedPower(2, 2, 2), PowerKernel(2, 2))[swap]
+    report = assert_matches_reference(W1, W2, 3, 520)
+    # The ray from (2, 0) in direction 1 tops out at the halved entry
+    # (2, 511) after 511 steps.
+    assert ((2, 0), 1, 510) in report.exact
+    wit = report.argmin if swap else report.argmax
+    assert (wit.alpha, wit.direction, wit.length) == ((2, 0), 1, 510)
+    assert wit.value == (F(1, 2) if swap else 2)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_scan_without_a_base_computes_every_cell(swap):
+    rng = random.Random(53)
+    T = random_table_weight(rng, m=2, degree=9)
+    W1, W2 = both_orders(T, PowerKernel(2, 2))[swap]
+    report = assert_matches_reference(W1, W2, 3, 4)
+    assert report.table == {}
+    assert len(report.exact) == 10 * 2 * 5
+    # table_nofallback is defined up to degree 1 only.
+    W1, W2 = both_orders(data_weight("table_nofallback"), data_weight("power22"))[swap]
+    assert len(assert_matches_reference(W1, W2, 0, 0).exact) == 2
+    # A fallback undefined at a table entry gives no base either.
+    short = RadialWeight(2, ExplicitSequence([1, 2, 3]))
+    W1, W2 = both_orders(TableWeight(2, {(3, 0): F(1)}, short), PowerKernel(2, 2))[swap]
+    assert len(assert_matches_reference(W1, W2, 0, 1).exact) == 4
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_tabled_scan_in_three_variables(swap):
+    P = PowerKernel(2, 3)
+    T = TableWeight(3, {(1, 0, 2): 2 * P.rho((1, 0, 2)), (0, 2, 1): F(1, 3)}, P)
+    W1, W2 = both_orders(T, cubic(3))[swap]
+    report = assert_matches_reference(W1, W2, 3, 5)
+    assert report.exact and report.table
+
+
+@pytest.mark.parametrize("base_degree, ray_length", [(0, 0), (0, 6), (5, 0)])
+def test_tabled_scan_edge_windows(base_degree, ray_length):
+    for W1, W2 in both_orders(data_weight("table_power2_halved"), cubic(2)):
+        assert_matches_reference(W1, W2, base_degree, ray_length)
+    H, B = hardy_line(), bergman_line()
+    assert_matches_reference(H, B, base_degree, ray_length)
+
+
+def test_tabled_scan_matches_reference_on_random_pairs():
+    rng = random.Random(59)
+    for _ in range(12):
+        W1, W2 = random_weight(rng), random_weight(rng)
+        assert_matches_reference(W1, W2, rng.randint(0, 4), rng.randint(0, 5))
+
+
+@pytest.mark.parametrize(
+    "names", [("explicit3", "power22"), ("poly_drop", "power22"), ("explicit3", "poly_drop"),
+              ("poly_drop", "explicit3"), ("table_nofallback", "power22")],
+)
+def test_failing_weights_fail_at_the_reference_cell(names):
+    W1, W2 = (data_weight(n) for n in names)
+    with pytest.raises(ValueError) as want:
+        reference_similarity_scan(W1, W2, 2, 3)
+    with pytest.raises(ValueError) as got:
+        similarity_scan(W1, W2, 2, 3)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_tabled_scan_computes_one_ratio_per_degree_and_length(monkeypatch):
+    calls = []
+    inner = similarity.ray_ratio_sq
+
+    def counted(*args):
+        calls.append(args[2:])
+        return inner(*args)
+
+    monkeypatch.setattr(similarity, "ray_ratio_sq", counted)
+    similarity_scan(PowerKernel(2, 2), cubic(2), 14, 10)
+    assert len(calls) == 15 * 11  # instead of C(16, 2) * 2 * 11 = 2640 cells
+    # Each entry is filled at the first cell of its (degree, length): the
+    # first base point of the degree, direction 0.
+    assert calls[:2] == [((0, 0), 0, 0), ((0, 0), 0, 1)]
+    assert ((0, 1), 0, 0) in calls and ((1, 0), 1, 0) not in calls

@@ -26,6 +26,7 @@ from hypershift import (
     weight_from_dict,
 )
 from hypershift import multiindex as mi
+from hypershift.weights import radial_split
 
 from helpers import random_radial_sequence, random_table_weight, random_weight
 
@@ -520,3 +521,17 @@ def test_unit_steps_follow_the_metric_decomposition():
                 step = a * base.value(N - 1) / (N * base.value(N))
                 assert step == W.rho(below) / W.rho(alpha) == W.rho_ratio(alpha, mi.unit(W.m, i))
 
+
+
+def test_radial_split_lists_corrections_or_no_base():
+    base, corrected = radial_split(PerturbedPower(2, 2, 2))
+    assert base.spec_dict() == {"generator": "power", "n": 2}
+    assert corrected == {(2, 511)}
+    # No fallback: no base.  A fallback undefined at a table entry (an
+    # explicit list of three terms below an entry of degree 3): no base
+    # either, rather than the fallback's error.
+    P = PowerKernel(2, 2)
+    assert radial_split(TableWeight(2, {(0, 0): F(1)})) == (None, frozenset())
+    short = RadialWeight(2, ExplicitSequence([1, 2, 3]))
+    assert radial_split(TableWeight(2, {(3, 0): F(1)}, short)) == (None, frozenset())
+    assert radial_split(TableWeight(2, {(1, 1): P.rho((1, 1))}, P)) == (P.sequence, frozenset())
