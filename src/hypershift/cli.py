@@ -385,17 +385,17 @@ def run_example45(
     t_grid = [Fraction(k, 20) for k in range(20)] + [Fraction(99, 100)]
     max_dev = Fraction(0)
     worst_t = t_grid[0]
+    _, corrections = W.metric_decomposition()
     for t in t_grid:
         dev = Fraction(0)
-        for alpha, d in W.perturbed_entries():
+        for alpha, delta in corrections:
             N = mi.degree(alpha)
             mono_sup = Fraction(1)
             for a in alpha:
                 if a:
                     mono_sup *= Fraction(a) ** a
             mono_sup /= Fraction(N) ** N
-            delta = base.rho(alpha) * (1 - Fraction(1, d))
-            dev += delta * t**N * mono_sup * (1 - t) ** n
+            dev -= delta * t**N * mono_sup * (1 - t) ** n
         if dev > max_dev:
             max_dev = dev
             worst_t = t

@@ -7,16 +7,22 @@ the adjoint shift tuple acts on the orthonormal diagonal basis by
 
     T_i e_alpha = sqrt(rho(alpha - e_i) / rho(alpha)) e_{alpha - e_i}.
 
-Four families are provided:
+Every weight follows one of two rules:
 
 * ``RadialWeight``: rho(alpha) = a(|alpha|) |alpha|! / alpha! for a positive
-  coefficient sequence a.
-* ``PowerKernel(n, m)``: the radial weight on a(i) = C(n + i - 1, i), i.e.
+  coefficient sequence a, with ``rho_ratio`` in closed form.
+  ``PowerKernel(n, m)`` is the radial weight on a(i) = C(n + i - 1, i), i.e.
   rho_n(alpha) = (n + |alpha| - 1)! / (alpha! (n-1)!), the coefficient family
   of (1 - <z, w>)^{-n}.
-* ``TableWeight``: finitely many explicit values with an optional fallback.
-* ``PerturbedPower``: a power kernel divided along finitely many rays, the
-  counterexample family scaled by a block count.
+* ``TableWeight``: finitely many explicit values over an optional fallback
+  weight.  ``rho_ratio`` is the fallback's where neither index is an entry,
+  and the quotient of two values otherwise.  ``PerturbedPower``, the
+  counterexample family, is the table over ``PowerKernel(n, m)`` that divides
+  the power values along finitely many rays by small integers.
+
+``rho_ratio`` reads only these rules, never ``metric_decomposition`` or
+``radial_split``, so the checks that read rho_ratio stay independent of the
+split the exact scans and the metric read.
 
 All weight values are exact ``Fraction``s.  Instances are immutable after
 construction apart from internal value, ratio and series caches, so they are
@@ -252,6 +258,13 @@ class ExplicitSequence(RadialSequence):
 # Weight functions
 
 
+def _check_ratio_lengths(m: int, alpha: MultiIndex, beta: MultiIndex) -> None:
+    if len(alpha) != m:
+        raise ValueError("dimension mismatch")
+    if len(beta) != m:
+        raise ValueError("dimension mismatch in rho_ratio")
+
+
 class WeightFunction:
     """Base class: a positive rational weight on multi-indices of fixed
     dimension m, normalized so that rho(0) is finite and positive."""
@@ -285,8 +298,9 @@ class WeightFunction:
     def rho_ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
         """rho(alpha - beta) / rho(alpha) for beta <= alpha.
 
-        Subclasses override this with telescoped closed forms; the generic
-        version divides two full values.
+        Radial weights override this with a telescoped closed form and
+        tables with their fallback's ratio; the generic version divides two
+        full values.
         """
         return self.rho(mi.sub(alpha, beta)) / self.rho(alpha)
 
@@ -311,6 +325,10 @@ class WeightFunction:
             h(w) = sum_d a(d) |w|^{2d} + sum_corr delta * |w^alpha|^2
 
         and only the radial base needs a series tail bound.
+
+        A table adds its entries' differences from its fallback to the
+        fallback's corrections: one negative correction per divided ray
+        point for ``PerturbedPower``.
 
         The defect engine relies on the same split: rho equals the radial
         base exactly at every index not listed in the corrections, so a
@@ -346,8 +364,7 @@ class RadialWeight(WeightFunction):
         return self.sequence.value(d) * Fraction(factorial(d), mi.factorial(alpha))
 
     def rho_ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
-        if len(beta) != self.m:
-            raise ValueError("dimension mismatch in rho_ratio")
+        _check_ratio_lengths(self.m, alpha, beta)
         num = 1
         b_deg = 0
         for a, b in zip(alpha, beta):
@@ -418,6 +435,16 @@ class TableWeight(WeightFunction):
             raise WeightDomainError(f"no table entry for {alpha!r} and no fallback")
         return self.fallback.rho(alpha)
 
+    def rho_ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
+        """The fallback's ratio where neither alpha nor alpha - beta is an
+        entry, else the quotient of the two table values."""
+        _check_ratio_lengths(self.m, alpha, beta)
+        if self.fallback is not None:
+            alpha = tuple(alpha)
+            if alpha not in self.entries and mi.sub(alpha, beta) not in self.entries:
+                return self.fallback.rho_ratio(alpha, beta)
+        return super().rho_ratio(alpha, beta)
+
     def metric_decomposition(self):
         if self.fallback is None:
             raise TailUnreliableError("table weight without fallback has no series tail bound")
@@ -447,8 +474,10 @@ class TableWeight(WeightFunction):
         return out
 
 
-class PerturbedPower(WeightFunction):
-    """A power kernel divided by small integers along finitely many rays.
+class PerturbedPower(TableWeight):
+    """A power kernel divided by small integers along finitely many rays: a
+    table over the fallback ``base = PowerKernel(n, m)`` whose entries are
+    base.rho(alpha) / d at the finitely many indices with divisor d > 1.
 
     Block l (l = 1 .. blocks) sits over the base point (0, b_l, 0, ..., 0)
     where b_l is the smallest admissible base degree
@@ -466,7 +495,6 @@ class PerturbedPower(WeightFunction):
     kind = "perturbed45"
 
     def __init__(self, n: int, m: int, blocks: int):
-        super().__init__(m)
         if m < 2:
             raise ValueError("perturbed family needs m >= 2")
         if n < 2:
@@ -477,7 +505,12 @@ class PerturbedPower(WeightFunction):
         self.blocks = blocks
         self.base = PowerKernel(n, m)
         self.base_degrees = self._block_base_degrees(n, blocks)
-        self._block_of = {b: l for l, b in enumerate(self.base_degrees, start=1)}
+        self._divisors: dict[MultiIndex, int] = {}
+        for l, b in enumerate(self.base_degrees, start=1):
+            for j in range(2, 2 * l - 1):
+                self._divisors[(j, b) + (0,) * (m - 2)] = min(j, 2 * l - j)
+        entries = {alpha: self.base.rho(alpha) / d for alpha, d in self._divisors.items()}
+        super().__init__(m, entries, self.base)
 
     @staticmethod
     def _block_base_degrees(n: int, blocks: int) -> list[int]:
@@ -497,49 +530,11 @@ class PerturbedPower(WeightFunction):
         """The integer rho is divided by at alpha (1 off the perturbed rays)."""
         if len(alpha) != self.m:
             raise ValueError("dimension mismatch")
-        if any(alpha[2:]):
-            return 1
-        l = self._block_of.get(alpha[1])
-        if l is None:
-            return 1
-        j = alpha[0]
-        if 1 <= j <= 2 * l - 1:
-            return min(j, 2 * l - j)
-        return 1
+        return self._divisors.get(tuple(alpha), 1)
 
     def perturbed_entries(self) -> list[tuple[MultiIndex, int]]:
         """All (alpha, divisor) pairs with divisor > 1, graded order."""
-        out = []
-        for l, b in enumerate(self.base_degrees, start=1):
-            for j in range(1, 2 * l):
-                d = min(j, 2 * l - j)
-                if d > 1:
-                    alpha = (j, b) + (0,) * (self.m - 2)
-                    out.append((alpha, d))
-        out.sort(key=lambda p: (mi.degree(p[0]), p[0]))
-        return out
-
-    def _rho(self, alpha: MultiIndex) -> Fraction:
-        return self.base.rho(alpha) / self.divisor(alpha)
-
-    def rho_ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
-        ratio = self.base.rho_ratio(alpha, beta)
-        if len(alpha) != self.m:
-            raise ValueError("dimension mismatch")
-        if alpha[1] not in self._block_of and alpha[1] - beta[1] not in self._block_of:
-            return ratio  # neither alpha nor alpha - beta lies on a perturbed ray
-        d_top = self.divisor(alpha)
-        d_sub = self.divisor(mi.sub(alpha, beta))
-        if d_top != d_sub:
-            ratio = ratio * Fraction(d_top, d_sub)
-        return ratio
-
-    def metric_decomposition(self):
-        corrections = []
-        for alpha, d in self.perturbed_entries():
-            rho = self.base.rho(alpha)
-            corrections.append((alpha, rho / d - rho))
-        return self.base.radial_sequence(), corrections
+        return sorted(self._divisors.items(), key=lambda p: (mi.degree(p[0]), p[0]))
 
     def spec_dict(self) -> dict:
         return {"kind": "perturbed45", "n": self.n, "m": self.m, "L": self.blocks}

@@ -87,6 +87,9 @@ _SIMILARITY_REFUSALS = {
 
 CASES = {
     "example45_eval40.json": (0, ["example45", "--eval-degree", "40"]),
+    # Three blocks: the only report where a divisor reaches 3, on the ray
+    # over (0, 4095).
+    "example45_blocks3_eval40.json": (0, ["example45", "--blocks", "3", "--eval-degree", "40"]),
     "curvature_pair_2x4_eval60.json": (
         0,
         [
@@ -265,6 +268,16 @@ CASES = {
         _scan(
             "truncate", "perturbed45.json", "--degree", "30", "--defect-order", "2",
             "--alpha", "5,20",
+        ),
+    ),
+    # A power:2 table with rho(2,3) halved: the matrix model reads
+    # rho_ratio at every basis index, the halved entry and its neighbours
+    # included.
+    "truncate_table_halved_d8.json": (
+        0,
+        _scan(
+            "truncate", "table_power2_halved.json", "--degree", "8", "--defect-order", "2",
+            "--alpha", "2,3", "--k-max", "6",
         ),
     ),
     # Both radial bases fail at the start of degree layer 3, after layers

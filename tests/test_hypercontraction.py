@@ -339,14 +339,21 @@ def test_deep_scans_stop_at_the_perturbed_witness():
 
 
 def count_rho_ratio_calls(monkeypatch):
-    """Record the alpha of every rho_ratio call made on any weight family."""
+    """Record the alpha of every outermost rho_ratio call made on any weight
+    family; a table's call into its fallback is part of its own call."""
     calls = []
-    for cls in (RadialWeight, TableWeight, PerturbedPower):
+    depth = [0]
+    for cls in (RadialWeight, TableWeight):
         original = cls.rho_ratio
 
         def counting(self, alpha, beta, original=original):
-            calls.append(tuple(alpha))
-            return original(self, alpha, beta)
+            if not depth[0]:
+                calls.append(tuple(alpha))
+            depth[0] += 1
+            try:
+                return original(self, alpha, beta)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(cls, "rho_ratio", counting)
     return calls

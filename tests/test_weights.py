@@ -206,34 +206,97 @@ def test_perturbed_rho_ratio_matches_quotient():
         assert W.rho_ratio(alpha, beta) == W.rho(mi.sub(alpha, beta)) / W.rho(alpha)
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_perturbed_rho_ratio_near_and_off_the_rays(m):
-    # The divisors change only on the perturbed entries, so check those,
-    # every index one unit step away, and random indices elsewhere, with
-    # unit steps and random dominated betas.
-    rng = random.Random(17 + m)
-    W = PerturbedPower(2, m, 2)
+def assert_rho_ratio_is_the_quotient(W, entries, top, rng):
+    """rho_ratio(alpha, beta) == rho(alpha - beta) / rho(alpha) at every
+    index in ``entries``, every index one unit step away, and 40 random
+    indices with coordinates <= top, for unit steps and a random dominated
+    beta.  Where a value is undefined, rho_ratio raises the quotient's error
+    at the same index.  Both length errors and a non-dominated beta are
+    refused as for the perturbed family."""
+    m = W.m
     units = [mi.unit(m, i) for i in range(m)]
     points = set()
-    for alpha, _ in W.perturbed_entries():
+    for alpha in entries:
         points.add(alpha)
         for e in units:
             points.add(mi.add(alpha, e))
             if mi.leq(e, alpha):
                 points.add(mi.sub(alpha, e))
-    top = W.base_degrees[-1] + 4
     points.update(tuple(rng.randint(0, top) for _ in range(m)) for _ in range(40))
     for alpha in sorted(points):
         betas = [e for e in units if mi.leq(e, alpha)]
         betas.append(tuple(rng.randint(0, min(a, 3)) for a in alpha))
         for beta in betas:
-            assert W.rho_ratio(alpha, beta) == W.rho(mi.sub(alpha, beta)) / W.rho(alpha)
+            try:
+                expected = W.rho(mi.sub(alpha, beta)) / W.rho(alpha)
+            except WeightDomainError as exc:
+                with pytest.raises(type(exc)) as caught:
+                    W.rho_ratio(alpha, beta)
+                assert str(caught.value) == str(exc)
+                continue
+            assert W.rho_ratio(alpha, beta) == expected
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         W.rho_ratio((1,) * (m + 1), units[0])
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        W.rho_ratio((1,) * (m - 1), units[0])
     with pytest.raises(ValueError, match="^dimension mismatch in rho_ratio$"):
         W.rho_ratio((1,) * m, (1,) * (m + 1))
     with pytest.raises(ValueError, match="is not dominated by"):
         W.rho_ratio((0,) * m, units[0])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_perturbed_rho_ratio_near_and_off_the_rays(m):
+    # The divisors change only on the perturbed entries, so check those,
+    # every index one unit step away, and random indices elsewhere.
+    W = PerturbedPower(2, m, 2)
+    entries = [alpha for alpha, _ in W.perturbed_entries()]
+    assert_rho_ratio_is_the_quotient(W, entries, W.base_degrees[-1] + 4, random.Random(17 + m))
+
+
+def _power_fallback_table(m):
+    # Entries off and equal to the power:2 values, two of them unit-step
+    # neighbours; (1, 1, ...) carries its fallback value.
+    fallback = PowerKernel(2, m)
+    corner = (1,) * m
+    scaled = {(2, 3) + (0,) * (m - 2): F(1, 2), (3, 3) + (0,) * (m - 2): F(3, 5)}
+    entries = {alpha: c * fallback.rho(alpha) for alpha, c in scaled.items()}
+    entries[corner] = fallback.rho(corner)
+    return TableWeight(m, entries, fallback)
+
+
+def _table_over_undefined_table():
+    # The inner table has no fallback and skips (2, 2); the outer one
+    # overrides (1, 1) and (2, 3) and reads the inner one elsewhere.
+    inner = TableWeight(
+        2, {a: F(sum(a) + 1, a[0] + 2) for a in mi.enumerate_leq_degree(2, 6) if a != (2, 2)}
+    )
+    return TableWeight(2, {(1, 1): F(5), (2, 3): F(7, 3)}, fallback=inner)
+
+
+_RATIO_CASES = {
+    "power": lambda: PowerKernel(3, 2),
+    "radial-power": lambda: RadialWeight(2, PowerSequence(2)),
+    "radial-geometric": lambda: RadialWeight(2, GeometricSequence(F(3, 2))),
+    "radial-polynomial": lambda: RadialWeight(3, PolynomialSequence([F(1), F(0), F(1, 2)])),
+    # 16 terms: indices of degree > 15 raise SequenceExhausted.
+    "radial-explicit": lambda: RadialWeight(2, ExplicitSequence([F(k + 1, 2) for k in range(16)])),
+    "table-power-fallback-m2": lambda: _power_fallback_table(2),
+    "table-power-fallback-m3": lambda: _power_fallback_table(3),
+    # Defined up to degree 6 only.
+    "table-no-fallback": lambda: random_table_weight(random.Random(5), m=2, degree=6),
+    "table-over-undefined-table": _table_over_undefined_table,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RATIO_CASES))
+def test_rho_ratio_near_and_off_the_entries(kind):
+    # Tables hand rho_ratio to their fallback off their entries, so every
+    # kind is checked against the quotient of two rho values, near its
+    # entries and at random indices, undefined values included.
+    W = _RATIO_CASES[kind]()
+    entries = sorted(getattr(W, "entries", {}))
+    assert_rho_ratio_is_the_quotient(W, entries, 9, random.Random(len(kind)))
 
 
 def test_perturbed_requires_two_dimensions_and_order_two():
