@@ -1,22 +1,26 @@
 """Curvature-style diagnostics for diagonal metrics on the unit ball.
 
-The central object is the mixed Wirtinger Hessian of log h,
+The central object is the mixed Wirtinger Hessian of log h.  A diagonal
+metric is h(w) = F(s) with s_i = |w_i|^2, so with L = log F
 
-    H_ij(w) = d^2 log h / dw_i dconj(w_j)
-            = (h * d_i dbar_j h - d_i h * dbar_j h) / h^2,
+    H_ij(w) = d^2 log h / dw_i dconj(w_j) = L_ij(s) conj(w_i) w_j + delta_ij L_i(s),
 
-computed from high-precision series jets.  The curvature form of the
-associated Hermitian line bundle is -H; sign conventions are kept explicit
-at the call sites rather than baked in.  For two metrics, psi = log(h1/h2)
-is plurisubharmonic iff H(h1) - H(h2) is positive semidefinite, which is
-what the grid reports check.  ``curvature_points`` is the one place these
-matrices are built, for one metric or for a pair.
+computed from the real series jets of ``weights.metric_jets``.  Points of
+one modulus class s share L, psi and the spectrum, which are computed once
+per class; H itself is formed per point and is exactly Hermitian.  A grid
+call gives, bit for bit, the values of per-point calls.  The curvature form
+of the associated Hermitian line bundle is -H; sign conventions are kept
+explicit at the call sites rather than baked in.  For two metrics,
+psi = log(h1/h2) is plurisubharmonic iff H(h1) - H(h2) is positive
+semidefinite, which is what the grid reports check.  ``curvature_points``
+is the one place these matrices are built, for one metric or for a pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from math import cos, isfinite, pi, sin
 
 import mpmath as mp
@@ -28,21 +32,22 @@ from .weights import WeightFunction, metric_jet, metric_jets
 @dataclass(frozen=True)
 class CurvatureMatrix:
     """The mixed Hessian of log h (or of a difference of two logs) at a
-    point, stored at working precision ``precision_bits``."""
+    point, stored at working precision ``precision_bits``, with the
+    eigenvalues of its Hermitian part as mpf, ascending.  ``spectrum`` is
+    computed from the entries unless the caller supplies it."""
 
     point: tuple
     entries: tuple  # m x m nested tuples of mpc
     precision_bits: int = 53
+    spectrum: tuple | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.spectrum is None:
+            object.__setattr__(self, "spectrum", _spectrum(self.entries, self.precision_bits))
 
     @property
     def m(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def spectrum(self) -> tuple:
-        """Eigenvalues of the Hermitian part as mpf, ascending, computed once
-        at ``precision_bits``."""
-        return _spectrum(self.entries, self.precision_bits)
 
 
 def _spectrum(entries, precision_bits: int) -> tuple:
@@ -71,21 +76,6 @@ def _spectrum(entries, precision_bits: int) -> tuple:
         return (near, far) if near <= far else (far, near)
 
 
-def _hessian_from_jet(jet) -> list[list[mp.mpc]]:
-    m = len(jet.grad)
-    h = jet.h
-    hh = h * h
-    cgrad = [mp.conj(g) for g in jet.grad]
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            num = h * jet.hess[i][j] - jet.grad[i] * cgrad[j]
-            row.append(num / hh)
-        out.append(row)
-    return out
-
-
 @dataclass(frozen=True)
 class PshPoint:
     """psi and its mixed Hessian at the grid point w; the eigenvalues are
@@ -104,6 +94,33 @@ class PshPoint:
         return self.eigenvalues[0]
 
 
+def _log_class(jets, precision_bits: int) -> tuple:
+    """(psi, diagonal, L_ij, spectrum) of one modulus class s, where psi is
+    L = log F (one weight) or log F1 - log F2 (a pair), L_i = F_i/F and
+    L_ij = (F F_ij - F_i F_j)/F^2.  Each point w of the class has
+    H = P* M P with P = diag(w_i/|w_i|) and M_ij = L_ij sqrt(s_i s_j) +
+    delta_ij L_i, so M's diagonal and spectrum serve the whole class."""
+    s = jets[0].s
+    m = len(s)
+    psi = mp.mpf(0)
+    d1 = [mp.mpf(0)] * m
+    d2 = [[mp.mpf(0)] * m for _ in range(m)]
+    for sign, jet in zip((1, -1), jets):
+        F = jet.h
+        FF = F * F
+        psi += sign * mp.log(F)
+        for i, fi in enumerate(jet.ds):
+            d1[i] += sign * (fi / F)
+            for j, fj in enumerate(jet.ds):
+                d2[i][j] += sign * ((F * jet.dss[i][j] - fi * fj) / FF)
+    diagonal = [d2[i][i] * s[i] + d1[i] for i in range(m)]
+    M = [
+        [diagonal[i] if i == j else d2[i][j] * mp.sqrt(s[i] * s[j]) for j in range(m)]
+        for i in range(m)
+    ]
+    return float(psi), diagonal, d2, _spectrum(M, precision_bits)
+
+
 def curvature_points(
     weights,
     grid,
@@ -116,7 +133,10 @@ def curvature_points(
     For one weight psi = log h, whose Hessian at w = 0 is exactly
     diag(rho(e_i)/rho(0)).  For a pair (W1, W2), psi = log h1 - log h2 and
     its Hessian is H(h1) - H(h2); the sign convention is carried by the
-    argument order alone, so swapping the weights negates both.  Raises
+    argument order alone, so swapping the weights negates both.  psi, L and
+    the spectrum are computed once per modulus class; at each point only
+    H_ij = L_ij conj(w_i) w_j for i < j is formed, with H_ji = conj(H_ij)
+    and the real class diagonal, so H is exactly Hermitian.  Raises
     ValueError unless there are one or two weights of one dimension.
     """
     weights = list(weights)
@@ -126,23 +146,27 @@ def curvature_points(
         raise ValueError(f"weights have dimensions {weights[0].m} and {weights[1].m}")
     grid = list(grid)
     points = []
+    classes: dict[tuple, tuple] = {}
     with mp.workprec(precision_bits):
         jets = metric_jets(weights, grid, max_degree=max_degree, precision_bits=precision_bits)
-        for w, (jet, *rest) in zip(grid, jets):
-            psi = mp.log(jet.h)
-            rows = _hessian_from_jet(jet)
-            for other in rest:
-                psi -= mp.log(other.h)
-                rows = [
-                    [x - y for x, y in zip(ra, rb)]
-                    for ra, rb in zip(rows, _hessian_from_jet(other))
-                ]
+        for w, row in zip(grid, jets):
+            key = tuple(x._mpf_ for x in row[0].s)
+            cls = classes.get(key)
+            if cls is None:
+                cls = classes[key] = _log_class(row, precision_bits)
+            psi, diagonal, d2, spectrum = cls
+            wv = tuple(mp.mpc(x) for x in w)
+            rows = [[mp.mpc(d)] * len(wv) for d in diagonal]
+            for i, j in combinations(range(len(wv)), 2):
+                rows[i][j] = d2[i][j] * (mp.conj(wv[i]) * wv[j])
+                rows[j][i] = mp.conj(rows[i][j])
             H = CurvatureMatrix(
-                point=tuple(mp.mpc(x) for x in w),
-                entries=tuple(tuple(row) for row in rows),
+                point=wv,
+                entries=tuple(map(tuple, rows)),
                 precision_bits=precision_bits,
+                spectrum=spectrum,
             )
-            points.append(PshPoint(w=tuple(w), psi=float(psi), hessian=H))
+            points.append(PshPoint(w=tuple(w), psi=psi, hessian=H))
     return points
 
 

@@ -31,7 +31,7 @@ safe to share across threads for reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial, perm
 from typing import TYPE_CHECKING
@@ -188,9 +188,10 @@ class GeometricSequence(RadialSequence):
 class PolynomialSequence(RadialSequence):
     """a(i) = c_0 + c_1 i + ... + c_k i^k with rational coefficients.
 
-    Positivity is checked on every evaluation.  A ratio bound is only
-    available when all coefficients are nonnegative (then a(i+1)/a(i) <=
-    ((i+1)/i)^k for i >= 1 by termwise comparison).
+    Each index is evaluated once and memoized; positivity is checked on
+    every evaluation, so a non-positive index raises on every request.  A
+    ratio bound is only available when all coefficients are nonnegative
+    (then a(i+1)/a(i) <= ((i+1)/i)^k for i >= 1 by termwise comparison).
     """
 
     def __init__(self, coefficients: list[Fraction]):
@@ -199,17 +200,25 @@ class PolynomialSequence(RadialSequence):
         if not coeffs:
             raise ValueError("polynomial sequence needs at least one coefficient")
         self.coefficients = coeffs
+        self._values: dict[int, Fraction] = {}
         if self.value(0) <= 0:
             raise ValueError("sequence must be positive at index 0")
 
     def value(self, i: int) -> Fraction:
-        if i < 0:
-            raise ValueError("sequence index must be >= 0")
+        out = self._values.get(i)
+        if out is None:
+            if i < 0:
+                raise ValueError("sequence index must be >= 0")
+            out = self._horner(i)
+            if out <= 0:
+                raise WeightDomainError(f"polynomial sequence is not positive at index {i}")
+            self._values[i] = out
+        return out
+
+    def _horner(self, i: int) -> Fraction:
         out = Fraction(0)
         for c in reversed(self.coefficients):
             out = out * i + c
-        if out <= 0:
-            raise WeightDomainError(f"polynomial sequence is not positive at index {i}")
         return out
 
     def ratio_sup(self, start: int) -> Fraction | None:
@@ -629,16 +638,32 @@ def weight_from_dict(spec: dict) -> WeightFunction:
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric value together with first and mixed second Wirtinger
-    derivatives at a point, plus tail bounds for each radial series."""
+    """The diagonal metric as a real jet in s = (|w_1|^2, ..., |w_m|^2).
 
+    h(w) = sum_alpha rho(alpha) |w^alpha|^2 = F(s) depends on w only through
+    s, so one jet serves every point of the modulus class ``s``: ``h`` = F,
+    ``ds`` = (dF/ds_i) and ``dss`` = (d^2F/ds_i ds_j), a symmetric m x m
+    nested tuple.  The tails bound what the truncated radial base series
+    leaves out of F, of each dF/ds_i and of each d^2F/ds_i ds_j.  At s = 0
+    ``dss`` is stored as zeros: every Wirtinger term it enters carries a
+    factor conj(w_i) w_j.
+
+    A jet from ``metric_jets`` has no point and ``grad = hess = None``;
+    ``metric_jet(W, w)`` adds the Wirtinger derivatives at w,
+
+        grad_i = F_i conj(w_i),   hess_ij = F_ij conj(w_i) w_j + delta_ij F_i.
+    """
+
+    s: tuple
     h: mp.mpf
-    grad: tuple
-    hess: tuple
+    ds: tuple
+    dss: tuple
     tail_h: mp.mpf
     tail_grad: mp.mpf
     tail_hess: mp.mpf
     max_degree: int
+    grad: tuple | None = None
+    hess: tuple | None = None
 
 
 def _to_mpf(x: Fraction) -> mp.mpf:
@@ -680,25 +705,6 @@ def _geometric_tails(a_last: mp.mpf, t: mp.mpf, d: int, ratio: Fraction):
     return tail0, tail1, tail2
 
 
-def _coordinate_power(x, e: int):
-    """x**e at the working precision.  Metric jets raise coordinates to
-    powers only through here, once per distinct (x, e) in a call."""
-    return x**e
-
-
-def _shifted_power(wv, alpha: MultiIndex, i: int, power):
-    """w^{alpha - e_i}, evaluated directly so that w_i = 0 is handled;
-    ``power(x, e)`` returns x**e."""
-    import mpmath as mp
-
-    out = mp.mpf(1)
-    for k, (x, a) in enumerate(zip(wv, alpha)):
-        e = a - 1 if k == i else a
-        if e:
-            out *= power(x, e)
-    return out
-
-
 def _sequence_key(seq: RadialSequence):
     """Equal keys mark radial sequences with bit-identical series: the same
     instance, or the same class with the same spec."""
@@ -709,35 +715,44 @@ def _sequence_key(seq: RadialSequence):
 
 
 def _correction_table(W: WeightFunction) -> tuple:
-    """(base, base key, entries) for the metric of W at the working
-    precision.  Each entry holds alpha, dv = delta, dv alpha_i and
-    dv alpha_i alpha_j, multiplied left to right as the jet sums them."""
+    """(base, base key, terms) for the metric of W at the working precision.
+
+    A correction delta at alpha adds delta s^alpha to F, delta alpha_i
+    s^(alpha - e_i) to F_i and delta alpha_i (alpha_j - delta_ij)
+    s^(alpha - e_i - e_j) to F_ij.  Each term (slot, c, e) adds c s^e at the
+    slot () for F, (i,) for F_i or (i, j) with i <= j for F_ij; c is the
+    exact coefficient rounded once, and the exponents e are already shifted,
+    so no negative power of s is formed and s_i = 0 needs no special case.
+    """
     base, corrections = W.metric_decomposition()
-    entries = []
+    m = W.m
+    terms = []
     for alpha, delta in corrections:
-        dv = _to_mpf(delta)
-        da = [dv * a for a in alpha]
-        daa = [[da_i * a for a in alpha] for da_i in da]
-        entries.append((alpha, dv, da, daa))
-    return base, _sequence_key(base), entries
+        terms.append(((), _to_mpf(delta), alpha))
+        for i, a in enumerate(alpha):
+            if not a:
+                continue
+            lower = mi.sub(alpha, mi.unit(m, i))
+            terms.append(((i,), _to_mpf(delta * a), lower))
+            for j in range(i, m):
+                c = a * lower[j]
+                if c:
+                    terms.append(((i, j), _to_mpf(delta * c), mi.sub(lower, mi.unit(m, j))))
+    return base, _sequence_key(base), terms
 
 
-def _origin_jet(W: WeightFunction, max_degree: int) -> MetricJet:
-    """The jet at w = 0, exact from three weight layers: h = rho(0),
-    grad = 0, mixed Hessian = diag(rho(e_i))."""
+def _origin_jet(W: WeightFunction, s: tuple, max_degree: int) -> MetricJet:
+    """The jet at s = 0, exact from two weight layers: F = rho(0) and
+    F_i = rho(e_i)."""
     import mpmath as mp
 
     m = W.m
     zero = mp.mpf(0)
-    h0 = _to_mpf(W.rho((0,) * m))
-    hess0 = tuple(
-        tuple(_to_mpf(W.rho(mi.unit(m, i))) if i == j else zero for j in range(m))
-        for i in range(m)
-    )
     return MetricJet(
-        h=h0,
-        grad=(zero,) * m,
-        hess=hess0,
+        s=s,
+        h=_to_mpf(W.rho((0,) * m)),
+        ds=tuple(_to_mpf(W.rho(mi.unit(m, i))) for i in range(m)),
+        dss=((zero,) * m,) * m,
         tail_h=zero,
         tail_grad=zero,
         tail_hess=zero,
@@ -745,58 +760,39 @@ def _origin_jet(W: WeightFunction, max_degree: int) -> MetricJet:
     )
 
 
-def _base_assembly(base: RadialSequence, wv, t, max_degree: int) -> tuple:
-    """(g, grad, hess, tails) of the radial base series at the point wv."""
+def _class_jet(table: tuple, s: tuple, t, max_degree: int, bases: dict) -> MetricJet:
+    """The real jet at the modulus class s (with t = sum s_i > 0): the base
+    series g, g', g'' at t, shared through ``bases`` by equal sequences, plus
+    every correction term in full."""
     import mpmath as mp
 
-    m = len(wv)
-    zero = mp.mpf(0)
-    g, gp, gpp, tail0, tail1, tail2 = base.series(t, max_degree)
-    cw = [mp.conj(x) for x in wv]
-    grad = tuple(gp * cw[i] for i in range(m))
-    hess = tuple(
-        tuple(gpp * cw[i] * wv[j] + (gp if i == j else zero) for j in range(m))
-        for i in range(m)
-    )
-    return g, grad, hess, (tail0, tail1, tail2)
-
-
-def _corrected_jet(assembly: tuple, entries: list, wv, power, max_degree: int) -> MetricJet:
-    """The base assembly plus every exact correction term, summed in full."""
-    import mpmath as mp
-
-    h, grad, hess, (tail0, tail1, tail2) = assembly
-    if entries:
-        m = len(wv)
-        grad = list(grad)
-        hess = [list(row) for row in hess]
-        for alpha, dv, da, daa in entries:
-            wpow = mp.mpf(1)  # w^alpha
-            for x, a in zip(wv, alpha):
-                if a:
-                    wpow *= power(x, a)
-            h += dv * (abs(wpow) ** 2)
-            shifted = [
-                _shifted_power(wv, alpha, i, power) if alpha[i] else None for i in range(m)
-            ]
-            cwpow = mp.conj(wpow)
-            for i in range(m):
-                if shifted[i] is not None:
-                    grad[i] += da[i] * shifted[i] * cwpow
-            cshifted = [None if s is None else mp.conj(s) for s in shifted]
-            for i in range(m):
-                if shifted[i] is None:
-                    continue
-                for j in range(m):
-                    if shifted[j] is None:
-                        continue
-                    hess[i][j] += daa[i][j] * shifted[i] * cshifted[j]
-        grad = tuple(grad)
-        hess = tuple(tuple(row) for row in hess)
+    base, key, terms = table
+    series = bases.get(key)
+    if series is None:
+        series = bases[key] = base.series(t, max_degree)
+    g, gp, gpp, tail0, tail1, tail2 = series
+    m = len(s)
+    jet = {(): g}
+    for i in range(m):
+        jet[(i,)] = gp
+        for j in range(i, m):
+            jet[(i, j)] = gpp
+    for slot, c, e in terms:
+        power = mp.mpf(1)
+        for x, k in zip(s, e):
+            if k:
+                power *= x**k
+        jet[slot] += c * power
+    if jet[()] <= 0:
+        raise TailUnreliableError(
+            f"truncated metric h = {float(jet[()]):.6g} is not positive at "
+            f"|w|^2 = {float(t):.6f}; increase the truncation degree"
+        )
     return MetricJet(
-        h=h,
-        grad=grad,
-        hess=hess,
+        s=s,
+        h=jet[()],
+        ds=tuple(jet[(i,)] for i in range(m)),
+        dss=tuple(tuple(jet[(min(i, j), max(i, j))] for j in range(m)) for i in range(m)),
         tail_h=tail0,
         tail_grad=tail1,
         tail_hess=tail2,
@@ -810,19 +806,21 @@ def metric_jets(
     max_degree: int = 40,
     precision_bits: int = 80,
 ) -> list[tuple[MetricJet, ...]]:
-    """Evaluate h(w) = sum_alpha rho(alpha) |w^alpha|^2 together with its
-    Wirtinger gradient and mixed Hessian for every weight at every point,
+    """Evaluate h(w) = sum_alpha rho(alpha) |w^alpha|^2 = F(s) as a real
+    jet in s_i = |w_i|^2 (``MetricJet``) for every weight at every point,
     truncating the radial base series at ``max_degree`` and summing every
     exact correction term in full.  Returns one tuple per point holding the
     jet of each weight in order.
 
-    One call shares work that does not depend on the weight or the point:
-    each weight's correction table is built once, at the first point off
-    the origin; each coordinate power x**e is taken once; and at each point
-    the base series terms are assembled once for all weights on equal
-    radial sequences.  Every jet is bit for bit the jet of that weight at
-    that point alone, and the errors come in the order of evaluating the
-    points one by one and, at each point, the weights in order.
+    The jet depends on the point only through its exact modulus class, the
+    tuple of the s_i as rounded at the working precision, so each class is
+    evaluated once and all its points share the same jet objects.  Within a
+    call each weight's correction table is built once, at the first point
+    off the origin, and at each class the base series is summed once for
+    all weights on equal radial sequences.  Every jet is bit for bit the jet
+    of that weight at that point alone, and the errors come in the order of
+    evaluating the points one by one and, at each point, the weights in
+    order.
 
     Raises BallDomainError if |w| >= 1, and TailUnreliableError when no
     rigorous tail bound exists at this truncation degree or the truncated
@@ -833,30 +831,12 @@ def metric_jets(
 
     weights = list(weights)
     tables: list[tuple | None] = [None] * len(weights)
-    coordinates: dict = {}  # coordinate as given -> (mpc, |x|^2)
-    powers: dict[tuple, object] = {}
-
-    def coordinate(x):
-        hit = coordinates.get(x)
-        if hit is None:
-            xv = mp.mpc(x)
-            hit = coordinates[x] = (xv, abs(xv) ** 2)
-        return hit
-
-    def power(x, e):
-        # x._mpc_ is the exact value of x; it hashes faster than x itself.
-        key = (x._mpc_, e, precision_bits)
-        hit = powers.get(key)
-        if hit is None:
-            hit = powers[key] = _coordinate_power(x, e)
-        return hit
-
+    moduli: dict = {}  # coordinate as given -> |x|^2
+    classes: dict[tuple, list] = {}  # exact s -> jets of the weights so far
     out = []
     with mp.workprec(precision_bits):
         for w in points:
-            wv = t = None
-            assemblies: dict = {}
-            jets = []
+            jets: list = []
             for k, W in enumerate(weights):
                 if len(w) != W.m:
                     raise ValueError(f"point has dimension {len(w)}, weight has m = {W.m}")
@@ -864,33 +844,26 @@ def metric_jets(
                     raise ValueError("max_degree must be >= 0")
                 if precision_bits < 53:
                     raise ValueError("precision_bits must be at least 53")
-                if t is None:
+                if k == 0:
                     # Converted after the first weight's checks, as in a
                     # one-point jet, so bad input is reported first.
-                    wv = []
-                    t = mp.mpf(0)
                     for x in w:
-                        xv, sq = coordinate(x)
-                        wv.append(xv)
-                        t += sq
+                        if x not in moduli:
+                            moduli[x] = abs(mp.mpc(x)) ** 2
+                    s = tuple(moduli[x] for x in w)
+                    t = sum(s, mp.mpf(0))
                     if t >= 1:
                         raise BallDomainError(f"|w|^2 = {float(t):.6f} is not inside the unit ball")
+                    jets = classes.setdefault(tuple(sq._mpf_ for sq in s), [])
+                    bases: dict = {}
+                if k < len(jets):
+                    continue
                 if t == 0:
-                    jets.append(_origin_jet(W, max_degree))
+                    jets.append(_origin_jet(W, s, max_degree))
                     continue
                 if tables[k] is None:
                     tables[k] = _correction_table(W)
-                base, key, entries = tables[k]
-                assembly = assemblies.get(key)
-                if assembly is None:
-                    assembly = assemblies[key] = _base_assembly(base, wv, t, max_degree)
-                jet = _corrected_jet(assembly, entries, wv, power, max_degree)
-                if jet.h <= 0:
-                    raise TailUnreliableError(
-                        f"truncated metric h = {float(jet.h):.6g} is not positive at "
-                        f"|w|^2 = {float(t):.6f}; increase the truncation degree"
-                    )
-                jets.append(jet)
+                jets.append(_class_jet(tables[k], s, t, max_degree, bases))
             out.append(tuple(jets))
     return out
 
@@ -902,5 +875,18 @@ def metric_jet(
     precision_bits: int = 80,
 ) -> MetricJet:
     """The metric jet of W at the single point w: ``metric_jets([W], [w])``
-    with the same arguments."""
-    return metric_jets([W], [w], max_degree=max_degree, precision_bits=precision_bits)[0][0]
+    with the same arguments, with its Wirtinger ``grad`` and ``hess`` at w."""
+    import mpmath as mp
+
+    (jet,) = metric_jets([W], [w], max_degree=max_degree, precision_bits=precision_bits)[0]
+    with mp.workprec(precision_bits):
+        cw = [mp.conj(mp.mpc(x)) for x in w]
+        grad = tuple(f * x for f, x in zip(jet.ds, cw))
+        hess = tuple(
+            tuple(
+                f * (x * mp.mpc(y)) + (fi if i == j else 0)
+                for j, (f, y) in enumerate(zip(row, w))
+            )
+            for i, (row, x, fi) in enumerate(zip(jet.dss, cw, jet.ds))
+        )
+    return replace(jet, grad=grad, hess=hess)

@@ -1,6 +1,6 @@
 """Shared builders for randomized test weights, the dense numpy references
-the float paths are tested against, and the per-cell similarity scan the
-tabled one is tested against.
+the float paths are tested against, the per-cell similarity scan the
+tabled one is tested against, and the modulus classes of a grid.
 
 Everything takes an explicit random.Random so tests stay reproducible; no
 module-level RNG state.  numpy is a test dependency only: the package itself
@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import sqrt
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 
 from hypershift import (
@@ -114,3 +115,10 @@ def reference_similarity_scan(W1, W2, base_degree, ray_length, growth_factor=Fra
         verdict="growth-flagged" if flagged else "bounded-in-scan",
         cells=cells,
     )
+
+
+def modulus_classes(grid, bits=80) -> set:
+    """The distinct exact s = (|w_1|^2, ..., |w_m|^2) of a grid at the
+    working precision ``bits``."""
+    with mp.workprec(bits):
+        return {tuple(abs(mp.mpc(x)) ** 2 for x in w) for w in grid}

@@ -127,6 +127,15 @@ def test_criterion_5_counterexample_reproduction():
     assert bound["worst_t"] == "99/100"
     assert bound["max_deviation"] == pytest.approx(4.0186199886992406e-05, rel=1e-12)
     assert bound["margin"] == pytest.approx(0.12495981380011301, rel=1e-12)
+    # pass rests on the exact sup over the whole ball, which the grid
+    # maximum cannot exceed: one term for L = 2, the sum of three more
+    # per-term sups for L = 3.
+    assert bound["sup_bound"] == 1.4281290357868898e-4
+    assert bound["sup_bound"] >= bound["max_deviation"]
+    bound3 = run_example45(blocks=3, eval_degree=40)["stages"]["kernel_bound"]
+    assert bound3["pass"] is True
+    assert bound3["sup_bound"] == 1.9333163157336924e-4
+    assert bound3["sup_bound"] >= bound3["max_deviation"]
 
     nec = stages["necessary_violation"]
     assert nec["pass"] is True

@@ -13,7 +13,7 @@ from hypershift import (
     PowerKernel,
     RadialWeight,
 )
-from hypershift.cli import main
+from hypershift.cli import kernel_bound, main
 
 F = Fraction
 
@@ -473,6 +473,22 @@ def test_example45_short_scan_misses_the_witness(capsys):
     assert report["stages"]["ray_ratio"]["witnesses"] == [
         {"block": 2, "alpha": [0, 511], "length": 1, "ratio_sq": "2/1"}
     ]
+
+
+def test_kernel_bound_passes_on_the_whole_ball_sup():
+    # delta |w^alpha|^2 (1-t)^2 at alpha = (0, 2000) peaks at t* = 1000/1001,
+    # past the grid's last t = 99/100: the grid maximum is tiny, but the sup
+    # over the ball is 10^6 (1000/1001)^2000 / 1001^2 ~ 0.135 > 1/8.
+    bound = kernel_bound([((0, 2000), F(-(10**6)))], 2)
+    assert bound["pass"] is False
+    assert bound["margin"] > 0.1249
+    assert bound["worst_t"] == F(99, 100)
+    assert 0.125 < bound["sup_bound"] < 0.14
+    # No correction: no deviation anywhere.
+    assert kernel_bound([], 2) == {
+        "pass": True, "sup_bound": 0.0, "max_deviation": 0.0, "margin": 0.125,
+        "worst_t": F(0), "t_grid_size": 21,
+    }
 
 
 # -- usage errors -------------------------------------------------------------

@@ -30,7 +30,7 @@ from hypershift import (
     radial_grid,
 )
 from hypershift.cli import main
-from helpers import as_array
+from helpers import as_array, modulus_classes
 
 F = Fraction
 
@@ -221,9 +221,10 @@ def test_eigenvalues_write_an_underflowing_negative_as_zero():
     assert str(eigs[0]) == "0.0"
 
 
-def test_one_spectrum_per_grid_point(monkeypatch, capsys, tmp_path):
-    # The single-weight report reads eigenvalues and psd from one spectrum
-    # per record, and psh_boundedness_report one per point.
+def test_one_spectrum_per_modulus_class(monkeypatch, capsys, tmp_path):
+    # H(w) = P* M(s) P with P diagonal unitary, so the single-weight report
+    # and psh_boundedness_report compute one spectrum per class of equal
+    # s = (|w_i|^2): 6 classes for the 33 points of radial:2x4.
     calls = []
     real = curvature_module._spectrum
 
@@ -233,15 +234,16 @@ def test_one_spectrum_per_grid_point(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(curvature_module, "_spectrum", counting)
     grid = radial_grid(2, 2, 4)
+    assert (len(grid), len(modulus_classes(grid))) == (33, 6)
     spec = tmp_path / "w.json"
     spec.write_text('{"kind": "power", "n": 2, "m": 2}')
     assert main(["curvature", "--weights", str(spec), "--grid", "radial:2x4"]) == 0
     assert json.loads(capsys.readouterr().out)["n_points"] == len(grid)
-    assert calls == [80] * len(grid)
+    assert calls == [80] * 6
     calls.clear()
     W = PerturbedPower(2, 2, 2)
     psh_boundedness_report(W, W.base, grid, max_degree=40)
-    assert calls == [80] * len(grid)
+    assert calls == [80] * 6
 
 
 # -- differences -------------------------------------------------------------
@@ -499,7 +501,9 @@ def test_pair_point_is_the_difference_of_the_single_points():
                 h2 = metric_jet(W2, w, max_degree=60, precision_bits=120).h
                 assert p.psi == float(mp.log(h1) - mp.log(h2))
                 assert p1.psi == float(mp.log(h1))
-            assert p.hessian.entries == diff
+                scale = max(abs(x) for q in (p1, p2) for row in q.hessian.entries for x in row)
+                for got, want in zip(sum(p.hessian.entries, ()), sum(diff, ())):
+                    assert abs(got - want) <= mp.mpf(2) ** -112 * scale
             assert p.hessian.point == p1.hessian.point
             assert p.w == w
     W = PowerKernel(2, 2)
@@ -514,40 +518,36 @@ def test_pair_point_is_the_difference_of_the_single_points():
 
 def test_psh_report_takes_one_jet_per_weight_per_point(monkeypatch):
     # One metric_jets call per report yields one jet per weight per point.
-    # Within it, each coordinate power is taken once per distinct (coordinate,
-    # exponent) and each weight's correction table is built once.
+    # Within it each weight's correction table is built once, and each
+    # weight's jet is evaluated once per modulus class.
     real_jets = curvature_module.metric_jets
-    real_power = weights_module._coordinate_power
     real_table = weights_module._correction_table
-    calls, powers, tables = [], [], []
+    real_class = weights_module._class_jet
+    calls, tables, class_jets = [], [], []
 
     def counting_jets(weights, points, *args, **kwargs):
         out = real_jets(weights, points, *args, **kwargs)
         calls.append((list(weights), [len(jets) for jets in out]))
         return out
 
-    def counting_power(x, e):
-        powers.append((x, e))
-        return real_power(x, e)
-
     def counting_table(W):
         tables.append(W)
         return real_table(W)
 
+    def counting_class(table, s, *args):
+        class_jets.append(s)
+        return real_class(table, s, *args)
+
     monkeypatch.setattr(curvature_module, "metric_jets", counting_jets)
-    monkeypatch.setattr(weights_module, "_coordinate_power", counting_power)
     monkeypatch.setattr(weights_module, "_correction_table", counting_table)
+    monkeypatch.setattr(weights_module, "_class_jet", counting_class)
     W = PerturbedPower(2, 2, 2)
     grid = radial_grid(2, 2, 4)
     psh_boundedness_report(W, W.base, grid, max_degree=40)
     assert calls == [([W, W.base], [2] * len(grid))]
-    assert len(powers) == len(set(powers))
-    # The correction at (2, 511) needs w_1^511 and w_1^510 at every second
-    # coordinate of a grid point off the origin, zero included.
-    second = {w[1] for w in grid if any(w)}
-    assert len(second) == 9
-    assert sorted(e for _, e in powers if e >= 510) == [510] * len(second) + [511] * len(second)
     assert tables == [W, W.base]
+    # Every class but the origin's, once for each weight.
+    assert len(class_jets) == 2 * (len(modulus_classes(grid)) - 1)
 
 
 def test_psh_report_at_the_origin_needs_no_tail_bound():
@@ -569,3 +569,31 @@ def test_psh_report_at_the_origin_needs_no_tail_bound():
         assert report.unbounded_trend is False
         assert report.shells == ((0.0, 0.0),)
         assert report.n_points == 1
+
+
+@pytest.mark.parametrize("bits", [80, 120])
+@pytest.mark.parametrize("kind", ["perturbed45", "polynomial"])
+def test_equal_moduli_share_psi_and_spectrum(kind, bits):
+    # Points with equal exact s share psi and the eigenvalues; every H is
+    # exactly Hermitian with an exactly real diagonal, so psd_check sees no
+    # deviation at all.  The dyadic points all have s = (25/64, 1/16) at any
+    # precision; at 120 bits the grid's own points share no class.
+    W1, W2 = _psh_pair(kind)
+    grid = radial_grid(2, 3, 4) + [(0.375 + 0.5j, 0.25), (0.625j, -0.25), (-0.5 + 0.375j, 0.25j)]
+    for weights in ([W1], [W1, W2]):
+        points = curvature_points(weights, grid, max_degree=60, precision_bits=bits)
+        first = {}
+        with mp.workprec(bits):
+            for p in points:
+                s = tuple(abs(mp.mpc(x)) ** 2 for x in p.w)
+                q = first.setdefault(s, p)
+                assert (p.psi, p.eigenvalues, p.hessian.spectrum) == (
+                    q.psi, q.eigenvalues, q.hessian.spectrum
+                )
+                E = p.hessian.entries
+                for i in range(2):
+                    assert E[i][i].imag == 0
+                    for j in range(2):
+                        assert E[i][j] == mp.conj(E[j][i])
+                assert psd_check(p.hessian, tol=0.0) == (p.min_eig >= 0)
+        assert len(first) == len(modulus_classes(grid, bits)) < len(grid)

@@ -1,17 +1,23 @@
-"""Grid-level metric jets against a per-point reference.
+"""Grid-level metric jets against a per-point complex reference.
 
 ``reference_jet`` is the per-point metric jet as it was written before jets
-were evaluated a grid at a time: it sums the radial series term by term with
-no memo, converts every correction and takes every coordinate power afresh.
-``metric_jets`` shares the correction tables, the coordinate powers and the
-base assembly across a call, and must give the same bits.
+were evaluated a grid at a time and as real jets: it sums the radial series
+term by term with no memo, converts every correction, takes every complex
+coordinate power afresh and assembles the Wirtinger gradient and Hessian
+directly.  ``metric_jets`` evaluates one real jet in s_i = |w_i|^2 per
+modulus class and ``metric_jet`` derives the Wirtinger derivatives at w from
+it, so they round in another order: h, grad and hess agree with the
+reference within 2^-(bits - 8) relative, and the series tails bit for bit.
+A grid call and per-point calls give the same bits.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import hypershift.weights as weights_module
 from hypershift import (
     GeometricSequence,
     PerturbedPower,
@@ -26,9 +32,24 @@ from hypershift import (
 )
 from hypershift import multiindex as mi
 from hypershift.errors import TailUnreliableError
-from hypershift.weights import MetricJet, _geometric_tails, _to_mpf, metric_jets
+from hypershift.weights import _geometric_tails, _to_mpf, metric_jets
+from helpers import modulus_classes
 
 F = Fraction
+
+
+@dataclass(frozen=True)
+class MetricJet:
+    """The complex jet as the reference writes it: h with its Wirtinger
+    gradient and mixed Hessian at one point."""
+
+    h: mp.mpf
+    grad: tuple
+    hess: tuple
+    tail_h: mp.mpf
+    tail_grad: mp.mpf
+    tail_hess: mp.mpf
+    max_degree: int
 
 
 def reference_series(seq, t, max_degree):
@@ -132,7 +153,25 @@ def reference_jet(W, w, max_degree, precision_bits):
 
 
 def _fields(jet):
+    """The fields of a real jet, which a grid call and a per-point call must
+    give bit for bit."""
+    return (jet.s, jet.h, jet.ds, jet.dss, jet.tail_h, jet.tail_grad, jet.tail_hess)
+
+
+def _wirtinger(jet):
     return (jet.h, jet.grad, jet.hess, jet.tail_h, jet.tail_grad, jet.tail_hess)
+
+
+def _assert_close(got, ref, bits):
+    """Each entry of got within 2^-(bits - 8) of the reference entry,
+    relative to its magnitude."""
+    if isinstance(ref, tuple):
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            _assert_close(g, r, bits)
+        return
+    with mp.workprec(2 * bits):
+        assert abs(got - ref) <= mp.mpf(2) ** (8 - bits) * abs(ref)
 
 
 def _grid(m):
@@ -197,6 +236,8 @@ PAIRS = {
 @pytest.mark.parametrize("bits", [80, 120])
 @pytest.mark.parametrize("pair", sorted(PAIRS))
 def test_metric_jets_are_bit_identical_to_the_reference(pair, bits):
+    # Bit for bit between the grid call and per-point calls; within
+    # 2^-(bits - 8) relative of the complex reference, tails exactly.
     deg = 60
     W1, W2 = PAIRS[pair]()
     grid = _grid(W1.m)
@@ -204,10 +245,15 @@ def test_metric_jets_are_bit_identical_to_the_reference(pair, bits):
     assert len(jets) == len(grid)
     for w, (jet1, jet2) in zip(grid, jets):
         for W, jet in ((W1, jet1), (W2, jet2)):
-            ref = reference_jet(W, w, deg, bits)
-            assert _fields(jet) == _fields(ref)
+            assert jet.grad is None and jet.hess is None
             assert jet.max_degree == deg
-            assert _fields(metric_jet(W, w, max_degree=deg, precision_bits=bits)) == _fields(ref)
+            one = metric_jet(W, w, max_degree=deg, precision_bits=bits)
+            assert _fields(one) == _fields(jet)
+            ref = reference_jet(W, w, deg, bits)
+            _assert_close((one.h, one.grad, one.hess), (ref.h, ref.grad, ref.hess), bits)
+            assert (one.tail_h, one.tail_grad, one.tail_hess) == (
+                ref.tail_h, ref.tail_grad, ref.tail_hess
+            )
 
 
 def test_base_series_is_shared_by_equal_sequences_only():
@@ -239,7 +285,9 @@ def test_metric_jets_refuse_in_point_then_weight_order():
     bare = TableWeight(2, {(0, 0): F(1), (1, 0): F(2), (0, 1): F(3)})
     P = PowerKernel(2, 2)
     origin = metric_jets([bare, P], [(0j, 0j)])
-    assert _fields(origin[0][0]) == _fields(reference_jet(bare, (0j, 0j), 40, 80))
+    one = metric_jet(bare, (0j, 0j))
+    assert _fields(origin[0][0]) == _fields(one)
+    assert _wirtinger(one) == _wirtinger(reference_jet(bare, (0j, 0j), 40, 80))
     for weights in ([bare, P], [P, bare]):
         with pytest.raises(TailUnreliableError, match="table weight without fallback"):
             metric_jets(weights, [(0j, 0j), (0.1, 0.2)])
@@ -251,3 +299,30 @@ def test_metric_jets_refuse_in_point_then_weight_order():
         metric_jets([P], [(2.0, 0.0)], max_degree=-1)
     with pytest.raises(ValueError, match="unit ball"):
         metric_jets([bare, P], [(0j, 0j), (0.8, 0.7)])
+
+
+def test_one_jet_per_modulus_class(monkeypatch):
+    # Points whose s agree at the working precision share one jet object
+    # per weight, and each class is evaluated once per weight: 35 classes on
+    # example45's radial:6x4 grid, 235 on the CLI default radial:6x8.
+    calls = []
+    for name in ("_class_jet", "_origin_jet"):
+        real = getattr(weights_module, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(weights_module, name, counting)
+    W = PerturbedPower(2, 2, 2)
+    for steps, angles, classes in ((6, 4, 35), (6, 8, 235)):
+        calls.clear()
+        grid = radial_grid(2, steps, angles)
+        jets = metric_jets([W, W.base], grid, max_degree=40, precision_bits=80)
+        assert len(modulus_classes(grid, 80)) == classes
+        assert len(calls) == 2 * classes
+        assert len({id(jet) for row in jets for jet in row}) == 2 * classes
+        first = {}
+        for row in jets:
+            s = tuple(x._mpf_ for x in row[0].s)
+            assert all(a is b for a, b in zip(first.setdefault(s, row), row))

@@ -311,3 +311,21 @@ def test_tabled_scan_computes_one_ratio_per_degree_and_length(monkeypatch):
     # first base point of the degree, direction 0.
     assert calls[:2] == [((0, 0), 0, 0), ((0, 0), 0, 1)]
     assert ((0, 1), 0, 0) in calls and ((1, 0), 1, 0) not in calls
+
+
+def test_polynomial_values_are_evaluated_once_per_index(monkeypatch):
+    # The scan asks for a(N) and a(N - b) of poly_a many times per index;
+    # each Horner sum runs once.
+    indices = []
+    inner = PolynomialSequence._horner
+
+    def counted(self, i):
+        indices.append(i)
+        return inner(self, i)
+
+    monkeypatch.setattr(PolynomialSequence, "_horner", counted)
+    res = similarity_scan(data_weight("power22"), data_weight("poly_a"), 14, 10)
+    assert len(indices) == len(set(indices)) == 26
+    ref = reference_similarity_scan(data_weight("power22"), data_weight("poly_a"), 14, 10)
+    fields = ("min_ratio_sq", "max_ratio_sq", "verdict")
+    assert [getattr(res, f) for f in fields] == [getattr(ref, f) for f in fields]

@@ -55,8 +55,13 @@ def test_polynomial_sequence_positivity_is_enforced():
     with pytest.raises(ValueError):
         PolynomialSequence([F(-1)])
     dipping = PolynomialSequence([F(1), F(-1)])  # 1 - i
-    with pytest.raises(WeightDomainError):
-        dipping.value(2)
+    # The memo keeps values only: the same error on every request.
+    for _ in range(2):
+        with pytest.raises(WeightDomainError, match="not positive at index 2"):
+            dipping.value(2)
+    assert dipping.value(0) == 1
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        dipping.value(-1)
     assert dipping.ratio_sup(0) is None
 
 
