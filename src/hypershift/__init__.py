@@ -7,11 +7,12 @@ conditions, ray-product similarity ratios, high-precision curvature
 comparisons, and a finite matrix-model oracle, plus a CLI that reproduces a
 ray-perturbed counterexample family end to end.
 
-The exact core (errors, multi-indices, weights, hypercontraction) is
-imported with the package; it needs neither numpy nor mpmath.  The names of
-the similarity, curvature and truncation modules are resolved on first use,
-so a caller that only scans exactly never loads the numerics those modules
-need.
+The package needs only the standard library: metrics and curvature run
+in ``decimal`` at a working precision (see ``precision``).  The exact core
+(errors, multi-indices, weights, hypercontraction) is imported with the
+package; the names of the similarity, curvature and truncation modules are
+resolved on first use, so a caller that only scans exactly never loads
+them.
 """
 
 from importlib import import_module
@@ -82,7 +83,6 @@ _LAZY = {
                 "curvature_points",
                 "default_grid",
                 "eigenvalues",
-                "finite_diff_check",
                 "psd_check",
                 "psh_boundedness_report",
                 "radial_grid",

@@ -27,9 +27,8 @@ from .hypercontraction import is_n_hyper_up_to, necessary_condition, necessary_s
 from .weights import PerturbedPower, parse_fraction, weight_from_dict
 
 # The curvature, similarity and truncation layers are imported in the
-# handlers that use them, so each call loads only what its subcommand runs:
-# mpmath comes in with curvature and example45 alone, and no subcommand loads
-# numpy.
+# handlers that use them, so each call loads only what its subcommand runs;
+# every layer needs only the standard library.
 
 
 class UsageError(Exception):

@@ -19,25 +19,29 @@ is the one place these matrices are built, for one metric or for a pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import localcontext
 from functools import cached_property
 from itertools import combinations
 from math import cos, isfinite, pi, sin
 
-import mpmath as mp
-
 from .errors import NonHermitianError
-from .weights import WeightFunction, metric_jet, metric_jets
+from .precision import EXACT, HALF, ZERO, DecimalComplex, conj_mul, parts, working_context
+from .weights import WeightFunction, metric_jets
+
+# Cyclic Jacobi sweeps before a spectrum is refused; at 80 bits an m = 4
+# Hermitian embedding settles in under ten.
+_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
 class CurvatureMatrix:
     """The mixed Hessian of log h (or of a difference of two logs) at a
     point, stored at working precision ``precision_bits``, with the
-    eigenvalues of its Hermitian part as mpf, ascending.  ``spectrum`` is
-    computed from the entries unless the caller supplies it."""
+    eigenvalues of its Hermitian part as Decimals, ascending.  ``spectrum``
+    is computed from the entries unless the caller supplies it."""
 
     point: tuple
-    entries: tuple  # m x m nested tuples of mpc
+    entries: tuple  # m x m nested tuples of DecimalComplex (or any numbers)
     precision_bits: int = 53
     spectrum: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -51,29 +55,80 @@ class CurvatureMatrix:
 
 
 def _spectrum(entries, precision_bits: int) -> tuple:
-    """Ascending eigenvalues of (A + A^*)/2 at the given precision.
+    """Ascending eigenvalues of (A + A^*)/2 in ``working_context(precision_bits)``.
 
+    Each entry of the Hermitian part is formed exactly and rounded once.
     For m = 2 the closed form: with mu = (a + d)/2 and
-    r = hypot((a - d)/2, |b|), the eigenvalue far from 0 is mu + r taken
-    with the sign of mu, and the near one is det/far, which avoids the
-    cancellation in mu - r.  Other sizes go through ``mp.eighe``.
+    r = sqrt(((a - d)/2)^2 + |b|^2), the eigenvalue far from 0 is mu + r
+    taken with the sign of mu, and the near one is det/far with det formed
+    exactly, which avoids the cancellation in mu - r.  Other sizes go
+    through ``_jacobi``: on the real matrix when A's Hermitian part is real,
+    else on its real 2m x 2m embedding [[X, -Y], [Y, X]], whose eigenvalues
+    are A's, each twice.
     """
     m = len(entries)
-    with mp.workprec(precision_bits):
-        def herm(i, j):
-            return (mp.mpc(entries[i][j]) + mp.conj(entries[j][i])) / 2
+    mul, add, sub = EXACT.multiply, EXACT.add, EXACT.subtract
+    with localcontext(working_context(precision_bits)):
+        z = [[parts(x) for x in row] for row in entries]
+        # X + iY, the Hermitian part: exact sums, each half rounded once.
+        X = [[add(z[i][j][0], z[j][i][0]) * HALF for j in range(m)] for i in range(m)]
+        Y = [[sub(z[i][j][1], z[j][i][1]) * HALF for j in range(m)] for i in range(m)]
+        if m == 2:
+            a, d, br, bi = X[0][0], X[1][1], X[0][1], Y[0][1]
+            mu = +mul(add(a, d), HALF)
+            u = mul(sub(a, d), HALF)
+            r = add(add(mul(u, u), mul(br, br)), mul(bi, bi)).sqrt()
+            far = mu + r if mu >= 0 else mu - r
+            if not far:
+                return (far, far)
+            near = sub(mul(a, d), add(mul(br, br), mul(bi, bi))) / far
+            return (near, far) if near <= far else (far, near)
+        if not any(any(row) for row in Y):
+            return _jacobi(X)
+        top = [x + [-y for y in yrow] for x, yrow in zip(X, Y)]
+        bottom = [yrow + x for x, yrow in zip(X, Y)]
+        return _jacobi(top + bottom)[::2]
 
-        if m != 2:
-            A = mp.matrix([[herm(i, j) for j in range(m)] for i in range(m)])
-            return tuple(mp.eighe(A, eigvals_only=True))
-        a, d, b = herm(0, 0).real, herm(1, 1).real, herm(0, 1)
-        mu = (a + d) / 2
-        r = mp.hypot((a - d) / 2, abs(b))
-        far = mu + r if mu >= 0 else mu - r
-        if not far:
-            return (far, far)
-        near = (a * d - (b.real * b.real + b.imag * b.imag)) / far
-        return (near, far) if near <= far else (far, near)
+
+def _jacobi(A: list) -> tuple:
+    """Ascending eigenvalues of the real symmetric matrix A (rows of
+    Decimals, overwritten) by cyclic Jacobi rotations in the current
+    context.  An off-diagonal entry below a hundredth of an ulp of both its
+    diagonal entries is set to zero; the sweeps end when one makes no
+    rotation.  Raises RuntimeError if that takes more than ``_MAX_SWEEPS``.
+    """
+    n = len(A)
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p][q]
+                if not apq:
+                    continue
+                app, aqq = A[p][p], A[q][q]
+                g = 100 * abs(apq)
+                if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+                    A[p][q] = A[q][p] = ZERO
+                    continue
+                rotated = True
+                theta = (aqq - app) / (2 * apq)
+                t = 1 / (abs(theta) + (theta * theta + 1).sqrt())
+                if theta < 0:
+                    t = -t
+                c = 1 / (t * t + 1).sqrt()
+                s = t * c
+                tau = s / (1 + c)
+                A[p][p] = app - t * apq
+                A[q][q] = aqq + t * apq
+                A[p][q] = A[q][p] = ZERO
+                for r in range(n):
+                    if r != p and r != q:
+                        arp, arq = A[r][p], A[r][q]
+                        A[r][p] = A[p][r] = arp - s * (arq + tau * arp)
+                        A[r][q] = A[q][r] = arq + s * (arp - tau * arq)
+        if not rotated:
+            return tuple(sorted(A[i][i] for i in range(n)))
+    raise RuntimeError(f"Jacobi eigenvalue iteration did not settle in {_MAX_SWEEPS} sweeps")
 
 
 @dataclass(frozen=True)
@@ -97,28 +152,35 @@ class PshPoint:
 def _log_class(jets, precision_bits: int) -> tuple:
     """(psi, diagonal, L_ij, spectrum) of one modulus class s, where psi is
     L = log F (one weight) or log F1 - log F2 (a pair), L_i = F_i/F and
-    L_ij = (F F_ij - F_i F_j)/F^2.  Each point w of the class has
-    H = P* M P with P = diag(w_i/|w_i|) and M_ij = L_ij sqrt(s_i s_j) +
-    delta_ij L_i, so M's diagonal and spectrum serve the whole class."""
+    L_ij = (F F_ij - F_i F_j)/F^2, in the current context.  Each point w of
+    the class has H = P* M P with P = diag(w_i/|w_i|) and
+    M_ij = L_ij sqrt(s_i s_j) + delta_ij L_i, so M's diagonal and spectrum
+    serve the whole class; the diagonal is returned as DecimalComplex
+    entries, shared by the class's matrices."""
     s = jets[0].s
     m = len(s)
-    psi = mp.mpf(0)
-    d1 = [mp.mpf(0)] * m
-    d2 = [[mp.mpf(0)] * m for _ in range(m)]
+    psi = ZERO
+    d1 = [ZERO] * m
+    d2 = [[ZERO] * m for _ in range(m)]
     for sign, jet in zip((1, -1), jets):
         F = jet.h
         FF = F * F
-        psi += sign * mp.log(F)
+        psi += sign * F.ln()
         for i, fi in enumerate(jet.ds):
             d1[i] += sign * (fi / F)
             for j, fj in enumerate(jet.ds):
                 d2[i][j] += sign * ((F * jet.dss[i][j] - fi * fj) / FF)
     diagonal = [d2[i][i] * s[i] + d1[i] for i in range(m)]
     M = [
-        [diagonal[i] if i == j else d2[i][j] * mp.sqrt(s[i] * s[j]) for j in range(m)]
+        [diagonal[i] if i == j else d2[i][j] * EXACT.multiply(s[i], s[j]).sqrt() for j in range(m)]
         for i in range(m)
     ]
-    return float(psi), diagonal, d2, _spectrum(M, precision_bits)
+    return (
+        float(psi) + 0.0,
+        [DecimalComplex(x) for x in diagonal],
+        d2,
+        _spectrum(M, precision_bits),
+    )
 
 
 def curvature_points(
@@ -128,16 +190,18 @@ def curvature_points(
     precision_bits: int = 80,
 ) -> list[PshPoint]:
     """psi and its mixed Hessian at every grid point, in grid order, from
-    one ``metric_jets`` call over the grid.
+    one ``metric_jets`` call over the grid, in
+    ``working_context(precision_bits)``.
 
     For one weight psi = log h, whose Hessian at w = 0 is exactly
     diag(rho(e_i)/rho(0)).  For a pair (W1, W2), psi = log h1 - log h2 and
     its Hessian is H(h1) - H(h2); the sign convention is carried by the
     argument order alone, so swapping the weights negates both.  psi, L and
     the spectrum are computed once per modulus class; at each point only
-    H_ij = L_ij conj(w_i) w_j for i < j is formed, with H_ji = conj(H_ij)
-    and the real class diagonal, so H is exactly Hermitian.  Raises
-    ValueError unless there are one or two weights of one dimension.
+    H_ij = L_ij conj(w_i) w_j for i < j is formed, with conj(w_i) w_j exact
+    before its one rounding, H_ji = conj(H_ij) and the real class diagonal,
+    so H is exactly Hermitian.  Raises ValueError unless there are one or
+    two weights of one dimension.
     """
     weights = list(weights)
     if len(weights) not in (1, 2):
@@ -147,21 +211,20 @@ def curvature_points(
     grid = list(grid)
     points = []
     classes: dict[tuple, tuple] = {}
-    with mp.workprec(precision_bits):
-        jets = metric_jets(weights, grid, max_degree=max_degree, precision_bits=precision_bits)
+    jets = metric_jets(weights, grid, max_degree=max_degree, precision_bits=precision_bits)
+    with localcontext(working_context(precision_bits)):
         for w, row in zip(grid, jets):
-            key = tuple(x._mpf_ for x in row[0].s)
-            cls = classes.get(key)
+            cls = classes.get(row[0].s)
             if cls is None:
-                cls = classes[key] = _log_class(row, precision_bits)
+                cls = classes[row[0].s] = _log_class(row, precision_bits)
             psi, diagonal, d2, spectrum = cls
-            wv = tuple(mp.mpc(x) for x in w)
-            rows = [[mp.mpc(d)] * len(wv) for d in diagonal]
+            wv = [parts(x) for x in w]
+            rows = [[d] * len(wv) for d in diagonal]
             for i, j in combinations(range(len(wv)), 2):
-                rows[i][j] = d2[i][j] * (mp.conj(wv[i]) * wv[j])
-                rows[j][i] = mp.conj(rows[i][j])
+                rows[i][j] = conj_mul(wv[i], wv[j]).scaled(d2[i][j])
+                rows[j][i] = rows[i][j].conjugate()
             H = CurvatureMatrix(
-                point=wv,
+                point=tuple(w),
                 entries=tuple(map(tuple, rows)),
                 precision_bits=precision_bits,
                 spectrum=spectrum,
@@ -198,70 +261,6 @@ def eigenvalues(H: CurvatureMatrix) -> tuple[float, ...]:
     """Eigenvalues of the Hermitian part, ascending, rounded to float from
     ``H.spectrum`` (a -0.0 is written as 0.0)."""
     return tuple(float(x) + 0.0 for x in H.spectrum)
-
-
-def _displace(w, coord: int, part: str, step: float):
-    out = [mp.mpc(x) for x in w]
-    if part == "re":
-        out[coord] += mp.mpf(step)
-    else:
-        out[coord] += mp.mpc(0, 1) * mp.mpf(step)
-    return out
-
-
-def finite_diff_check(
-    W: WeightFunction,
-    w,
-    step: float = 1e-4,
-    max_degree: int = 60,
-    precision_bits: int = 120,
-) -> float:
-    """Maximum absolute deviation between the analytic Hessian of log h and
-    a second-order central finite-difference stencil at w.
-
-    Writing w_j = x_j + i y_j, the mixed Wirtinger derivative is
-
-        d^2 f / dw_i dconj(w_j)
-            = (f_{x_i x_j} + f_{y_i y_j} + i (f_{x_i y_j} - f_{y_i x_j})) / 4,
-
-    each real second derivative taken with the usual central stencils.  The
-    deviation is O(step^2) plus series truncation error.
-    """
-    m = W.m
-
-    def f(pt) -> mp.mpf:
-        return mp.log(metric_jet(W, pt, max_degree=max_degree, precision_bits=precision_bits).h)
-
-    with mp.workprec(precision_bits):
-        h = mp.mpf(step)
-        f0 = f(w)
-
-        def second(ci: int, pi: str, cj: int, pj: str) -> mp.mpf:
-            if (ci, pi) == (cj, pj):
-                up = f(_displace(w, ci, pi, step))
-                dn = f(_displace(w, ci, pi, -step))
-                return (up - 2 * f0 + dn) / (h * h)
-            pp = f(_displace(_displace(w, ci, pi, step), cj, pj, step))
-            pm = f(_displace(_displace(w, ci, pi, step), cj, pj, -step))
-            mp_ = f(_displace(_displace(w, ci, pi, -step), cj, pj, step))
-            mm = f(_displace(_displace(w, ci, pi, -step), cj, pj, -step))
-            return (pp - pm - mp_ + mm) / (4 * h * h)
-
-        (analytic,) = curvature_points(
-            [W], [w], max_degree=max_degree, precision_bits=precision_bits
-        )
-        worst = mp.mpf(0)
-        for i in range(m):
-            for j in range(m):
-                fd = (
-                    second(i, "re", j, "re")
-                    + second(i, "im", j, "im")
-                    + mp.mpc(0, 1) * (second(i, "re", j, "im") - second(i, "im", j, "re"))
-                ) / 4
-                dev = abs(fd - analytic.hessian.entries[i][j])
-                if dev > worst:
-                    worst = dev
-        return float(worst)
 
 
 def default_grid(

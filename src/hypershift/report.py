@@ -2,9 +2,10 @@
 
 Reports are plain dicts whose values may be result objects' own fields.
 ``canonical_json`` holds the one rule for writing them: a ``Fraction`` is a
-"p/q" string, a complex number (Python's, or an mpmath mpc/mpf) is an
-[re, im] pair of floats, a tuple is a list, a float is its shortest
-round-trip repr, and any other type is refused.  The encoding is
+"p/q" string, any other number that converts with ``complex()`` (a
+Python complex, a working-precision Decimal or DecimalComplex, an mpmath
+mpf or mpc) is an [re, im] pair of floats, a tuple is a list, a float is
+its shortest round-trip repr, and any other type is refused.  The encoding is
 canonicalized (sorted keys, fixed separators, trailing newline) so identical
 inputs produce byte-identical files.
 """
@@ -32,12 +33,12 @@ def float_str(x) -> str:
 def _encode(obj):
     """The report value of an object json cannot write itself.
 
-    mpmath numbers are recognised by their ``_mpc_``/``_mpf_`` attributes,
-    so this module never imports mpmath.
+    Numbers are recognised by their ``__complex__`` method, so this module
+    imports no numeric library.
     """
     if isinstance(obj, Fraction):
         return frac_str(obj)
-    if isinstance(obj, complex) or hasattr(obj, "_mpc_") or hasattr(obj, "_mpf_"):
+    if hasattr(type(obj), "__complex__"):
         z = complex(obj)
         return [z.real, z.imag]
     raise TypeError(f"{type(obj).__name__} is not a report value")

@@ -32,9 +32,9 @@ safe to share across threads for reading.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from math import comb, factorial, perm
-from typing import TYPE_CHECKING
 
 from . import multiindex as mi
 from .errors import (
@@ -45,13 +45,8 @@ from .errors import (
     WeightSpecError,
 )
 from .multiindex import MultiIndex
+from .precision import ZERO, DecimalComplex, abs_sq, conj_mul, parts, to_decimal, working_context
 from .report import frac_str
-
-# mpmath is imported inside the functions that evaluate metrics, so the exact
-# layers (rho, rho_ratio, the defect engine) load without it.
-if TYPE_CHECKING:
-    import mpmath as mp
-
 
 # ---------------------------------------------------------------------------
 # Radial coefficient sequences
@@ -73,7 +68,7 @@ class RadialSequence:
 
     def __init__(self):
         self._series: dict[tuple, tuple] = {}
-        # precision -> [(a_d, d a_d, d (d-1) a_d)] for d = 0, 1, ...
+        # working digits -> [(a_d, d a_d, d (d-1) a_d)] for d = 0, 1, ...
         self._coefficients: dict[int, list[tuple]] = {}
 
     def value(self, i: int) -> Fraction:
@@ -89,19 +84,18 @@ class RadialSequence:
     def spec_dict(self) -> dict:
         raise NotImplementedError
 
-    def series(self, t: mp.mpf, max_degree: int) -> tuple:
+    def series(self, t: Decimal, max_degree: int) -> tuple:
         """g(t), g'(t), g''(t) of g(t) = sum_{d <= max_degree} a(d) t^d and the
-        geometric tail bounds of the three series beyond max_degree, at the
-        working precision.
+        geometric tail bounds of the three series beyond max_degree, in the
+        current (working) decimal context.
 
-        Memoized on the exact key (t, max_degree, working precision); the
-        result depends on nothing else, so a hit is bit-identical to a fresh
+        Memoized on the exact key (t, max_degree, working digits); the result
+        depends on nothing else, so a hit is bit-identical to a fresh
         evaluation.  Raises SequenceExhausted when the sequence ends before
         max_degree and TailUnreliableError when no ratio bound is known.
         """
-        import mpmath as mp
-
-        key = (t, max_degree, mp.mp.prec)
+        digits = getcontext().prec
+        key = (t, max_degree, digits)
         hit = self._series.get(key)
         if hit is not None:
             return hit
@@ -110,23 +104,18 @@ class RadialSequence:
             raise SequenceExhausted(
                 f"radial sequence ends at index {limit}, truncation degree {max_degree} requested"
             )
-        coeffs = self._coefficients.setdefault(mp.mp.prec, [])
+        coeffs = self._coefficients.setdefault(digits, [])
         for d in range(len(coeffs), max_degree + 1):
-            a_d = _to_mpf(self.value(d))
+            a_d = to_decimal(self.value(d))
             coeffs.append((a_d, d * a_d, d * (d - 1) * a_d))
-        # Running powers of t: p = t^d, p1 = t^(d-1), p2 = t^(d-2).
-        g = mp.mpf(0)
-        gp = mp.mpf(0)
-        gpp = mp.mpf(0)
-        p = mp.mpf(1)
-        p1 = p2 = mp.mpf(0)
-        for d in range(max_degree + 1):
-            a_d, da_d, dda_d = coeffs[d]
+        # Running powers of t: p = t^d, p1 = t^(d-1), p2 = t^(d-2).  The
+        # terms d a_d p1 and d (d-1) a_d p2 are exact zeros while p1 or p2 is.
+        g = gp = gpp = p1 = p2 = ZERO
+        p = Decimal(1)
+        for a_d, da_d, dda_d in coeffs[: max_degree + 1]:
             g += a_d * p
-            if d >= 1:
-                gp += da_d * p1
-            if d >= 2:
-                gpp += dda_d * p2
+            gp += da_d * p1
+            gpp += dda_d * p2
             p2 = p1
             p1 = p
             p *= t
@@ -643,36 +632,31 @@ class MetricJet:
     h(w) = sum_alpha rho(alpha) |w^alpha|^2 = F(s) depends on w only through
     s, so one jet serves every point of the modulus class ``s``: ``h`` = F,
     ``ds`` = (dF/ds_i) and ``dss`` = (d^2F/ds_i ds_j), a symmetric m x m
-    nested tuple.  The tails bound what the truncated radial base series
-    leaves out of F, of each dF/ds_i and of each d^2F/ds_i ds_j.  At s = 0
-    ``dss`` is stored as zeros: every Wirtinger term it enters carries a
-    factor conj(w_i) w_j.
+    nested tuple, all Decimals at the working precision.  The tails bound
+    what the truncated radial base series leaves out of F, of each dF/ds_i
+    and of each d^2F/ds_i ds_j.  At s = 0 ``dss`` is stored as zeros: every
+    Wirtinger term it enters carries a factor conj(w_i) w_j.
 
     A jet from ``metric_jets`` has no point and ``grad = hess = None``;
-    ``metric_jet(W, w)`` adds the Wirtinger derivatives at w,
+    ``metric_jet(W, w)`` adds the Wirtinger derivatives at w as
+    ``DecimalComplex`` values,
 
         grad_i = F_i conj(w_i),   hess_ij = F_ij conj(w_i) w_j + delta_ij F_i.
     """
 
     s: tuple
-    h: mp.mpf
+    h: Decimal
     ds: tuple
     dss: tuple
-    tail_h: mp.mpf
-    tail_grad: mp.mpf
-    tail_hess: mp.mpf
+    tail_h: Decimal
+    tail_grad: Decimal
+    tail_hess: Decimal
     max_degree: int
     grad: tuple | None = None
     hess: tuple | None = None
 
 
-def _to_mpf(x: Fraction) -> mp.mpf:
-    import mpmath as mp
-
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-
-
-def _geometric_tails(a_last: mp.mpf, t: mp.mpf, d: int, ratio: Fraction):
+def _geometric_tails(a_last: Decimal, t: Decimal, d: int, ratio: Fraction):
     """Tail bounds for sum a(j) t^j, its first, and its second t-derivative
     beyond degree d, assuming a(j+1)/a(j) <= r = ratio for j >= d.
 
@@ -686,9 +670,7 @@ def _geometric_tails(a_last: mp.mpf, t: mp.mpf, d: int, ratio: Fraction):
         sum_{j>d} j(j-1) a(j) t^{j-2}
             <= a(d) r [d t^{d-1} ((d-1)/(1-x) + 2/(1-x)^2) + 2 r t^d/(1-x)^3]
     """
-    import mpmath as mp
-
-    r = _to_mpf(ratio)
+    r = to_decimal(ratio)
     x = r * t
     if x >= 1:
         raise TailUnreliableError(
@@ -698,7 +680,7 @@ def _geometric_tails(a_last: mp.mpf, t: mp.mpf, d: int, ratio: Fraction):
     u = 1 / (1 - x)
     td = t**d
     # d t^{d-1} is 0 at d = 0; t^{-1} is never formed.
-    dtd1 = d * t ** (d - 1) if d else mp.mpf(0)
+    dtd1 = d * t ** (d - 1) if d else ZERO
     tail0 = a_last * td * x * u
     tail1 = a_last * r * td * u * (d + u)
     tail2 = a_last * r * u * (dtd1 * (d - 1 + 2 * u) + 2 * r * td * u * u)
@@ -728,34 +710,31 @@ def _correction_table(W: WeightFunction) -> tuple:
     m = W.m
     terms = []
     for alpha, delta in corrections:
-        terms.append(((), _to_mpf(delta), alpha))
+        terms.append(((), to_decimal(delta), alpha))
         for i, a in enumerate(alpha):
             if not a:
                 continue
             lower = mi.sub(alpha, mi.unit(m, i))
-            terms.append(((i,), _to_mpf(delta * a), lower))
+            terms.append(((i,), to_decimal(delta * a), lower))
             for j in range(i, m):
                 c = a * lower[j]
                 if c:
-                    terms.append(((i, j), _to_mpf(delta * c), mi.sub(lower, mi.unit(m, j))))
+                    terms.append(((i, j), to_decimal(delta * c), mi.sub(lower, mi.unit(m, j))))
     return base, _sequence_key(base), terms
 
 
 def _origin_jet(W: WeightFunction, s: tuple, max_degree: int) -> MetricJet:
     """The jet at s = 0, exact from two weight layers: F = rho(0) and
     F_i = rho(e_i)."""
-    import mpmath as mp
-
     m = W.m
-    zero = mp.mpf(0)
     return MetricJet(
         s=s,
-        h=_to_mpf(W.rho((0,) * m)),
-        ds=tuple(_to_mpf(W.rho(mi.unit(m, i))) for i in range(m)),
-        dss=((zero,) * m,) * m,
-        tail_h=zero,
-        tail_grad=zero,
-        tail_hess=zero,
+        h=to_decimal(W.rho((0,) * m)),
+        ds=tuple(to_decimal(W.rho(mi.unit(m, i))) for i in range(m)),
+        dss=((ZERO,) * m,) * m,
+        tail_h=ZERO,
+        tail_grad=ZERO,
+        tail_hess=ZERO,
         max_degree=max_degree,
     )
 
@@ -764,8 +743,6 @@ def _class_jet(table: tuple, s: tuple, t, max_degree: int, bases: dict) -> Metri
     """The real jet at the modulus class s (with t = sum s_i > 0): the base
     series g, g', g'' at t, shared through ``bases`` by equal sequences, plus
     every correction term in full."""
-    import mpmath as mp
-
     base, key, terms = table
     series = bases.get(key)
     if series is None:
@@ -778,7 +755,7 @@ def _class_jet(table: tuple, s: tuple, t, max_degree: int, bases: dict) -> Metri
         for j in range(i, m):
             jet[(i, j)] = gpp
     for slot, c, e in terms:
-        power = mp.mpf(1)
+        power = Decimal(1)
         for x, k in zip(s, e):
             if k:
                 power *= x**k
@@ -809,32 +786,30 @@ def metric_jets(
     """Evaluate h(w) = sum_alpha rho(alpha) |w^alpha|^2 = F(s) as a real
     jet in s_i = |w_i|^2 (``MetricJet``) for every weight at every point,
     truncating the radial base series at ``max_degree`` and summing every
-    exact correction term in full.  Returns one tuple per point holding the
-    jet of each weight in order.
+    exact correction term in full, in ``working_context(precision_bits)``.
+    Returns one tuple per point holding the jet of each weight in order.
 
     The jet depends on the point only through its exact modulus class, the
-    tuple of the s_i as rounded at the working precision, so each class is
-    evaluated once and all its points share the same jet objects.  Within a
-    call each weight's correction table is built once, at the first point
-    off the origin, and at each class the base series is summed once for
-    all weights on equal radial sequences.  Every jet is bit for bit the jet
-    of that weight at that point alone, and the errors come in the order of
-    evaluating the points one by one and, at each point, the weights in
-    order.
+    tuple of the s_i, each formed exactly from the coordinate and rounded
+    once at the working precision, so each class is evaluated once and all
+    its points share the same jet objects.  Within a call each weight's
+    correction table is built once, at the first point off the origin, and
+    at each class the base series is summed once for all weights on equal
+    radial sequences.  Every jet is bit for bit the jet of that weight at
+    that point alone, and the errors come in the order of evaluating the
+    points one by one and, at each point, the weights in order.
 
     Raises BallDomainError if |w| >= 1, and TailUnreliableError when no
     rigorous tail bound exists at this truncation degree or the truncated
     h is not positive (negative corrections outweighing a short base
     series), since such a value is not a metric.
     """
-    import mpmath as mp
-
     weights = list(weights)
     tables: list[tuple | None] = [None] * len(weights)
     moduli: dict = {}  # coordinate as given -> |x|^2
     classes: dict[tuple, list] = {}  # exact s -> jets of the weights so far
     out = []
-    with mp.workprec(precision_bits):
+    with localcontext(working_context(precision_bits)):
         for w in points:
             jets: list = []
             for k, W in enumerate(weights):
@@ -849,12 +824,12 @@ def metric_jets(
                     # one-point jet, so bad input is reported first.
                     for x in w:
                         if x not in moduli:
-                            moduli[x] = abs(mp.mpc(x)) ** 2
+                            moduli[x] = abs_sq(parts(x))
                     s = tuple(moduli[x] for x in w)
-                    t = sum(s, mp.mpf(0))
+                    t = sum(s, ZERO)
                     if t >= 1:
                         raise BallDomainError(f"|w|^2 = {float(t):.6f} is not inside the unit ball")
-                    jets = classes.setdefault(tuple(sq._mpf_ for sq in s), [])
+                    jets = classes.setdefault(s, [])
                     bases: dict = {}
                 if k < len(jets):
                     continue
@@ -876,17 +851,15 @@ def metric_jet(
 ) -> MetricJet:
     """The metric jet of W at the single point w: ``metric_jets([W], [w])``
     with the same arguments, with its Wirtinger ``grad`` and ``hess`` at w."""
-    import mpmath as mp
-
     (jet,) = metric_jets([W], [w], max_degree=max_degree, precision_bits=precision_bits)[0]
-    with mp.workprec(precision_bits):
-        cw = [mp.conj(mp.mpc(x)) for x in w]
-        grad = tuple(f * x for f, x in zip(jet.ds, cw))
-        hess = tuple(
-            tuple(
-                f * (x * mp.mpc(y)) + (fi if i == j else 0)
-                for j, (f, y) in enumerate(zip(row, w))
-            )
-            for i, (row, x, fi) in enumerate(zip(jet.dss, cw, jet.ds))
-        )
-    return replace(jet, grad=grad, hess=hess)
+    with localcontext(working_context(precision_bits)):
+        wv = [parts(x) for x in w]
+        grad = tuple(DecimalComplex(f * a, f * b.copy_negate()) for f, (a, b) in zip(jet.ds, wv))
+        hess = []
+        for i, (row, x, fi) in enumerate(zip(jet.dss, wv, jet.ds)):
+            entries = []
+            for j, (f, y) in enumerate(zip(row, wv)):
+                z = conj_mul(x, y).scaled(f)
+                entries.append(DecimalComplex(z.real + fi, z.imag) if i == j else z)
+            hess.append(tuple(entries))
+    return replace(jet, grad=grad, hess=tuple(hess))

@@ -1,12 +1,16 @@
 """Shared builders for randomized test weights, the dense numpy references
 the float paths are tested against, the per-cell similarity scan the
-tabled one is tested against, and the modulus classes of a grid.
+tabled one is tested against, the modulus classes of a grid, and the
+mpmath oracles the working-precision decimal numerics are checked against:
+``to_mp`` and the finite-difference stencil ``finite_diff_check``.
 
 Everything takes an explicit random.Random so tests stay reproducible; no
-module-level RNG state.  numpy is a test dependency only: the package itself
-never imports it.
+module-level RNG state.  numpy and mpmath are test dependencies only: the
+package itself imports neither.
 """
 
+from dataclasses import fields, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import sqrt
 from types import SimpleNamespace
@@ -17,15 +21,19 @@ import numpy as np
 from hypershift import (
     ExplicitSequence,
     GeometricSequence,
+    MetricJet,
     PolynomialSequence,
     PowerKernel,
     PowerSequence,
     RadialWeight,
     RayWitness,
     TableWeight,
+    curvature_points,
+    metric_jet,
     ray_ratio_sq,
 )
 from hypershift import multiindex as mi
+from hypershift.precision import EXACT, DecimalComplex, working_context
 
 
 def random_fraction(rng, lo=1, hi=16) -> Fraction:
@@ -117,8 +125,98 @@ def reference_similarity_scan(W1, W2, base_degree, ray_length, growth_factor=Fra
     )
 
 
+def modulus_class(w, bits=80) -> tuple:
+    """The exact s = (|w_1|^2, ..., |w_m|^2) of a point, each s_i summed in
+    Fractions and rounded once to the working digits of ``bits``."""
+    with localcontext(working_context(bits)):
+        return tuple(
+            Decimal(q.numerator) / Decimal(q.denominator)
+            for q in (Fraction(x.real) ** 2 + Fraction(x.imag) ** 2 for x in w)
+        )
+
+
 def modulus_classes(grid, bits=80) -> set:
-    """The distinct exact s = (|w_1|^2, ..., |w_m|^2) of a grid at the
-    working precision ``bits``."""
-    with mp.workprec(bits):
-        return {tuple(abs(mp.mpc(x)) ** 2 for x in w) for w in grid}
+    """The distinct modulus classes of a grid at the working precision
+    ``bits``."""
+    return {modulus_class(w, bits) for w in grid}
+
+
+def to_mp(x):
+    """A working-precision value as mpmath: a Decimal as mpf, a
+    DecimalComplex as mpc, and tuples and the value fields of a MetricJet
+    entrywise, each rounded at the current mpmath precision."""
+    if x is None:
+        return None
+    if isinstance(x, MetricJet):
+        return replace(
+            x, **{f.name: to_mp(getattr(x, f.name)) for f in fields(x) if f.name != "max_degree"}
+        )
+    if isinstance(x, tuple):
+        return tuple(to_mp(v) for v in x)
+    if isinstance(x, DecimalComplex):
+        return mp.mpc(to_mp(x.real), to_mp(x.imag))
+    if isinstance(x, Decimal):
+        return mp.mpf(str(x))
+    return mp.mpmathify(x)
+
+
+def _displace(w, coord: int, part: str, step: float):
+    """w with ``step`` added to the real or imaginary part of one
+    coordinate, exactly."""
+    out = [DecimalComplex(Decimal(x.real), Decimal(x.imag)) for x in w]
+    x = out[coord]
+    if part == "re":
+        out[coord] = DecimalComplex(EXACT.add(x.real, Decimal(step)), x.imag)
+    else:
+        out[coord] = DecimalComplex(x.real, EXACT.add(x.imag, Decimal(step)))
+    return out
+
+
+def finite_diff_check(W, w, step=1e-4, max_degree=60, precision_bits=120) -> float:
+    """Maximum absolute deviation between the analytic Hessian of log h and
+    a second-order central finite-difference stencil at w, in mpmath.
+
+    Writing w_j = x_j + i y_j, the mixed Wirtinger derivative is
+
+        d^2 f / dw_i dconj(w_j)
+            = (f_{x_i x_j} + f_{y_i y_j} + i (f_{x_i y_j} - f_{y_i x_j})) / 4,
+
+    each real second derivative taken with the usual central stencils on
+    log h of ``metric_jet`` at exactly displaced points.  The deviation is
+    O(step^2) plus series truncation error.
+    """
+    m = W.m
+
+    def f(pt):
+        return mp.log(to_mp(metric_jet(W, pt, max_degree=max_degree, precision_bits=precision_bits).h))
+
+    with mp.workprec(precision_bits):
+        h = mp.mpf(step)
+        f0 = f(w)
+
+        def second(ci, pi, cj, pj):
+            if (ci, pi) == (cj, pj):
+                up = f(_displace(w, ci, pi, step))
+                dn = f(_displace(w, ci, pi, -step))
+                return (up - 2 * f0 + dn) / (h * h)
+            pp = f(_displace(_displace(w, ci, pi, step), cj, pj, step))
+            pm = f(_displace(_displace(w, ci, pi, step), cj, pj, -step))
+            mp_ = f(_displace(_displace(w, ci, pi, -step), cj, pj, step))
+            mm = f(_displace(_displace(w, ci, pi, -step), cj, pj, -step))
+            return (pp - pm - mp_ + mm) / (4 * h * h)
+
+        (analytic,) = curvature_points(
+            [W], [w], max_degree=max_degree, precision_bits=precision_bits
+        )
+        worst = mp.mpf(0)
+        for i in range(m):
+            for j in range(m):
+                fd = (
+                    second(i, "re", j, "re")
+                    + second(i, "im", j, "im")
+                    + mp.mpc(0, 1) * (second(i, "re", j, "im") - second(i, "im", j, "re"))
+                ) / 4
+                dev = abs(fd - to_mp(analytic.hessian.entries[i][j]))
+                if dev > worst:
+                    worst = dev
+        return float(worst)

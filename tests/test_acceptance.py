@@ -24,7 +24,6 @@ from hypershift import (
     defect_diag,
     defect_operator,
     curvature_points,
-    finite_diff_check,
     necessary_condition,
     ray_ratio_sq,
     ray_ratio_sq_literal,
@@ -34,7 +33,7 @@ from hypershift import multiindex as mi
 from hypershift.cli import run_example45
 from hypershift.report import canonical_json
 
-from helpers import random_table_weight, random_weight
+from helpers import finite_diff_check, random_table_weight, random_weight
 
 F = Fraction
 

@@ -305,9 +305,10 @@ def test_curvature_rejects_bad_tol(capsys, weight_files, monkeypatch, tol, names
     def no_jets(*args, **kwargs):
         raise AssertionError("a metric jet ran")
 
-    for name in ("metric_jet", "metric_jets", "curvature_points"):
+    for name in ("metric_jets", "curvature_points"):
         monkeypatch.setattr(hypershift.curvature, name, no_jets)
-    monkeypatch.setattr(hypershift.weights, "metric_jets", no_jets)
+    for name in ("metric_jet", "metric_jets"):
+        monkeypatch.setattr(hypershift.weights, name, no_jets)
     argv = ["curvature", "--grid", "radial:1x1", "--tol", tol]
     for name in names:
         argv += ["--weights", weight_files[name]]

@@ -2,6 +2,7 @@
 
 import json
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -23,14 +24,14 @@ from hypershift import (
     curvature_points,
     default_grid,
     eigenvalues,
-    finite_diff_check,
     metric_jet,
     psd_check,
     psh_boundedness_report,
     radial_grid,
 )
 from hypershift.cli import main
-from helpers import as_array, modulus_classes
+from hypershift.precision import working_context
+from helpers import as_array, finite_diff_check, modulus_class, modulus_classes, to_mp
 
 F = Fraction
 
@@ -101,20 +102,16 @@ def test_hessian_is_hermitian_and_point_recorded():
 
 
 def test_psd_check_accepts_and_rejects():
-    I2 = CurvatureMatrix(point=(0, 0), entries=((mp.mpc(2), mp.mpc(0)), (mp.mpc(0), mp.mpc(2))))
+    I2 = CurvatureMatrix(point=(0, 0), entries=((2, 0), (0, 2)))
     assert psd_check(I2)
-    indef = CurvatureMatrix(
-        point=(0, 0), entries=((mp.mpc(1), mp.mpc(0)), (mp.mpc(0), mp.mpc(-1)))
-    )
+    indef = CurvatureMatrix(point=(0, 0), entries=((1, 0j), (0j, -1.0)))
     assert not psd_check(indef)
     assert eigenvalues(indef) == (-1.0, 1.0)
     assert eigenvalues(indef)[0] == -1.0
 
 
 def test_psd_check_requires_hermitian():
-    bad = CurvatureMatrix(
-        point=(0, 0), entries=((mp.mpc(0), mp.mpc(1)), (mp.mpc(0), mp.mpc(0)))
-    )
+    bad = CurvatureMatrix(point=(0, 0), entries=((0j, 1 + 0j), (0j, 0j)))
     with pytest.raises(NonHermitianError):
         psd_check(bad)
 
@@ -128,7 +125,7 @@ def test_eigenvalues_are_ascending():
         )
         A = B + B.conj().T
         H = CurvatureMatrix(
-            point=(0,) * m, entries=tuple(tuple(mp.mpc(x) for x in row) for row in A)
+            point=(0,) * m, entries=tuple(tuple(complex(x) for x in row) for row in A)
         )
         eigs = eigenvalues(H)
         assert list(eigs) == sorted(eigs)
@@ -169,7 +166,7 @@ def hermitian_2x2(draw):
 def _matrix(rows, precision_bits=53):
     return CurvatureMatrix(
         point=(0,) * len(rows),
-        entries=tuple(tuple(mp.mpc(x) for x in row) for row in rows),
+        entries=tuple(tuple(complex(x) for x in row) for row in rows),
         precision_bits=precision_bits,
     )
 
@@ -177,19 +174,21 @@ def _matrix(rows, precision_bits=53):
 @SPECTRUM_SETTINGS
 @given(hermitian_2x2(), st.sampled_from([53, 80, 120]))
 def test_closed_form_spectrum_matches_eighe(abd, prec):
-    # mu and r carry a few roundings in units of scale = max |entry|; the
-    # near eigenvalue det/far carries the roundings of a d and |b|^2, at most
-    # scale^2 2^-prec each, divided by |far| = ||A||_2 >= scale.  Together
-    # they stay below 8 scale 2^-prec.
+    # With u = 10^(1 - P)/2 the unit roundoff of the P working digits, the
+    # entries, mu and r carry a few roundings in units of scale = max
+    # |entry|; the near eigenvalue det/far is one rounding of the exact
+    # det of the rounded entries, whose error is at most 2 scale^2 u,
+    # divided by |far| = ||A||_2 >= scale.  Together they stay below
+    # 8 scale u.
     a, b, d = abd
     H = _matrix(((a, b), (b.conjugate(), d)), precision_bits=prec)
     got = H.spectrum
     with mp.workprec(200):
         ref = mp.eighe(mp.matrix([[mp.mpc(x) for x in row] for row in H.entries]), eigvals_only=True)
         scale = max(abs(mp.mpc(x)) for row in H.entries for x in row)
-        bound = 8 * scale * mp.mpf(2) ** -prec
+        unit = mp.mpf(10) ** (1 - working_context(prec).prec) / 2
         assert got[0] <= got[1]
-        assert all(abs(g - r) <= bound for g, r in zip(got, ref))
+        assert all(abs(to_mp(g) - r) <= 8 * scale * unit for g, r in zip(got, ref))
 
 
 @st.composite
@@ -202,7 +201,7 @@ def hermitian_rows(draw):
 @SPECTRUM_SETTINGS
 @given(hermitian_rows())
 def test_general_spectrum_matches_numpy(rows):
-    # mp.eighe at 80 bits against LAPACK in float64, whose own error grows
+    # Jacobi at 80 bits against LAPACK in float64, whose own error grows
     # with m: on 6000 seeded 3 x 3 matrices it reached 8.7 ulp * scale, so
     # the bound is 4 m ulp * scale (exactly 4 ulp * scale for m = 1).
     m = len(rows)
@@ -214,9 +213,9 @@ def test_general_spectrum_matches_numpy(rows):
 
 
 def test_eigenvalues_write_an_underflowing_negative_as_zero():
-    # mpmath has no float range: an eigenvalue below it rounds to a float
+    # Decimal has no float range: an eigenvalue below it rounds to a float
     # zero, which is written as 0.0 and never as -0.0.
-    eigs = eigenvalues(_matrix([[mp.mpf("-1e-400")]]))
+    eigs = eigenvalues(CurvatureMatrix(point=(0,), entries=((Decimal("-1e-400"),),)))
     assert eigs == (0.0,)
     assert str(eigs[0]) == "0.0"
 
@@ -461,10 +460,10 @@ def test_psh_report_equals_the_four_jet_composition(kind, bits):
     report = psh_boundedness_report(*_psh_pair(kind), grid, max_degree=deg, precision_bits=bits)
     assert report.n_points == len(grid)
     for p, w in zip(report.points, grid):
-        with mp.workprec(bits):
-            h1 = metric_jet(_psh_pair(kind)[0], w, max_degree=deg, precision_bits=bits)
-            h2 = metric_jet(_psh_pair(kind)[1], w, max_degree=deg, precision_bits=bits)
-            psi = float(mp.log(h1.h) - mp.log(h2.h))
+        h1 = metric_jet(_psh_pair(kind)[0], w, max_degree=deg, precision_bits=bits)
+        h2 = metric_jet(_psh_pair(kind)[1], w, max_degree=deg, precision_bits=bits)
+        with localcontext(working_context(bits)):
+            psi = float(h1.h.ln() - h2.h.ln())
         H = curvature_difference(*_psh_pair(kind), w, max_degree=deg, precision_bits=bits)
         assert p.psi == psi
         assert p.hessian.entries == H.entries
@@ -492,17 +491,18 @@ def test_pair_point_is_the_difference_of_the_single_points():
         twos = curvature_points([W2], grid, max_degree=60, precision_bits=120)
         assert len(pair) == len(grid)
         for p, p1, p2, w in zip(pair, ones, twos, grid):
-            with mp.workprec(120):
+            h1 = metric_jet(W1, w, max_degree=60, precision_bits=120).h
+            h2 = metric_jet(W2, w, max_degree=60, precision_bits=120).h
+            with localcontext(working_context(120)):
+                assert p.psi == float(h1.ln() - h2.ln())
+                assert p1.psi == float(h1.ln())
+            with mp.workprec(240):
+                E, E1, E2 = (to_mp(q.hessian.entries) for q in (p, p1, p2))
                 diff = tuple(
-                    tuple(x - y for x, y in zip(ra, rb))
-                    for ra, rb in zip(p1.hessian.entries, p2.hessian.entries)
+                    tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(E1, E2)
                 )
-                h1 = metric_jet(W1, w, max_degree=60, precision_bits=120).h
-                h2 = metric_jet(W2, w, max_degree=60, precision_bits=120).h
-                assert p.psi == float(mp.log(h1) - mp.log(h2))
-                assert p1.psi == float(mp.log(h1))
-                scale = max(abs(x) for q in (p1, p2) for row in q.hessian.entries for x in row)
-                for got, want in zip(sum(p.hessian.entries, ()), sum(diff, ())):
+                scale = max(abs(x) for q in (E1, E2) for row in q for x in row)
+                for got, want in zip(sum(E, ()), sum(diff, ())):
                     assert abs(got - want) <= mp.mpf(2) ** -112 * scale
             assert p.hessian.point == p1.hessian.point
             assert p.w == w
@@ -583,17 +583,15 @@ def test_equal_moduli_share_psi_and_spectrum(kind, bits):
     for weights in ([W1], [W1, W2]):
         points = curvature_points(weights, grid, max_degree=60, precision_bits=bits)
         first = {}
-        with mp.workprec(bits):
-            for p in points:
-                s = tuple(abs(mp.mpc(x)) ** 2 for x in p.w)
-                q = first.setdefault(s, p)
-                assert (p.psi, p.eigenvalues, p.hessian.spectrum) == (
-                    q.psi, q.eigenvalues, q.hessian.spectrum
-                )
-                E = p.hessian.entries
-                for i in range(2):
-                    assert E[i][i].imag == 0
-                    for j in range(2):
-                        assert E[i][j] == mp.conj(E[j][i])
-                assert psd_check(p.hessian, tol=0.0) == (p.min_eig >= 0)
+        for p in points:
+            q = first.setdefault(modulus_class(p.w, bits), p)
+            assert (p.psi, p.eigenvalues, p.hessian.spectrum) == (
+                q.psi, q.eigenvalues, q.hessian.spectrum
+            )
+            E = p.hessian.entries
+            for i in range(2):
+                assert E[i][i].imag == 0
+                for j in range(2):
+                    assert E[i][j] == E[j][i].conjugate()
+            assert psd_check(p.hessian, tol=0.0) == (p.min_eig >= 0)
         assert len(first) == len(modulus_classes(grid, bits)) < len(grid)

@@ -1,5 +1,6 @@
 """Import hygiene: each CLI call loads only the numerics its subcommand runs,
-and no subcommand needs numpy.
+and no subcommand needs numpy or mpmath: the runtime is the standard
+library alone.
 
 Every case runs in a fresh interpreter, because this test process has
 long since imported numpy and mpmath.
@@ -27,26 +28,27 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code, "loaded": [m for m in ("mpmath", "numpy") if m in sys.modules]}))
 """
 
-# Runs main(argv) with numpy made unimportable and prints its exit code and
-# stdout.
+# Runs main(argv) with numpy and mpmath made unimportable and prints its exit
+# code and stdout.
 NO_NUMPY_PROBE = """
 import contextlib, io, json, sys
 
 
-class BlockNumpy:
+class BlockNumerics:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "numpy":
+        if name.partition(".")[0] in ("mpmath", "numpy"):
             raise ImportError(f"{name} is blocked")
         return None
 
 
-sys.meta_path.insert(0, BlockNumpy())
-try:
-    import numpy
-except ImportError:
-    pass
-else:
-    raise SystemExit("numpy imported past the blocker")
+sys.meta_path.insert(0, BlockNumerics())
+for blocked in ("mpmath", "numpy"):
+    try:
+        __import__(blocked)
+    except ImportError:
+        pass
+    else:
+        raise SystemExit(f"{blocked} imported past the blocker")
 from hypershift.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -73,7 +75,7 @@ def run_python(code: str, *args: str) -> str:
 
 def test_importing_the_cli_loads_no_numerics():
     # Encoding a report, complex entries included, loads nothing either: the
-    # encoder recognises mpmath numbers without importing mpmath.
+    # encoder recognises numbers by their __complex__ method.
     out = run_python(
         "import json, sys, hypershift.cli\n"
         "from fractions import Fraction\n"
@@ -106,8 +108,8 @@ def test_importing_the_cli_loads_no_numerics():
             [],
         ),
         (["truncate", "--weights", "poly_a.json", "--degree", "4", "--defect-order", "2"], []),
-        (["curvature", "--weights", "power22.json", "--grid", "radial:1x2"], ["mpmath"]),
-        (["example45", "--eval-degree", "20"], ["mpmath"]),
+        (["curvature", "--weights", "power22.json", "--grid", "radial:1x2"], []),
+        (["example45", "--eval-degree", "20"], []),
     ],
     ids=[
         "verify-identities",
@@ -135,8 +137,9 @@ def test_subcommand_loads_only_its_numerics(argv, loaded):
     ],
 )
 def test_golden_report_without_numpy(name):
-    # The m = 3 pair takes the general eigenvalue path, example45 the m = 2
-    # closed form, and the perturbed weight alone the single-weight report.
+    # The m = 3 pair takes the Jacobi eigenvalue path, example45 the m = 2
+    # closed form, and the perturbed weight alone the single-weight report;
+    # none of them can import numpy or mpmath.
     code, argv = CASES[name]
     result = json.loads(run_python(NO_NUMPY_PROBE, json.dumps(argv)))
     assert result["code"] == code
@@ -154,6 +157,6 @@ def test_every_exported_name_resolves():
         "print(len(hypershift.__all__), missing, unlisted, unstarred)"
     )
     count, rest = out.split(" ", 1)
-    # 34 names of the exact core and 27 resolved on first use.
-    assert int(count) == 61
+    # 34 names of the exact core and 26 resolved on first use.
+    assert int(count) == 60
     assert rest.strip() == "[] [] []"

@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from hypershift.precision import DecimalComplex
 from hypershift.report import (
     SCHEMA_VERSION,
     canonical_json,
@@ -64,8 +65,11 @@ def test_canonical_json_writes_fractions_as_p_over_q():
         (complex(0.25, -1.5), [0.25, -1.5]),
         (mp.mpc(0.25, -1.5), [0.25, -1.5]),
         (mp.mpf(0.1), [0.1, 0.0]),
+        (Decimal("0.1"), [0.1, 0.0]),
+        (DecimalComplex(Decimal("0.25"), Decimal("-1.5")), [0.25, -1.5]),
+        (DecimalComplex(Decimal("-0"), Decimal("-0E-30")), [0.0, 0.0]),
     ],
-    ids=["complex", "mpc", "mpf"],
+    ids=["complex", "mpc", "mpf", "decimal", "decimal-complex", "decimal-negative-zeros"],
 )
 def test_canonical_json_writes_complex_numbers_as_pairs(value, pair):
     assert json.loads(canonical_json({"h": value})) == {"h": pair}
@@ -78,8 +82,8 @@ def test_canonical_json_writes_nested_tuples_as_lists():
 
 
 def test_canonical_json_refuses_other_types():
-    with pytest.raises(TypeError, match="Decimal"):
-        canonical_json({"x": Decimal("0.5")})
+    with pytest.raises(TypeError, match="object"):
+        canonical_json({"x": object()})
     with pytest.raises(TypeError):
         canonical_json({"x": {1, 2}})
 

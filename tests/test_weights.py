@@ -1,6 +1,7 @@
 """Weight families, serialization, and the diagonal metric evaluator."""
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial
 
@@ -26,9 +27,10 @@ from hypershift import (
     weight_from_dict,
 )
 from hypershift import multiindex as mi
+from hypershift.precision import working_context
 from hypershift.weights import radial_split
 
-from helpers import random_radial_sequence, random_table_weight, random_weight
+from helpers import random_radial_sequence, random_table_weight, random_weight, to_mp
 
 F = Fraction
 
@@ -376,7 +378,7 @@ def test_eval_metric_at_origin_is_rho_theta():
     W = TableWeight(2, {(0, 0): F(5, 3), (1, 0): F(1), (0, 1): F(2)})
     got = metric_jet(W, (0.0, 0.0))
     with mp.workprec(80):
-        assert abs(got.h - mp.mpf(5) / 3) < mp.mpf(10) ** -20
+        assert abs(to_mp(got.h) - mp.mpf(5) / 3) < mp.mpf(10) ** -20
     assert got.tail_h == 0
 
 
@@ -394,12 +396,12 @@ def test_eval_metric_power_kernel_closed_form():
     # h(w) = (1 - |w|^2)^(-n); at m=1, w=0.5, n=1 this is 4/3.
     got = metric_jet(PowerKernel(1, 1), (0.5,), max_degree=120, precision_bits=120)
     with mp.workprec(120):
-        assert abs(got.h - mp.mpf(4) / 3) <= got.tail_h + mp.mpf(10) ** -30
-    assert got.tail_h < 1e-20
+        assert abs(to_mp(got.h) - mp.mpf(4) / 3) <= to_mp(got.tail_h) + mp.mpf(10) ** -30
+    assert got.tail_h < Decimal("1e-20")
 
     with mp.workprec(120):
         for n, m, w in [(2, 2, (0.3, 0.4j)), (3, 2, (0.5, 0.1)), (2, 1, (0.7j,))]:
-            got = metric_jet(PowerKernel(n, m), w, max_degree=150, precision_bits=120)
+            got = to_mp(metric_jet(PowerKernel(n, m), w, max_degree=150, precision_bits=120))
             t = sum(abs(mp.mpc(x)) ** 2 for x in w)
             assert abs(got.h - (1 - t) ** (-n)) <= got.tail_h + mp.mpf(10) ** -30
 
@@ -408,8 +410,8 @@ def test_metric_jet_matches_closed_form_derivatives():
     # For h = (1-t)^(-n): dh/dw_i = n (1-t)^(-n-1) conj(w_i),
     # d^2 h / dw_i dconj(w_j) = n(n+1)(1-t)^(-n-2) conj(w_i) w_j + n(1-t)^(-n-1) delta_ij.
     n, w = 2, (0.3, 0.2 + 0.4j)
-    jet = metric_jet(PowerKernel(n, 2), w, max_degree=150, precision_bits=120)
     with mp.workprec(120):
+        jet = to_mp(metric_jet(PowerKernel(n, 2), w, max_degree=150, precision_bits=120))
         wv = [mp.mpc(x) for x in w]
         t = sum(abs(x) ** 2 for x in wv)
         g1 = n * (1 - t) ** (-n - 1)
@@ -427,8 +429,8 @@ def test_metric_corrections_enter_exactly():
     W = TableWeight(2, {(1, 1): base.rho((1, 1)) / 2}, fallback=base)
     w = (0.5, 0.4)
     with mp.workprec(120):
-        h_base = metric_jet(base, w, max_degree=150, precision_bits=120)
-        h_pert = metric_jet(W, w, max_degree=150, precision_bits=120)
+        h_base = to_mp(metric_jet(base, w, max_degree=150, precision_bits=120))
+        h_pert = to_mp(metric_jet(W, w, max_degree=150, precision_bits=120))
         delta = -mp.mpf(3) * mp.mpf(0.5) ** 2 * mp.mpf(0.4) ** 2  # rho((1,1)) = 6
         assert abs((h_pert.h - h_base.h) - delta) < 1e-25
 
@@ -473,8 +475,8 @@ def test_metric_tail_refusals():
     with pytest.raises(TailUnreliableError):
         metric_jet(W, (0.8,))
     # ... but converges fine well inside the ball.
-    got = metric_jet(W, (0.5,), max_degree=80)
     with mp.workprec(80):
+        got = to_mp(metric_jet(W, (0.5,), max_degree=80))
         assert abs(got.h - 1 / (1 - mp.mpf(0.5))) <= got.tail_h + mp.mpf(10) ** -18
 
     nobound = RadialWeight(1, PolynomialSequence([F(1), F(-1), F(1)]))
@@ -494,7 +496,7 @@ def test_metric_truncation_degree_controls_tail():
     W = PowerKernel(2, 1)
     coarse = metric_jet(W, (0.6,), max_degree=30)
     fine = metric_jet(W, (0.6,), max_degree=90)
-    assert fine.tail_h < coarse.tail_h / 1e10
+    assert fine.tail_h < coarse.tail_h / 10**10
     assert abs(fine.h - coarse.h) <= coarse.tail_h
 
 
@@ -503,8 +505,8 @@ def test_metric_jet_tails_match_geometric_closed_forms(d):
     # PowerKernel(1, 1) has h = g(t) = 1/(1-t) with a(j) = 1 and ratio bound
     # 1, so the geometric tail bounds are exact: beyond degree d the series
     # of g, g' = 1/(1-t)^2 and g'' = 2/(1-t)^3 leave exactly these tails.
-    jet = metric_jet(PowerKernel(1, 1), (0.5,), max_degree=d, precision_bits=120)
     with mp.workprec(120):
+        jet = to_mp(metric_jet(PowerKernel(1, 1), (0.5,), max_degree=d, precision_bits=120))
         t = mp.mpf(1) / 4
         tails = (
             1 / (1 - t) - sum(t**j for j in range(d + 1)),
@@ -526,8 +528,8 @@ def test_series_memo_matches_a_fresh_sequence():
     for _ in range(2):
         for bits in (80, 120):
             for d in (30, 90):
-                with mp.workprec(bits):
-                    t = mp.mpf(0.37)
+                with localcontext(working_context(bits)):
+                    t = Decimal(0.37)
                     fresh = PolynomialSequence([F(1), F(2), F(1)]).series(t, d)
                     got = seq.series(t, d)
                 assert got == fresh
