@@ -271,7 +271,10 @@ def default_grid(
 ) -> list[tuple]:
     """Deterministic sample of the ball: each coordinate ranges over
     r * exp(2 pi i k / angles) for r in radii, keeping points with
-    |w| <= max_radius.  Always contains the origin."""
+    |w| <= max_radius.  Always contains the origin.  The angles on the axes
+    give exactly (+-r, 0) and (0, +-r), so their |x|^2 is r^2 at every
+    working precision; float cos and sin would leave ~1e-16 r in the other
+    part."""
     if m < 1:
         raise ValueError("dimension must be >= 1")
     if angles < 1:
@@ -283,8 +286,12 @@ def default_grid(
         if r <= 0:
             continue
         for k in range(angles):
-            theta = 2 * pi * k / angles
-            coords.append((r * cos(theta), r * sin(theta)))
+            quarter, off_axis = divmod(4 * k, angles)
+            if off_axis:
+                theta = 2 * pi * k / angles
+                coords.append((r * cos(theta), r * sin(theta)))
+            else:
+                coords.append(((r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r))[quarter])
     pts = []
 
     def rec(prefix, budget_sq):

@@ -364,6 +364,21 @@ def test_default_grid_on_the_line():
             default_grid(2, angles=angles)
 
 
+@pytest.mark.parametrize("bits", [80, 120])
+def test_axis_angles_share_classes_at_every_precision(bits):
+    # The axis angles are exact (r, 0), (0, r), (-r, 0) and (0, -r), so the
+    # 401 points of radial:6x4 fall into 35 modulus classes at any working
+    # precision.  With float cos and sin, a ~6e-17 r in the other part split
+    # them into 401 classes from 110 bits on.
+    grid = radial_grid(2, 6, 4)
+    r = 0.95 / 6
+    assert grid[1:5] == [(0j, complex(r, 0.0)), (0j, complex(0.0, r)), (0j, complex(-r, 0.0)), (0j, complex(0.0, -r))]
+    assert (len(grid), len(modulus_classes(grid, bits))) == (401, 35)
+    W = PerturbedPower(2, 2, 2)
+    points = curvature_points([W, W.base], grid, max_degree=40, precision_bits=bits)
+    assert len({id(p.hessian.spectrum) for p in points}) == 35
+
+
 def test_radial_grid_respects_the_ball_budget():
     pts = radial_grid(2, steps=3, angles=4)
     assert pts[0] == (0j, 0j)
@@ -577,7 +592,7 @@ def test_equal_moduli_share_psi_and_spectrum(kind, bits):
     # Points with equal exact s share psi and the eigenvalues; every H is
     # exactly Hermitian with an exactly real diagonal, so psd_check sees no
     # deviation at all.  The dyadic points all have s = (25/64, 1/16) at any
-    # precision; at 120 bits the grid's own points share no class.
+    # precision, and so do the grid's exact axis points.
     W1, W2 = _psh_pair(kind)
     grid = radial_grid(2, 3, 4) + [(0.375 + 0.5j, 0.25), (0.625j, -0.25), (-0.5 + 0.375j, 0.25j)]
     for weights in ([W1], [W1, W2]):
