@@ -1,8 +1,9 @@
 """Working-precision arithmetic for the metric and curvature numerics.
 
 Every series, jet, Hessian and spectrum is computed in one ``decimal``
-context: P = ceil(p log10 2) significant digits for a working precision of
-p bits, so a working number carries at least p bits, with the widest
+context of P significant digits for a working precision of p bits: the
+fewest digits whose unit roundoff 5 10^-P is at most the binary 2^-p, so
+no rounding is coarser than at p bits.  The context has the widest
 exponent range (exact corrections reach 1e-807) and the default traps.
 Python's ``decimal`` is libmpdec, in C, and the standard library loads it
 anyway, so these numerics need no third-party package.
@@ -27,11 +28,18 @@ HALF = Decimal("0.5")
 
 @lru_cache(maxsize=None)
 def working_context(precision_bits: int) -> Context:
-    """The context of P = ceil(p log10 2) digits for p = precision_bits
-    (at least one digit, so a bad p is refused where it is checked)."""
-    return Context(
-        prec=max(1, ceil(precision_bits * log10(2))), Emax=MAX_EMAX, Emin=MIN_EMIN
-    )
+    """The context of the fewest digits P with unit roundoff 5 10^-P <= 2^-p
+    for p = precision_bits, that is 10^P >= 5 2^p (at least one digit, so a
+    bad p is refused where it is checked)."""
+    p = max(0, precision_bits)
+    bound = 5 << p
+    digits = max(1, ceil(p * log10(2) + log10(5)))
+    # The float estimate can be off by one either way; settle it exactly.
+    while digits > 1 and 10 ** (digits - 1) >= bound:
+        digits -= 1
+    while 10**digits < bound:
+        digits += 1
+    return Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def to_decimal(x: Fraction) -> Decimal:

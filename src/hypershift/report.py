@@ -40,7 +40,8 @@ def _encode(obj):
         return frac_str(obj)
     if hasattr(type(obj), "__complex__"):
         z = complex(obj)
-        return [z.real, z.imag]
+        # + 0.0 writes a negative zero as 0.0.
+        return [z.real + 0.0, z.imag + 0.0]
     raise TypeError(f"{type(obj).__name__} is not a report value")
 
 

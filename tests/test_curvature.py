@@ -174,21 +174,20 @@ def _matrix(rows, precision_bits=53):
 @SPECTRUM_SETTINGS
 @given(hermitian_2x2(), st.sampled_from([53, 80, 120]))
 def test_closed_form_spectrum_matches_eighe(abd, prec):
-    # With u = 10^(1 - P)/2 the unit roundoff of the P working digits, the
-    # entries, mu and r carry a few roundings in units of scale = max
-    # |entry|; the near eigenvalue det/far is one rounding of the exact
-    # det of the rounded entries, whose error is at most 2 scale^2 u,
-    # divided by |far| = ||A||_2 >= scale.  Together they stay below
-    # 8 scale u.
+    # mu and r carry a few roundings in units of scale = max |entry|; the
+    # near eigenvalue det/far is one rounding of the exact det of the
+    # rounded entries, whose error is at most 2 scale^2 u, divided by
+    # |far| = ||A||_2 >= scale.  The working digits' unit roundoff u is at
+    # most 2^-prec, so together they stay below 8 scale 2^-prec.
     a, b, d = abd
     H = _matrix(((a, b), (b.conjugate(), d)), precision_bits=prec)
     got = H.spectrum
     with mp.workprec(200):
         ref = mp.eighe(mp.matrix([[mp.mpc(x) for x in row] for row in H.entries]), eigvals_only=True)
         scale = max(abs(mp.mpc(x)) for row in H.entries for x in row)
-        unit = mp.mpf(10) ** (1 - working_context(prec).prec) / 2
+        bound = 8 * scale * mp.mpf(2) ** -prec
         assert got[0] <= got[1]
-        assert all(abs(to_mp(g) - r) <= 8 * scale * unit for g, r in zip(got, ref))
+        assert all(abs(to_mp(g) - r) <= bound for g, r in zip(got, ref))
 
 
 @st.composite

@@ -236,7 +236,8 @@ def test_jacobi_spectrum_matches_eighe(rows, bits):
 
 
 def test_working_digits_carry_the_working_bits():
-    # P is the fewest digits whose unit 10^-P is no coarser than 2^-p.
-    for p in (53, 80, 100, 110, 120, 200, 4000):
+    # P is the fewest digits whose unit roundoff 5 10^-P is no coarser
+    # than the binary 2^-p.
+    for p in (53, 80, 100, 110, 120, 128, 200, 4000):
         P = working_context(p).prec
-        assert 10 ** (P - 1) < 2**p <= 10**P
+        assert 10 ** (P - 1) < 5 * 2**p <= 10**P

@@ -68,8 +68,19 @@ def test_canonical_json_writes_fractions_as_p_over_q():
         (Decimal("0.1"), [0.1, 0.0]),
         (DecimalComplex(Decimal("0.25"), Decimal("-1.5")), [0.25, -1.5]),
         (DecimalComplex(Decimal("-0"), Decimal("-0E-30")), [0.0, 0.0]),
+        (complex(-0.0, -0.0), [0.0, 0.0]),
+        (Decimal("-0"), [0.0, 0.0]),
     ],
-    ids=["complex", "mpc", "mpf", "decimal", "decimal-complex", "decimal-negative-zeros"],
+    ids=[
+        "complex",
+        "mpc",
+        "mpf",
+        "decimal",
+        "decimal-complex",
+        "decimal-negative-zeros",
+        "complex-negative-zeros",
+        "decimal-negative-zero",
+    ],
 )
 def test_canonical_json_writes_complex_numbers_as_pairs(value, pair):
     assert json.loads(canonical_json({"h": value})) == {"h": pair}
