@@ -8,11 +8,14 @@ comparisons, and a finite matrix-model oracle, plus a CLI that reproduces a
 ray-perturbed counterexample family end to end.
 
 The package needs only the standard library: metrics and curvature run
-in ``decimal`` at a working precision (see ``precision``).  The exact core
-(errors, multi-indices, weights, hypercontraction) is imported with the
-package; the names of the similarity, curvature and truncation modules are
-resolved on first use, so a caller that only scans exactly never loads
-them.
+in ``decimal`` at a working precision (see ``precision``).  The core
+(errors, multi-indices, weights, and the precision and report helpers
+that weights use) is imported with the package; the names of the
+hypercontraction, similarity, curvature and truncation modules are resolved
+on first use, so a caller loads only the layers it calls.  Result records
+are ``typing.NamedTuple``s or plain classes, not dataclasses: importing
+``dataclasses`` and building its classes would cost every short-lived CLI
+process more than most of its numerics.
 """
 
 from importlib import import_module
@@ -25,21 +28,6 @@ from .errors import (
     TailUnreliableError,
     WeightDomainError,
     WeightSpecError,
-)
-from .hypercontraction import (
-    ConditionCheck,
-    DefectDiagonal,
-    HyperReport,
-    HyperWitness,
-    NecessaryScan,
-    defect_diag,
-    defect_diag_radial,
-    defect_diagonal,
-    is_n_hyper_up_to,
-    necessary_condition,
-    necessary_scan,
-    radial_necessary,
-    subnormality_obstruction,
 )
 from .weights import (
     ExplicitSequence,
@@ -64,6 +52,23 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in (
+        (
+            "hypercontraction",
+            (
+                "ConditionCheck",
+                "DefectDiagonal",
+                "HyperReport",
+                "HyperWitness",
+                "NecessaryScan",
+                "defect_diag",
+                "defect_diag_radial",
+                "defect_diagonal",
+                "is_n_hyper_up_to",
+                "necessary_condition",
+                "necessary_scan",
+                "radial_necessary",
+            ),
+        ),
         (
             "similarity",
             (
@@ -102,7 +107,6 @@ _LAZY = {
                 "defect_operator",
                 "defect_operator_dense",
                 "gram",
-                "m_power_diag",
             ),
         ),
     )

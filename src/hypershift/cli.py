@@ -23,12 +23,11 @@ from fractions import Fraction
 from . import multiindex as mi
 from . import report as rpt
 from .errors import NonHermitianError, WeightSpecError
-from .hypercontraction import is_n_hyper_up_to, necessary_condition, necessary_scan
 from .weights import PerturbedPower, parse_fraction, weight_from_dict
 
-# The curvature, similarity and truncation layers are imported in the
-# handlers that use them, so each call loads only what its subcommand runs;
-# every layer needs only the standard library.
+# The hypercontraction, similarity, curvature and truncation layers are
+# imported in the handlers that use them, so each call loads only what its
+# subcommand runs; every layer needs only the standard library.
 
 
 class UsageError(Exception):
@@ -100,6 +99,11 @@ def _emit(report: dict, args, csv_text: str | None = None) -> int:
 
 
 def cmd_verify_identities(args) -> int:
+    # Each identity family must check at least one case.
+    if args.dims < 1:
+        raise UsageError(f"--dims must be >= 1, got {args.dims}")
+    if args.n_max < 2:
+        raise UsageError(f"--n-max must be >= 2, got {args.n_max}")
     checks = {}
     failures = []
     count = 0
@@ -151,6 +155,8 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_check_hyper(args) -> int:
+    from .hypercontraction import is_n_hyper_up_to
+
     W = _load_weight(args.weights[0])
     res = is_n_hyper_up_to(W, args.n, args.degree)
     report = {
@@ -169,6 +175,8 @@ def cmd_check_hyper(args) -> int:
 
 
 def cmd_necessary(args) -> int:
+    from .hypercontraction import necessary_condition, necessary_scan
+
     W = _load_weight(args.weights[0])
     report = {
         "schema_version": rpt.SCHEMA_VERSION,
@@ -217,9 +225,13 @@ def cmd_similarity_scan(args) -> int:
         report["witness"] = rpt.pick(res.argmax, *_RAY, "value")
     csv_text = None
     if args.format == "csv":
-        csv_text = rpt.render_csv(
-            ["degree", "direction", "length", "ratio_sq"],
-            ([mi.degree(alpha), i, l, float(r)] for alpha, i, l, r in res.cells()),
+        # Each stored ratio is formatted once; its cells share the text.
+        csv_text = "".join(
+            ["degree,direction,length,ratio_sq\n"]
+            + [
+                f"{mi.degree(alpha)},{i},{l},{text}\n"
+                for alpha, i, l, text in res.cells(rpt.float_str)
+            ]
         )
     return _emit(report, args, csv_text=csv_text)
 
@@ -409,6 +421,7 @@ def run_example45(
     pass/fail; (d) is informational.
     """
     from .curvature import psh_boundedness_report, radial_grid
+    from .hypercontraction import is_n_hyper_up_to, necessary_condition
     from .similarity import ray_ratio_sq
 
     if blocks < 2:

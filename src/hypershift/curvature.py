@@ -18,11 +18,11 @@ is the one place these matrices are built, for one metric or for a pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import localcontext
 from functools import cached_property
 from itertools import combinations
 from math import cos, isfinite, pi, sin
+from typing import NamedTuple
 
 from .errors import NonHermitianError
 from .precision import EXACT, HALF, ZERO, DecimalComplex, conj_mul, parts, working_context
@@ -33,21 +33,43 @@ from .weights import WeightFunction, metric_jets
 _MAX_SWEEPS = 60
 
 
-@dataclass(frozen=True)
-class CurvatureMatrix:
+class _Record:
+    """Equality and hash on the fields that ``_key`` returns, as a frozen
+    dataclass would give, for the records built once per grid point."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class CurvatureMatrix(_Record):
     """The mixed Hessian of log h (or of a difference of two logs) at a
     point, stored at working precision ``precision_bits``, with the
     eigenvalues of its Hermitian part as Decimals, ascending.  ``spectrum``
-    is computed from the entries unless the caller supplies it."""
+    is computed from the entries unless the caller supplies it, and is left
+    out of ``==``."""
 
-    point: tuple
-    entries: tuple  # m x m nested tuples of DecimalComplex (or any numbers)
-    precision_bits: int = 53
-    spectrum: tuple | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("point", "entries", "precision_bits", "spectrum")
 
-    def __post_init__(self):
-        if self.spectrum is None:
-            object.__setattr__(self, "spectrum", _spectrum(self.entries, self.precision_bits))
+    def __init__(
+        self, point: tuple, entries: tuple, precision_bits: int = 53, spectrum: tuple | None = None
+    ):
+        self.point = point
+        self.entries = entries  # m x m nested tuples of DecimalComplex (or any numbers)
+        self.precision_bits = precision_bits
+        self.spectrum = _spectrum(entries, precision_bits) if spectrum is None else spectrum
+
+    def _key(self) -> tuple:
+        return self.point, self.entries, self.precision_bits
+
+    def __repr__(self) -> str:
+        return "CurvatureMatrix(point={!r}, entries={!r}, precision_bits={!r})".format(*self._key())
 
     @property
     def m(self) -> int:
@@ -131,14 +153,20 @@ def _jacobi(A: list) -> tuple:
     raise RuntimeError(f"Jacobi eigenvalue iteration did not settle in {_MAX_SWEEPS} sweeps")
 
 
-@dataclass(frozen=True)
-class PshPoint:
+class PshPoint(_Record):
     """psi and its mixed Hessian at the grid point w; the eigenvalues are
     rounded from the Hessian's spectrum once, on first read."""
 
-    w: tuple
-    psi: float
-    hessian: CurvatureMatrix
+    def __init__(self, w: tuple, psi: float, hessian: CurvatureMatrix):
+        self.w = w
+        self.psi = psi
+        self.hessian = hessian
+
+    def _key(self) -> tuple:
+        return self.w, self.psi, self.hessian
+
+    def __repr__(self) -> str:
+        return "PshPoint(w={!r}, psi={!r}, hessian={!r})".format(*self._key())
 
     @cached_property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -315,8 +343,7 @@ def radial_grid(m: int, steps: int, angles: int, max_radius: float = 0.95) -> li
     return default_grid(m, radii=radii, angles=angles, max_radius=max_radius)
 
 
-@dataclass(frozen=True)
-class PshReport:
+class PshReport(NamedTuple):
     """Grid summary for psi = log(h1/h2): value range, worst Hessian
     eigenvalue, and a radial trend heuristic.
 

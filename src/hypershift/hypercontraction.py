@@ -48,10 +48,9 @@ engine against, and ``defect_diag_radial`` the oracle for the radial row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import multiindex as mi
 from .errors import DimensionMismatch
@@ -203,8 +202,7 @@ def _first_violation(
     return None
 
 
-@dataclass(frozen=True)
-class DefectDiagonal:
+class DefectDiagonal(NamedTuple):
     """All order-k defect entries up to a degree, in graded-lex order."""
 
     order: int
@@ -247,15 +245,13 @@ def defect_diag_radial(sequence: RadialSequence, k: int, degree: int) -> Fractio
     return total / sequence.value(degree)
 
 
-@dataclass(frozen=True)
-class HyperWitness:
+class HyperWitness(NamedTuple):
     order: int
     alpha: MultiIndex
     value: Fraction
 
 
-@dataclass(frozen=True)
-class HyperReport:
+class HyperReport(NamedTuple):
     """Result of scanning d_k >= 0 for 1 <= k <= n over |alpha| <= D.
 
     ``verdict`` is "violation" or "no-violation-up-to-D" with the concrete
@@ -296,8 +292,7 @@ def is_n_hyper_up_to(W: WeightFunction, n: int, max_degree: int) -> HyperReport:
     )
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """One instance of the first-order necessary bound
 
         sum_{beta <= alpha, |alpha - beta| = 1} rho(beta)/rho(alpha)
@@ -332,8 +327,7 @@ def necessary_condition(W: WeightFunction, n: int, alpha: MultiIndex) -> Conditi
     return ConditionCheck(alpha=alpha, order=n, lhs=lhs, rhs=Fraction(d, d + n - 1))
 
 
-@dataclass(frozen=True)
-class NecessaryScan:
+class NecessaryScan(NamedTuple):
     """Result of checking the neighbour-sum bound at every
     0 < |alpha| <= max_degree in graded-lex order.
 
@@ -396,28 +390,3 @@ def radial_necessary(sequence: RadialSequence, n: int, degree: int) -> bool:
     lhs = sequence.value(degree - 1) / sequence.value(degree)
     return lhs <= Fraction(degree, degree + n - 1)
 
-
-def subnormality_obstruction(W: WeightFunction, alpha: MultiIndex) -> int:
-    """The smallest n >= 1 at which the neighbour-sum bound fails at alpha.
-
-    The right side |alpha|/(|alpha|+n-1) decreases to 0 in n while the
-    neighbour sum L is a fixed positive rational, so a violation always
-    occurs at some finite order: n = 1 when L > 1, otherwise the smallest
-    integer exceeding |alpha|(1-L)/L + 1, i.e. floor(|alpha|(1-L)/L) + 2.
-    Monotonicity makes a two-point evaluation at n and n-1 a proof of
-    minimality, which is asserted before returning.
-    """
-    alpha = tuple(alpha)
-    d = mi.degree(alpha)
-    if d == 0:
-        raise ValueError("the condition is only defined for alpha != 0")
-    lhs = necessary_condition(W, 1, alpha).lhs
-    if lhs > 1:
-        return 1
-    x = Fraction(d) * (1 - lhs) / lhs
-    n_min = x.numerator // x.denominator + 2
-    if necessary_condition(W, n_min, alpha).holds or not necessary_condition(
-        W, n_min - 1, alpha
-    ).holds:
-        raise RuntimeError("internal inconsistency locating the obstruction order")
-    return n_min

@@ -31,9 +31,8 @@ Exact rational arithmetic throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import multiindex as mi
 from .multiindex import MultiIndex
@@ -84,16 +83,14 @@ def ray_ratio_sq_literal(
     return out
 
 
-@dataclass(frozen=True)
-class RayWitness:
+class RayWitness(NamedTuple):
     alpha: MultiIndex
     direction: int
     length: int
     value: Fraction
 
 
-@dataclass(frozen=True)
-class RatioScanReport:
+class RatioScanReport(NamedTuple):
     """Extremes of ray_ratio_sq over all base points |alpha| <= base_degree,
     directions, and lengths 0..ray_length.
 
@@ -123,10 +120,15 @@ class RatioScanReport:
     table: dict
     exact: dict
 
-    def cells(self) -> Iterator[tuple[MultiIndex, int, int, Fraction]]:
+    def cells(self, convert=None) -> Iterator[tuple[MultiIndex, int, int, Fraction]]:
         """(alpha, direction, length, ratio) for every scanned cell, in scan
-        order."""
+        order.  With ``convert``, each cell carries convert(ratio) instead,
+        computed once per stored ratio and shared by the cells that read
+        it."""
         table, exact = self.table, self.exact
+        if convert is not None:
+            table = {key: convert(r) for key, r in table.items()}
+            exact = {key: convert(r) for key, r in exact.items()}
         for alpha in mi.enumerate_leq_degree(self.m, self.base_degree):
             N = mi.degree(alpha)
             for i in range(self.m):

@@ -29,10 +29,9 @@ tests keep the dense matrices as their reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, sqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import multiindex as mi
 from .multiindex import MultiIndex
@@ -59,8 +58,7 @@ def compose(f: ColumnMap, g: ColumnMap) -> ColumnMap:
     return out
 
 
-@dataclass(frozen=True)
-class GramResult:
+class GramResult(NamedTuple):
     """f* f computed entry by entry: exact diagonal as reduced pairs
     col -> (p, q), plus any off-diagonal float entries that appeared (none
     do for monomial maps, and tests pin that down)."""
@@ -108,8 +106,7 @@ def _monomial_gram(f: ColumnMap) -> dict[int, tuple[int, int]]:
     return g.diagonal
 
 
-@dataclass(frozen=True)
-class TruncatedTuple:
+class TruncatedTuple(NamedTuple):
     """The compression of the adjoint shift tuple to degrees <= max_degree."""
 
     weight: WeightFunction
@@ -254,8 +251,7 @@ def commutator_float_norm(tt: TruncatedTuple) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class DefectOperator:
+class DefectOperator(NamedTuple):
     """The order-k defect of the truncated tuple, assembled from generic
     gram products: the diagonal in basis order plus whatever off-diagonal
     entries the generic path produced (always none for a shift tuple, and
@@ -320,20 +316,6 @@ def defect_operator_dense(tt: TruncatedTuple, k: int) -> DefectOperator:
                     if c2 != c1:
                         off[(c1, c2)] = off.get((c1, c2), 0.0) + x1 * x2 * c
     return DefectOperator(order=k, diagonal=tuple(diag), off_diagonal=off)
-
-
-def m_power_diag(tt: TruncatedTuple, k: int) -> tuple[Fraction, ...]:
-    """Diagonal of M_T^k(I) = sum_{|beta| = k} (k!/beta!) T^{*beta} T^{beta}
-    on the truncated model, exact, in basis order."""
-    if k < 0:
-        raise ValueError("power k must be >= 0")
-    for layer in power_layers(tt, k):
-        pass  # walk to layer k; each earlier layer is dropped on the way
-    num = [0] * tt.dimension
-    den = [1] * tt.dimension
-    for beta, f in layer.items():
-        _accumulate(num, den, _monomial_gram(f), mi.multinomial(k, beta))
-    return tuple(Fraction(p, q) for p, q in zip(num, den))
 
 
 def decay_curve(tt: TruncatedTuple, alpha: MultiIndex, k_max: int) -> list[Fraction]:

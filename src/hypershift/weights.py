@@ -31,10 +31,10 @@ safe to share across threads for reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from math import comb, factorial, perm
+from typing import NamedTuple
 
 from . import multiindex as mi
 from .errors import (
@@ -625,8 +625,7 @@ def weight_from_dict(spec: dict) -> WeightFunction:
 # Diagonal metric evaluation
 
 
-@dataclass(frozen=True)
-class MetricJet:
+class MetricJet(NamedTuple):
     """The diagonal metric as a real jet in s = (|w_1|^2, ..., |w_m|^2).
 
     h(w) = sum_alpha rho(alpha) |w^alpha|^2 = F(s) depends on w only through
@@ -862,4 +861,4 @@ def metric_jet(
                 z = conj_mul(x, y).scaled(f)
                 entries.append(DecimalComplex(z.real + fi, z.imag) if i == j else z)
             hess.append(tuple(entries))
-    return replace(jet, grad=grad, hess=tuple(hess))
+    return jet._replace(grad=grad, hess=tuple(hess))

@@ -1,6 +1,7 @@
 """Shared builders for randomized test weights, the dense numpy references
 the float paths are tested against, the per-cell similarity scan the
-tabled one is tested against, the modulus classes of a grid, and the
+tabled one is tested against, the modulus classes of a grid, the exact
+oracles ``subnormality_obstruction`` and ``m_power_diag``, and the
 mpmath oracles the working-precision decimal numerics are checked against:
 ``to_mp`` and the finite-difference stencil ``finite_diff_check``.
 
@@ -9,7 +10,6 @@ module-level RNG state.  numpy and mpmath are test dependencies only: the
 package itself imports neither.
 """
 
-from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import sqrt
@@ -30,10 +30,12 @@ from hypershift import (
     TableWeight,
     curvature_points,
     metric_jet,
+    necessary_condition,
     ray_ratio_sq,
 )
 from hypershift import multiindex as mi
 from hypershift.precision import EXACT, DecimalComplex, working_context
+from hypershift.truncation import _accumulate, _monomial_gram, power_layers
 
 
 def random_fraction(rng, lo=1, hi=16) -> Fraction:
@@ -125,6 +127,46 @@ def reference_similarity_scan(W1, W2, base_degree, ray_length, growth_factor=Fra
     )
 
 
+def subnormality_obstruction(W, alpha) -> int:
+    """The smallest n >= 1 at which the neighbour-sum bound fails at alpha.
+
+    The right side |alpha|/(|alpha|+n-1) decreases to 0 in n while the
+    neighbour sum L is a fixed positive rational, so a violation always
+    occurs at some finite order: n = 1 when L > 1, otherwise the smallest
+    integer exceeding |alpha|(1-L)/L + 1, i.e. floor(|alpha|(1-L)/L) + 2.
+    Monotonicity makes a two-point evaluation at n and n-1 a proof of
+    minimality, which is asserted before returning.
+    """
+    alpha = tuple(alpha)
+    d = mi.degree(alpha)
+    if d == 0:
+        raise ValueError("the condition is only defined for alpha != 0")
+    lhs = necessary_condition(W, 1, alpha).lhs
+    if lhs > 1:
+        return 1
+    x = Fraction(d) * (1 - lhs) / lhs
+    n_min = x.numerator // x.denominator + 2
+    if necessary_condition(W, n_min, alpha).holds or not necessary_condition(
+        W, n_min - 1, alpha
+    ).holds:
+        raise RuntimeError("internal inconsistency locating the obstruction order")
+    return n_min
+
+
+def m_power_diag(tt, k: int) -> tuple:
+    """Diagonal of M_T^k(I) = sum_{|beta| = k} (k!/beta!) T^{*beta} T^{beta}
+    on the truncated model, exact, in basis order."""
+    if k < 0:
+        raise ValueError("power k must be >= 0")
+    for layer in power_layers(tt, k):
+        pass  # walk to layer k; each earlier layer is dropped on the way
+    num = [0] * tt.dimension
+    den = [1] * tt.dimension
+    for beta, f in layer.items():
+        _accumulate(num, den, _monomial_gram(f), mi.multinomial(k, beta))
+    return tuple(Fraction(p, q) for p, q in zip(num, den))
+
+
 def modulus_class(w, bits=80) -> tuple:
     """The exact s = (|w_1|^2, ..., |w_m|^2) of a point, each s_i summed in
     Fractions and rounded once to the working digits of ``bits``."""
@@ -148,9 +190,7 @@ def to_mp(x):
     if x is None:
         return None
     if isinstance(x, MetricJet):
-        return replace(
-            x, **{f.name: to_mp(getattr(x, f.name)) for f in fields(x) if f.name != "max_degree"}
-        )
+        return x._replace(**{f: to_mp(getattr(x, f)) for f in x._fields if f != "max_degree"})
     if isinstance(x, tuple):
         return tuple(to_mp(v) for v in x)
     if isinstance(x, DecimalComplex):

@@ -63,6 +63,40 @@ def test_verify_identities_passes(capsys):
     assert all(v > 0 for v in report["checks"].values())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n-max", "-1"],
+        ["--n-max", "1"],
+        ["--dims", "0"],
+        ["--dims", "-2"],
+        ["--beta-max", "-1"],
+        # No dimension would ever read a negative --beta-max.
+        ["--dims", "0", "--beta-max", "-1"],
+    ],
+)
+def test_verify_identities_refuses_vacuous_ranges(capsys, argv):
+    # Each identity family must check at least one case, so a range that
+    # leaves one empty is a usage error rather than a vacuous pass.
+    assert main(["verify-identities", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_identities_checks_every_family_at_the_smallest_ranges(capsys):
+    code, report = run_json(
+        capsys, ["verify-identities", "--n-max", "2", "--beta-max", "0", "--dims", "1"]
+    )
+    assert code == 0
+    assert report["checks"] == {
+        "alternating_sum": 5,
+        "multinomial_theorem": 1,
+        "negative_binomial_convolution": 5,
+        "vandermonde": 1,
+    }
+
+
 def test_output_is_byte_identical_across_runs(capsys, weight_files):
     argv = ["check-hyper", "--weights", weight_files["power2m2"], "--n", "2", "--degree", "6"]
     _, first = run(capsys, argv)

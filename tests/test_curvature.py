@@ -19,6 +19,7 @@ from hypershift import (
     PerturbedPower,
     PolynomialSequence,
     PowerKernel,
+    PshPoint,
     RadialWeight,
     TableWeight,
     curvature_points,
@@ -108,6 +109,22 @@ def test_psd_check_accepts_and_rejects():
     assert not psd_check(indef)
     assert eigenvalues(indef) == (-1.0, 1.0)
     assert eigenvalues(indef)[0] == -1.0
+
+
+def test_curvature_matrix_compares_without_its_spectrum():
+    # The spectrum is computed from the entries unless it is given, and a
+    # given one does not take part in == or hash.
+    H = CurvatureMatrix(point=(0, 0), entries=((2, 0), (0, 3)))
+    assert eigenvalues(H) == (2.0, 3.0)
+    G = CurvatureMatrix(point=(0, 0), entries=((2, 0), (0, 3)), spectrum=(Decimal(7),))
+    assert G.spectrum == (Decimal(7),)
+    assert G == H and hash(G) == hash(H)
+    assert H != CurvatureMatrix(point=(0, 0), entries=((2, 0), (0, 3)), precision_bits=80)
+    assert H != CurvatureMatrix(point=(0, 1), entries=((2, 0), (0, 3)))
+    p, q = PshPoint(w=(0, 0), psi=0.0, hessian=H), PshPoint(w=(0, 0), psi=0.0, hessian=G)
+    assert p == q and hash(p) == hash(q)
+    assert p.eigenvalues == (2.0, 3.0) and q.eigenvalues == (7.0,)
+    assert p.eigenvalues is p.eigenvalues
 
 
 def test_psd_check_requires_hermitian():

@@ -22,13 +22,18 @@ from hypershift import (
     necessary_condition,
     necessary_scan,
     radial_necessary,
-    subnormality_obstruction,
 )
 from hypershift import DimensionMismatch, TailUnreliableError, WeightDomainError
 from hypershift import multiindex as mi
 from hypershift.hypercontraction import HyperWitness, _cone_layers, _defect_layers
 
-from helpers import random_fraction, random_radial_sequence, random_table_weight, random_weight
+from helpers import (
+    random_fraction,
+    random_radial_sequence,
+    random_table_weight,
+    random_weight,
+    subnormality_obstruction,
+)
 
 F = Fraction
 

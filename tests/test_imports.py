@@ -1,6 +1,7 @@
 """Import hygiene: each CLI call loads only the numerics its subcommand runs,
 and no subcommand needs numpy or mpmath: the runtime is the standard
-library alone.
+library alone.  No subcommand loads ``dataclasses`` (or ``inspect``, which
+it pulls in), and the package modules a subcommand loads are pinned.
 
 Every case runs in a fresh interpreter, because this test process has
 long since imported numpy and mpmath.
@@ -19,14 +20,22 @@ from test_golden import CASES
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 
-# Prints the exit code of main(argv) and which numeric libraries it loaded.
+# Prints the exit code of main(argv), which of numpy, mpmath, dataclasses and
+# inspect it loaded, and the hypershift modules it loaded.
 CLI_PROBE = """
 import contextlib, io, json, sys
 from hypershift.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "loaded": [m for m in ("mpmath", "numpy") if m in sys.modules]}))
+print(json.dumps({
+    "code": code,
+    "loaded": [m for m in ("mpmath", "numpy", "dataclasses", "inspect") if m in sys.modules],
+    "package": sorted(m for m in sys.modules if m.startswith("hypershift.")),
+}))
 """
+
+# The modules every CLI call loads: the package core and the CLI itself.
+CORE = ["cli", "errors", "multiindex", "precision", "report", "weights"]
 
 # Runs main(argv) with numpy and mpmath made unimportable and prints its exit
 # code and stdout.
@@ -88,11 +97,17 @@ def test_importing_the_cli_loads_no_numerics():
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv, layers",
     [
         (["verify-identities", "--n-max", "2", "--beta-max", "2", "--dims", "2"], []),
-        (["check-hyper", "--weights", "power33.json", "--n", "3", "--degree", "4"], []),
-        (["necessary", "--weights", "cubic_m3.json", "--n", "2", "--degree", "6"], []),
+        (
+            ["check-hyper", "--weights", "power33.json", "--n", "3", "--degree", "4"],
+            ["hypercontraction"],
+        ),
+        (
+            ["necessary", "--weights", "cubic_m3.json", "--n", "2", "--degree", "6"],
+            ["hypercontraction"],
+        ),
         (
             [
                 "similarity-scan",
@@ -104,12 +119,20 @@ def test_importing_the_cli_loads_no_numerics():
                 "3",
                 "--ray-length",
                 "2",
+                "--format",
+                "csv",
             ],
-            [],
+            ["similarity"],
         ),
-        (["truncate", "--weights", "poly_a.json", "--degree", "4", "--defect-order", "2"], []),
-        (["curvature", "--weights", "power22.json", "--grid", "radial:1x2"], []),
-        (["example45", "--eval-degree", "20"], []),
+        (
+            ["truncate", "--weights", "poly_a.json", "--degree", "4", "--defect-order", "2"],
+            ["truncation"],
+        ),
+        (["curvature", "--weights", "power22.json", "--grid", "radial:1x2"], ["curvature"]),
+        (
+            ["example45", "--eval-degree", "20"],
+            ["curvature", "hypercontraction", "similarity"],
+        ),
     ],
     ids=[
         "verify-identities",
@@ -121,11 +144,13 @@ def test_importing_the_cli_loads_no_numerics():
         "example45",
     ],
 )
-def test_subcommand_loads_only_its_numerics(argv, loaded):
+def test_subcommand_loads_only_its_numerics(argv, layers):
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     result = json.loads(run_python(CLI_PROBE, json.dumps(argv)))
     assert result["code"] in (0, 1)
-    assert result["loaded"] == loaded
+    # No numeric library, and no dataclasses (nor the inspect it imports).
+    assert result["loaded"] == []
+    assert result["package"] == sorted(f"hypershift.{m}" for m in CORE + layers)
 
 
 @pytest.mark.parametrize(
@@ -157,6 +182,6 @@ def test_every_exported_name_resolves():
         "print(len(hypershift.__all__), missing, unlisted, unstarred)"
     )
     count, rest = out.split(" ", 1)
-    # 34 names of the exact core and 26 resolved on first use.
-    assert int(count) == 60
+    # 21 names of the core and 37 resolved on first use.
+    assert int(count) == 58
     assert rest.strip() == "[] [] []"

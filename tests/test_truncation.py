@@ -21,13 +21,12 @@ from hypershift import (
     defect_operator,
     defect_operator_dense,
     gram,
-    m_power_diag,
 )
 from hypershift import hypercontraction, truncation
 from hypershift import multiindex as mi
 from hypershift.truncation import power_layers
 
-from helpers import dense_matrices, random_table_weight, random_weight
+from helpers import dense_matrices, m_power_diag, random_table_weight, random_weight
 
 F = Fraction
 
