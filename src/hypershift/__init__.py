@@ -23,7 +23,6 @@ from importlib import import_module
 from .errors import (
     BallDomainError,
     DimensionMismatch,
-    NonHermitianError,
     SequenceExhausted,
     TailUnreliableError,
     WeightDomainError,
@@ -32,7 +31,6 @@ from .errors import (
 from .weights import (
     ExplicitSequence,
     GeometricSequence,
-    MetricJet,
     PerturbedPower,
     PolynomialSequence,
     PowerKernel,
@@ -41,7 +39,6 @@ from .weights import (
     TableWeight,
     WeightFunction,
     RadialSequence,
-    metric_jet,
     parse_fraction,
     weight_from_dict,
 )
@@ -83,6 +80,7 @@ _LAZY = {
             "curvature",
             (
                 "CurvatureMatrix",
+                "MetricJet",
                 "PshPoint",
                 "PshReport",
                 "curvature_points",

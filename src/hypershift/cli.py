@@ -8,9 +8,9 @@ how each is written.  Exit codes: 0 for a clean run, 1 when the emitted
 report contains a witness object (a violation, growth flag, or failed
 stage), 2 for malformed input or usage errors (a --tol that is negative or
 not finite among them), 3 when the numerics refuse to give an answer (no
-rigorous tail bound, a non-Hermitian Hessian, or another internal
-RuntimeError); exit 3 prints one JSON line {"error": ..., "kind": ...} on
-stderr.
+rigorous tail bound, a truncated metric that is not positive, or another
+internal RuntimeError); exit 3 prints one JSON line {"error": ..., "kind":
+...} on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import multiindex as mi
 from . import report as rpt
-from .errors import NonHermitianError, WeightSpecError
+from .errors import WeightSpecError
 from .weights import PerturbedPower, parse_fraction, weight_from_dict
 
 # The hypercontraction, similarity, curvature and truncation layers are
@@ -81,13 +81,9 @@ _PSH = ("psi_min", "psi_max", "hessian_min_eig", "all_psd", "unbounded_trend", "
 
 
 def _emit(report: dict, args, csv_text: str | None = None) -> int:
-    """Print (and optionally write) the report; return the exit code."""
-    if getattr(args, "format", "json") == "csv":
-        if csv_text is None:
-            raise UsageError("csv output is not available for this subcommand")
-        text = csv_text
-    else:
-        text = rpt.canonical_json(report)
+    """Print (and optionally write) the report, or ``csv_text`` when the
+    handler built it for --format csv; return the exit code."""
+    text = rpt.canonical_json(report) if csv_text is None else csv_text
     if getattr(args, "out", None):
         rpt.write_atomic(args.out, text)
     sys.stdout.write(text)
@@ -515,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, weights: int | None = 1):
+    def common(p, weights: int | None = 1, csv: bool = False):
         if weights:
             p.add_argument(
                 "--weights",
@@ -525,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="JSON weight specification (repeatable)",
             )
         p.add_argument("--out", help="also write the report to this path (atomic)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--format", choices=["json", "csv"] if csv else ["json"], default="json")
 
     p = sub.add_parser("verify-identities", help="run the combinatorial identity suite")
     p.add_argument("--n-max", type=int, default=8)
@@ -548,14 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_necessary, n_weights=1)
 
     p = sub.add_parser("similarity-scan", help="scan squared ray ratios for two weights")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--degree", type=int, required=True, help="base point degree bound")
     p.add_argument("--ray-length", type=int, required=True)
     p.add_argument("--growth-factor", default="2", help="flag threshold, rational")
     p.set_defaults(func=cmd_similarity_scan, n_weights=2)
 
     p = sub.add_parser("curvature", help="log-metric Hessians on a grid")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--grid", default="radial:6x8", help="grid spec, radial:<steps>x<angles>")
     p.add_argument("--eval-degree", type=int, default=40)
     p.add_argument("--precision-bits", type=int, default=80)
@@ -563,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curvature, n_weights=(1, 2))
 
     p = sub.add_parser("truncate", help="finite matrix model diagnostics")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--defect-order", type=int)
     p.add_argument("--alpha", help="basis index for the decay curve")
@@ -600,9 +596,10 @@ def main(argv=None) -> int:
             raise UsageError("necessary needs exactly one of --degree or --alpha")
         if args.command == "truncate" and args.k_max is not None and args.alpha is None:
             raise UsageError("truncate --k-max needs --alpha")
+        if args.command == "truncate" and args.format == "csv" and args.alpha is None:
+            raise UsageError("truncate --format csv needs --alpha")
         return args.func(args)
-    except (NonHermitianError, RuntimeError) as exc:
-        # NonHermitianError is a ValueError: it must be caught before exit 2.
+    except RuntimeError as exc:
         sys.stderr.write(rpt.canonical_json({"error": str(exc), "kind": type(exc).__name__}))
         return 3
     except (UsageError, ValueError, OSError) as exc:

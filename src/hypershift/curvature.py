@@ -5,28 +5,45 @@ metric is h(w) = F(s) with s_i = |w_i|^2, so with L = log F
 
     H_ij(w) = d^2 log h / dw_i dconj(w_j) = L_ij(s) conj(w_i) w_j + delta_ij L_i(s),
 
-computed from the real series jets of ``weights.metric_jets``.  Points of
-one modulus class s share L, psi and the spectrum, which are computed once
-per class; H itself is formed per point and is exactly Hermitian.  A grid
-call gives, bit for bit, the values of per-point calls.  The curvature form
-of the associated Hermitian line bundle is -H; sign conventions are kept
-explicit at the call sites rather than baked in.  For two metrics,
-psi = log(h1/h2) is plurisubharmonic iff H(h1) - H(h2) is positive
-semidefinite, which is what the grid reports check.  ``curvature_points``
-is the one place these matrices are built, for one metric or for a pair.
+computed from the real jets of F that ``metric_jets`` evaluates.  This
+module is where the metric is rounded: ``weights`` holds only the exact
+facts it reads (sequence values, ratio bounds, the radial base and its
+exact corrections), and ``metric_jets`` sums the radial base series,
+truncated at ``max_degree`` with geometric tail bounds, plus every
+correction in full, at the working precision of ``precision``.  Points of
+one modulus class s share the jet, L, psi and the spectrum, which are
+computed once per class; H itself is formed per point and is exactly
+Hermitian.  A grid call gives, bit for bit, the values of per-point calls.
+The curvature form of the associated Hermitian line bundle is -H; sign
+conventions are kept explicit at the call sites rather than baked in.  For
+two metrics, psi = log(h1/h2) is plurisubharmonic iff H(h1) - H(h2) is
+positive semidefinite, which is what the grid reports check with
+``psd_check``.  ``curvature_points`` is the one place these matrices are
+built, for one metric or for a pair.
 """
 
 from __future__ import annotations
 
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from functools import cached_property
 from itertools import combinations
 from math import cos, isfinite, pi, sin
 from typing import NamedTuple
 
-from .errors import NonHermitianError
-from .precision import EXACT, HALF, ZERO, DecimalComplex, conj_mul, parts, working_context
-from .weights import WeightFunction, metric_jets
+from . import multiindex as mi
+from .errors import BallDomainError, SequenceExhausted, TailUnreliableError
+from .precision import (
+    EXACT,
+    HALF,
+    ZERO,
+    DecimalComplex,
+    abs_sq,
+    conj_mul,
+    parts,
+    to_decimal,
+    working_context,
+)
+from .weights import RadialSequence, WeightFunction
 
 # Cyclic Jacobi sweeps before a spectrum is refused; at 80 bits an m = 4
 # Hermitian embedding settles in under ten.
@@ -177,6 +194,262 @@ class PshPoint(_Record):
         return self.eigenvalues[0]
 
 
+# ---------------------------------------------------------------------------
+# Diagonal metric jets
+
+
+class MetricJet(NamedTuple):
+    """The diagonal metric as a real jet in s = (|w_1|^2, ..., |w_m|^2).
+
+    h(w) = sum_alpha rho(alpha) |w^alpha|^2 = F(s) depends on w only through
+    s, so one jet serves every point of the modulus class ``s``: ``h`` = F,
+    ``ds`` = (dF/ds_i) and ``dss`` = (d^2F/ds_i ds_j), a symmetric m x m
+    nested tuple, all Decimals at the working precision.  The tails bound
+    what the truncated radial base series leaves out of F, of each dF/ds_i
+    and of each d^2F/ds_i ds_j.  At s = 0 ``dss`` is stored as zeros: every
+    Wirtinger term it enters carries a factor conj(w_i) w_j.
+    """
+
+    s: tuple
+    h: Decimal
+    ds: tuple
+    dss: tuple
+    tail_h: Decimal
+    tail_grad: Decimal
+    tail_hess: Decimal
+    max_degree: int
+
+
+def _geometric_tails(a_last: Decimal, t: Decimal, d: int, r: Decimal):
+    """Tail bounds for sum a(j) t^j, its first, and its second t-derivative
+    beyond degree d, assuming a(j+1)/a(j) <= r for j >= d.
+
+    With a(d+i) <= a(d) r^i all three reduce to geometric series in
+    x = r t.  Each derivative takes one factor r out of the sum instead of
+    dividing by t, so no negative power of t appears for d <= 1; writing
+    j(j-1) = d(d-1) + 2di + i(i-1) for j = d+i, the bounds are exact when
+    a(j+1)/a(j) = r:
+        sum_{j>d} a(j) t^j          <= a(d) t^d x/(1-x)
+        sum_{j>d} j a(j) t^{j-1}    <= a(d) r t^d [d/(1-x) + 1/(1-x)^2]
+        sum_{j>d} j(j-1) a(j) t^{j-2}
+            <= a(d) r [d t^{d-1} ((d-1)/(1-x) + 2/(1-x)^2) + 2 r t^d/(1-x)^3]
+    """
+    x = r * t
+    if x >= 1:
+        raise TailUnreliableError(
+            f"series ratio bound {float(x):.6f} >= 1 at truncation degree {d}; "
+            "increase the truncation degree or shrink the radius"
+        )
+    u = 1 / (1 - x)
+    td = t**d
+    # d t^{d-1} is 0 at d = 0; t^{-1} is never formed.
+    dtd1 = d * t ** (d - 1) if d else ZERO
+    tail0 = a_last * td * x * u
+    tail1 = a_last * r * td * u * (d + u)
+    tail2 = a_last * r * u * (dtd1 * (d - 1 + 2 * u) + 2 * r * td * u * u)
+    return tail0, tail1, tail2
+
+
+def _coefficients(seq: RadialSequence, max_degree: int) -> tuple:
+    """The triples (a_d, d a_d, d (d-1) a_d) for d <= max_degree and the
+    ratio bound beyond max_degree, each rounded once in the current context.
+    Raises SequenceExhausted when the sequence ends before max_degree and
+    TailUnreliableError when no ratio bound is known."""
+    limit = seq.max_index()
+    if limit is not None and limit < max_degree:
+        raise SequenceExhausted(
+            f"radial sequence ends at index {limit}, truncation degree {max_degree} requested"
+        )
+    coeffs = []
+    for d in range(max_degree + 1):
+        a_d = to_decimal(seq.value(d))
+        coeffs.append((a_d, d * a_d, d * (d - 1) * a_d))
+    ratio = seq.ratio_sup(max_degree)
+    if ratio is None:
+        raise TailUnreliableError(
+            "no ratio bound available for this radial sequence; tail is unreliable"
+        )
+    return coeffs, to_decimal(ratio)
+
+
+def _series(coeffs: list, ratio: Decimal, t: Decimal) -> tuple:
+    """g(t), g'(t), g''(t) of g(t) = sum_d a(d) t^d over the coefficient
+    triples of ``_coefficients`` and the geometric tail bounds of the three
+    series beyond the last degree, in the current context."""
+    # Running powers of t: p = t^d, p1 = t^(d-1), p2 = t^(d-2).  The terms
+    # d a_d p1 and d (d-1) a_d p2 are exact zeros while p1 or p2 is.
+    g = gp = gpp = p1 = p2 = ZERO
+    p = Decimal(1)
+    for a_d, da_d, dda_d in coeffs:
+        g += a_d * p
+        gp += da_d * p1
+        gpp += dda_d * p2
+        p2 = p1
+        p1 = p
+        p *= t
+    return (g, gp, gpp) + _geometric_tails(coeffs[-1][0], t, len(coeffs) - 1, ratio)
+
+
+def _sequence_key(seq: RadialSequence):
+    """Equal keys mark radial sequences with bit-identical series: the same
+    instance, or the same class with the same spec."""
+    try:
+        return type(seq), repr(seq.spec_dict())
+    except NotImplementedError:
+        return seq
+
+
+def _correction_table(W: WeightFunction) -> tuple:
+    """(base, base key, terms) for the metric of W at the working precision.
+
+    A correction delta at alpha adds delta s^alpha to F, delta alpha_i
+    s^(alpha - e_i) to F_i and delta alpha_i (alpha_j - delta_ij)
+    s^(alpha - e_i - e_j) to F_ij.  Each term (slot, c, e) adds c s^e at the
+    slot () for F, (i,) for F_i or (i, j) with i <= j for F_ij; c is the
+    exact coefficient rounded once, and the exponents e are already shifted,
+    so no negative power of s is formed and s_i = 0 needs no special case.
+    """
+    base, corrections = W.metric_decomposition()
+    m = W.m
+    terms = []
+    for alpha, delta in corrections:
+        terms.append(((), to_decimal(delta), alpha))
+        for i, a in enumerate(alpha):
+            if not a:
+                continue
+            lower = mi.sub(alpha, mi.unit(m, i))
+            terms.append(((i,), to_decimal(delta * a), lower))
+            for j in range(i, m):
+                c = a * lower[j]
+                if c:
+                    terms.append(((i, j), to_decimal(delta * c), mi.sub(lower, mi.unit(m, j))))
+    return base, _sequence_key(base), terms
+
+
+def _origin_jet(W: WeightFunction, s: tuple, max_degree: int) -> MetricJet:
+    """The jet at s = 0, exact from two weight layers: F = rho(0) and
+    F_i = rho(e_i)."""
+    m = W.m
+    return MetricJet(
+        s=s,
+        h=to_decimal(W.rho((0,) * m)),
+        ds=tuple(to_decimal(W.rho(mi.unit(m, i))) for i in range(m)),
+        dss=((ZERO,) * m,) * m,
+        tail_h=ZERO,
+        tail_grad=ZERO,
+        tail_hess=ZERO,
+        max_degree=max_degree,
+    )
+
+
+def _class_jet(table: tuple, s: tuple, t, max_degree: int, cache: dict) -> MetricJet:
+    """The real jet at the modulus class s (with t = sum s_i > 0): the base
+    series g, g', g'' at t plus every correction term in full.  ``cache``
+    holds the series at (base key, t) and the coefficients at the base key,
+    so equal sequences and classes of equal t share them."""
+    base, key, terms = table
+    series = cache.get((key, t))
+    if series is None:
+        if key not in cache:
+            cache[key] = _coefficients(base, max_degree)
+        series = cache[(key, t)] = _series(*cache[key], t)
+    g, gp, gpp, tail0, tail1, tail2 = series
+    m = len(s)
+    jet = {(): g}
+    for i in range(m):
+        jet[(i,)] = gp
+        for j in range(i, m):
+            jet[(i, j)] = gpp
+    for slot, c, e in terms:
+        power = Decimal(1)
+        for x, k in zip(s, e):
+            if k:
+                power *= x**k
+        jet[slot] += c * power
+    if jet[()] <= 0:
+        raise TailUnreliableError(
+            f"truncated metric h = {float(jet[()]):.6g} is not positive at "
+            f"|w|^2 = {float(t):.6f}; increase the truncation degree"
+        )
+    return MetricJet(
+        s=s,
+        h=jet[()],
+        ds=tuple(jet[(i,)] for i in range(m)),
+        dss=tuple(tuple(jet[(min(i, j), max(i, j))] for j in range(m)) for i in range(m)),
+        tail_h=tail0,
+        tail_grad=tail1,
+        tail_hess=tail2,
+        max_degree=max_degree,
+    )
+
+
+def metric_jets(
+    weights,
+    points,
+    max_degree: int = 40,
+    precision_bits: int = 80,
+) -> list[tuple[MetricJet, ...]]:
+    """Evaluate h(w) = sum_alpha rho(alpha) |w^alpha|^2 = F(s) as a real
+    jet in s_i = |w_i|^2 (``MetricJet``) for every weight at every point,
+    truncating the radial base series at ``max_degree`` and summing every
+    exact correction term in full, in ``working_context(precision_bits)``.
+    Returns one tuple per point holding the jet of each weight in order.
+
+    The jet depends on the point only through its exact modulus class, the
+    tuple of the s_i, each formed exactly from the coordinate and rounded
+    once at the working precision, so each class is evaluated once and all
+    its points share the same jet objects.  Within a call each weight's
+    correction table is built once, at the first point off the origin, and
+    one cache serves every base series: each radial sequence (up to equal
+    specs) is rounded once and summed once per t = sum s_i.  Every jet is
+    bit for bit the jet of that weight at that point alone, and the errors
+    come in the order of evaluating the points one by one and, at each
+    point, the weights in order.
+
+    Raises ValueError for a negative ``max_degree``, fewer than 53
+    ``precision_bits`` or a point of the wrong dimension, BallDomainError
+    if |w| >= 1, and TailUnreliableError when no rigorous tail bound exists
+    at this truncation degree or the truncated h is not positive (negative
+    corrections outweighing a short base series), since such a value is not
+    a metric.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    if precision_bits < 53:
+        raise ValueError("precision_bits must be at least 53")
+    weights = list(weights)
+    tables: list[tuple | None] = [None] * len(weights)
+    moduli: dict = {}  # coordinate as given -> |x|^2
+    classes: dict[tuple, tuple] = {}  # exact s -> the jets of the weights
+    cache: dict = {}  # base key -> coefficients; (base key, t) -> series
+    out = []
+    with localcontext(working_context(precision_bits)):
+        for w in points:
+            for W in weights:
+                if len(w) != W.m:
+                    raise ValueError(f"point has dimension {len(w)}, weight has m = {W.m}")
+            for x in w:
+                if x not in moduli:
+                    moduli[x] = abs_sq(parts(x))
+            s = tuple(moduli[x] for x in w)
+            jets = classes.get(s)
+            if jets is None:
+                t = sum(s, ZERO)
+                if t >= 1:
+                    raise BallDomainError(f"|w|^2 = {float(t):.6f} is not inside the unit ball")
+                jets = []
+                for k, W in enumerate(weights):
+                    if t == 0:
+                        jets.append(_origin_jet(W, s, max_degree))
+                        continue
+                    if tables[k] is None:
+                        tables[k] = _correction_table(W)
+                    jets.append(_class_jet(tables[k], s, t, max_degree, cache))
+                jets = classes[s] = tuple(jets)
+            out.append(jets)
+    return out
+
+
 def _log_class(jets, precision_bits: int) -> tuple:
     """(psi, diagonal, L_ij, spectrum) of one modulus class s, where psi is
     L = log F (one weight) or log F1 - log F2 (a pair), L_i = F_i/F and
@@ -268,21 +541,11 @@ def check_tol(tol: float) -> None:
 
 
 def psd_check(H: CurvatureMatrix, tol: float = 1e-10) -> bool:
-    """True iff the matrix is positive semidefinite up to tolerance.
-
-    The matrix must be Hermitian within tol * scale (scale = largest entry
-    magnitude, floored at 1); the test is min eigenvalue >= -tol * scale.
-    Raises ValueError for a tolerance that is negative or not finite.
-    """
+    """True iff the least eigenvalue of the Hermitian part of H is at least
+    -tol.  Raises ValueError for a tolerance that is negative or not
+    finite."""
     check_tol(tol)
-    A = [[complex(x) for x in row] for row in H.entries]
-    scale = max(max(abs(x) for row in A for x in row), 1.0)
-    dev = max(abs(x - A[j][i].conjugate()) for i, row in enumerate(A) for j, x in enumerate(row))
-    if dev > tol * scale:
-        raise NonHermitianError(
-            f"matrix deviates from Hermitian by {dev:.3e} (scale {scale:.3e})"
-        )
-    return eigenvalues(H)[0] >= -tol * scale
+    return eigenvalues(H)[0] >= -tol
 
 
 def eigenvalues(H: CurvatureMatrix) -> tuple[float, ...]:
@@ -405,7 +668,7 @@ def psh_boundedness_report(
         psi_argmax=hi.w,
         hessian_min_eig=worst.min_eig,
         hessian_argmin=worst.w,
-        all_psd=worst.min_eig >= -psd_tol,
+        all_psd=psd_check(worst.hessian, psd_tol),
         unbounded_trend=trend,
         shells=tuple(shell_list),
         points=tuple(records),

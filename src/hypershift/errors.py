@@ -21,9 +21,5 @@ class TailUnreliableError(RuntimeError):
     """No rigorous tail bound is available for a truncated series evaluation."""
 
 
-class NonHermitianError(ValueError):
-    """A matrix expected to be Hermitian deviates beyond tolerance."""
-
-
 class WeightSpecError(ValueError):
     """A serialized weight specification is malformed."""

@@ -24,28 +24,22 @@ Every weight follows one of two rules:
 ``radial_split``, so the checks that read rho_ratio stay independent of the
 split the exact scans and the metric read.
 
-All weight values are exact ``Fraction``s.  Instances are immutable after
-construction apart from internal value, ratio and series caches, so they are
-safe to share across threads for reading.
+All weight values are exact ``Fraction``s and nothing here rounds: a
+sequence states its values, its ratio bound ``ratio_sup`` and its last index
+``max_index``, and a weight its ``metric_decomposition``; ``curvature``
+sums the truncated metric series from these at a working precision.
+Instances are immutable after construction apart from internal value and
+ratio caches, so they are safe to share across threads for reading.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from math import comb, factorial, perm
-from typing import NamedTuple
 
 from . import multiindex as mi
-from .errors import (
-    BallDomainError,
-    SequenceExhausted,
-    TailUnreliableError,
-    WeightDomainError,
-    WeightSpecError,
-)
+from .errors import SequenceExhausted, TailUnreliableError, WeightDomainError, WeightSpecError
 from .multiindex import MultiIndex
-from .precision import ZERO, DecimalComplex, abs_sq, conj_mul, parts, to_decimal, working_context
 from .report import frac_str
 
 # ---------------------------------------------------------------------------
@@ -58,18 +52,7 @@ class RadialSequence:
     ``ratio_sup(d)`` returns an upper bound for sup_{j >= d} a(j+1)/a(j), or
     None when no rigorous bound is known; tail estimates refuse to run in the
     latter case rather than guess.
-
-    ``series`` evaluates the truncated power series of the sequence and
-    memoizes it on the instance, so every weight that shares a sequence
-    shares its evaluations.  The coefficient triples the series sums are
-    memoized per working precision next to it, so a new t costs only the
-    multiply-adds.
     """
-
-    def __init__(self):
-        self._series: dict[tuple, tuple] = {}
-        # working digits -> [(a_d, d a_d, d (d-1) a_d)] for d = 0, 1, ...
-        self._coefficients: dict[int, list[tuple]] = {}
 
     def value(self, i: int) -> Fraction:
         raise NotImplementedError
@@ -84,57 +67,11 @@ class RadialSequence:
     def spec_dict(self) -> dict:
         raise NotImplementedError
 
-    def series(self, t: Decimal, max_degree: int) -> tuple:
-        """g(t), g'(t), g''(t) of g(t) = sum_{d <= max_degree} a(d) t^d and the
-        geometric tail bounds of the three series beyond max_degree, in the
-        current (working) decimal context.
-
-        Memoized on the exact key (t, max_degree, working digits); the result
-        depends on nothing else, so a hit is bit-identical to a fresh
-        evaluation.  Raises SequenceExhausted when the sequence ends before
-        max_degree and TailUnreliableError when no ratio bound is known.
-        """
-        digits = getcontext().prec
-        key = (t, max_degree, digits)
-        hit = self._series.get(key)
-        if hit is not None:
-            return hit
-        limit = self.max_index()
-        if limit is not None and limit < max_degree:
-            raise SequenceExhausted(
-                f"radial sequence ends at index {limit}, truncation degree {max_degree} requested"
-            )
-        coeffs = self._coefficients.setdefault(digits, [])
-        for d in range(len(coeffs), max_degree + 1):
-            a_d = to_decimal(self.value(d))
-            coeffs.append((a_d, d * a_d, d * (d - 1) * a_d))
-        # Running powers of t: p = t^d, p1 = t^(d-1), p2 = t^(d-2).  The
-        # terms d a_d p1 and d (d-1) a_d p2 are exact zeros while p1 or p2 is.
-        g = gp = gpp = p1 = p2 = ZERO
-        p = Decimal(1)
-        for a_d, da_d, dda_d in coeffs[: max_degree + 1]:
-            g += a_d * p
-            gp += da_d * p1
-            gpp += dda_d * p2
-            p2 = p1
-            p1 = p
-            p *= t
-
-        ratio = self.ratio_sup(max_degree)
-        if ratio is None:
-            raise TailUnreliableError(
-                "no ratio bound available for this radial sequence; tail is unreliable"
-            )
-        hit = (g, gp, gpp) + _geometric_tails(coeffs[max_degree][0], t, max_degree, ratio)
-        self._series[key] = hit
-        return hit
-
 
 class PowerSequence(RadialSequence):
     """a(i) = C(n + i - 1, i), the radial profile of PowerKernel(n)."""
 
     def __init__(self, n: int):
-        super().__init__()
         if n < 1:
             raise ValueError("kernel power n must be >= 1")
         self.n = n
@@ -156,7 +93,6 @@ class GeometricSequence(RadialSequence):
     """a(i) = r^i for a positive rational ratio r."""
 
     def __init__(self, r: Fraction):
-        super().__init__()
         r = Fraction(r)
         if r <= 0:
             raise ValueError("geometric ratio must be positive")
@@ -184,7 +120,6 @@ class PolynomialSequence(RadialSequence):
     """
 
     def __init__(self, coefficients: list[Fraction]):
-        super().__init__()
         coeffs = [Fraction(c) for c in coefficients]
         if not coeffs:
             raise ValueError("polynomial sequence needs at least one coefficient")
@@ -228,7 +163,6 @@ class ExplicitSequence(RadialSequence):
     """A finite explicit list of positive rationals."""
 
     def __init__(self, values: list[Fraction]):
-        super().__init__()
         vals = [Fraction(v) for v in values]
         if not vals:
             raise ValueError("explicit sequence must be nonempty")
@@ -619,246 +553,3 @@ def weight_from_dict(spec: dict) -> WeightFunction:
     except (KeyError, TypeError, ValueError) as exc:
         raise WeightSpecError(f"malformed weight spec {spec!r}: {exc}") from exc
     raise WeightSpecError(f"unknown weight kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Diagonal metric evaluation
-
-
-class MetricJet(NamedTuple):
-    """The diagonal metric as a real jet in s = (|w_1|^2, ..., |w_m|^2).
-
-    h(w) = sum_alpha rho(alpha) |w^alpha|^2 = F(s) depends on w only through
-    s, so one jet serves every point of the modulus class ``s``: ``h`` = F,
-    ``ds`` = (dF/ds_i) and ``dss`` = (d^2F/ds_i ds_j), a symmetric m x m
-    nested tuple, all Decimals at the working precision.  The tails bound
-    what the truncated radial base series leaves out of F, of each dF/ds_i
-    and of each d^2F/ds_i ds_j.  At s = 0 ``dss`` is stored as zeros: every
-    Wirtinger term it enters carries a factor conj(w_i) w_j.
-
-    A jet from ``metric_jets`` has no point and ``grad = hess = None``;
-    ``metric_jet(W, w)`` adds the Wirtinger derivatives at w as
-    ``DecimalComplex`` values,
-
-        grad_i = F_i conj(w_i),   hess_ij = F_ij conj(w_i) w_j + delta_ij F_i.
-    """
-
-    s: tuple
-    h: Decimal
-    ds: tuple
-    dss: tuple
-    tail_h: Decimal
-    tail_grad: Decimal
-    tail_hess: Decimal
-    max_degree: int
-    grad: tuple | None = None
-    hess: tuple | None = None
-
-
-def _geometric_tails(a_last: Decimal, t: Decimal, d: int, ratio: Fraction):
-    """Tail bounds for sum a(j) t^j, its first, and its second t-derivative
-    beyond degree d, assuming a(j+1)/a(j) <= r = ratio for j >= d.
-
-    With a(d+i) <= a(d) r^i all three reduce to geometric series in
-    x = r t.  Each derivative takes one factor r out of the sum instead of
-    dividing by t, so no negative power of t appears for d <= 1; writing
-    j(j-1) = d(d-1) + 2di + i(i-1) for j = d+i, the bounds are exact when
-    a(j+1)/a(j) = r:
-        sum_{j>d} a(j) t^j          <= a(d) t^d x/(1-x)
-        sum_{j>d} j a(j) t^{j-1}    <= a(d) r t^d [d/(1-x) + 1/(1-x)^2]
-        sum_{j>d} j(j-1) a(j) t^{j-2}
-            <= a(d) r [d t^{d-1} ((d-1)/(1-x) + 2/(1-x)^2) + 2 r t^d/(1-x)^3]
-    """
-    r = to_decimal(ratio)
-    x = r * t
-    if x >= 1:
-        raise TailUnreliableError(
-            f"series ratio bound {float(x):.6f} >= 1 at truncation degree {d}; "
-            "increase the truncation degree or shrink the radius"
-        )
-    u = 1 / (1 - x)
-    td = t**d
-    # d t^{d-1} is 0 at d = 0; t^{-1} is never formed.
-    dtd1 = d * t ** (d - 1) if d else ZERO
-    tail0 = a_last * td * x * u
-    tail1 = a_last * r * td * u * (d + u)
-    tail2 = a_last * r * u * (dtd1 * (d - 1 + 2 * u) + 2 * r * td * u * u)
-    return tail0, tail1, tail2
-
-
-def _sequence_key(seq: RadialSequence):
-    """Equal keys mark radial sequences with bit-identical series: the same
-    instance, or the same class with the same spec."""
-    try:
-        return type(seq), repr(seq.spec_dict())
-    except NotImplementedError:
-        return seq
-
-
-def _correction_table(W: WeightFunction) -> tuple:
-    """(base, base key, terms) for the metric of W at the working precision.
-
-    A correction delta at alpha adds delta s^alpha to F, delta alpha_i
-    s^(alpha - e_i) to F_i and delta alpha_i (alpha_j - delta_ij)
-    s^(alpha - e_i - e_j) to F_ij.  Each term (slot, c, e) adds c s^e at the
-    slot () for F, (i,) for F_i or (i, j) with i <= j for F_ij; c is the
-    exact coefficient rounded once, and the exponents e are already shifted,
-    so no negative power of s is formed and s_i = 0 needs no special case.
-    """
-    base, corrections = W.metric_decomposition()
-    m = W.m
-    terms = []
-    for alpha, delta in corrections:
-        terms.append(((), to_decimal(delta), alpha))
-        for i, a in enumerate(alpha):
-            if not a:
-                continue
-            lower = mi.sub(alpha, mi.unit(m, i))
-            terms.append(((i,), to_decimal(delta * a), lower))
-            for j in range(i, m):
-                c = a * lower[j]
-                if c:
-                    terms.append(((i, j), to_decimal(delta * c), mi.sub(lower, mi.unit(m, j))))
-    return base, _sequence_key(base), terms
-
-
-def _origin_jet(W: WeightFunction, s: tuple, max_degree: int) -> MetricJet:
-    """The jet at s = 0, exact from two weight layers: F = rho(0) and
-    F_i = rho(e_i)."""
-    m = W.m
-    return MetricJet(
-        s=s,
-        h=to_decimal(W.rho((0,) * m)),
-        ds=tuple(to_decimal(W.rho(mi.unit(m, i))) for i in range(m)),
-        dss=((ZERO,) * m,) * m,
-        tail_h=ZERO,
-        tail_grad=ZERO,
-        tail_hess=ZERO,
-        max_degree=max_degree,
-    )
-
-
-def _class_jet(table: tuple, s: tuple, t, max_degree: int, bases: dict) -> MetricJet:
-    """The real jet at the modulus class s (with t = sum s_i > 0): the base
-    series g, g', g'' at t, shared through ``bases`` by equal sequences, plus
-    every correction term in full."""
-    base, key, terms = table
-    series = bases.get(key)
-    if series is None:
-        series = bases[key] = base.series(t, max_degree)
-    g, gp, gpp, tail0, tail1, tail2 = series
-    m = len(s)
-    jet = {(): g}
-    for i in range(m):
-        jet[(i,)] = gp
-        for j in range(i, m):
-            jet[(i, j)] = gpp
-    for slot, c, e in terms:
-        power = Decimal(1)
-        for x, k in zip(s, e):
-            if k:
-                power *= x**k
-        jet[slot] += c * power
-    if jet[()] <= 0:
-        raise TailUnreliableError(
-            f"truncated metric h = {float(jet[()]):.6g} is not positive at "
-            f"|w|^2 = {float(t):.6f}; increase the truncation degree"
-        )
-    return MetricJet(
-        s=s,
-        h=jet[()],
-        ds=tuple(jet[(i,)] for i in range(m)),
-        dss=tuple(tuple(jet[(min(i, j), max(i, j))] for j in range(m)) for i in range(m)),
-        tail_h=tail0,
-        tail_grad=tail1,
-        tail_hess=tail2,
-        max_degree=max_degree,
-    )
-
-
-def metric_jets(
-    weights,
-    points,
-    max_degree: int = 40,
-    precision_bits: int = 80,
-) -> list[tuple[MetricJet, ...]]:
-    """Evaluate h(w) = sum_alpha rho(alpha) |w^alpha|^2 = F(s) as a real
-    jet in s_i = |w_i|^2 (``MetricJet``) for every weight at every point,
-    truncating the radial base series at ``max_degree`` and summing every
-    exact correction term in full, in ``working_context(precision_bits)``.
-    Returns one tuple per point holding the jet of each weight in order.
-
-    The jet depends on the point only through its exact modulus class, the
-    tuple of the s_i, each formed exactly from the coordinate and rounded
-    once at the working precision, so each class is evaluated once and all
-    its points share the same jet objects.  Within a call each weight's
-    correction table is built once, at the first point off the origin, and
-    at each class the base series is summed once for all weights on equal
-    radial sequences.  Every jet is bit for bit the jet of that weight at
-    that point alone, and the errors come in the order of evaluating the
-    points one by one and, at each point, the weights in order.
-
-    Raises BallDomainError if |w| >= 1, and TailUnreliableError when no
-    rigorous tail bound exists at this truncation degree or the truncated
-    h is not positive (negative corrections outweighing a short base
-    series), since such a value is not a metric.
-    """
-    weights = list(weights)
-    tables: list[tuple | None] = [None] * len(weights)
-    moduli: dict = {}  # coordinate as given -> |x|^2
-    classes: dict[tuple, list] = {}  # exact s -> jets of the weights so far
-    out = []
-    with localcontext(working_context(precision_bits)):
-        for w in points:
-            jets: list = []
-            for k, W in enumerate(weights):
-                if len(w) != W.m:
-                    raise ValueError(f"point has dimension {len(w)}, weight has m = {W.m}")
-                if max_degree < 0:
-                    raise ValueError("max_degree must be >= 0")
-                if precision_bits < 53:
-                    raise ValueError("precision_bits must be at least 53")
-                if k == 0:
-                    # Converted after the first weight's checks, as in a
-                    # one-point jet, so bad input is reported first.
-                    for x in w:
-                        if x not in moduli:
-                            moduli[x] = abs_sq(parts(x))
-                    s = tuple(moduli[x] for x in w)
-                    t = sum(s, ZERO)
-                    if t >= 1:
-                        raise BallDomainError(f"|w|^2 = {float(t):.6f} is not inside the unit ball")
-                    jets = classes.setdefault(s, [])
-                    bases: dict = {}
-                if k < len(jets):
-                    continue
-                if t == 0:
-                    jets.append(_origin_jet(W, s, max_degree))
-                    continue
-                if tables[k] is None:
-                    tables[k] = _correction_table(W)
-                jets.append(_class_jet(tables[k], s, t, max_degree, bases))
-            out.append(tuple(jets))
-    return out
-
-
-def metric_jet(
-    W: WeightFunction,
-    w,
-    max_degree: int = 40,
-    precision_bits: int = 80,
-) -> MetricJet:
-    """The metric jet of W at the single point w: ``metric_jets([W], [w])``
-    with the same arguments, with its Wirtinger ``grad`` and ``hess`` at w."""
-    (jet,) = metric_jets([W], [w], max_degree=max_degree, precision_bits=precision_bits)[0]
-    with localcontext(working_context(precision_bits)):
-        wv = [parts(x) for x in w]
-        grad = tuple(DecimalComplex(f * a, f * b.copy_negate()) for f, (a, b) in zip(jet.ds, wv))
-        hess = []
-        for i, (row, x, fi) in enumerate(zip(jet.dss, wv, jet.ds)):
-            entries = []
-            for j, (f, y) in enumerate(zip(row, wv)):
-                z = conj_mul(x, y).scaled(f)
-                entries.append(DecimalComplex(z.real + fi, z.imag) if i == j else z)
-            hess.append(tuple(entries))
-    return jet._replace(grad=grad, hess=tuple(hess))

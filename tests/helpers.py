@@ -3,7 +3,8 @@ the float paths are tested against, the per-cell similarity scan the
 tabled one is tested against, the modulus classes of a grid, the exact
 oracles ``subnormality_obstruction`` and ``m_power_diag``, and the
 mpmath oracles the working-precision decimal numerics are checked against:
-``to_mp`` and the finite-difference stencil ``finite_diff_check``.
+``to_mp``, the Wirtinger derivatives ``wirtinger`` of a real metric jet and
+the finite-difference stencil ``finite_diff_check``.
 
 Everything takes an explicit random.Random so tests stay reproducible; no
 module-level RNG state.  numpy and mpmath are test dependencies only: the
@@ -29,11 +30,11 @@ from hypershift import (
     RayWitness,
     TableWeight,
     curvature_points,
-    metric_jet,
     necessary_condition,
     ray_ratio_sq,
 )
 from hypershift import multiindex as mi
+from hypershift.curvature import metric_jets
 from hypershift.precision import EXACT, DecimalComplex, working_context
 from hypershift.truncation import _accumulate, _monomial_gram, power_layers
 
@@ -200,6 +201,30 @@ def to_mp(x):
     return mp.mpmathify(x)
 
 
+def wirtinger(jet, w) -> tuple:
+    """(grad, hess) of h at the point w from the real jet of its modulus
+    class, in mpmath at the current precision:
+
+        grad_i = F_i conj(w_i),   hess_ij = F_ij conj(w_i) w_j + delta_ij F_i.
+    """
+    wv = [mp.mpc(to_mp(x)) for x in w]
+    ds, dss = to_mp(jet.ds), to_mp(jet.dss)
+    grad = tuple(f * mp.conj(x) for f, x in zip(ds, wv))
+    hess = tuple(
+        tuple(
+            dss[i][j] * mp.conj(wv[i]) * wv[j] + (ds[i] if i == j else 0) for j in range(len(wv))
+        )
+        for i in range(len(wv))
+    )
+    return grad, hess
+
+
+def point_jet(W, w, **kwargs):
+    """The real metric jet of W at the single point w."""
+    ((jet,),) = metric_jets([W], [w], **kwargs)
+    return jet
+
+
 def _displace(w, coord: int, part: str, step: float):
     """w with ``step`` added to the real or imaginary part of one
     coordinate, exactly."""
@@ -222,13 +247,13 @@ def finite_diff_check(W, w, step=1e-4, max_degree=60, precision_bits=120) -> flo
             = (f_{x_i x_j} + f_{y_i y_j} + i (f_{x_i y_j} - f_{y_i x_j})) / 4,
 
     each real second derivative taken with the usual central stencils on
-    log h of ``metric_jet`` at exactly displaced points.  The deviation is
+    log h of ``metric_jets`` at exactly displaced points.  The deviation is
     O(step^2) plus series truncation error.
     """
     m = W.m
 
     def f(pt):
-        return mp.log(to_mp(metric_jet(W, pt, max_degree=max_degree, precision_bits=precision_bits).h))
+        return mp.log(to_mp(point_jet(W, pt, max_degree=max_degree, precision_bits=precision_bits).h))
 
     with mp.workprec(precision_bits):
         h = mp.mpf(step)

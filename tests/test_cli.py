@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import hypershift.curvature
+import hypershift.truncation
 from hypershift import (
-    NonHermitianError,
     PerturbedPower,
     PolynomialSequence,
     PowerKernel,
@@ -320,6 +320,31 @@ def test_curvature_pair_report(capsys, weight_files):
     assert radii == sorted(radii)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="a truncated metric series is reported as exact; ROADMAP item 1 removes this marker",
+)
+def test_short_series_curvature_matches_the_closed_form(capsys, weight_files):
+    # power(1, 1) has h = 1/(1 - t) and H = 1/(1 - t)^2 on the line, 105.19
+    # at w = 0.95.  Cut at degree 3 its series gives H = 1.3727 there, and
+    # the report still says psd with no error bound beside it.
+    code, report = run_json(
+        capsys,
+        [
+            "curvature",
+            "--weights",
+            weight_files["power1m1"],
+            "--grid",
+            "radial:1x1",
+            "--eval-degree",
+            "3",
+        ],
+    )
+    assert code == 0
+    (record,) = [r for r in report["records"] if r["w"] == [[0.95, 0.0]]]
+    assert record["hessian"][0][0][0] == pytest.approx(1 / (1 - 0.95**2) ** 2, rel=1e-9)
+
+
 def test_curvature_rejects_bad_grid(capsys, weight_files):
     # radial:2x0 used to scan the origin alone and report all_psd true.
     for grid in ("cube", "radial:ax2", "radial:0x4", "radial:2x0", "radial:2x-1"):
@@ -341,8 +366,6 @@ def test_curvature_rejects_bad_tol(capsys, weight_files, monkeypatch, tol, names
 
     for name in ("metric_jets", "curvature_points"):
         monkeypatch.setattr(hypershift.curvature, name, no_jets)
-    for name in ("metric_jet", "metric_jets"):
-        monkeypatch.setattr(hypershift.weights, name, no_jets)
     argv = ["curvature", "--grid", "radial:1x1", "--tol", tol]
     for name in names:
         argv += ["--weights", weight_files[name]]
@@ -374,17 +397,6 @@ def test_refused_numerics_exit_3(capsys, tmp_path):
     err = _refusal(capsys)
     assert err["kind"] == "TailUnreliableError"
     assert "ratio bound" in err["error"]
-
-
-def test_non_hermitian_hessian_exits_3(capsys, weight_files, monkeypatch):
-    # NonHermitianError is a ValueError, but it is a refusal, not bad input.
-    def refuse(H, tol):
-        raise NonHermitianError("matrix deviates from Hermitian")
-
-    monkeypatch.setattr(hypershift.curvature, "psd_check", refuse)
-    argv = ["curvature", "--weights", weight_files["power2m1"], "--grid", "radial:1x2"]
-    assert main(argv) == 3
-    assert _refusal(capsys) == {"error": "matrix deviates from Hermitian", "kind": "NonHermitianError"}
 
 
 # -- truncate -----------------------------------------------------------------
@@ -593,25 +605,30 @@ def test_invalid_alpha_and_orders(capsys, weight_files):
     capsys.readouterr()
 
 
-def test_csv_unavailable_for_scalar_reports(capsys, weight_files):
-    assert main(["verify-identities", "--format", "csv"]) == 2
-    assert (
-        main(
-            [
-                "check-hyper",
-                "--weights",
-                weight_files["power2m1"],
-                "--n",
-                "1",
-                "--degree",
-                "2",
-                "--format",
-                "csv",
-            ]
-        )
-        == 2
-    )
-    capsys.readouterr()
+def test_csv_unavailable_for_scalar_reports(capsys, weight_files, monkeypatch):
+    # The subcommands without CSV output refuse --format csv while parsing,
+    # before any computation runs; truncate refuses it without --alpha, whose
+    # decay curve is its only CSV table.
+    one = weight_files["power2m1"]
+    for argv in (
+        ["verify-identities"],
+        ["check-hyper", "--weights", one, "--n", "1", "--degree", "2"],
+        ["necessary", "--weights", one, "--n", "1", "--degree", "2"],
+        ["example45"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the matrix model was built")
+
+    monkeypatch.setattr(hypershift.truncation, "build_truncated", no_model)
+    assert main(["truncate", "--weights", one, "--degree", "2", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncate --format csv needs --alpha\n"
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

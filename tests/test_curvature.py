@@ -12,10 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypershift.curvature as curvature_module
-import hypershift.weights as weights_module
 from hypershift import (
     CurvatureMatrix,
-    NonHermitianError,
     PerturbedPower,
     PolynomialSequence,
     PowerKernel,
@@ -25,14 +23,13 @@ from hypershift import (
     curvature_points,
     default_grid,
     eigenvalues,
-    metric_jet,
     psd_check,
     psh_boundedness_report,
     radial_grid,
 )
 from hypershift.cli import main
 from hypershift.precision import working_context
-from helpers import as_array, finite_diff_check, modulus_class, modulus_classes, to_mp
+from helpers import as_array, finite_diff_check, modulus_class, modulus_classes, point_jet, to_mp
 
 F = Fraction
 
@@ -109,6 +106,17 @@ def test_psd_check_accepts_and_rejects():
     assert not psd_check(indef)
     assert eigenvalues(indef) == (-1.0, 1.0)
     assert eigenvalues(indef)[0] == -1.0
+    # One rule for every matrix: the least eigenvalue against -tol, with no
+    # scale from the entries, on the Hermitian part of what it is given.
+    big = CurvatureMatrix(point=(0, 0), entries=((Decimal(10) ** 6, 0), (0, Decimal("-2e-10"))))
+    assert not psd_check(big, tol=1e-10) and psd_check(big, tol=2e-10)
+    edge = CurvatureMatrix(point=(0, 0), entries=((1, 0), (0, -1e-10)))
+    assert psd_check(edge, tol=1e-10) and not psd_check(edge, tol=0.0)
+    skew = CurvatureMatrix(point=(0, 0), entries=((0j, 1 + 0j), (0j, 0j)))
+    assert eigenvalues(skew) == (-0.5, 0.5) and not psd_check(skew)
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="psd tolerance"):
+            psd_check(I2, tol=tol)
 
 
 def test_curvature_matrix_compares_without_its_spectrum():
@@ -125,12 +133,6 @@ def test_curvature_matrix_compares_without_its_spectrum():
     assert p == q and hash(p) == hash(q)
     assert p.eigenvalues == (2.0, 3.0) and q.eigenvalues == (7.0,)
     assert p.eigenvalues is p.eigenvalues
-
-
-def test_psd_check_requires_hermitian():
-    bad = CurvatureMatrix(point=(0, 0), entries=((0j, 1 + 0j), (0j, 0j)))
-    with pytest.raises(NonHermitianError):
-        psd_check(bad)
 
 
 def test_eigenvalues_are_ascending():
@@ -483,16 +485,17 @@ def _psh_pair(kind):
 @pytest.mark.parametrize("bits", [80, 120])
 @pytest.mark.parametrize("kind", ["perturbed45", "polynomial"])
 def test_psh_report_equals_the_four_jet_composition(kind, bits):
-    # The report takes psi and the Hessian from one jet per weight and a
-    # shared series memo.  The reference composes two metric jets and
-    # curvature_difference on freshly built weights, so no memo is warm.
+    # The report takes psi and the Hessian from one jet per weight and one
+    # series cache for the grid.  The reference composes two metric jets and
+    # curvature_difference, each a call of its own on freshly built weights,
+    # so no cache is shared.
     deg = 60
     grid = radial_grid(2, 2, 4)
     report = psh_boundedness_report(*_psh_pair(kind), grid, max_degree=deg, precision_bits=bits)
     assert report.n_points == len(grid)
     for p, w in zip(report.points, grid):
-        h1 = metric_jet(_psh_pair(kind)[0], w, max_degree=deg, precision_bits=bits)
-        h2 = metric_jet(_psh_pair(kind)[1], w, max_degree=deg, precision_bits=bits)
+        h1 = point_jet(_psh_pair(kind)[0], w, max_degree=deg, precision_bits=bits)
+        h2 = point_jet(_psh_pair(kind)[1], w, max_degree=deg, precision_bits=bits)
         with localcontext(working_context(bits)):
             psi = float(h1.h.ln() - h2.h.ln())
         H = curvature_difference(*_psh_pair(kind), w, max_degree=deg, precision_bits=bits)
@@ -522,8 +525,8 @@ def test_pair_point_is_the_difference_of_the_single_points():
         twos = curvature_points([W2], grid, max_degree=60, precision_bits=120)
         assert len(pair) == len(grid)
         for p, p1, p2, w in zip(pair, ones, twos, grid):
-            h1 = metric_jet(W1, w, max_degree=60, precision_bits=120).h
-            h2 = metric_jet(W2, w, max_degree=60, precision_bits=120).h
+            h1 = point_jet(W1, w, max_degree=60, precision_bits=120).h
+            h2 = point_jet(W2, w, max_degree=60, precision_bits=120).h
             with localcontext(working_context(120)):
                 assert p.psi == float(h1.ln() - h2.ln())
                 assert p1.psi == float(h1.ln())
@@ -552,8 +555,8 @@ def test_psh_report_takes_one_jet_per_weight_per_point(monkeypatch):
     # Within it each weight's correction table is built once, and each
     # weight's jet is evaluated once per modulus class.
     real_jets = curvature_module.metric_jets
-    real_table = weights_module._correction_table
-    real_class = weights_module._class_jet
+    real_table = curvature_module._correction_table
+    real_class = curvature_module._class_jet
     calls, tables, class_jets = [], [], []
 
     def counting_jets(weights, points, *args, **kwargs):
@@ -570,8 +573,8 @@ def test_psh_report_takes_one_jet_per_weight_per_point(monkeypatch):
         return real_class(table, s, *args)
 
     monkeypatch.setattr(curvature_module, "metric_jets", counting_jets)
-    monkeypatch.setattr(weights_module, "_correction_table", counting_table)
-    monkeypatch.setattr(weights_module, "_class_jet", counting_class)
+    monkeypatch.setattr(curvature_module, "_correction_table", counting_table)
+    monkeypatch.setattr(curvature_module, "_class_jet", counting_class)
     W = PerturbedPower(2, 2, 2)
     grid = radial_grid(2, 2, 4)
     psh_boundedness_report(W, W.base, grid, max_degree=40)
@@ -606,8 +609,8 @@ def test_psh_report_at_the_origin_needs_no_tail_bound():
 @pytest.mark.parametrize("kind", ["perturbed45", "polynomial"])
 def test_equal_moduli_share_psi_and_spectrum(kind, bits):
     # Points with equal exact s share psi and the eigenvalues; every H is
-    # exactly Hermitian with an exactly real diagonal, so psd_check sees no
-    # deviation at all.  The dyadic points all have s = (25/64, 1/16) at any
+    # exactly Hermitian with an exactly real diagonal, so its spectrum is
+    # that of H itself.  The dyadic points all have s = (25/64, 1/16) at any
     # precision, and so do the grid's exact axis points.
     W1, W2 = _psh_pair(kind)
     grid = radial_grid(2, 3, 4) + [(0.375 + 0.5j, 0.25), (0.625j, -0.25), (-0.5 + 0.375j, 0.25j)]

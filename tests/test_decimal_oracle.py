@@ -29,7 +29,7 @@ from hypershift import (
 )
 from hypershift import multiindex as mi
 from hypershift.precision import working_context
-from hypershift.weights import metric_jets
+from hypershift.curvature import metric_jets
 from helpers import to_mp
 
 F = Fraction

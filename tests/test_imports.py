@@ -35,7 +35,9 @@ print(json.dumps({
 """
 
 # The modules every CLI call loads: the package core and the CLI itself.
-CORE = ["cli", "errors", "multiindex", "precision", "report", "weights"]
+# The working-precision arithmetic (``precision``) and the metric numerics
+# in ``curvature`` load only with the subcommands that evaluate a metric.
+CORE = ["cli", "errors", "multiindex", "report", "weights"]
 
 # Runs main(argv) with numpy and mpmath made unimportable and prints its exit
 # code and stdout.
@@ -128,10 +130,13 @@ def test_importing_the_cli_loads_no_numerics():
             ["truncate", "--weights", "poly_a.json", "--degree", "4", "--defect-order", "2"],
             ["truncation"],
         ),
-        (["curvature", "--weights", "power22.json", "--grid", "radial:1x2"], ["curvature"]),
+        (
+            ["curvature", "--weights", "power22.json", "--grid", "radial:1x2"],
+            ["curvature", "precision"],
+        ),
         (
             ["example45", "--eval-degree", "20"],
-            ["curvature", "hypercontraction", "similarity"],
+            ["curvature", "hypercontraction", "precision", "similarity"],
         ),
     ],
     ids=[
@@ -182,6 +187,23 @@ def test_every_exported_name_resolves():
         "print(len(hypershift.__all__), missing, unlisted, unstarred)"
     )
     count, rest = out.split(" ", 1)
-    # 21 names of the core and 37 resolved on first use.
-    assert int(count) == 58
+    # 18 names of the core and 38 resolved on first use.
+    assert int(count) == 56
     assert rest.strip() == "[] [] []"
+
+
+def test_weights_module_holds_no_rounding():
+    # The weights state exact Fraction facts; every rounding lives with the
+    # metric numerics in ``curvature``, so weights imports neither decimal
+    # nor the working-precision helpers.
+    import ast
+
+    tree = ast.parse((ROOT / "src" / "hypershift" / "weights.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported.isdisjoint({"decimal", ".precision", "hypershift.precision"})
+    assert {".multiindex", ".report", "fractions"} <= imported

@@ -6,19 +6,22 @@ term by term with no memo, converts every correction, takes every complex
 coordinate power afresh and assembles the Wirtinger gradient and Hessian
 directly, in mpmath at the working precision in bits.  ``metric_jets``
 evaluates one real jet in s_i = |w_i|^2 per modulus class in decimal
-working digits and ``metric_jet`` derives the Wirtinger derivatives at w
-from it, so they round in another radix and order: h, grad, hess and the
-series tails agree with the reference within 2^-(bits - 8) relative.  A
-grid call and per-point calls give the same bits.
+working digits, and ``helpers.wirtinger`` derives the Wirtinger derivatives
+at w from it, so they round in another radix and order: h, grad, hess and
+the series tails agree with the reference within 2^-(bits - 8) relative.  A
+grid call and per-point calls give the same bits, and one call sums each
+base series once per t = sum s_i.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-import hypershift.weights as weights_module
+import hypershift.curvature as curvature_module
 from hypershift import (
     GeometricSequence,
     PerturbedPower,
@@ -27,14 +30,13 @@ from hypershift import (
     RadialSequence,
     RadialWeight,
     TableWeight,
-    metric_jet,
     radial_grid,
     weight_from_dict,
 )
 from hypershift import multiindex as mi
 from hypershift.errors import TailUnreliableError
-from hypershift.weights import metric_jets
-from helpers import modulus_classes, to_mp
+from hypershift.curvature import metric_jets
+from helpers import modulus_classes, point_jet, to_mp, wirtinger
 
 F = Fraction
 
@@ -178,8 +180,11 @@ def _fields(jet):
     return (jet.s, jet.h, jet.ds, jet.dss, jet.tail_h, jet.tail_grad, jet.tail_hess)
 
 
-def _wirtinger(jet):
-    return (jet.h, jet.grad, jet.hess, jet.tail_h, jet.tail_grad, jet.tail_hess)
+def _wirtinger(jet, w=None):
+    """h, grad, hess and the tails: the reference's own, or those of a real
+    jet at the point w."""
+    grad, hess = (jet.grad, jet.hess) if w is None else wirtinger(jet, w)
+    return (jet.h, grad, hess, jet.tail_h, jet.tail_grad, jet.tail_hess)
 
 
 def _assert_close(got, ref, bits):
@@ -265,23 +270,72 @@ def test_metric_jets_are_bit_identical_to_the_reference(pair, bits):
     assert len(jets) == len(grid)
     for w, (jet1, jet2) in zip(grid, jets):
         for W, jet in ((W1, jet1), (W2, jet2)):
-            assert jet.grad is None and jet.hess is None
             assert jet.max_degree == deg
-            one = metric_jet(W, w, max_degree=deg, precision_bits=bits)
+            one = point_jet(W, w, max_degree=deg, precision_bits=bits)
             assert _fields(one) == _fields(jet)
             ref = reference_jet(W, w, deg, bits)
-            _assert_close(_wirtinger(one), _wirtinger(ref), bits)
+            with mp.workprec(2 * bits):
+                _assert_close(_wirtinger(one, w), _wirtinger(ref), bits)
 
 
-def test_base_series_is_shared_by_equal_sequences_only():
-    # Spec-equal bases share one series per point: the second weight's own
-    # sequence is never summed.  Different sequences each sum their own.
+def _count_series(monkeypatch):
+    """Record the sequence of every ``_coefficients`` call and the t of
+    every ``_series`` call: what one metric_jets call rounds and sums."""
+    rounded, summed = [], []
+    real_coefficients = curvature_module._coefficients
+    real_series = curvature_module._series
+
+    def coefficients(seq, max_degree):
+        rounded.append(seq)
+        return real_coefficients(seq, max_degree)
+
+    def series(coeffs, ratio, t):
+        summed.append(t)
+        return real_series(coeffs, ratio, t)
+
+    monkeypatch.setattr(curvature_module, "_coefficients", coefficients)
+    monkeypatch.setattr(curvature_module, "_series", series)
+    return rounded, summed
+
+
+def test_base_series_is_shared_by_equal_sequences_only(monkeypatch):
+    # Spec-equal bases share one series per t: the second weight's own
+    # sequence is never rounded or summed.  Different sequences each sum
+    # their own.
+    rounded, summed = _count_series(monkeypatch)
     W1, W2 = PAIRS["perturbed45_power_specs"]()
     metric_jets([W1, W2], _grid(2))
-    assert W1.base.sequence._series and not W2.sequence._series
+    assert rounded == [W1.base.sequence]
+    assert len(summed) == len(set(summed))
+    rounded.clear()
     W1, W2 = PAIRS["polynomials"]()
     metric_jets([W1, W2], _grid(2))
-    assert W1.sequence._series and W2.sequence._series
+    assert rounded == [W1.sequence, W2.sequence]
+
+
+def test_base_series_is_summed_once_per_t(monkeypatch):
+    # Classes of equal t = sum s_i share one base series: example45's pair
+    # on radial:6x4 has 34 classes off the origin and 19 values of t, and
+    # the CLI-default radial:6x8 pair of perturbed45.json and power22.json
+    # has 234 and 123.  Each count is one sum per t for both weights.
+    rounded, summed = _count_series(monkeypatch)
+    W = PerturbedPower(2, 2, 2)
+    grid = radial_grid(2, 6, 4)
+    metric_jets([W, W.base], grid, max_degree=120, precision_bits=80)
+    assert len(modulus_classes(grid)) - 1 == 34
+    assert (len(rounded), len(summed), len(set(summed))) == (1, 19, 19)
+
+    rounded.clear()
+    summed.clear()
+    data = Path(__file__).parent / "data"
+    W1, W2 = (
+        weight_from_dict(json.loads((data / name).read_text()))
+        for name in ("perturbed45.json", "power22.json")
+    )
+    grid = radial_grid(2, 6, 8)
+    metric_jets([W1, W2], grid, max_degree=40, precision_bits=80)
+    assert len(modulus_classes(grid)) - 1 == 234
+    assert (len(rounded), len(summed), len(set(summed))) == (1, 123, 123)
 
 
 def test_metric_jets_serve_weights_in_order_at_every_point():
@@ -302,18 +356,22 @@ def test_metric_jets_refuse_in_point_then_weight_order():
     bare = TableWeight(2, {(0, 0): F(1), (1, 0): F(2), (0, 1): F(3)})
     P = PowerKernel(2, 2)
     origin = metric_jets([bare, P], [(0j, 0j)])
-    one = metric_jet(bare, (0j, 0j))
+    one = point_jet(bare, (0j, 0j))
     assert _fields(origin[0][0]) == _fields(one)
-    assert to_mp(_wirtinger(one)) == _wirtinger(reference_jet(bare, (0j, 0j), 40, 80))
+    assert to_mp(_wirtinger(one, (0j, 0j))) == _wirtinger(reference_jet(bare, (0j, 0j), 40, 80))
     for weights in ([bare, P], [P, bare]):
         with pytest.raises(TailUnreliableError, match="table weight without fallback"):
             metric_jets(weights, [(0j, 0j), (0.1, 0.2)])
-    # Each jet checks the point's dimension, then the degree, then the ball,
-    # before it needs the weight's decomposition.
+    # The degree and the precision are checked once per call, before any
+    # point; each point's dimension comes before the ball, and both before
+    # the weight's decomposition is needed.
+    for points in ([], [(0.5,)], [(2.0, 0.0)]):
+        with pytest.raises(ValueError, match="max_degree"):
+            metric_jets([P], points, max_degree=-1)
+        with pytest.raises(ValueError, match="precision_bits"):
+            metric_jets([P], points, precision_bits=52)
     with pytest.raises(ValueError, match="point has dimension 1"):
-        metric_jets([P], [(0.5,)], max_degree=-1)
-    with pytest.raises(ValueError, match="max_degree"):
-        metric_jets([P], [(2.0, 0.0)], max_degree=-1)
+        metric_jets([bare, P], [(0j, 0j), (2.0,)])
     with pytest.raises(ValueError, match="unit ball"):
         metric_jets([bare, P], [(0j, 0j), (0.8, 0.7)])
 
@@ -324,13 +382,13 @@ def test_one_jet_per_modulus_class(monkeypatch):
     # example45's radial:6x4 grid, 235 on the CLI default radial:6x8.
     calls = []
     for name in ("_class_jet", "_origin_jet"):
-        real = getattr(weights_module, name)
+        real = getattr(curvature_module, name)
 
         def counting(*args, real=real, name=name):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(weights_module, name, counting)
+        monkeypatch.setattr(curvature_module, name, counting)
     W = PerturbedPower(2, 2, 2)
     for steps, angles, classes in ((6, 4, 35), (6, 8, 235)):
         calls.clear()

@@ -1,7 +1,7 @@
 """Weight families, serialization, and the diagonal metric evaluator."""
 
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -22,15 +22,22 @@ from hypershift import (
     TailUnreliableError,
     WeightDomainError,
     WeightSpecError,
-    metric_jet,
     parse_fraction,
     weight_from_dict,
 )
+import hypershift.curvature as curvature_module
 from hypershift import multiindex as mi
-from hypershift.precision import working_context
+from hypershift.curvature import metric_jets
 from hypershift.weights import radial_split
 
-from helpers import random_radial_sequence, random_table_weight, random_weight, to_mp
+from helpers import (
+    point_jet,
+    random_radial_sequence,
+    random_table_weight,
+    random_weight,
+    to_mp,
+    wirtinger,
+)
 
 F = Fraction
 
@@ -376,7 +383,7 @@ def test_table_weight_only_serializes_power_fallbacks():
 def test_eval_metric_at_origin_is_rho_theta():
     # Exact for every family, including a table with no fallback.
     W = TableWeight(2, {(0, 0): F(5, 3), (1, 0): F(1), (0, 1): F(2)})
-    got = metric_jet(W, (0.0, 0.0))
+    got = point_jet(W, (0.0, 0.0))
     with mp.workprec(80):
         assert abs(to_mp(got.h) - mp.mpf(5) / 3) < mp.mpf(10) ** -20
     assert got.tail_h == 0
@@ -384,24 +391,26 @@ def test_eval_metric_at_origin_is_rho_theta():
 
 def test_metric_jet_at_origin_is_exact():
     W = TableWeight(2, {(0, 0): F(1), (1, 0): F(5), (0, 1): F(7)})
-    jet = metric_jet(W, (0.0, 0.0))
+    jet = point_jet(W, (0.0, 0.0))
     assert jet.h == 1
-    assert jet.grad == (0, 0)
-    assert jet.hess[0][0] == 5 and jet.hess[1][1] == 7
-    assert jet.hess[0][1] == 0 and jet.hess[1][0] == 0
+    assert jet.ds == (5, 7) and jet.dss == ((0, 0), (0, 0))
+    grad, hess = wirtinger(jet, (0.0, 0.0))
+    assert grad == (0, 0)
+    assert hess[0][0] == 5 and hess[1][1] == 7
+    assert hess[0][1] == 0 and hess[1][0] == 0
     assert jet.tail_h == jet.tail_grad == jet.tail_hess == 0
 
 
 def test_eval_metric_power_kernel_closed_form():
     # h(w) = (1 - |w|^2)^(-n); at m=1, w=0.5, n=1 this is 4/3.
-    got = metric_jet(PowerKernel(1, 1), (0.5,), max_degree=120, precision_bits=120)
+    got = point_jet(PowerKernel(1, 1), (0.5,), max_degree=120, precision_bits=120)
     with mp.workprec(120):
         assert abs(to_mp(got.h) - mp.mpf(4) / 3) <= to_mp(got.tail_h) + mp.mpf(10) ** -30
     assert got.tail_h < Decimal("1e-20")
 
     with mp.workprec(120):
         for n, m, w in [(2, 2, (0.3, 0.4j)), (3, 2, (0.5, 0.1)), (2, 1, (0.7j,))]:
-            got = to_mp(metric_jet(PowerKernel(n, m), w, max_degree=150, precision_bits=120))
+            got = to_mp(point_jet(PowerKernel(n, m), w, max_degree=150, precision_bits=120))
             t = sum(abs(mp.mpc(x)) ** 2 for x in w)
             assert abs(got.h - (1 - t) ** (-n)) <= got.tail_h + mp.mpf(10) ** -30
 
@@ -411,16 +420,17 @@ def test_metric_jet_matches_closed_form_derivatives():
     # d^2 h / dw_i dconj(w_j) = n(n+1)(1-t)^(-n-2) conj(w_i) w_j + n(1-t)^(-n-1) delta_ij.
     n, w = 2, (0.3, 0.2 + 0.4j)
     with mp.workprec(120):
-        jet = to_mp(metric_jet(PowerKernel(n, 2), w, max_degree=150, precision_bits=120))
+        jet = to_mp(point_jet(PowerKernel(n, 2), w, max_degree=150, precision_bits=120))
+        grad, hess = wirtinger(jet, w)
         wv = [mp.mpc(x) for x in w]
         t = sum(abs(x) ** 2 for x in wv)
         g1 = n * (1 - t) ** (-n - 1)
         g2 = n * (n + 1) * (1 - t) ** (-n - 2)
         for i in range(2):
-            assert abs(jet.grad[i] - g1 * mp.conj(wv[i])) <= jet.tail_grad + mp.mpf(10) ** -25
+            assert abs(grad[i] - g1 * mp.conj(wv[i])) <= jet.tail_grad + mp.mpf(10) ** -25
             for j in range(2):
                 expected = g2 * mp.conj(wv[i]) * wv[j] + (g1 if i == j else 0)
-                assert abs(jet.hess[i][j] - expected) <= jet.tail_hess + mp.mpf(10) ** -25
+                assert abs(hess[i][j] - expected) <= jet.tail_hess + mp.mpf(10) ** -25
 
 
 def test_metric_corrections_enter_exactly():
@@ -429,8 +439,8 @@ def test_metric_corrections_enter_exactly():
     W = TableWeight(2, {(1, 1): base.rho((1, 1)) / 2}, fallback=base)
     w = (0.5, 0.4)
     with mp.workprec(120):
-        h_base = to_mp(metric_jet(base, w, max_degree=150, precision_bits=120))
-        h_pert = to_mp(metric_jet(W, w, max_degree=150, precision_bits=120))
+        h_base = to_mp(point_jet(base, w, max_degree=150, precision_bits=120))
+        h_pert = to_mp(point_jet(W, w, max_degree=150, precision_bits=120))
         delta = -mp.mpf(3) * mp.mpf(0.5) ** 2 * mp.mpf(0.4) ** 2  # rho((1,1)) = 6
         assert abs((h_pert.h - h_base.h) - delta) < 1e-25
 
@@ -460,42 +470,42 @@ def test_perturbed_metric_decomposition():
 def test_metric_domain_errors():
     W = PowerKernel(2, 2)
     with pytest.raises(BallDomainError):
-        metric_jet(W, (1.0, 0.0))
+        point_jet(W, (1.0, 0.0))
     with pytest.raises(BallDomainError):
-        metric_jet(W, (0.8, 0.7))
+        point_jet(W, (0.8, 0.7))
     with pytest.raises(ValueError):
-        metric_jet(W, (0.5,))
+        point_jet(W, (0.5,))
     with pytest.raises(ValueError):
-        metric_jet(W, (0.1, 0.1), precision_bits=32)
+        point_jet(W, (0.1, 0.1), precision_bits=32)
 
 
 def test_metric_tail_refusals():
     # Geometric growth 2 at |w|^2 = 0.64 has ratio * t > 1: no usable tail.
     W = RadialWeight(1, GeometricSequence(F(2)))
     with pytest.raises(TailUnreliableError):
-        metric_jet(W, (0.8,))
+        point_jet(W, (0.8,))
     # ... but converges fine well inside the ball.
     with mp.workprec(80):
-        got = to_mp(metric_jet(W, (0.5,), max_degree=80))
+        got = to_mp(point_jet(W, (0.5,), max_degree=80))
         assert abs(got.h - 1 / (1 - mp.mpf(0.5))) <= got.tail_h + mp.mpf(10) ** -18
 
     nobound = RadialWeight(1, PolynomialSequence([F(1), F(-1), F(1)]))
     with pytest.raises(TailUnreliableError):
-        metric_jet(nobound, (0.3,))
+        point_jet(nobound, (0.3,))
 
     bare = TableWeight(1, {(0,): F(1)})
     with pytest.raises(TailUnreliableError):
-        metric_jet(bare, (0.3,))
+        point_jet(bare, (0.3,))
 
     short = RadialWeight(1, ExplicitSequence([F(1), F(1)]))
     with pytest.raises(SequenceExhausted):
-        metric_jet(short, (0.3,), max_degree=40)
+        point_jet(short, (0.3,), max_degree=40)
 
 
 def test_metric_truncation_degree_controls_tail():
     W = PowerKernel(2, 1)
-    coarse = metric_jet(W, (0.6,), max_degree=30)
-    fine = metric_jet(W, (0.6,), max_degree=90)
+    coarse = point_jet(W, (0.6,), max_degree=30)
+    fine = point_jet(W, (0.6,), max_degree=90)
     assert fine.tail_h < coarse.tail_h / 10**10
     assert abs(fine.h - coarse.h) <= coarse.tail_h
 
@@ -506,7 +516,7 @@ def test_metric_jet_tails_match_geometric_closed_forms(d):
     # 1, so the geometric tail bounds are exact: beyond degree d the series
     # of g, g' = 1/(1-t)^2 and g'' = 2/(1-t)^3 leave exactly these tails.
     with mp.workprec(120):
-        jet = to_mp(metric_jet(PowerKernel(1, 1), (0.5,), max_degree=d, precision_bits=120))
+        jet = to_mp(point_jet(PowerKernel(1, 1), (0.5,), max_degree=d, precision_bits=120))
         t = mp.mpf(1) / 4
         tails = (
             1 / (1 - t) - sum(t**j for j in range(d + 1)),
@@ -517,26 +527,39 @@ def test_metric_jet_tails_match_geometric_closed_forms(d):
             assert abs(got - want) <= mp.mpf(10) ** -30
 
 
-# -- the memoized radial series -----------------------------------------------
+# -- the cached radial series -------------------------------------------------
 
 
-def test_series_memo_matches_a_fresh_sequence():
-    # One t at two precisions and two truncation degrees, each asked twice:
-    # every answer equals that of a sequence that was never asked before.
-    seq = PolynomialSequence([F(1), F(2), F(1)])
-    answers = {}
-    for _ in range(2):
-        for bits in (80, 120):
-            for d in (30, 90):
-                with localcontext(working_context(bits)):
-                    t = Decimal(0.37)
-                    fresh = PolynomialSequence([F(1), F(2), F(1)]).series(t, d)
-                    got = seq.series(t, d)
-                assert got == fresh
-                answers.setdefault((bits, d), got)
-                assert got is answers[(bits, d)]
-    # The precision is part of the key: the two precisions round differently.
-    assert answers[(80, 90)][0] != answers[(120, 90)][0]
+def test_series_memo_matches_a_fresh_sequence(monkeypatch):
+    # One metric_jets call sums the base series once per (sequence, t): the
+    # classes s = (t, 0) and (0, t) share one t, and the two spec-equal
+    # sequences share one key.  At two precisions and two truncation degrees
+    # every jet equals that of a sequence evaluated alone at that point.
+    sums = []
+    real = curvature_module._series
+
+    def counting(*args):
+        sums.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(curvature_module, "_series", counting)
+    points = [(0.6, 0.0), (0.0, 0.6)]
+
+    def weight():
+        return RadialWeight(2, PolynomialSequence([F(1), F(2), F(1)]))
+
+    h = {}
+    for bits in (80, 120):
+        for d in (30, 90):
+            sums.clear()
+            jets = metric_jets([weight(), weight()], points, max_degree=d, precision_bits=bits)
+            assert len(sums) == 1
+            for w, row in zip(points, jets):
+                fresh = point_jet(weight(), w, max_degree=d, precision_bits=bits)
+                assert row == (fresh, fresh)
+            h[bits, d] = jets[0][0].h
+    # The precision enters the sums: the two precisions round differently.
+    assert h[80, 90] != h[120, 90]
 
 
 def test_weights_share_their_radial_sequence():
