@@ -53,13 +53,10 @@ _LAZY = {
             "hypercontraction",
             (
                 "ConditionCheck",
-                "DefectDiagonal",
                 "HyperReport",
                 "HyperWitness",
                 "NecessaryScan",
                 "defect_diag",
-                "defect_diag_radial",
-                "defect_diagonal",
                 "is_n_hyper_up_to",
                 "necessary_condition",
                 "necessary_scan",
@@ -84,7 +81,6 @@ _LAZY = {
                 "PshPoint",
                 "PshReport",
                 "curvature_points",
-                "default_grid",
                 "eigenvalues",
                 "psd_check",
                 "psh_boundedness_report",

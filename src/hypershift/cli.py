@@ -60,14 +60,14 @@ def _parse_alpha(text: str, m: int) -> tuple[int, ...]:
     return alpha
 
 
-def _parse_grid(text: str, m: int, max_radius: float = 0.95):
+def _parse_grid(text: str, m: int):
     from .curvature import radial_grid
 
     if text.startswith("radial:"):
         body = text[len("radial:"):]
         try:
             steps, angles = body.split("x")
-            return radial_grid(m, int(steps), int(angles), max_radius=max_radius)
+            return radial_grid(m, int(steps), int(angles))
         except ValueError as exc:
             raise UsageError(f"bad grid spec {text!r}, expected radial:<steps>x<angles>") from exc
     raise UsageError(f"unknown grid spec {text!r}")
@@ -400,8 +400,6 @@ def run_example45(
     m: int = 2,
     blocks: int = 2,
     scan_degree: int | None = None,
-    grid_steps: int = 6,
-    grid_angles: int = 4,
     eval_degree: int = 240,
     precision_bits: int = 80,
 ) -> dict:
@@ -413,8 +411,8 @@ def run_example45(
     the neighbour-sum violation at the last block midpoint and find a
     negative defect entry by scan; (c) verify the ray ratio witness equals
     the block index l for each block; (d) run the curvature comparison
-    against the unperturbed kernel on a default grid.  Stages (a)-(c) are
-    pass/fail; (d) is informational.
+    against the unperturbed kernel on the grid radial:6x4.  Stages (a)-(c)
+    are pass/fail; (d) is informational.
     """
     from .curvature import psh_boundedness_report, radial_grid
     from .hypercontraction import is_n_hyper_up_to, necessary_condition
@@ -461,7 +459,7 @@ def run_example45(
     stages["ray_ratio"] = {"pass": all_match, "witnesses": witnesses}
 
     # (d) curvature comparison, informational.
-    grid = radial_grid(m, grid_steps, grid_angles, max_radius=0.95)
+    grid = radial_grid(m, 6, 4)
     psh = psh_boundedness_report(
         W, base, grid, max_degree=eval_degree, precision_bits=precision_bits
     )

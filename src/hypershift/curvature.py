@@ -46,7 +46,7 @@ from .precision import (
 from .weights import RadialSequence, WeightFunction
 
 # Cyclic Jacobi sweeps before a spectrum is refused; at 80 bits an m = 4
-# Hermitian embedding settles in under ten.
+# class matrix settles in under ten.
 _MAX_SWEEPS = 60
 
 
@@ -67,20 +67,18 @@ class _Record:
 
 class CurvatureMatrix(_Record):
     """The mixed Hessian of log h (or of a difference of two logs) at a
-    point, stored at working precision ``precision_bits``, with the
-    eigenvalues of its Hermitian part as Decimals, ascending.  ``spectrum``
-    is computed from the entries unless the caller supplies it, and is left
-    out of ``==``."""
+    point, stored at working precision ``precision_bits``, with its
+    eigenvalues ``spectrum`` as Decimals, ascending: those of the real class
+    matrix M that it is unitarily similar to.  ``spectrum`` is left out of
+    ``==``."""
 
     __slots__ = ("point", "entries", "precision_bits", "spectrum")
 
-    def __init__(
-        self, point: tuple, entries: tuple, precision_bits: int = 53, spectrum: tuple | None = None
-    ):
+    def __init__(self, point: tuple, entries: tuple, precision_bits: int, spectrum: tuple):
         self.point = point
-        self.entries = entries  # m x m nested tuples of DecimalComplex (or any numbers)
+        self.entries = entries  # m x m nested tuples of DecimalComplex
         self.precision_bits = precision_bits
-        self.spectrum = _spectrum(entries, precision_bits) if spectrum is None else spectrum
+        self.spectrum = spectrum
 
     def _key(self) -> tuple:
         return self.point, self.entries, self.precision_bits
@@ -88,45 +86,29 @@ class CurvatureMatrix(_Record):
     def __repr__(self) -> str:
         return "CurvatureMatrix(point={!r}, entries={!r}, precision_bits={!r})".format(*self._key())
 
-    @property
-    def m(self) -> int:
-        return len(self.entries)
 
+def _spectrum(M: list) -> tuple:
+    """Ascending eigenvalues of the real symmetric matrix M (rows of
+    Decimals, which ``_jacobi`` overwrites) in the current context.
 
-def _spectrum(entries, precision_bits: int) -> tuple:
-    """Ascending eigenvalues of (A + A^*)/2 in ``working_context(precision_bits)``.
-
-    Each entry of the Hermitian part is formed exactly and rounded once.
     For m = 2 the closed form: with mu = (a + d)/2 and
-    r = sqrt(((a - d)/2)^2 + |b|^2), the eigenvalue far from 0 is mu + r
+    r = sqrt(((a - d)/2)^2 + b^2), the eigenvalue far from 0 is mu + r
     taken with the sign of mu, and the near one is det/far with det formed
     exactly, which avoids the cancellation in mu - r.  Other sizes go
-    through ``_jacobi``: on the real matrix when A's Hermitian part is real,
-    else on its real 2m x 2m embedding [[X, -Y], [Y, X]], whose eigenvalues
-    are A's, each twice.
+    through ``_jacobi``.
     """
-    m = len(entries)
+    if len(M) != 2:
+        return _jacobi(M)
     mul, add, sub = EXACT.multiply, EXACT.add, EXACT.subtract
-    with localcontext(working_context(precision_bits)):
-        z = [[parts(x) for x in row] for row in entries]
-        # X + iY, the Hermitian part: exact sums, each half rounded once.
-        X = [[add(z[i][j][0], z[j][i][0]) * HALF for j in range(m)] for i in range(m)]
-        Y = [[sub(z[i][j][1], z[j][i][1]) * HALF for j in range(m)] for i in range(m)]
-        if m == 2:
-            a, d, br, bi = X[0][0], X[1][1], X[0][1], Y[0][1]
-            mu = +mul(add(a, d), HALF)
-            u = mul(sub(a, d), HALF)
-            r = add(add(mul(u, u), mul(br, br)), mul(bi, bi)).sqrt()
-            far = mu + r if mu >= 0 else mu - r
-            if not far:
-                return (far, far)
-            near = sub(mul(a, d), add(mul(br, br), mul(bi, bi))) / far
-            return (near, far) if near <= far else (far, near)
-        if not any(any(row) for row in Y):
-            return _jacobi(X)
-        top = [x + [-y for y in yrow] for x, yrow in zip(X, Y)]
-        bottom = [yrow + x for x, yrow in zip(X, Y)]
-        return _jacobi(top + bottom)[::2]
+    (a, b), (_, d) = M
+    mu = +mul(add(a, d), HALF)
+    u = mul(sub(a, d), HALF)
+    r = add(mul(u, u), mul(b, b)).sqrt()
+    far = mu + r if mu >= 0 else mu - r
+    if not far:
+        return (far, far)
+    near = sub(mul(a, d), mul(b, b)) / far
+    return (near, far) if near <= far else (far, near)
 
 
 def _jacobi(A: list) -> tuple:
@@ -217,7 +199,6 @@ class MetricJet(NamedTuple):
     tail_h: Decimal
     tail_grad: Decimal
     tail_hess: Decimal
-    max_degree: int
 
 
 def _geometric_tails(a_last: Decimal, t: Decimal, d: int, r: Decimal):
@@ -326,7 +307,7 @@ def _correction_table(W: WeightFunction) -> tuple:
     return base, _sequence_key(base), terms
 
 
-def _origin_jet(W: WeightFunction, s: tuple, max_degree: int) -> MetricJet:
+def _origin_jet(W: WeightFunction, s: tuple) -> MetricJet:
     """The jet at s = 0, exact from two weight layers: F = rho(0) and
     F_i = rho(e_i)."""
     m = W.m
@@ -338,7 +319,6 @@ def _origin_jet(W: WeightFunction, s: tuple, max_degree: int) -> MetricJet:
         tail_h=ZERO,
         tail_grad=ZERO,
         tail_hess=ZERO,
-        max_degree=max_degree,
     )
 
 
@@ -379,7 +359,6 @@ def _class_jet(table: tuple, s: tuple, t, max_degree: int, cache: dict) -> Metri
         tail_h=tail0,
         tail_grad=tail1,
         tail_hess=tail2,
-        max_degree=max_degree,
     )
 
 
@@ -440,7 +419,7 @@ def metric_jets(
                 jets = []
                 for k, W in enumerate(weights):
                     if t == 0:
-                        jets.append(_origin_jet(W, s, max_degree))
+                        jets.append(_origin_jet(W, s))
                         continue
                     if tables[k] is None:
                         tables[k] = _correction_table(W)
@@ -450,7 +429,7 @@ def metric_jets(
     return out
 
 
-def _log_class(jets, precision_bits: int) -> tuple:
+def _log_class(jets) -> tuple:
     """(psi, diagonal, L_ij, spectrum) of one modulus class s, where psi is
     L = log F (one weight) or log F1 - log F2 (a pair), L_i = F_i/F and
     L_ij = (F F_ij - F_i F_j)/F^2, in the current context.  Each point w of
@@ -480,7 +459,7 @@ def _log_class(jets, precision_bits: int) -> tuple:
         float(psi) + 0.0,
         [DecimalComplex(x) for x in diagonal],
         d2,
-        _spectrum(M, precision_bits),
+        _spectrum(M),
     )
 
 
@@ -517,7 +496,7 @@ def curvature_points(
         for w, row in zip(grid, jets):
             cls = classes.get(row[0].s)
             if cls is None:
-                cls = classes[row[0].s] = _log_class(row, precision_bits)
+                cls = classes[row[0].s] = _log_class(row)
             psi, diagonal, d2, spectrum = cls
             wv = [parts(x) for x in w]
             rows = [[d] * len(wv) for d in diagonal]
@@ -541,41 +520,34 @@ def check_tol(tol: float) -> None:
 
 
 def psd_check(H: CurvatureMatrix, tol: float = 1e-10) -> bool:
-    """True iff the least eigenvalue of the Hermitian part of H is at least
-    -tol.  Raises ValueError for a tolerance that is negative or not
+    """True iff the least eigenvalue of H is at least -tol.  Raises ValueError for a tolerance that is negative or not
     finite."""
     check_tol(tol)
     return eigenvalues(H)[0] >= -tol
 
 
 def eigenvalues(H: CurvatureMatrix) -> tuple[float, ...]:
-    """Eigenvalues of the Hermitian part, ascending, rounded to float from
-    ``H.spectrum`` (a -0.0 is written as 0.0)."""
+    """Eigenvalues of H, ascending, rounded to float from ``H.spectrum``
+    (a -0.0 is written as 0.0)."""
     return tuple(float(x) + 0.0 for x in H.spectrum)
 
 
-def default_grid(
-    m: int,
-    radii=None,
-    angles: int = 8,
-    max_radius: float = 0.95,
-) -> list[tuple]:
+def radial_grid(m: int, steps: int, angles: int, max_radius: float = 0.95) -> list[tuple]:
     """Deterministic sample of the ball: each coordinate ranges over
-    r * exp(2 pi i k / angles) for r in radii, keeping points with
-    |w| <= max_radius.  Always contains the origin.  The angles on the axes
-    give exactly (+-r, 0) and (0, +-r), so their |x|^2 is r^2 at every
-    working precision; float cos and sin would leave ~1e-16 r in the other
-    part."""
+    r * exp(2 pi i k / angles) for the ``steps`` equally spaced radii
+    r = max_radius (j + 1) / steps, keeping points with |w| <= max_radius.
+    Always contains the origin.  The angles on the axes give exactly
+    (+-r, 0) and (0, +-r), so their |x|^2 is r^2 at every working
+    precision; float cos and sin would leave ~1e-16 r in the other part."""
     if m < 1:
         raise ValueError("dimension must be >= 1")
+    if steps < 1:
+        raise ValueError("need at least one radial step")
     if angles < 1:
         raise ValueError("need at least one angle")
-    if radii is None:
-        radii = [0.1 * k for k in range(1, 10)] + [0.95]
     coords = [(0.0, 0.0)]
-    for r in radii:
-        if r <= 0:
-            continue
+    for j in range(steps):
+        r = max_radius * (j + 1) / steps
         for k in range(angles):
             quarter, off_axis = divmod(4 * k, angles)
             if off_axis:
@@ -598,14 +570,6 @@ def default_grid(
     return pts
 
 
-def radial_grid(m: int, steps: int, angles: int, max_radius: float = 0.95) -> list[tuple]:
-    """Grid with `steps` equally spaced radii up to max_radius."""
-    if steps < 1:
-        raise ValueError("need at least one radial step")
-    radii = [max_radius * (k + 1) / steps for k in range(steps)]
-    return default_grid(m, radii=radii, angles=angles, max_radius=max_radius)
-
-
 class PshReport(NamedTuple):
     """Grid summary for psi = log(h1/h2): value range, worst Hessian
     eigenvalue, and a radial trend heuristic.
@@ -617,10 +581,7 @@ class PshReport(NamedTuple):
 
     psi_min: float
     psi_max: float
-    psi_argmin: tuple
-    psi_argmax: tuple
     hessian_min_eig: float
-    hessian_argmin: tuple
     all_psd: bool
     unbounded_trend: bool
     shells: tuple  # (radius, max |psi|) pairs, ascending radius
@@ -647,8 +608,6 @@ def psh_boundedness_report(
     if not records:
         raise ValueError("grid must be nonempty")
 
-    lo = min(records, key=lambda r: r.psi)
-    hi = max(records, key=lambda r: r.psi)
     worst = min(records, key=lambda r: r.min_eig)
 
     shells: dict[float, float] = {}
@@ -662,12 +621,9 @@ def psh_boundedness_report(
         trend = tail[0] < tail[1] < tail[2] and tail[2] >= 1.25 * tail[0]
 
     return PshReport(
-        psi_min=lo.psi,
-        psi_max=hi.psi,
-        psi_argmin=lo.w,
-        psi_argmax=hi.w,
+        psi_min=min(r.psi for r in records),
+        psi_max=max(r.psi for r in records),
         hessian_min_eig=worst.min_eig,
-        hessian_argmin=worst.w,
         all_psd=psd_check(worst.hessian, psd_tol),
         unbounded_trend=trend,
         shells=tuple(shell_list),

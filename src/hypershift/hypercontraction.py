@@ -9,8 +9,8 @@ operator (I - M_T)^k (I) is diagonal with entries
 T is an n-hypercontraction iff d_k >= 0 for all alpha and all 1 <= k <= n.
 Everything in this module is exact rational arithmetic.
 
-The scans (``is_n_hyper_up_to``, ``defect_diagonal``, ``necessary_scan``)
-share one engine that never evaluates the multinomial sum.  Writing
+The scans (``is_n_hyper_up_to``, ``necessary_scan``) share one engine that
+never evaluates the multinomial sum.  Writing
 (I - M_T)^k (I) = (I - M_T)((I - M_T)^{k-1} (I)) and
 [M_T(X)]_alpha = sum_i s_i(alpha) X_{alpha - e_i} with
 s_i(alpha) = rho(alpha - e_i)/rho(alpha) gives the backward-difference
@@ -30,20 +30,20 @@ so outside the cone C + {beta : |beta| <= n} it depends only on N:
 
     d_k(N) = d_{k-1}(N) - N c_N d_{k-1}(N - 1),
 
-the closed sum of ``defect_diag_radial``.  Each degree layer therefore
-carries one radial row and exact rows only on its part of the finite cone,
-computed in lex order with the recurrence above; a lower neighbour outside
-the cone reads the previous radial row, and ``rho_ratio`` is called only
-where alpha or alpha - e_i is a correction.  A weight with no radial base
-puts every index in the cone and calls ``rho_ratio`` at each.  A scan costs O(n) per layer plus n*m exact
-multiply-adds per cone index, whatever the number of indices.
+the recurrence form of d_k(N) = sum_i (-1)^i C(k, i) a(N - i) / a(N).
+Each degree layer therefore carries one radial row and exact rows only on
+its part of the finite cone, computed in lex order with the recurrence
+above; a lower neighbour outside the cone reads the previous radial row,
+and ``rho_ratio`` is called only where alpha or alpha - e_i is a
+correction.  A weight with no radial base puts every index in the cone
+and calls ``rho_ratio`` at each.  A scan costs O(n) per layer plus n*m
+exact multiply-adds per cone index, whatever the number of indices.
 
 The scans take the graded-lex-first witness of a layer from two candidates:
 the first violating cone entry (no cone row past it is computed), and the
 first index outside the cone when the radial row violates.
-``defect_diagonal`` expands the radial rows to every index.  ``defect_diag``
-keeps the multinomial sum as the independent oracle the tests compare the
-engine against, and ``defect_diag_radial`` the oracle for the radial row.
+``defect_diag`` keeps the multinomial sum as the independent oracle the
+tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -158,25 +158,6 @@ def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
         prev, prev_radial = layer, radial
 
 
-def _defect_layers(
-    W: WeightFunction, n: int, max_degree: int
-) -> Iterator[tuple[MultiIndex, list[tuple[int, int]]]]:
-    """Yield (alpha, row) for every |alpha| <= max_degree in graded-lex
-    order, where row[k - 1] = (p, q) is d_k(alpha) = p/q for k = 1..n.
-
-    Indices outside the cone share their layer's radial row.  Only the
-    previous degree layer is kept, so a caller may stop anywhere in a layer.
-    """
-    for degree, radial, _, rows in _cone_layers(W, n, max_degree):
-        hit = next(rows, None)
-        for alpha in mi.enumerate_exact_degree(W.m, degree):
-            if hit is not None and hit[0] == alpha:
-                yield hit
-                hit = next(rows, None)
-            else:
-                yield alpha, radial
-
-
 def _first_violation(
     W: WeightFunction, n: int, max_degree: int, violates
 ) -> tuple[MultiIndex, list[tuple[int, int]]] | None:
@@ -200,49 +181,6 @@ def _first_violation(
         if outside is not None:
             return outside, radial
     return None
-
-
-class DefectDiagonal(NamedTuple):
-    """All order-k defect entries up to a degree, in graded-lex order."""
-
-    order: int
-    max_degree: int
-    entries: dict[MultiIndex, Fraction]
-
-    def minimum(self) -> tuple[MultiIndex, Fraction]:
-        best = None
-        for alpha, v in self.entries.items():
-            if best is None or v < best[1]:
-                best = (alpha, v)
-        return best
-
-
-def defect_diagonal(W: WeightFunction, k: int, max_degree: int) -> DefectDiagonal:
-    """Tabulate d_k over all |alpha| <= max_degree."""
-    if k < 0:
-        raise ValueError("defect order k must be >= 0")
-    entries = {
-        alpha: Fraction(*row[k - 1]) if k else Fraction(1)
-        for alpha, row in _defect_layers(W, k, max_degree)
-    }
-    return DefectDiagonal(order=k, max_degree=max_degree, entries=entries)
-
-
-def defect_diag_radial(sequence: RadialSequence, k: int, degree: int) -> Fraction:
-    """Radial reduction of the defect diagonal: for rho(alpha) =
-    a(|alpha|) |alpha|!/alpha! the entry depends only on N = |alpha| and
-
-        d_k(N) = (1 / a(N)) sum_{i=0}^{min(k,N)} (-1)^i C(k, i) a(N - i).
-    """
-    if k < 0:
-        raise ValueError("defect order k must be >= 0")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    total = Fraction(0)
-    for i in range(min(k, degree) + 1):
-        term = Fraction(comb(k, i)) * sequence.value(degree - i)
-        total += term if i % 2 == 0 else -term
-    return total / sequence.value(degree)
 
 
 class HyperWitness(NamedTuple):

@@ -119,16 +119,6 @@ class TruncatedTuple(NamedTuple):
     def dimension(self) -> int:
         return len(self.basis)
 
-    def power_map(self, alpha: MultiIndex) -> ColumnMap:
-        """T^alpha composed factor by factor from the identity."""
-        if len(alpha) != self.weight.m:
-            raise ValueError("multi-index dimension mismatch")
-        out: ColumnMap = {p: (p, 1, 1) for p in range(self.dimension)}
-        for i, a in enumerate(alpha):
-            for _ in range(a):
-                out = compose(self.maps[i], out)
-        return out
-
 
 def build_truncated(W: WeightFunction, max_degree: int) -> TruncatedTuple:
     """Build the truncated adjoint tuple; T_i e_alpha =

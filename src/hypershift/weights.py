@@ -458,12 +458,6 @@ class PerturbedPower(TableWeight):
             prev = b
         return degrees
 
-    def divisor(self, alpha: MultiIndex) -> int:
-        """The integer rho is divided by at alpha (1 off the perturbed rays)."""
-        if len(alpha) != self.m:
-            raise ValueError("dimension mismatch")
-        return self._divisors.get(tuple(alpha), 1)
-
     def perturbed_entries(self) -> list[tuple[MultiIndex, int]]:
         """All (alpha, divisor) pairs with divisor > 1, graded order."""
         return sorted(self._divisors.items(), key=lambda p: (mi.degree(p[0]), p[0]))
@@ -507,16 +501,33 @@ def parse_fraction(text) -> Fraction:
     raise WeightSpecError(f"not a rational: {text!r}")
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer; a bool or a float is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise WeightSpecError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _array(value, name: str) -> list:
+    """A JSON array; a string is refused, not read as its characters."""
+    if not isinstance(value, list):
+        raise WeightSpecError(f"{name} must be an array, got {value!r}")
+    return value
+
+
 def _sequence_from_dict(spec: dict) -> RadialSequence:
+    if not isinstance(spec, dict):
+        raise WeightSpecError(f"radial sequence spec must be an object, got {spec!r}")
     if "list" in spec:
-        return ExplicitSequence([parse_fraction(v) for v in spec["list"]])
+        return ExplicitSequence([parse_fraction(v) for v in _array(spec["list"], "list")])
     gen = spec.get("generator")
     if gen == "power":
-        return PowerSequence(int(spec["n"]))
+        return PowerSequence(_integer(spec["n"], "n"))
     if gen == "geometric":
         return GeometricSequence(parse_fraction(spec["r"]))
     if gen == "polynomial":
-        return PolynomialSequence([parse_fraction(c) for c in spec["coefficients"]])
+        coeffs = _array(spec["coefficients"], "coefficients")
+        return PolynomialSequence([parse_fraction(c) for c in coeffs])
     raise WeightSpecError(f"unknown radial sequence spec {spec!r}")
 
 
@@ -527,27 +538,34 @@ def _parse_fallback(text: str, m: int) -> WeightFunction:
 
 
 def weight_from_dict(spec: dict) -> WeightFunction:
-    """Build a weight from its JSON-level dict specification."""
+    """Build a weight from its JSON-level dict specification.  ``n``, ``m``,
+    ``L`` and the alpha entries are JSON integers; ``list``,
+    ``coefficients``, ``entries`` and ``alpha`` are arrays; a table lists
+    each alpha once."""
     if not isinstance(spec, dict):
         raise WeightSpecError("weight spec must be an object")
     kind = spec.get("kind")
     try:
         if kind == "power":
-            return PowerKernel(int(spec["n"]), int(spec["m"]))
+            return PowerKernel(_integer(spec["n"], "n"), _integer(spec["m"], "m"))
         if kind == "radial":
-            return RadialWeight(int(spec["m"]), _sequence_from_dict(spec["a"]))
+            return RadialWeight(_integer(spec["m"], "m"), _sequence_from_dict(spec["a"]))
         if kind == "table":
-            m = int(spec["m"])
-            entries = {
-                tuple(int(x) for x in e["alpha"]): parse_fraction(e["rho"])
-                for e in spec["entries"]
-            }
+            m = _integer(spec["m"], "m")
+            entries = {}
+            for e in _array(spec["entries"], "entries"):
+                alpha = tuple(_integer(x, "alpha entry") for x in _array(e["alpha"], "alpha"))
+                if alpha in entries:
+                    raise WeightSpecError(f"table alpha {list(alpha)} is listed twice")
+                entries[alpha] = parse_fraction(e["rho"])
             fallback = None
             if spec.get("fallback") not in (None, "none"):
                 fallback = _parse_fallback(spec["fallback"], m)
             return TableWeight(m, entries, fallback)
         if kind == "perturbed45":
-            return PerturbedPower(int(spec["n"]), int(spec["m"]), int(spec["L"]))
+            return PerturbedPower(
+                _integer(spec["n"], "n"), _integer(spec["m"], "m"), _integer(spec["L"], "L")
+            )
     except WeightSpecError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

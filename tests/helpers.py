@@ -1,8 +1,9 @@
 """Shared builders for randomized test weights, the dense numpy references
 the float paths are tested against, the per-cell similarity scan the
-tabled one is tested against, the modulus classes of a grid, the exact
-oracles ``subnormality_obstruction`` and ``m_power_diag``, and the
-mpmath oracles the working-precision decimal numerics are checked against:
+tabled one is tested against, the full-table view ``defect_layers`` of the
+defect engine, the modulus classes of a grid, the exact oracles
+``defect_diag_radial``, ``subnormality_obstruction``, ``power_map`` and
+``m_power_diag``, and the mpmath oracles the working-precision decimal numerics are checked against:
 ``to_mp``, the Wirtinger derivatives ``wirtinger`` of a real metric jet and
 the finite-difference stencil ``finite_diff_check``.
 
@@ -13,7 +14,7 @@ package itself imports neither.
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import sqrt
+from math import comb, sqrt
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -35,8 +36,9 @@ from hypershift import (
 )
 from hypershift import multiindex as mi
 from hypershift.curvature import metric_jets
+from hypershift.hypercontraction import _cone_layers
 from hypershift.precision import EXACT, DecimalComplex, working_context
-from hypershift.truncation import _accumulate, _monomial_gram, power_layers
+from hypershift.truncation import _accumulate, _monomial_gram, compose, power_layers
 
 
 def random_fraction(rng, lo=1, hi=16) -> Fraction:
@@ -128,6 +130,34 @@ def reference_similarity_scan(W1, W2, base_degree, ray_length, growth_factor=Fra
     )
 
 
+def defect_layers(W, n: int, max_degree: int):
+    """Yield (alpha, row) for every |alpha| <= max_degree in graded-lex
+    order, where row[k - 1] = (p, q) is d_k(alpha) = p/q for k = 1..n: the
+    engine's cone rows, and its radial row at every index outside the
+    cone."""
+    for degree, radial, _, rows in _cone_layers(W, n, max_degree):
+        hit = next(rows, None)
+        for alpha in mi.enumerate_exact_degree(W.m, degree):
+            if hit is not None and hit[0] == alpha:
+                yield hit
+                hit = next(rows, None)
+            else:
+                yield alpha, radial
+
+
+def defect_diag_radial(sequence, k: int, degree: int) -> Fraction:
+    """The defect entry of the radial weight rho(alpha) =
+    a(|alpha|) |alpha|!/alpha! on degree N, where it depends only on N:
+
+        d_k(N) = (1 / a(N)) sum_{i=0}^{min(k,N)} (-1)^i C(k, i) a(N - i).
+    """
+    total = Fraction(0)
+    for i in range(min(k, degree) + 1):
+        term = Fraction(comb(k, i)) * sequence.value(degree - i)
+        total += term if i % 2 == 0 else -term
+    return total / sequence.value(degree)
+
+
 def subnormality_obstruction(W, alpha) -> int:
     """The smallest n >= 1 at which the neighbour-sum bound fails at alpha.
 
@@ -152,6 +182,16 @@ def subnormality_obstruction(W, alpha) -> int:
     ).holds:
         raise RuntimeError("internal inconsistency locating the obstruction order")
     return n_min
+
+
+def power_map(tt, alpha):
+    """T^alpha on the truncated model, composed factor by factor from the
+    identity: the reference that ``power_layers`` is tested against."""
+    out = {p: (p, 1, 1) for p in range(tt.dimension)}
+    for i, a in enumerate(alpha):
+        for _ in range(a):
+            out = compose(tt.maps[i], out)
+    return out
 
 
 def m_power_diag(tt, k: int) -> tuple:
@@ -186,12 +226,12 @@ def modulus_classes(grid, bits=80) -> set:
 
 def to_mp(x):
     """A working-precision value as mpmath: a Decimal as mpf, a
-    DecimalComplex as mpc, and tuples and the value fields of a MetricJet
+    DecimalComplex as mpc, and tuples and the fields of a MetricJet
     entrywise, each rounded at the current mpmath precision."""
     if x is None:
         return None
     if isinstance(x, MetricJet):
-        return x._replace(**{f: to_mp(getattr(x, f)) for f in x._fields if f != "max_degree"})
+        return x._replace(**{f: to_mp(getattr(x, f)) for f in x._fields})
     if isinstance(x, tuple):
         return tuple(to_mp(v) for v in x)
     if isinstance(x, DecimalComplex):

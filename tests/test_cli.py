@@ -553,6 +553,28 @@ def test_weight_file_errors(capsys, tmp_path, weight_files):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "radial", "m": 2, "a": "xyz"},
+        {"kind": "power", "n": 2.9, "m": True},
+        {"kind": "table", "m": 2, "entries": [{"alpha": [1.7, 0], "rho": "1"}]},
+        {"kind": "table", "m": 1, "entries": [{"alpha": [1], "rho": "1"}, {"alpha": [1], "rho": "2"}]},
+        {"kind": "radial", "m": 1, "a": {"list": "123"}},
+    ],
+)
+def test_malformed_weight_spec_exits_2(capsys, tmp_path, spec):
+    # A spec that is not an object where one is expected, or holds a float
+    # or bool for an integer, a string for an array or one alpha twice, is
+    # a usage error: exit 2 and one error line, no traceback and no report.
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check-hyper", "--weights", str(path), "--n", "2", "--degree", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: weight file {path}: ") and err.count("\n") == 1
+
+
 def test_out_path_in_missing_directory(capsys, tmp_path, weight_files):
     one = weight_files["power2m1"]
     out = str(tmp_path / "no-such-dir" / "report.json")

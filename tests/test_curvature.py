@@ -21,7 +21,6 @@ from hypershift import (
     RadialWeight,
     TableWeight,
     curvature_points,
-    default_grid,
     eigenvalues,
     psd_check,
     psh_boundedness_report,
@@ -44,6 +43,18 @@ def curvature_difference(W1, W2, w, **kwargs):
     """The Hessian of log(h1/h2) at the single point w."""
     (point,) = curvature_points([W1, W2], [w], **kwargs)
     return point.hessian
+
+
+def class_matrix(rows, precision_bits=53):
+    """A CurvatureMatrix of the real symmetric rows, each entry rounded to
+    the working precision, with the spectrum ``_spectrum`` gives them."""
+    with localcontext(working_context(precision_bits)):
+        M = [[+Decimal(x) for x in row] for row in rows]
+        entries = tuple(map(tuple, M))
+        spectrum = curvature_module._spectrum(M)
+    return CurvatureMatrix(
+        point=(0,) * len(rows), entries=entries, precision_bits=precision_bits, spectrum=spectrum
+    )
 
 
 def hermitian_dev(H):
@@ -92,7 +103,7 @@ def test_hessian_is_hermitian_and_point_recorded():
     w = (0.25 - 0.3j, 0.1 + 0.2j)
     H = log_metric_hessian(PowerKernel(3, 2), w, max_degree=80, precision_bits=100)
     assert hermitian_dev(H) < 1e-20
-    assert H.m == 2
+    assert len(H.entries) == 2
     assert tuple(complex(x) for x in H.point) == w
 
 
@@ -100,35 +111,37 @@ def test_hessian_is_hermitian_and_point_recorded():
 
 
 def test_psd_check_accepts_and_rejects():
-    I2 = CurvatureMatrix(point=(0, 0), entries=((2, 0), (0, 2)))
+    I2 = class_matrix(((2, 0), (0, 2)))
     assert psd_check(I2)
-    indef = CurvatureMatrix(point=(0, 0), entries=((1, 0j), (0j, -1.0)))
+    indef = class_matrix(((1, 0), (0, -1.0)))
     assert not psd_check(indef)
     assert eigenvalues(indef) == (-1.0, 1.0)
     assert eigenvalues(indef)[0] == -1.0
     # One rule for every matrix: the least eigenvalue against -tol, with no
-    # scale from the entries, on the Hermitian part of what it is given.
-    big = CurvatureMatrix(point=(0, 0), entries=((Decimal(10) ** 6, 0), (0, Decimal("-2e-10"))))
+    # scale from the entries.
+    big = class_matrix(((Decimal(10) ** 6, 0), (0, Decimal("-2e-10"))))
     assert not psd_check(big, tol=1e-10) and psd_check(big, tol=2e-10)
-    edge = CurvatureMatrix(point=(0, 0), entries=((1, 0), (0, -1e-10)))
+    edge = class_matrix(((1, 0), (0, -1e-10)))
     assert psd_check(edge, tol=1e-10) and not psd_check(edge, tol=0.0)
-    skew = CurvatureMatrix(point=(0, 0), entries=((0j, 1 + 0j), (0j, 0j)))
-    assert eigenvalues(skew) == (-0.5, 0.5) and not psd_check(skew)
+    coupled = class_matrix(((0, 0.5), (0.5, 0)))
+    assert eigenvalues(coupled) == (-0.5, 0.5) and not psd_check(coupled)
     for tol in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="psd tolerance"):
             psd_check(I2, tol=tol)
 
 
 def test_curvature_matrix_compares_without_its_spectrum():
-    # The spectrum is computed from the entries unless it is given, and a
-    # given one does not take part in == or hash.
-    H = CurvatureMatrix(point=(0, 0), entries=((2, 0), (0, 3)))
+    # The spectrum comes with the entries and takes no part in == or hash.
+    def matrix(point=(0, 0), precision_bits=53, spectrum=(Decimal(2), Decimal(3))):
+        return CurvatureMatrix(point, ((2, 0), (0, 3)), precision_bits, spectrum)
+
+    H = matrix()
     assert eigenvalues(H) == (2.0, 3.0)
-    G = CurvatureMatrix(point=(0, 0), entries=((2, 0), (0, 3)), spectrum=(Decimal(7),))
+    G = matrix(spectrum=(Decimal(7),))
     assert G.spectrum == (Decimal(7),)
     assert G == H and hash(G) == hash(H)
-    assert H != CurvatureMatrix(point=(0, 0), entries=((2, 0), (0, 3)), precision_bits=80)
-    assert H != CurvatureMatrix(point=(0, 1), entries=((2, 0), (0, 3)))
+    assert H != matrix(precision_bits=80)
+    assert H != matrix(point=(0, 1))
     p, q = PshPoint(w=(0, 0), psi=0.0, hessian=H), PshPoint(w=(0, 0), psi=0.0, hessian=G)
     assert p == q and hash(p) == hash(q)
     assert p.eigenvalues == (2.0, 3.0) and q.eigenvalues == (7.0,)
@@ -139,14 +152,9 @@ def test_eigenvalues_are_ascending():
     rng = random.Random(47)
     for _ in range(10):
         m = rng.choice([2, 3])
-        B = np.array(
-            [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m)] for _ in range(m)]
-        )
-        A = B + B.conj().T
-        H = CurvatureMatrix(
-            point=(0,) * m, entries=tuple(tuple(complex(x) for x in row) for row in A)
-        )
-        eigs = eigenvalues(H)
+        B = np.array([[rng.gauss(0, 1) for _ in range(m)] for _ in range(m)])
+        A = B + B.T
+        eigs = eigenvalues(class_matrix(A.tolist()))
         assert list(eigs) == sorted(eigs)
         assert np.allclose(eigs, np.linalg.eigvalsh(A))
 
@@ -159,39 +167,30 @@ SPECTRUM_SETTINGS = settings(max_examples=300, derandomize=True, database=None, 
 
 _real = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 _magnitude = st.floats(min_value=1e-6, max_value=1e3)
-_phase = st.floats(min_value=0.0, max_value=6.3)
 
 
 @st.composite
-def hermitian_2x2(draw):
-    """(a, b, d) of [[a, b], [conj b, d]]: generic, diagonal, zero,
-    negative definite, or nearly singular (a d close to |b|^2)."""
+def symmetric_2x2(draw):
+    """(a, b, d) of [[a, b], [b, d]]: generic, diagonal, zero, negative
+    definite, or nearly singular (a d close to b^2)."""
     kind = draw(st.sampled_from(["generic", "diagonal", "zero", "negative", "singular"]))
     if kind == "zero":
-        return 0.0, 0j, 0.0
+        return 0.0, 0.0, 0.0
     a, d = draw(_real), draw(_real)
     if kind == "diagonal":
-        return a, 0j, d
+        return a, 0.0, d
     if kind == "generic":
-        return a, complex(draw(_real), draw(_real)), d
+        return a, draw(_real), d
     a, d = draw(_magnitude), draw(_magnitude)
-    b = complex(mp.rect(mp.sqrt(a * d), draw(_phase)))
+    b = float(mp.sqrt(a * d)) * draw(st.sampled_from([1, -1]))
     if kind == "negative":
-        # |b|^2 < a d: both eigenvalues of -[[a, b], [conj b, d]] negative.
+        # b^2 < a d: both eigenvalues of -[[a, b], [b, d]] negative.
         return -a, -b * draw(st.floats(min_value=0.0, max_value=0.99)), -d
     return a, b * (1 + draw(st.floats(min_value=-1e-12, max_value=1e-12))), d
 
 
-def _matrix(rows, precision_bits=53):
-    return CurvatureMatrix(
-        point=(0,) * len(rows),
-        entries=tuple(tuple(complex(x) for x in row) for row in rows),
-        precision_bits=precision_bits,
-    )
-
-
 @SPECTRUM_SETTINGS
-@given(hermitian_2x2(), st.sampled_from([53, 80, 120]))
+@given(symmetric_2x2(), st.sampled_from([53, 80, 120]))
 def test_closed_form_spectrum_matches_eighe(abd, prec):
     # mu and r carry a few roundings in units of scale = max |entry|; the
     # near eigenvalue det/far is one rounding of the exact det of the
@@ -199,31 +198,31 @@ def test_closed_form_spectrum_matches_eighe(abd, prec):
     # |far| = ||A||_2 >= scale.  The working digits' unit roundoff u is at
     # most 2^-prec, so together they stay below 8 scale 2^-prec.
     a, b, d = abd
-    H = _matrix(((a, b), (b.conjugate(), d)), precision_bits=prec)
+    H = class_matrix(((a, b), (b, d)), precision_bits=prec)
     got = H.spectrum
     with mp.workprec(200):
-        ref = mp.eighe(mp.matrix([[mp.mpc(x) for x in row] for row in H.entries]), eigvals_only=True)
-        scale = max(abs(mp.mpc(x)) for row in H.entries for x in row)
+        ref = mp.eighe(mp.matrix([[to_mp(x) for x in row] for row in H.entries]), eigvals_only=True)
+        scale = max(abs(to_mp(x)) for row in H.entries for x in row)
         bound = 8 * scale * mp.mpf(2) ** -prec
         assert got[0] <= got[1]
         assert all(abs(to_mp(g) - r) <= bound for g, r in zip(got, ref))
 
 
 @st.composite
-def hermitian_rows(draw):
+def symmetric_rows(draw):
     m = draw(st.sampled_from([1, 3]))
-    B = [[complex(draw(_real), draw(_real)) for _ in range(m)] for _ in range(m)]
-    return [[B[i][j] + B[j][i].conjugate() for j in range(m)] for i in range(m)]
+    B = [[draw(_real) for _ in range(m)] for _ in range(m)]
+    return [[B[i][j] + B[j][i] for j in range(m)] for i in range(m)]
 
 
 @SPECTRUM_SETTINGS
-@given(hermitian_rows())
+@given(symmetric_rows())
 def test_general_spectrum_matches_numpy(rows):
     # Jacobi at 80 bits against LAPACK in float64, whose own error grows
     # with m: on 6000 seeded 3 x 3 matrices it reached 8.7 ulp * scale, so
     # the bound is 4 m ulp * scale (exactly 4 ulp * scale for m = 1).
     m = len(rows)
-    got = eigenvalues(_matrix(rows, precision_bits=80))
+    got = eigenvalues(class_matrix(rows, precision_bits=80))
     ref = np.linalg.eigvalsh(np.array(rows))
     scale = max(abs(x) for row in rows for x in row)
     assert list(got) == sorted(got)
@@ -233,7 +232,7 @@ def test_general_spectrum_matches_numpy(rows):
 def test_eigenvalues_write_an_underflowing_negative_as_zero():
     # Decimal has no float range: an eigenvalue below it rounds to a float
     # zero, which is written as 0.0 and never as -0.0.
-    eigs = eigenvalues(CurvatureMatrix(point=(0,), entries=((Decimal("-1e-400"),),)))
+    eigs = eigenvalues(class_matrix(((Decimal("-1e-400"),),)))
     assert eigs == (0.0,)
     assert str(eigs[0]) == "0.0"
 
@@ -245,9 +244,9 @@ def test_one_spectrum_per_modulus_class(monkeypatch, capsys, tmp_path):
     calls = []
     real = curvature_module._spectrum
 
-    def counting(entries, precision_bits):
-        calls.append(precision_bits)
-        return real(entries, precision_bits)
+    def counting(M):
+        calls.append(len(M))
+        return real(M)
 
     monkeypatch.setattr(curvature_module, "_spectrum", counting)
     grid = radial_grid(2, 2, 4)
@@ -256,11 +255,11 @@ def test_one_spectrum_per_modulus_class(monkeypatch, capsys, tmp_path):
     spec.write_text('{"kind": "power", "n": 2, "m": 2}')
     assert main(["curvature", "--weights", str(spec), "--grid", "radial:2x4"]) == 0
     assert json.loads(capsys.readouterr().out)["n_points"] == len(grid)
-    assert calls == [80] * 6
+    assert calls == [2] * 6
     calls.clear()
     W = PerturbedPower(2, 2, 2)
     psh_boundedness_report(W, W.base, grid, max_degree=40)
-    assert calls == [80] * 6
+    assert calls == [2] * 6
 
 
 # -- differences -------------------------------------------------------------
@@ -369,17 +368,17 @@ def test_finite_difference_on_perturbed_table():
 # -- grids -------------------------------------------------------------------
 
 
-def test_default_grid_on_the_line():
-    pts = default_grid(1)
+def test_radial_grid_on_the_line():
+    pts = radial_grid(1, 10, 8)
     assert len(pts) == 81  # origin + 10 radii x 8 angles
     assert pts[0] == (0j,)
     assert all(abs(p[0]) <= 0.95 + 1e-12 for p in pts)
     with pytest.raises(ValueError):
-        default_grid(0)
+        radial_grid(0, 10, 8)
     # No angle leaves only the origin, which must not pass for a grid.
     for angles in (0, -1):
         with pytest.raises(ValueError, match="at least one angle"):
-            default_grid(2, angles=angles)
+            radial_grid(2, 10, angles)
 
 
 @pytest.mark.parametrize("bits", [80, 120])
@@ -430,7 +429,7 @@ def test_psh_report_flags_the_unbounded_quotient():
     report = psh_boundedness_report(
         PowerKernel(1, 1),
         PowerKernel(2, 1),
-        default_grid(1),
+        radial_grid(1, 10, 8),
         max_degree=400,
         precision_bits=100,
     )
@@ -450,7 +449,7 @@ def test_psh_report_bounded_quotient_shows_no_trend():
     report = psh_boundedness_report(
         W1,
         PowerKernel(2, 1),
-        default_grid(1),
+        radial_grid(1, 10, 8),
         max_degree=400,
         precision_bits=100,
     )

@@ -16,8 +16,6 @@ from hypershift import (
     RadialWeight,
     TableWeight,
     defect_diag,
-    defect_diag_radial,
-    defect_diagonal,
     is_n_hyper_up_to,
     necessary_condition,
     necessary_scan,
@@ -25,9 +23,11 @@ from hypershift import (
 )
 from hypershift import DimensionMismatch, TailUnreliableError, WeightDomainError
 from hypershift import multiindex as mi
-from hypershift.hypercontraction import HyperWitness, _cone_layers, _defect_layers
+from hypershift.hypercontraction import HyperWitness, _cone_layers
 
 from helpers import (
+    defect_diag_radial,
+    defect_layers,
     random_fraction,
     random_radial_sequence,
     random_table_weight,
@@ -56,10 +56,6 @@ def test_defect_order_zero_is_one():
 def test_defect_rejects_negative_order():
     with pytest.raises(ValueError):
         defect_diag(PowerKernel(1, 1), -1, (0,))
-    with pytest.raises(ValueError):
-        defect_diag_radial(PowerSequence(1), -1, 0)
-    with pytest.raises(ValueError):
-        defect_diag_radial(PowerSequence(1), 1, -1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -85,18 +81,6 @@ def test_radial_reduction_agrees_with_direct_sum():
             assert defect_diag(W, k, alpha) == defect_diag_radial(seq, k, mi.degree(alpha))
 
 
-def test_defect_diagonal_table_and_minimum():
-    # For the order-2 kernel d_1(alpha) = 1/(|alpha|+1).
-    table = defect_diagonal(PowerKernel(2, 2), 1, 4)
-    assert table.order == 1 and table.max_degree == 4
-    assert len(table.entries) == comb(4 + 2, 2)
-    assert table.entries[(0, 0)] == 1
-    assert table.entries[(2, 1)] == F(1, 4)
-    alpha, value = table.minimum()
-    assert value == F(1, 5)
-    assert alpha == (0, 4)  # graded-lex first among degree-4 indices
-
-
 def test_perturbed_defect_entry_is_negative():
     W = PerturbedPower(2, 2, 2)
     assert defect_diag(W, 1, (2, 511)) == F(-256, 257)
@@ -119,7 +103,7 @@ def reference_scan(W, n, max_degree):
 def assert_engine_matches_oracle(W, n, max_degree, keep=lambda alpha: True):
     order = mi.enumerate_leq_degree(W.m, max_degree)
     seen = []
-    for alpha, row in _defect_layers(W, n, max_degree):
+    for alpha, row in defect_layers(W, n, max_degree):
         seen.append(alpha)
         assert len(row) == n
         if not keep(alpha):
@@ -377,7 +361,7 @@ def test_engine_reads_radial_weights_from_their_base(monkeypatch):
         )
     ]
     for W in weights:
-        defect_diagonal(W, 3, 8 if W.m == 2 else 5)
+        list(defect_layers(W, 3, 8 if W.m == 2 else 5))
     assert calls == []
 
 
@@ -398,7 +382,7 @@ def test_engine_calls_rho_ratio_only_next_to_corrections(monkeypatch):
             if a
         ]
         calls.clear()
-        defect_diagonal(W, 2, 4)
+        list(defect_layers(W, 2, 4))
         assert calls == expected
     # The counterexample scan stops at its single correction (2, 511) and
     # calls rho_ratio there once per nonzero coordinate.
@@ -422,27 +406,26 @@ def test_scan_witness_matches_reference_scan():
     assert hits > 5
 
 
-def test_defect_diagonal_matches_oracle_at_every_order():
+def test_engine_matches_oracle_at_every_order():
+    # One engine run per order n, each read at its top order d_n.
     rng = random.Random(53)
     W = random_table_weight(rng, m=2, degree=5)
-    for k in range(4):
-        table = defect_diagonal(W, k, 5)
-        assert list(table.entries) == mi.enumerate_leq_degree(2, 5)
-        for alpha, value in table.entries.items():
-            assert value == defect_diag(W, k, alpha)
+    for n in range(1, 4):
+        entries = {alpha: F(*row[n - 1]) for alpha, row in defect_layers(W, n, 5)}
+        assert list(entries) == mi.enumerate_leq_degree(2, 5)
+        for alpha, value in entries.items():
+            assert value == defect_diag(W, n, alpha)
 
 
 def test_scans_at_degree_zero_and_below():
     W = PowerKernel(2, 2)
     report = is_n_hyper_up_to(W, 2, 0)
     assert (report.verdict, report.witness) == ("no-violation-up-to-0", None)
-    assert defect_diagonal(W, 2, 0).entries == {(0, 0): 1}
+    assert list(defect_layers(W, 2, 0)) == [((0, 0), [(1, 1), (1, 1)])]
     scan = necessary_scan(W, 2, 0)
     assert (scan.verdict, scan.checked, scan.witness) == ("all-hold", 0, None)
     for bad in (
         lambda: is_n_hyper_up_to(W, 2, -1),
-        lambda: defect_diagonal(W, 1, -1),
-        lambda: defect_diagonal(W, -1, 3),
         lambda: necessary_scan(W, 2, -1),
         lambda: necessary_scan(W, 0, 3),
     ):

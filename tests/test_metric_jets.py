@@ -52,7 +52,6 @@ class MetricJet:
     tail_h: mp.mpf
     tail_grad: mp.mpf
     tail_hess: mp.mpf
-    max_degree: int
 
 
 def _to_mpf(x: Fraction) -> mp.mpf:
@@ -129,7 +128,6 @@ def reference_jet(W, w, max_degree, precision_bits):
                 tail_h=zero,
                 tail_grad=zero,
                 tail_hess=zero,
-                max_degree=max_degree,
             )
 
         base, corrections = W.metric_decomposition()
@@ -170,7 +168,6 @@ def reference_jet(W, w, max_degree, precision_bits):
             tail_h=tail0,
             tail_grad=tail1,
             tail_hess=tail2,
-            max_degree=max_degree,
         )
 
 
@@ -270,7 +267,6 @@ def test_metric_jets_are_bit_identical_to_the_reference(pair, bits):
     assert len(jets) == len(grid)
     for w, (jet1, jet2) in zip(grid, jets):
         for W, jet in ((W1, jet1), (W2, jet2)):
-            assert jet.max_degree == deg
             one = point_jet(W, w, max_degree=deg, precision_bits=bits)
             assert _fields(one) == _fields(jet)
             ref = reference_jet(W, w, deg, bits)

@@ -194,17 +194,14 @@ def test_perturbed_block_base_degrees():
 def test_perturbed_entries_desk_scale():
     W = PerturbedPower(2, 2, 2)
     assert W.perturbed_entries() == [((2, 511), 2)]
-    assert W.divisor((2, 511)) == 2
-    assert W.divisor((1, 511)) == 1
-    assert W.divisor((3, 511)) == 1
-    assert W.divisor((2, 510)) == 1
     assert W.rho((2, 511)) == PowerKernel(2, 2).rho((2, 511)) / 2
 
 
 def test_perturbed_divisor_profile_rises_to_block_index():
     W = PerturbedPower(2, 2, 3)
     b3 = W.base_degrees[2]
-    profile = [W.divisor((j, b3)) for j in range(0, 7)]
+    divisors = dict(W.perturbed_entries())
+    profile = [divisors.get((j, b3), 1) for j in range(0, 7)]
     assert profile == [1, 1, 2, 3, 2, 1, 1]
 
 
@@ -369,6 +366,49 @@ def test_weight_dict_rejects_malformed():
         weight_from_dict({"kind": "table", "m": 2, "entries": [], "fallback": "hardy"})
     with pytest.raises(WeightSpecError):
         weight_from_dict([1, 2])
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "radial", "m": 2, "a": "xyz"}, "radial sequence spec must be an object"),
+        ({"kind": "radial", "m": 2, "a": ["list"]}, "radial sequence spec must be an object"),
+        ({"kind": "power", "n": 2.9, "m": 2}, "n must be an integer, got 2.9"),
+        ({"kind": "power", "n": 2, "m": True}, "m must be an integer, got True"),
+        ({"kind": "power", "n": "2", "m": 2}, "n must be an integer, got '2'"),
+        ({"kind": "radial", "m": 1.0, "a": {"generator": "power", "n": 2}}, "m must be an"),
+        ({"kind": "radial", "m": 1, "a": {"generator": "power", "n": 2.0}}, "n must be an"),
+        ({"kind": "perturbed45", "n": 2, "m": 2, "L": 2.5}, "L must be an integer"),
+        ({"kind": "radial", "m": 1, "a": {"list": "123"}}, "list must be an array, got '123'"),
+        (
+            {"kind": "radial", "m": 1, "a": {"generator": "polynomial", "coefficients": "12"}},
+            "coefficients must be an array",
+        ),
+        ({"kind": "table", "m": 1, "entries": {"alpha": [0], "rho": "1"}}, "entries must be"),
+        ({"kind": "table", "m": 1, "entries": [{"alpha": 0, "rho": "1"}]}, "alpha must be"),
+        (
+            {"kind": "table", "m": 2, "entries": [{"alpha": [1.7, 0], "rho": "1"}]},
+            "alpha entry must be an integer, got 1.7",
+        ),
+        (
+            {"kind": "table", "m": 2, "entries": [{"alpha": [1, False], "rho": "1"}]},
+            "alpha entry must be an integer, got False",
+        ),
+        (
+            {
+                "kind": "table",
+                "m": 2,
+                "entries": [{"alpha": [1, 0], "rho": "1"}, {"alpha": [1, 0], "rho": "2"}],
+            },
+            "alpha .1, 0. is listed twice",
+        ),
+    ],
+)
+def test_weight_dict_is_strict(spec, message):
+    # Integers are JSON integers and lists are JSON arrays: nothing is
+    # truncated, coerced or read character by character.
+    with pytest.raises(WeightSpecError, match=message):
+        weight_from_dict(spec)
 
 
 def test_table_weight_only_serializes_power_fallbacks():
