@@ -3,9 +3,10 @@ the float paths are tested against, the per-cell similarity scan the
 tabled one is tested against, the full-table view ``defect_layers`` of the
 defect engine, the modulus classes of a grid, the exact oracles
 ``defect_diag_radial``, ``subnormality_obstruction``, ``power_map`` and
-``m_power_diag``, and the mpmath oracles the working-precision decimal numerics are checked against:
-``to_mp``, the Wirtinger derivatives ``wirtinger`` of a real metric jet and
-the finite-difference stencil ``finite_diff_check``.
+``m_power_diag``, and the mpmath oracles the working-precision decimal
+numerics are checked against: ``to_mp``, the Wirtinger derivatives
+``wirtinger`` of a real metric jet and the finite-difference stencil
+``finite_diff_check``.
 
 Everything takes an explicit random.Random so tests stay reproducible; no
 module-level RNG state.  numpy and mpmath are test dependencies only: the
