@@ -4,8 +4,9 @@ weighted-shift tuples on the unit ball.
 The package works with diagonal reproducing-kernel weights: exact rational
 defect diagonals and hypercontraction scans, neighbour-sum necessary
 conditions, ray-product similarity ratios, high-precision curvature
-comparisons, and a finite matrix-model oracle, plus a CLI that reproduces a
-ray-perturbed counterexample family end to end.
+comparisons, and the commutators, defects and decay of the tuple truncated
+to bounded degree, plus a CLI that reproduces a ray-perturbed
+counterexample family end to end.
 
 The package needs only the standard library: metrics and curvature run
 in ``decimal`` at a working precision (see ``precision``).  The core
@@ -87,22 +88,7 @@ _LAZY = {
                 "radial_grid",
             ),
         ),
-        (
-            "truncation",
-            (
-                "DefectOperator",
-                "GramResult",
-                "TruncatedTuple",
-                "build_truncated",
-                "commutator_defect",
-                "commutator_float_norm",
-                "compose",
-                "decay_curve",
-                "defect_operator",
-                "defect_operator_dense",
-                "gram",
-            ),
-        ),
+        ("truncation", ("Truncation",)),
     )
     for name in names
 }

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import multiindex as mi
 from . import report as rpt
 from .errors import WeightSpecError
-from .weights import PerturbedPower, parse_fraction, weight_from_dict
+from .weights import PerturbedPower, parse_fraction, parse_natural, weight_from_dict
 
 # The hypercontraction, similarity, curvature and truncation layers are
 # imported in the handlers that use them, so each call loads only what its
@@ -49,12 +49,13 @@ def _load_weight(path: str):
 
 
 def _parse_alpha(text: str, m: int) -> tuple[int, ...]:
+    parts = text.split(",")
+    if any(part.startswith("-") for part in parts):
+        raise UsageError(f"multi-index entries must be nonnegative: {text!r}")
     try:
-        alpha = tuple(int(part) for part in text.split(","))
+        alpha = tuple(parse_natural(part) for part in parts)
     except ValueError as exc:
         raise UsageError(f"cannot parse multi-index {text!r}") from exc
-    if any(x < 0 for x in alpha):
-        raise UsageError(f"multi-index entries must be nonnegative: {text!r}")
     if len(alpha) != m:
         raise UsageError(f"multi-index {text!r} has {len(alpha)} entries, the weight has m = {m}")
     return alpha
@@ -67,7 +68,7 @@ def _parse_grid(text: str, m: int):
         body = text[len("radial:"):]
         try:
             steps, angles = body.split("x")
-            return radial_grid(m, int(steps), int(angles))
+            return radial_grid(m, parse_natural(steps), parse_natural(angles))
         except ValueError as exc:
             raise UsageError(f"bad grid spec {text!r}, expected radial:<steps>x<angles>") from exc
     raise UsageError(f"unknown grid spec {text!r}")
@@ -307,47 +308,23 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    from .truncation import (
-        build_truncated,
-        commutator_defect,
-        commutator_float_norm,
-        decay_curve,
-        defect_operator,
-        defect_operator_dense,
-    )
+    from .truncation import Truncation
 
     W = _load_weight(args.weights[0])
-    tt = build_truncated(W, args.degree)
+    model = Truncation(W, args.degree)
     report = {
         "schema_version": rpt.SCHEMA_VERSION,
         "command": "truncate",
         "params": {"weight": W.spec_dict(), "degree": args.degree},
-        "dimension": tt.dimension,
-        "commutator_exact": commutator_defect(tt),
-        "commutator_float": commutator_float_norm(tt),
+        **rpt.pick(model, "dimension", "commutator_exact", "commutator_float"),
     }
     csv_text = None
     if args.defect_order is not None:
-        k = args.defect_order
-        op = defect_operator(tt, k)
-        dense = defect_operator_dense(tt, k)
-        # The largest entry of |dense - diag(exact)|; the entries left out
-        # of the float operator are 0 and cannot raise it.
-        dev = max(
-            [abs(d - float(e)) for d, e in zip(dense.diagonal, op.diagonal)]
-            + [abs(v) for v in dense.off_diagonal.values()]
-        )
-        report["defect"] = {
-            "order": k,
-            "min": min(op.diagonal),
-            "max": max(op.diagonal),
-            "off_diagonal_entries": len(op.off_diagonal),
-            "float_deviation": dev,
-        }
+        report["defect"] = model.defect(args.defect_order)
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha, W.m)
         k_max = args.k_max if args.k_max is not None else mi.degree(alpha) + 1
-        curve = decay_curve(tt, alpha, k_max)
+        curve = model.decay(alpha, k_max)
         report["decay"] = {"alpha": alpha, "values": curve}
         if args.format == "csv":
             csv_text = rpt.render_csv(
@@ -414,12 +391,13 @@ def run_example45(
     against the unperturbed kernel on the grid radial:6x4.  Stages (a)-(c)
     are pass/fail; (d) is informational.
     """
-    from .curvature import psh_boundedness_report, radial_grid
+    from .curvature import check_jet_args, psh_boundedness_report, radial_grid
     from .hypercontraction import is_n_hyper_up_to, necessary_condition
     from .similarity import ray_ratio_sq
 
     if blocks < 2:
         raise UsageError("the counterexample needs at least 2 blocks")
+    check_jet_args(eval_degree, precision_bits)  # stage (d)'s refusals, before stage (a)
     W = PerturbedPower(n, m, blocks)
     base = W.base
     stages: dict = {}

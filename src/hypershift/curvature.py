@@ -392,10 +392,7 @@ def metric_jets(
     corrections outweighing a short base series), since such a value is not
     a metric.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    if precision_bits < 53:
-        raise ValueError("precision_bits must be at least 53")
+    check_jet_args(max_degree, precision_bits)
     weights = list(weights)
     tables: list[tuple | None] = [None] * len(weights)
     moduli: dict = {}  # coordinate as given -> |x|^2
@@ -513,6 +510,15 @@ def curvature_points(
     return points
 
 
+def check_jet_args(max_degree: int, precision_bits: int) -> None:
+    """Raise ValueError for a negative truncation degree or fewer than 53
+    precision bits, the arguments ``metric_jets`` refuses."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    if precision_bits < 53:
+        raise ValueError("precision_bits must be at least 53")
+
+
 def check_tol(tol: float) -> None:
     """Raise ValueError for a psd tolerance that is negative or not finite."""
     if not (isfinite(tol) and tol >= 0):
@@ -520,8 +526,8 @@ def check_tol(tol: float) -> None:
 
 
 def psd_check(H: CurvatureMatrix, tol: float = 1e-10) -> bool:
-    """True iff the least eigenvalue of H is at least -tol.  Raises ValueError for a tolerance that is negative or not
-    finite."""
+    """True iff the least eigenvalue of H is at least -tol.  Raises
+    ValueError for a tolerance that is negative or not finite."""
     check_tol(tol)
     return eigenvalues(H)[0] >= -tol
 

@@ -501,6 +501,14 @@ def parse_fraction(text) -> Fraction:
     raise WeightSpecError(f"not a rational: {text!r}")
 
 
+def parse_natural(text: str) -> int:
+    """A nonnegative integer written in ASCII digits alone; ``int`` would
+    also take signs, spaces, underscores and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a nonnegative integer: {text!r}")
+    return int(text)
+
+
 def _integer(value, name: str) -> int:
     """A JSON integer; a bool or a float is refused, not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -533,7 +541,7 @@ def _sequence_from_dict(spec: dict) -> RadialSequence:
 
 def _parse_fallback(text: str, m: int) -> WeightFunction:
     if isinstance(text, str) and text.startswith("power:"):
-        return PowerKernel(int(text.split(":", 1)[1]), m)
+        return PowerKernel(parse_natural(text.split(":", 1)[1]), m)
     raise WeightSpecError(f"unknown fallback spec {text!r}")
 
 

@@ -1,12 +1,13 @@
 """Shared builders for randomized test weights, the dense numpy references
-the float paths are tested against, the per-cell similarity scan the
-tabled one is tested against, the full-table view ``defect_layers`` of the
-defect engine, the modulus classes of a grid, the exact oracles
-``defect_diag_radial``, ``subnormality_obstruction``, ``power_map`` and
-``m_power_diag``, and the mpmath oracles the working-precision decimal
-numerics are checked against: ``to_mp``, the Wirtinger derivatives
-``wirtinger`` of a real metric jet and the finite-difference stencil
-``finite_diff_check``.
+the float paths are tested against, the column-map matrix model that
+``truncate`` is tested against (``build_truncated`` and its operators), the
+per-cell similarity scan the tabled one is tested against, the full-table
+view ``defect_layers`` of the defect engine, the modulus classes of a grid,
+the exact oracles ``defect_diag_radial``, ``subnormality_obstruction``,
+``power_map`` and ``m_power_diag``, and the mpmath oracles the
+working-precision decimal numerics are checked against: ``to_mp``, the
+Wirtinger derivatives ``wirtinger`` of a real metric jet and the
+finite-difference stencil ``finite_diff_check``.
 
 Everything takes an explicit random.Random so tests stay reproducible; no
 module-level RNG state.  numpy and mpmath are test dependencies only: the
@@ -15,8 +16,9 @@ package itself imports neither.
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, gcd, sqrt
 from types import SimpleNamespace
+from typing import Iterator, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -38,8 +40,9 @@ from hypershift import (
 from hypershift import multiindex as mi
 from hypershift.curvature import metric_jets
 from hypershift.hypercontraction import _cone_layers
+from hypershift.multiindex import MultiIndex
 from hypershift.precision import EXACT, DecimalComplex, working_context
-from hypershift.truncation import _accumulate, _monomial_gram, compose, power_layers
+from hypershift.weights import WeightFunction
 
 
 def random_fraction(rng, lo=1, hi=16) -> Fraction:
@@ -83,7 +86,7 @@ def as_array(H):
 
 def dense_matrices(tt):
     """float64 numpy matrices of the T_i of a TruncatedTuple: the dense
-    reference that the float column-map path is tested against."""
+    reference that the float fields of ``truncate`` are tested against."""
     mats = []
     for f in tt.maps:
         A = np.zeros((tt.dimension, tt.dimension))
@@ -91,6 +94,257 @@ def dense_matrices(tt):
             A[row, col] = sqrt(p / q)
         mats.append(A)
     return mats
+
+
+def commutator_float_norm(tt) -> float:
+    """max |T_i T_j - T_j T_i| over all pairs and entries, with dense numpy
+    products of ``dense_matrices``."""
+    mats = dense_matrices(tt)
+    worst = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            worst = max(worst, float(np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]))))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# The column-map matrix model: the oracle of ``hypershift.truncation``.
+#
+# The compression of the adjoint tuple to span{e_alpha : |alpha| <= D} maps
+# each basis vector to at most one other, so every T_i is stored as a column
+# map  col -> (row, p, q)  whose squared matrix entry is the rational p/q,
+# kept as a reduced integer pair.  Operator products are computed by generic
+# composition of these maps and T^{*alpha} T^{alpha} by a generic gram
+# construction that does not assume diagonality; that the result comes out
+# diagonal is a checked output, not an input assumption.  The powers T^beta
+# are built one degree layer at a time, T^{beta + e_i} = T_i o T^beta, from
+# the previous layer alone.  The weight enters only through ``rho_ratio`` at
+# construction; nothing here calls the defect engine or
+# ``metric_decomposition``, which is what makes the model independent of
+# the closed forms ``truncate`` reports from.
+
+# col -> (row, p, q): the squared matrix entry is p/q with gcd(p, q) = 1 and
+# q > 0; absent columns map to zero.
+ColumnMap = dict[int, tuple[int, int, int]]
+
+
+def compose(f: ColumnMap, g: ColumnMap) -> ColumnMap:
+    """The map f o g (apply g first)."""
+    out: ColumnMap = {}
+    for col, (row_g, p_g, q_g) in g.items():
+        hit = f.get(row_g)
+        if hit is not None:
+            row_f, p_f, q_f = hit
+            p = p_f * p_g
+            q = q_f * q_g
+            r = gcd(p, q)
+            out[col] = (row_f, p // r, q // r)
+    return out
+
+
+class GramResult(NamedTuple):
+    """f* f computed entry by entry: exact diagonal as reduced pairs
+    col -> (p, q), plus any off-diagonal float entries that appeared (none
+    do for monomial maps, and tests pin that down)."""
+
+    diagonal: dict[int, tuple[int, int]]
+    off_diagonal: dict[tuple[int, int], float]
+
+
+def gram(f: ColumnMap) -> GramResult:
+    """Compute f* f without assuming structure: entry (c1, c2) sums
+    conj(f[r, c1]) f[r, c2] over rows r, i.e. columns of f sharing a row."""
+    by_row: dict[int, list[tuple[int, int, int]]] = {}
+    for col, (row, p, q) in f.items():
+        by_row.setdefault(row, []).append((col, p, q))
+    diagonal: dict[int, tuple[int, int]] = {}
+    off: dict[tuple[int, int], float] = {}
+    for cols in by_row.values():
+        for c1, p1, q1 in cols:
+            diagonal[c1] = (p1, q1)
+            for c2, p2, q2 in cols:
+                if c2 != c1:
+                    off[(c1, c2)] = sqrt(p1 * p2 / (q1 * q2))
+    return GramResult(diagonal=diagonal, off_diagonal=off)
+
+
+def _add(a: int, b: int, c: int, p: int, q: int) -> tuple[int, int]:
+    """a/b + c p/q as a reduced pair."""
+    x = a * q + c * p * b
+    y = b * q
+    r = gcd(x, y)
+    return x // r, y // r
+
+
+def _accumulate(num: list[int], den: list[int], diagonal: dict[int, tuple[int, int]], c: int) -> None:
+    """num/den += c * diagonal, column by column."""
+    for col, (p, q) in diagonal.items():
+        num[col], den[col] = _add(num[col], den[col], c, p, q)
+
+
+def _monomial_gram(f: ColumnMap) -> dict[int, tuple[int, int]]:
+    """The diagonal of gram(f), refusing any off-diagonal entry."""
+    g = gram(f)
+    if g.off_diagonal:
+        raise RuntimeError("monomial gram produced off-diagonal entries")
+    return g.diagonal
+
+
+class TruncatedTuple(NamedTuple):
+    """The compression of the adjoint shift tuple to degrees <= max_degree."""
+
+    weight: WeightFunction
+    max_degree: int
+    basis: tuple[MultiIndex, ...]
+    position: dict[MultiIndex, int]
+    maps: tuple[ColumnMap, ...]  # one per direction
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
+
+
+def build_truncated(W: WeightFunction, max_degree: int) -> TruncatedTuple:
+    """Build the truncated adjoint tuple; T_i e_alpha =
+    sqrt(rho(alpha - e_i)/rho(alpha)) e_{alpha - e_i}, zero on alpha_i = 0.
+
+    Construction verifies that all pairwise commutators vanish exactly in
+    the column-map representation.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    basis = tuple(mi.enumerate_leq_degree(W.m, max_degree))
+    position = {alpha: p for p, alpha in enumerate(basis)}
+    maps: list[ColumnMap] = []
+    for i in range(W.m):
+        e = mi.unit(W.m, i)
+        f: ColumnMap = {}
+        for col, alpha in enumerate(basis):
+            a_i = alpha[i]
+            if a_i == 0:
+                continue
+            lower = alpha[:i] + (a_i - 1,) + alpha[i + 1 :]
+            w = W.rho_ratio(alpha, e)
+            f[col] = (position[lower], w.numerator, w.denominator)
+        maps.append(f)
+    tt = TruncatedTuple(
+        weight=W,
+        max_degree=max_degree,
+        basis=basis,
+        position=position,
+        maps=tuple(maps),
+    )
+    worst = commutator_defect(tt)
+    if worst != 0:
+        raise RuntimeError(f"truncated tuple fails to commute: defect {worst}")
+    return tt
+
+
+def power_layers(tt: TruncatedTuple, k_max: int) -> Iterator[dict[MultiIndex, ColumnMap]]:
+    """Yield, for d = 0..k_max, the layer {beta: T^beta : |beta| = d} with
+    its betas in lexicographic order.
+
+    Layer 0 is the identity and layer 1 the T_i; every later T^beta is
+    T_i o T^{beta - e_i} for the first nonzero coordinate i of beta, read
+    from the previous layer, which is then dropped.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    m = tt.weight.m
+    layer: dict[MultiIndex, ColumnMap] = {(0,) * m: {p: (p, 1, 1) for p in range(tt.dimension)}}
+    yield layer
+    for d in range(1, k_max + 1):
+        nxt: dict[MultiIndex, ColumnMap] = {}
+        for beta in mi.enumerate_exact_degree(m, d):
+            i = next(j for j, b in enumerate(beta) if b)
+            if d == 1:
+                nxt[beta] = tt.maps[i]
+            else:
+                prev = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
+                nxt[beta] = compose(tt.maps[i], layer[prev])
+        layer = nxt
+        yield layer
+
+
+def commutator_defect(tt: TruncatedTuple) -> Fraction:
+    """Largest squared-entry discrepancy between T_i T_j and T_j T_i over
+    all pairs; exactly zero for any diagonal weight."""
+    worst_p, worst_q = 0, 1
+    for i in range(tt.weight.m):
+        for j in range(i + 1, tt.weight.m):
+            ab = compose(tt.maps[i], tt.maps[j])
+            ba = compose(tt.maps[j], tt.maps[i])
+            for col in set(ab) | set(ba):
+                x = ab.get(col)
+                y = ba.get(col)
+                if x == y:
+                    continue
+                if x is None or y is None or x[0] != y[0]:
+                    # A structural mismatch counts as the full entry.
+                    _, p, q = x or y
+                else:
+                    p, q = abs(x[1] * y[2] - y[1] * x[2]), x[2] * y[2]
+                if p * worst_q > worst_p * q:
+                    worst_p, worst_q = p, q
+    return Fraction(worst_p, worst_q)
+
+
+class DefectOperator(NamedTuple):
+    """The order-k defect of the truncated tuple, assembled from generic
+    gram products: the exact diagonal in basis order plus whatever
+    off-diagonal entries the generic path produced (always none for a shift
+    tuple, and checked)."""
+
+    order: int
+    diagonal: tuple[Fraction, ...]
+    off_diagonal: dict[tuple[int, int], float]
+
+
+def defect_operator(tt: TruncatedTuple, k: int) -> DefectOperator:
+    """sum_{|beta| <= k} (-1)^|beta| (k choose beta) T^{*beta} T^{beta},
+    computed through composed column maps rather than weight ratios.
+
+    This is the oracle path: per-step squared weights are multiplied along
+    rays by compose(), so agreement with the closed-form defect diagonal is
+    a real telescoping check.
+    """
+    if k < 0:
+        raise ValueError("defect order k must be >= 0")
+    num = [0] * tt.dimension
+    den = [1] * tt.dimension
+    off: dict[tuple[int, int], float] = {}
+    for d, layer in enumerate(power_layers(tt, k)):
+        for beta, f in layer.items():
+            c = mi.multinomial(k, beta)
+            if d % 2 == 1:
+                c = -c
+            g = gram(f)
+            _accumulate(num, den, g.diagonal, c)
+            for key, v in g.off_diagonal.items():
+                off[key] = off.get(key, 0.0) + float(c) * v
+    diagonal = tuple(Fraction(p, q) for p, q in zip(num, den))
+    return DefectOperator(order=k, diagonal=diagonal, off_diagonal=off)
+
+
+def decay_curve(tt: TruncatedTuple, alpha: MultiIndex, k_max: int) -> list[Fraction]:
+    """[M_T^k(I)]_{alpha,alpha} for k = 0..k_max, from one walk over the
+    power layers; reaches exactly 0 once k exceeds |alpha| because every
+    monomial T^beta then annihilates e_alpha."""
+    alpha = tuple(alpha)
+    pos = tt.position.get(alpha)
+    if pos is None:
+        raise ValueError(f"{alpha!r} is outside the truncation")
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    curve = []
+    for k, layer in enumerate(power_layers(tt, k_max)):
+        a, b = 0, 1
+        for beta, f in layer.items():
+            w = _monomial_gram(f).get(pos)
+            if w is not None:
+                a, b = _add(a, b, mi.multinomial(k, beta), *w)
+        curve.append(Fraction(a, b))
+    return curve
 
 
 def reference_similarity_scan(W1, W2, base_degree, ray_length, growth_factor=Fraction(2)):

@@ -17,12 +17,7 @@ from hypershift import (
     PowerSequence,
     RadialWeight,
     ExplicitSequence,
-    build_truncated,
-    commutator_defect,
-    commutator_float_norm,
-    decay_curve,
     defect_diag,
-    defect_operator,
     curvature_points,
     necessary_condition,
     ray_ratio_sq,
@@ -33,7 +28,16 @@ from hypershift import multiindex as mi
 from hypershift.cli import run_example45
 from hypershift.report import canonical_json
 
-from helpers import finite_diff_check, random_table_weight, random_weight
+from helpers import (
+    build_truncated,
+    commutator_defect,
+    commutator_float_norm,
+    decay_curve,
+    defect_operator,
+    finite_diff_check,
+    random_table_weight,
+    random_weight,
+)
 
 F = Fraction
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import hypershift.curvature
+import hypershift.hypercontraction
 import hypershift.truncation
 from hypershift import (
     PerturbedPower,
@@ -347,7 +348,11 @@ def test_short_series_curvature_matches_the_closed_form(capsys, weight_files):
 
 def test_curvature_rejects_bad_grid(capsys, weight_files):
     # radial:2x0 used to scan the origin alone and report all_psd true.
-    for grid in ("cube", "radial:ax2", "radial:0x4", "radial:2x0", "radial:2x-1"):
+    # radial:1_0x2 used to be read as radial:10x2.
+    for grid in (
+        "cube", "radial:ax2", "radial:0x4", "radial:2x0", "radial:2x-1", "radial:1_0x2",
+        "radial:+2x2", "radial: 2x2",
+    ):
         assert main(["curvature", "--weights", weight_files["power2m1"], "--grid", grid]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -493,6 +498,26 @@ def test_example45_needs_two_blocks(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--precision-bits", "10"], "precision_bits must be at least 53"),
+        (["--eval-degree", "-1"], "max_degree must be >= 0"),
+    ],
+)
+def test_example45_checks_the_metric_arguments_first(capsys, monkeypatch, flags, message):
+    # The arguments stage (d) would refuse are refused before the scan of
+    # stage (b), which used to run the degree-4,099 scan first at --blocks 3.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the defect scan ran")
+
+    monkeypatch.setattr(hypershift.hypercontraction, "is_n_hyper_up_to", no_scan)
+    assert main(["example45", "--blocks", "3"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_example45_short_scan_misses_the_witness(capsys):
     code, report = run_json(
         capsys,
@@ -627,6 +652,19 @@ def test_invalid_alpha_and_orders(capsys, weight_files):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("alpha", ["1_0,0", " 1,0", "1,+0", "\u00b2,0", "\uff11,0", "1,"])
+@pytest.mark.parametrize("command", ["necessary", "truncate"])
+def test_alpha_takes_ascii_digits_only(capsys, weight_files, command, alpha):
+    # int() reads "1_0" as 10 and takes signs, spaces and other scripts'
+    # digits; a multi-index entry is ASCII digits alone.
+    argv = [command, "--weights", weight_files["power2m2"], "--alpha", alpha]
+    argv += ["--n", "2"] if command == "necessary" else ["--degree", "12"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse multi-index {alpha!r}\n"
+
+
 def test_csv_unavailable_for_scalar_reports(capsys, weight_files, monkeypatch):
     # The subcommands without CSV output refuse --format csv while parsing,
     # before any computation runs; truncate refuses it without --alpha, whose
@@ -644,9 +682,9 @@ def test_csv_unavailable_for_scalar_reports(capsys, weight_files, monkeypatch):
         assert "invalid choice: 'csv'" in capsys.readouterr().err
 
     def no_model(*args, **kwargs):
-        raise AssertionError("the matrix model was built")
+        raise AssertionError("the truncation was built")
 
-    monkeypatch.setattr(hypershift.truncation, "build_truncated", no_model)
+    monkeypatch.setattr(hypershift.truncation, "Truncation", no_model)
     assert main(["truncate", "--weights", one, "--degree", "2", "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -237,9 +237,9 @@ CASES = {
         0,
         _scan("check-hyper", "perturbed45_m3.json", "--n", "2", "--degree", "60"),
     ),
-    # The matrix model: exact defect and decay through composed column maps,
-    # with commutator_float and float_deviation from the float64 cross-check
-    # pinned byte for byte.
+    # The truncation: exact defect from the defect engine and decay from
+    # rho_ratio, with commutator_float and float_deviation from the float64
+    # step products pinned byte for byte.
     "truncate_power22_d40.json": (
         0,
         _scan(
@@ -270,7 +270,7 @@ CASES = {
             "--alpha", "5,20",
         ),
     ),
-    # A power:2 table with rho(2,3) halved: the matrix model reads
+    # A power:2 table with rho(2,3) halved: the truncation reads
     # rho_ratio at every basis index, the halved entry and its neighbours
     # included.
     "truncate_table_halved_d8.json": (

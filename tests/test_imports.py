@@ -128,7 +128,7 @@ def test_importing_the_cli_loads_no_numerics():
         ),
         (
             ["truncate", "--weights", "poly_a.json", "--degree", "4", "--defect-order", "2"],
-            ["truncation"],
+            ["hypercontraction", "truncation"],
         ),
         (
             ["curvature", "--weights", "power22.json", "--grid", "radial:1x2"],
@@ -164,12 +164,15 @@ def test_subcommand_loads_only_its_numerics(argv, layers):
         "example45_eval40.json",
         "curvature_perturbed45_m3_power23_2x4.json",
         "curvature_perturbed45_3x4.json",
+        "truncate_power22_d40.json",
+        "truncate_perturbed45_d30.json",
     ],
 )
 def test_golden_report_without_numpy(name):
     # The m = 3 pair takes the Jacobi eigenvalue path, example45 the m = 2
-    # closed form, and the perturbed weight alone the single-weight report;
-    # none of them can import numpy or mpmath.
+    # closed form, the perturbed weight alone the single-weight report, and
+    # truncate its float fields from the step products; none of them can
+    # import numpy or mpmath.
     code, argv = CASES[name]
     result = json.loads(run_python(NO_NUMPY_PROBE, json.dumps(argv)))
     assert result["code"] == code
@@ -187,8 +190,8 @@ def test_every_exported_name_resolves():
         "print(len(hypershift.__all__), missing, unlisted, unstarred)"
     )
     count, rest = out.split(" ", 1)
-    # 18 names of the core and 34 resolved on first use.
-    assert int(count) == 52
+    # 18 names of the core and 24 resolved on first use.
+    assert int(count) == 42
     assert rest.strip() == "[] [] []"
 
 

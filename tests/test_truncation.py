@@ -1,4 +1,6 @@
-"""Truncated matrix models: column maps, defects, and decay curves."""
+"""The column-map matrix model of ``tests/helpers.py`` (column maps, defects
+and decay curves), and ``truncate``'s ``Truncation`` against it and against
+the dense numpy matrices."""
 
 import random
 from fractions import Fraction
@@ -7,26 +9,34 @@ from math import comb
 import numpy as np
 import pytest
 
+import helpers
 from hypershift import (
     PerturbedPower,
     PowerKernel,
     TableWeight,
+    Truncation,
     WeightFunction,
+    defect_diag,
+)
+from hypershift import hypercontraction
+from hypershift import multiindex as mi
+from hypershift.report import canonical_json
+
+from helpers import (
     build_truncated,
     commutator_defect,
     commutator_float_norm,
     compose,
     decay_curve,
-    defect_diag,
     defect_operator,
-    defect_operator_dense,
+    dense_matrices,
     gram,
+    m_power_diag,
+    power_layers,
+    power_map,
+    random_table_weight,
+    random_weight,
 )
-from hypershift import hypercontraction, truncation
-from hypershift import multiindex as mi
-from hypershift.truncation import power_layers
-
-from helpers import dense_matrices, m_power_diag, power_map, random_table_weight, random_weight
 
 F = Fraction
 
@@ -124,7 +134,7 @@ def test_defect_operator_dense_path_agrees():
         W = random_table_weight(rng, m=2, degree=6)
         tt = build_truncated(W, 4)
         k = rng.randint(1, 3)
-        dense = _expand(defect_operator_dense(tt, k))
+        dense = _dense_defect_reference(tt, k)
         exact = defect_operator(tt, k)
         assert np.max(np.abs(dense - np.diag([float(x) for x in exact.diagonal]))) < 1e-10
 
@@ -141,8 +151,8 @@ def test_defect_operator_rejects_negative_order():
     tt = build_truncated(PowerKernel(1, 1), 2)
     with pytest.raises(ValueError):
         defect_operator(tt, -1)
-    with pytest.raises(ValueError):
-        defect_operator_dense(tt, -1)
+    with pytest.raises(ValueError, match="defect order k must be >= 0"):
+        Truncation(PowerKernel(1, 1), 2).defect(-1)
 
 
 # -- power diagonals and decay -----------------------------------------------
@@ -274,14 +284,6 @@ def test_decay_curve_is_the_dominated_multinomial_sum():
         assert decay_curve(tt, alpha, k_max) == _decay_formula(W, alpha, k_max)
 
 
-def _expand(op):
-    # A float DefectOperator as the dense matrix it stands for.
-    out = np.diag(np.array(op.diagonal, dtype=float))
-    for (c1, c2), v in op.off_diagonal.items():
-        out[c1, c2] = v
-    return out
-
-
 def _dense_defect_reference(tt, k):
     # The dense defect as first written: every power multiplied out from the
     # identity, each term scaled before it is added.
@@ -298,66 +300,37 @@ def _dense_defect_reference(tt, k):
     return out
 
 
+def _dense_deviation(tt, k):
+    # The largest entry of |dense defect - diag(exact defect)|.
+    exact = np.diag([float(x) for x in defect_operator(tt, k).diagonal])
+    return float(np.max(np.abs(_dense_defect_reference(tt, k) - exact)))
+
+
 def test_dense_defect_is_bitwise_the_reference_formula():
     rng = random.Random(103)
     for W in _weights_up_to_three_variables(rng, 10):
-        tt = build_truncated(W, rng.randint(1, 4))
+        D = rng.randint(1, 4)
+        tt = build_truncated(W, D)
         k = rng.randint(0, 3)
-        dense = _expand(defect_operator_dense(tt, k))
-        assert np.array_equal(dense, _dense_defect_reference(tt, k))
-
-
-def _dense_commutator_reference(tt):
-    # max |T_i T_j - T_j T_i| over all pairs, with dense numpy products.
-    mats = dense_matrices(tt)
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, float(np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]))))
-    return worst
+        assert Truncation(W, D).defect(k)["float_deviation"] == _dense_deviation(tt, k)
 
 
 def test_float_commutator_is_bitwise_the_dense_reference():
     rng = random.Random(109)
     for W in _weights_up_to_three_variables(rng, 12):
-        tt = build_truncated(W, rng.randint(0, 5))
-        assert commutator_float_norm(tt) == _dense_commutator_reference(tt)
-
-
-def _colliding_tuple():
-    # Not a shift tuple: each map sends two columns to one row, so the
-    # powers have grams with off-diagonal entries, and the maps do not
-    # commute.  Only the generic float path and the dense reference apply.
-    W = PowerKernel(1, 2)
-    basis = tuple(mi.enumerate_leq_degree(2, 2))
-    maps = (
-        {1: (0, 1, 1), 2: (0, 4, 3), 4: (1, 2, 5), 5: (2, 7, 2)},
-        {3: (0, 3, 1), 4: (0, 1, 2), 5: (3, 5, 7), 1: (4, 9, 4)},
-    )
-    position = {alpha: p for p, alpha in enumerate(basis)}
-    return truncation.TruncatedTuple(W, 2, basis, position, maps)
-
-
-def test_float_defect_keeps_off_diagonal_entries_of_colliding_maps():
-    tt = _colliding_tuple()
-    assert commutator_float_norm(tt) == _dense_commutator_reference(tt) > 0
-    for k in range(4):
-        op = defect_operator_dense(tt, k)
-        assert op.order == k
-        if k:
-            assert any(v != 0 for v in op.off_diagonal.values())
-        assert np.array_equal(_expand(op), _dense_defect_reference(tt, k))
+        D = rng.randint(0, 5)
+        assert Truncation(W, D).commutator_float == commutator_float_norm(build_truncated(W, D))
 
 
 def test_compose_runs_once_per_monomial_past_degree_one(monkeypatch):
     calls = []
-    real = truncation.compose
+    real = helpers.compose
 
     def counting(f, g):
         calls.append(1)
         return real(f, g)
 
-    monkeypatch.setattr(truncation, "compose", counting)
+    monkeypatch.setattr(helpers, "compose", counting)
 
     def composed(m, k):
         # Layer d holds C(d + m - 1, m - 1) monomials; layers 0 and 1 are
@@ -409,3 +382,101 @@ def test_matrix_model_never_calls_the_defect_engine(monkeypatch):
         assert op.off_diagonal == {}
         assert list(m_power_diag(tt, 1)) == ones
         assert decay_curve(tt, tt.basis[-1], D + 1) == decay
+
+
+# -- truncate against the matrix model ---------------------------------------
+
+
+def _model_fields(W, D, k, alpha, k_max):
+    # The truncate fields from the column-map model, the float ones from
+    # the dense numpy matrices.
+    tt = build_truncated(W, D)
+    op = defect_operator(tt, k)
+    return {
+        "dimension": tt.dimension,
+        "commutator_exact": commutator_defect(tt),
+        "commutator_float": commutator_float_norm(tt),
+        "defect": {
+            "order": k,
+            "min": min(op.diagonal),
+            "max": max(op.diagonal),
+            "off_diagonal_entries": len(op.off_diagonal),
+            "float_deviation": _dense_deviation(tt, k),
+        },
+        "decay": decay_curve(tt, alpha, k_max),
+    }
+
+
+def _truncate_fields(W, D, k, alpha, k_max):
+    model = Truncation(W, D)
+    return {
+        "dimension": model.dimension,
+        "commutator_exact": model.commutator_exact,
+        "commutator_float": model.commutator_float,
+        "defect": model.defect(k),
+        "decay": model.decay(alpha, k_max),
+    }
+
+
+def _random_truncate_weight(rng, m, degree):
+    kind = rng.choice(["random", "table", "fallback", "perturbed"])
+    if kind == "random":
+        return random_weight(rng, m=m, degree=degree)
+    if kind == "table":
+        return random_table_weight(rng, m=m, degree=degree)
+    if kind == "fallback":
+        fallback = PowerKernel(rng.randint(1, 4), m)
+        entries = {
+            alpha: fallback.rho(alpha) * rng.choice([F(1, 2), F(1), F(3)])
+            for alpha in rng.sample(mi.enumerate_leq_degree(m, degree), 3)
+        }
+        return TableWeight(m, entries, fallback)
+    return PerturbedPower(rng.randint(2, 3), max(m, 2), 2)
+
+
+def test_truncate_fields_match_the_matrix_model():
+    # Every field equals the model's; the float fields equal the dense
+    # numpy values bit for bit, and the report bytes agree.
+    rng = random.Random(113)
+    for _ in range(400):
+        m = rng.randint(1, 3)
+        D = rng.randint(0, 6 if m < 3 else 4)
+        W = _random_truncate_weight(rng, m, D + 2)
+        k = rng.randint(0, 4)
+        alpha = rng.choice(mi.enumerate_leq_degree(W.m, D))
+        k_max = rng.randint(0, mi.degree(alpha) + 3)
+        expected = _model_fields(W, D, k, alpha, k_max)
+        got = _truncate_fields(W, D, k, alpha, k_max)
+        assert got == expected
+        assert canonical_json(got) == canonical_json(expected)
+
+
+def _failure(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_truncate_errors_match_the_matrix_model():
+    rng = random.Random(127)
+    weights = [random_weight(rng, m=m, degree=6) for m in (1, 2, 3)]
+    # No entry at (1, 1): both read the steps one direction at a time, so
+    # both fail there rather than at (0, 2).
+    weights.append(TableWeight(2, {(0, 0): F(1), (1, 0): F(2), (0, 1): F(3)}))
+    for W in weights:
+        assert _failure(Truncation, W, -1) == _failure(build_truncated, W, -1) is not None
+        D = 2
+        failed = _failure(build_truncated, W, D)
+        assert _failure(Truncation, W, D) == failed
+        if failed is not None:
+            continue
+        tt, model = build_truncated(W, D), Truncation(W, D)
+        outside = (D + 1,) + (0,) * (W.m - 1)
+        for got, expected in [
+            (_failure(model.defect, -1), _failure(defect_operator, tt, -1)),
+            (_failure(model.decay, outside, 2), _failure(decay_curve, tt, outside, 2)),
+            (_failure(model.decay, (0,) * W.m, -1), _failure(decay_curve, tt, (0,) * W.m, -1)),
+        ]:
+            assert got == expected is not None

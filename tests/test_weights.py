@@ -1,6 +1,7 @@
 """Weight families, serialization, and the diagonal metric evaluator."""
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
@@ -401,6 +402,15 @@ def test_weight_dict_rejects_malformed():
                 "entries": [{"alpha": [1, 0], "rho": "1"}, {"alpha": [1, 0], "rho": "2"}],
             },
             "alpha .1, 0. is listed twice",
+        ),
+        # A fallback order is ASCII digits alone: "power:2_0" used to build
+        # power(20), and a sign or a space was taken too.
+        *(
+            (
+                {"kind": "table", "m": 1, "entries": [], "fallback": f"power:{n}"},
+                re.escape(f"not a nonnegative integer: {n!r}"),
+            )
+            for n in ("2_0", " 2", "+2", "2 ", "\u00b2", "\uff12", "")
         ),
     ],
 )
