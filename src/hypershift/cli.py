@@ -61,6 +61,27 @@ def _parse_alpha(text: str, m: int) -> tuple[int, ...]:
     return alpha
 
 
+def _int_flag(text: str) -> int:
+    """The type of every integer flag: ASCII digits with an optional leading
+    "-" (the handlers check the range); ``int`` would also take "_", "+",
+    spaces and other scripts' digits."""
+    try:
+        return -parse_natural(text[1:]) if text.startswith("-") else parse_natural(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _float_flag(text: str) -> float:
+    """--tol: ``float`` on ASCII text without "_"; ``check_tol`` judges the
+    value, so nan, inf and negative numbers reach it."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+
 def _parse_grid(text: str, m: int):
     from .curvature import radial_grid
 
@@ -500,56 +521,56 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"] if csv else ["json"], default="json")
 
     p = sub.add_parser("verify-identities", help="run the combinatorial identity suite")
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--beta-max", type=int, default=8)
-    p.add_argument("--dims", type=int, default=3)
+    p.add_argument("--n-max", type=_int_flag, default=8)
+    p.add_argument("--beta-max", type=_int_flag, default=8)
+    p.add_argument("--dims", type=_int_flag, default=3)
     common(p, weights=None)
     p.set_defaults(func=cmd_verify_identities, n_weights=0)
 
     p = sub.add_parser("check-hyper", help="scan defect diagonals for negativity")
     common(p)
-    p.add_argument("--n", type=int, required=True, help="hypercontraction order")
-    p.add_argument("--degree", type=int, required=True, help="scan bound on |alpha|")
+    p.add_argument("--n", type=_int_flag, required=True, help="hypercontraction order")
+    p.add_argument("--degree", type=_int_flag, required=True, help="scan bound on |alpha|")
     p.set_defaults(func=cmd_check_hyper, n_weights=1)
 
     p = sub.add_parser("necessary", help="check the neighbour-sum necessary condition")
     common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree", type=int, help="scan all 0 < |alpha| <= degree")
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--degree", type=_int_flag, help="scan all 0 < |alpha| <= degree")
     p.add_argument("--alpha", help="single multi-index, comma separated")
     p.set_defaults(func=cmd_necessary, n_weights=1)
 
     p = sub.add_parser("similarity-scan", help="scan squared ray ratios for two weights")
     common(p, csv=True)
-    p.add_argument("--degree", type=int, required=True, help="base point degree bound")
-    p.add_argument("--ray-length", type=int, required=True)
+    p.add_argument("--degree", type=_int_flag, required=True, help="base point degree bound")
+    p.add_argument("--ray-length", type=_int_flag, required=True)
     p.add_argument("--growth-factor", default="2", help="flag threshold, rational")
     p.set_defaults(func=cmd_similarity_scan, n_weights=2)
 
     p = sub.add_parser("curvature", help="log-metric Hessians on a grid")
     common(p, csv=True)
     p.add_argument("--grid", default="radial:6x8", help="grid spec, radial:<steps>x<angles>")
-    p.add_argument("--eval-degree", type=int, default=40)
-    p.add_argument("--precision-bits", type=int, default=80)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--eval-degree", type=_int_flag, default=40)
+    p.add_argument("--precision-bits", type=_int_flag, default=80)
+    p.add_argument("--tol", type=_float_flag, default=1e-10)
     p.set_defaults(func=cmd_curvature, n_weights=(1, 2))
 
     p = sub.add_parser("truncate", help="finite matrix model diagnostics")
     common(p, csv=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--defect-order", type=int)
+    p.add_argument("--degree", type=_int_flag, required=True)
+    p.add_argument("--defect-order", type=_int_flag)
     p.add_argument("--alpha", help="basis index for the decay curve")
-    p.add_argument("--k-max", type=int)
+    p.add_argument("--k-max", type=_int_flag)
     p.set_defaults(func=cmd_truncate, n_weights=1)
 
     p = sub.add_parser("example45", help="reproduce the perturbed-kernel counterexample")
     common(p, weights=None)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--blocks", type=int, default=2)
-    p.add_argument("--scan-degree", type=int)
-    p.add_argument("--eval-degree", type=int, default=240)
-    p.add_argument("--precision-bits", type=int, default=80)
+    p.add_argument("--n", type=_int_flag, default=2)
+    p.add_argument("--m", type=_int_flag, default=2)
+    p.add_argument("--blocks", type=_int_flag, default=2)
+    p.add_argument("--scan-degree", type=_int_flag)
+    p.add_argument("--eval-degree", type=_int_flag, default=240)
+    p.add_argument("--precision-bits", type=_int_flag, default=80)
     p.set_defaults(func=cmd_example45, n_weights=0)
 
     return parser

@@ -30,14 +30,15 @@ so outside the cone C + {beta : |beta| <= n} it depends only on N:
 
     d_k(N) = d_{k-1}(N) - N c_N d_{k-1}(N - 1),
 
-the recurrence form of d_k(N) = sum_i (-1)^i C(k, i) a(N - i) / a(N).
-Each degree layer therefore carries one radial row and exact rows only on
-its part of the finite cone, computed in lex order with the recurrence
-above; a lower neighbour outside the cone reads the previous radial row,
-and ``rho_ratio`` is called only where alpha or alpha - e_i is a
-correction.  A weight with no radial base puts every index in the cone
-and calls ``rho_ratio`` at each.  A scan costs O(n) per layer plus n*m
-exact multiply-adds per cone index, whatever the number of indices.
+the recurrence above with one term, and the recurrence form of
+d_k(N) = sum_i (-1)^i C(k, i) a(N - i) / a(N).  So each degree layer holds
+one radial row and exact rows only on its part of the finite cone, all from
+one row update on reduced integer pairs (``_row``).  A lower neighbour
+outside the cone reads the previous radial row, and ``rho_ratio`` is called
+only where alpha or alpha - e_i is a correction.  A weight with no radial
+base puts every index in the cone and calls ``rho_ratio`` at each.  A scan
+costs O(n) per layer plus n*m exact multiply-adds per cone index, whatever
+the number of indices.
 
 The scans take the graded-lex-first witness of a layer from two candidates:
 the first violating cone entry (no cone row past it is computed), and the
@@ -72,6 +73,25 @@ def defect_diag(W: WeightFunction, k: int, alpha: MultiIndex) -> Fraction:
     return total
 
 
+def _row(terms, n: int) -> list[tuple[int, int]]:
+    """The row d_1..d_n of an index from its terms (s_i numerator, s_i
+    denominator, row of alpha - e_i), by the recurrence, one gcd per order."""
+    row = []
+    p, q = 1, 1
+    for k in range(n):
+        for sn, sd, below_row in terms:
+            bp, bq = below_row[k - 1] if k else (1, 1)
+            tn, tq = sn * bp, sd * bq
+            if tq == q:
+                p -= tn
+            else:
+                p, q = p * tq - tn * q, q * tq
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        row.append((p, q))
+    return row
+
+
 def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
     """Yield (N, radial, cone, rows) for each degree layer N <= max_degree.
 
@@ -88,8 +108,7 @@ def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
     units = [mi.unit(m, i) for i in range(m)]
     # Cone indices in `exact` (a correction or one step above one) take
     # W.rho_ratio; all others take alpha_i times the layer factor
-    # c = a(N-1)/(N a(N)).  A weight with no base puts every index in the
-    # cone and takes W.rho_ratio everywhere.
+    # c = a(N-1)/(N a(N)), and the radial row takes N c.
     base, exact = radial_split(W)
     cones: dict[int, set[MultiIndex]] = {}
     for alpha in exact:
@@ -102,7 +121,6 @@ def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
         # A lower neighbour missing from `prev` lies outside the cone.
         for alpha in cone:
             on_base = base is not None and alpha not in exact
-            # (s_i(alpha) numerator, denominator, row of alpha - e_i)
             terms = []
             for i, a in enumerate(alpha):
                 if a:
@@ -114,21 +132,7 @@ def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
                         sn, sd = s.numerator, s.denominator
                     below = alpha[:i] + (a - 1,) + alpha[i + 1 :]
                     terms.append((sn, sd, prev.get(below, prev_radial)))
-            row = []
-            p, q = 1, 1
-            for k in range(n):
-                # p/q holds d_k(alpha); subtract s_i(alpha) d_k(alpha - e_i).
-                for sn, sd, below_row in terms:
-                    bp, bq = below_row[k - 1] if k else (1, 1)
-                    tn, tq = sn * bp, sd * bq
-                    if tq == q:
-                        p -= tn
-                    else:
-                        p, q = p * tq - tn * q, q * tq
-                g = gcd(p, q)
-                p, q = p // g, q // g
-                row.append((p, q))
-            layer[alpha] = row
+            row = layer[alpha] = _row(terms, n)
             yield alpha, row
 
     prev: dict[MultiIndex, list[tuple[int, int]]] = {}
@@ -140,16 +144,12 @@ def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
             cone = mi.enumerate_exact_degree(m, degree)
         else:
             cone = sorted(cones.get(degree, ()))
-            radial = [(1, 1)] * n
-            if degree:
-                # d_k(N) = d_{k-1}(N) - (a(N-1)/a(N)) d_{k-1}(N-1)
+            terms = []
+            if degree:  # one term: s = N c_N = a(N-1)/a(N) on the row of N - 1
                 step = base.value(degree - 1) / base.value(degree)
-                c = step / degree
-                cn, cd = c.numerator, c.denominator
-                value = Fraction(1)
-                for k in range(n):
-                    value -= step * (Fraction(*prev_radial[k - 1]) if k else 1)
-                    radial[k] = (value.numerator, value.denominator)
+                cn, cd = (step / degree).as_integer_ratio()
+                terms = [(step.numerator, step.denominator, prev_radial)]
+            radial = _row(terms, n)
         layer: dict[MultiIndex, list[tuple[int, int]]] = {}
         layer_rows = rows(cone, cn, cd, prev, prev_radial, layer)
         yield degree, radial, cone, layer_rows

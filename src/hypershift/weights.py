@@ -488,12 +488,12 @@ def radial_split(W: WeightFunction) -> tuple[RadialSequence | None, frozenset]:
 
 
 def parse_fraction(text) -> Fraction:
-    """Parse "p/q" (or a bare integer) into an exact Fraction."""
-    if isinstance(text, bool):
-        raise WeightSpecError(f"not a rational: {text!r}")
-    if isinstance(text, int):
+    """Parse "p/q" (or a bare integer) into an exact Fraction.  Text must be
+    ASCII without "_", which ``Fraction`` would read as a digit separator,
+    as it reads other scripts' digits."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if isinstance(text, str):
+    if isinstance(text, str) and text.isascii() and "_" not in text:
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -14,7 +14,7 @@ from hypershift import (
     PowerKernel,
     RadialWeight,
 )
-from hypershift.cli import kernel_bound, main
+from hypershift.cli import _float_flag, _int_flag, build_parser, kernel_bound, main
 
 F = Fraction
 
@@ -239,6 +239,17 @@ def test_similarity_scan_flags_growth(capsys, weight_files):
     assert "witness" not in report
 
 
+@pytest.mark.parametrize("growth", ["1_0", "\uff12", "3/\uff12"])
+def test_growth_factor_is_an_ascii_rational(capsys, weight_files, growth):
+    # Fraction() reads "1_0" as 10 and takes other scripts' digits.
+    argv = ["similarity-scan", "--weights", weight_files["flat_m1"]]
+    argv += ["--weights", weight_files["power2m1"], "--degree", "2", "--ray-length", "2"]
+    assert main(argv + ["--growth-factor", growth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a rational: {growth!r}\n"
+
+
 def test_similarity_scan_csv(capsys, weight_files, tmp_path):
     out_path = tmp_path / "scan.csv"
     code, out = run(
@@ -378,6 +389,18 @@ def test_curvature_rejects_bad_tol(capsys, weight_files, monkeypatch, tol, names
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: psd tolerance must be finite and >= 0, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("tol", ["1_0", "1e-1_0", "\uff11", "\u0661e-3"])
+def test_tol_is_ascii_without_underscores(capsys, weight_files, tol):
+    # float() reads "1_0" as 10 and takes other scripts' digits.
+    argv = ["curvature", "--weights", weight_files["power2m2"], "--tol", tol]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --tol: not a number: {tol!r}\n")
 
 
 def _refusal(capsys):
@@ -586,12 +609,15 @@ def test_weight_file_errors(capsys, tmp_path, weight_files):
         {"kind": "table", "m": 2, "entries": [{"alpha": [1.7, 0], "rho": "1"}]},
         {"kind": "table", "m": 1, "entries": [{"alpha": [1], "rho": "1"}, {"alpha": [1], "rho": "2"}]},
         {"kind": "radial", "m": 1, "a": {"list": "123"}},
+        {"kind": "radial", "m": 1, "a": {"generator": "geometric", "r": "1_0/3"}},
+        {"kind": "table", "m": 1, "entries": [{"alpha": [0], "rho": "\uff12/3"}]},
     ],
 )
 def test_malformed_weight_spec_exits_2(capsys, tmp_path, spec):
     # A spec that is not an object where one is expected, or holds a float
-    # or bool for an integer, a string for an array or one alpha twice, is
-    # a usage error: exit 2 and one error line, no traceback and no report.
+    # or bool for an integer, a string for an array, one alpha twice or a
+    # rational with "_" or non-ASCII digits, is a usage error: exit 2 and
+    # one error line, no traceback and no report.
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(spec))
     assert main(["check-hyper", "--weights", str(path), "--n", "2", "--degree", "3"]) == 2
@@ -663,6 +689,30 @@ def test_alpha_takes_ascii_digits_only(capsys, weight_files, command, alpha):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot parse multi-index {alpha!r}\n"
+
+
+@pytest.mark.parametrize(
+    "value", ["1_0", "+3", " 3", "3 ", "\uff12", "\u00b2", "\u0663", "3.0", "", "-"]
+)
+@pytest.mark.parametrize("flag", ["--n", "--degree"])
+def test_integer_flags_take_ascii_digits_only(capsys, weight_files, flag, value):
+    # int() reads "1_0" as 10 and takes signs, spaces and other scripts'
+    # digits; an integer flag is ASCII digits with an optional leading "-".
+    argv = ["check-hyper", "--weights", weight_files["power2m2"], "--n", "2", "--degree", "2"]
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: not an integer: {value!r}\n")
+
+
+def test_every_number_flag_takes_the_strict_types():
+    # No flag is left on argparse's int or float.
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    types = {a.type for p in subparsers.choices.values() for a in p._actions}
+    assert types == {None, _int_flag, _float_flag}
 
 
 def test_csv_unavailable_for_scalar_reports(capsys, weight_files, monkeypatch):

@@ -300,16 +300,20 @@ def test_table_without_fallback_scans_every_index_as_cone():
         GeometricSequence(F(3, 2)),
         GeometricSequence(F(1, 2)),
         ExplicitSequence([F(k * k + 1, k + 2) for k in range(41)]),
-    ],
+    ]
+    + [random_radial_sequence(random.Random(seed), needed_length=41) for seed in range(2201, 2207)],
 )
 def test_radial_row_is_the_radial_reduction(seq):
-    layers = _cone_layers(RadialWeight(2, seq), 3, 40)
-    for N, radial, cone, _ in layers:
-        assert cone == []
-        assert radial == [
-            (v.numerator, v.denominator) for v in (defect_diag_radial(seq, k, N) for k in (1, 2, 3))
-        ]
-    assert N == 40
+    # The radial row is the one-term case of the row update; it must equal
+    # the closed sum at every order the scans use.
+    for n in (1, 2, 3, 4):
+        for N, radial, cone, _ in _cone_layers(RadialWeight(2, seq), n, 40):
+            assert cone == []
+            assert radial == [
+                (v.numerator, v.denominator)
+                for v in (defect_diag_radial(seq, k, N) for k in range(1, n + 1))
+            ]
+        assert N == 40
 
 
 def test_deep_scans_stop_at_the_perturbed_witness():

@@ -331,7 +331,7 @@ def test_parse_fraction(text, expected):
     assert parse_fraction(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0", None, 1.5, True])
+@pytest.mark.parametrize("bad", ["abc", "1/0", None, 1.5, True, "1_0/3", "\uff12/3"])
 def test_parse_fraction_rejects(bad):
     with pytest.raises(WeightSpecError):
         parse_fraction(bad)
