@@ -9,8 +9,8 @@ report contains a witness object (a violation, growth flag, or failed
 stage), 2 for malformed input or usage errors (a --tol that is negative or
 not finite among them), 3 when the numerics refuse to give an answer (no
 rigorous tail bound, a truncated metric that is not positive, or another
-internal RuntimeError); exit 3 prints one JSON line {"error": ..., "kind":
-...} on stderr.
+internal RuntimeError, or a value past float64 range); exit 3 prints one
+JSON line {"error": ..., "kind": ...} on stderr.
 """
 
 from __future__ import annotations
@@ -262,6 +262,7 @@ def cmd_curvature(args) -> int:
     grid = _parse_grid(args.grid, m)
     prec = args.precision_bits
     deg = args.eval_degree
+    params = {"grid": args.grid, "eval_degree": deg, "precision_bits": prec, "tol": args.tol}
     if len(weights) == 1:
         W = weights[0]
         check_tol(args.tol)  # before the grid's jets, as the pair report does
@@ -276,13 +277,7 @@ def cmd_curvature(args) -> int:
         report = {
             "schema_version": rpt.SCHEMA_VERSION,
             "command": "curvature",
-            "params": {
-                "weight": W.spec_dict(),
-                "grid": args.grid,
-                "eval_degree": deg,
-                "precision_bits": prec,
-                "tol": args.tol,
-            },
+            "params": {"weight": W.spec_dict(), **params},
             "n_points": len(records),
             "all_psd": all(r["psd"] for r in records),
             "min_eig": min(r["min_eig"] for r in records),
@@ -306,14 +301,7 @@ def cmd_curvature(args) -> int:
     report = {
         "schema_version": rpt.SCHEMA_VERSION,
         "command": "curvature",
-        "params": {
-            "weight1": W1.spec_dict(),
-            "weight2": W2.spec_dict(),
-            "grid": args.grid,
-            "eval_degree": deg,
-            "precision_bits": prec,
-            "tol": args.tol,
-        },
+        "params": {"weight1": W1.spec_dict(), "weight2": W2.spec_dict(), **params},
         **rpt.pick(res, *_PSH, "shells"),
         "records": [
             {**rpt.pick(p, "w", "eigenvalues", "psi"), "hessian": p.hessian.entries}
@@ -596,7 +584,7 @@ def main(argv=None) -> int:
         if args.command == "truncate" and args.format == "csv" and args.alpha is None:
             raise UsageError("truncate --format csv needs --alpha")
         return args.func(args)
-    except RuntimeError as exc:
+    except (RuntimeError, OverflowError) as exc:
         sys.stderr.write(rpt.canonical_json({"error": str(exc), "kind": type(exc).__name__}))
         return 3
     except (UsageError, ValueError, OSError) as exc:

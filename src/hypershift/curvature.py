@@ -25,7 +25,6 @@ built, for one metric or for a pair.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
-from functools import cached_property
 from itertools import combinations
 from math import cos, isfinite, pi, sin
 from typing import NamedTuple
@@ -50,41 +49,14 @@ from .weights import RadialSequence, WeightFunction
 _MAX_SWEEPS = 60
 
 
-class _Record:
-    """Equality and hash on the fields that ``_key`` returns, as a frozen
-    dataclass would give, for the records built once per grid point."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-class CurvatureMatrix(_Record):
+class CurvatureMatrix(NamedTuple):
     """The mixed Hessian of log h (or of a difference of two logs) at a
-    point, stored at working precision ``precision_bits``, with its
-    eigenvalues ``spectrum`` as Decimals, ascending: those of the real class
-    matrix M that it is unitarily similar to.  ``spectrum`` is left out of
-    ``==``."""
+    point: ``entries``, m x m nested tuples of DecimalComplex at the working
+    precision, and their eigenvalues ``spectrum`` as Decimals, ascending:
+    those of the real class matrix M that it is unitarily similar to."""
 
-    __slots__ = ("point", "entries", "precision_bits", "spectrum")
-
-    def __init__(self, point: tuple, entries: tuple, precision_bits: int, spectrum: tuple):
-        self.point = point
-        self.entries = entries  # m x m nested tuples of DecimalComplex
-        self.precision_bits = precision_bits
-        self.spectrum = spectrum
-
-    def _key(self) -> tuple:
-        return self.point, self.entries, self.precision_bits
-
-    def __repr__(self) -> str:
-        return "CurvatureMatrix(point={!r}, entries={!r}, precision_bits={!r})".format(*self._key())
+    entries: tuple
+    spectrum: tuple
 
 
 def _spectrum(M: list) -> tuple:
@@ -152,22 +124,15 @@ def _jacobi(A: list) -> tuple:
     raise RuntimeError(f"Jacobi eigenvalue iteration did not settle in {_MAX_SWEEPS} sweeps")
 
 
-class PshPoint(_Record):
+class PshPoint(NamedTuple):
     """psi and its mixed Hessian at the grid point w; the eigenvalues are
-    rounded from the Hessian's spectrum once, on first read."""
+    rounded from the Hessian's spectrum on each read."""
 
-    def __init__(self, w: tuple, psi: float, hessian: CurvatureMatrix):
-        self.w = w
-        self.psi = psi
-        self.hessian = hessian
+    w: tuple
+    psi: float
+    hessian: CurvatureMatrix
 
-    def _key(self) -> tuple:
-        return self.w, self.psi, self.hessian
-
-    def __repr__(self) -> str:
-        return "PshPoint(w={!r}, psi={!r}, hessian={!r})".format(*self._key())
-
-    @cached_property
+    @property
     def eigenvalues(self) -> tuple[float, ...]:
         return eigenvalues(self.hessian)
 
@@ -500,13 +465,8 @@ def curvature_points(
             for i, j in combinations(range(len(wv)), 2):
                 rows[i][j] = conj_mul(wv[i], wv[j]).scaled(d2[i][j])
                 rows[j][i] = rows[i][j].conjugate()
-            H = CurvatureMatrix(
-                point=tuple(w),
-                entries=tuple(map(tuple, rows)),
-                precision_bits=precision_bits,
-                spectrum=spectrum,
-            )
-            points.append(PshPoint(w=tuple(w), psi=psi, hessian=H))
+            H = CurvatureMatrix(tuple(map(tuple, rows)), spectrum)
+            points.append(PshPoint(tuple(w), psi, H))
     return points
 
 

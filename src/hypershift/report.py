@@ -2,12 +2,12 @@
 
 Reports are plain dicts whose values may be result objects' own fields.
 ``canonical_json`` holds the one rule for writing them: a ``Fraction`` is a
-"p/q" string, any other number that converts with ``complex()`` (a
-Python complex, a working-precision Decimal or DecimalComplex, an mpmath
-mpf or mpc) is an [re, im] pair of floats, a tuple is a list, a float is
-its shortest round-trip repr, and any other type is refused.  The encoding is
-canonicalized (sorted keys, fixed separators, trailing newline) so identical
-inputs produce byte-identical files.
+"p/q" string written in full at any length, any other number that converts
+with ``complex()`` (a Python complex, a working-precision Decimal or
+DecimalComplex, an mpmath mpf or mpc) is an [re, im] pair of floats, a tuple
+is a list, a float is its shortest round-trip repr, and any other type is
+refused.  The encoding is canonicalized (sorted keys, fixed separators,
+trailing newline) so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
 
@@ -22,8 +23,10 @@ SCHEMA_VERSION = 1
 
 
 def frac_str(x: Fraction) -> str:
+    """"p/q" in full: ``Decimal`` writes an int of any length exactly, where
+    ``str`` refuses one past the interpreter's digit limit."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def float_str(x) -> str:

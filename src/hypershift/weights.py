@@ -488,16 +488,20 @@ def radial_split(W: WeightFunction) -> tuple[RadialSequence | None, frozenset]:
 
 
 def parse_fraction(text) -> Fraction:
-    """Parse "p/q" (or a bare integer) into an exact Fraction.  Text must be
-    ASCII without "_", which ``Fraction`` would read as a digit separator,
-    as it reads other scripts' digits."""
+    """Parse "p/q" (or a bare integer) into an exact Fraction: an optional
+    "-", ASCII digits, and an optional "/" with ASCII digits, between
+    optional ASCII spaces.  ``Fraction`` would also take "+", decimals,
+    exponents, "inf", "_" and other scripts' digits."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if isinstance(text, str) and text.isascii() and "_" not in text:
+    if isinstance(text, str) and text.isascii():
+        body = text.strip()
+        p, slash, q = body.removeprefix("-").partition("/")
         try:
-            return Fraction(text.strip())
+            value = Fraction(parse_natural(p), parse_natural(q) if slash else 1)
         except (ValueError, ZeroDivisionError) as exc:
             raise WeightSpecError(f"not a rational: {text!r}") from exc
+        return -value if body.startswith("-") else value
     raise WeightSpecError(f"not a rational: {text!r}")
 
 

@@ -412,6 +412,29 @@ def _refusal(capsys):
     return json.loads(lines[0])
 
 
+@pytest.mark.parametrize("command", ["truncate", "similarity-scan"])
+def test_values_past_float_range_exit_3(capsys, tmp_path, command):
+    # Neither truncate's step ratio rho(0)/rho(1) = 10^400 nor the csv's
+    # ratio_sq of 10^320 on the ray of r = 1 against r = 10 has a float64
+    # value: exit 3 with one JSON line, no traceback and no report.
+    def spec_file(name, spec):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+
+    if command == "truncate":
+        rho = [{"alpha": [0], "rho": "1"}, {"alpha": [1], "rho": "1/1" + "0" * 400}]
+        argv = ["truncate", "--degree", "1"]
+        argv += ["--weights", spec_file("tiny", {"kind": "table", "m": 1, "entries": rho})]
+    else:
+        argv = ["similarity-scan", "--degree", "0", "--ray-length", "320", "--format", "csv"]
+        for r in ("1", "10"):
+            spec = {"kind": "radial", "m": 1, "a": {"generator": "geometric", "r": r}}
+            argv += ["--weights", spec_file(f"r{r}", spec)]
+    assert main(argv) == 3
+    assert _refusal(capsys)["kind"] == "OverflowError"
+
+
 def test_refused_numerics_exit_3(capsys, tmp_path):
     # a(i) = 5 - i + i^2 has a negative coefficient, so no ratio bound: the
     # tail of the metric series cannot be certified.
@@ -611,19 +634,41 @@ def test_weight_file_errors(capsys, tmp_path, weight_files):
         {"kind": "radial", "m": 1, "a": {"list": "123"}},
         {"kind": "radial", "m": 1, "a": {"generator": "geometric", "r": "1_0/3"}},
         {"kind": "table", "m": 1, "entries": [{"alpha": [0], "rho": "\uff12/3"}]},
+        {"kind": "radial", "m": 1, "a": {"generator": "geometric", "r": "0.5"}},
+        {"kind": "radial", "m": 1, "a": {"generator": "geometric", "r": "1e-5000"}},
+        {"kind": "table", "m": 1, "entries": [{"alpha": [0], "rho": "+3"}]},
     ],
 )
-def test_malformed_weight_spec_exits_2(capsys, tmp_path, spec):
+def test_malformed_weight_spec_exits_2(capsys, tmp_path, monkeypatch, spec):
     # A spec that is not an object where one is expected, or holds a float
     # or bool for an integer, a string for an array, one alpha twice or a
-    # rational with "_" or non-ASCII digits, is a usage error: exit 2 and
-    # one error line, no traceback and no report.
+    # rational outside the grammar (with "_", non-ASCII digits, a decimal,
+    # an exponent or a "+"), is a usage error: exit 2 and one error line, no
+    # traceback and no report, before any scan runs.  "1e-5000" used to run
+    # the whole scan and fail when its report was written.
+    monkeypatch.setattr(hypershift.hypercontraction, "is_n_hyper_up_to", None)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(spec))
     assert main(["check-hyper", "--weights", str(path), "--n", "2", "--degree", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: weight file {path}: ") and err.count("\n") == 1
+
+
+def test_exact_result_past_the_digit_limit_exits_0(capsys, tmp_path):
+    # rho(0,1) = 1/(d+1) and rho(1,0) = 1/(d+3) with d = 10^2999 give
+    # lhs = (2d+4)/((d+1)(d+3)), reduced, with a 5,999-digit denominator:
+    # past the 4,300 digits that str() writes.
+    zeros = "0" * 2998
+    entries = [([0, 0], "1"), ([1, 1], "1"), ([0, 1], f"1/1{zeros}1"), ([1, 0], f"1/1{zeros}3")]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"kind": "table", "m": 2, "entries": [{"alpha": a, "rho": rho} for a, rho in entries]}
+    ))
+    code, report = run_json(capsys, ["necessary", "--weights", str(path), "--n", "2", "--alpha", "1,1"])
+    assert code == 0
+    assert report["lhs"] == f"2{zeros}4/1{zeros}4{zeros}3"
+    assert (report["rhs"], report["holds"]) == ("2/3", True)
 
 
 def test_out_path_in_missing_directory(capsys, tmp_path, weight_files):

@@ -52,9 +52,7 @@ def class_matrix(rows, precision_bits=53):
         M = [[+Decimal(x) for x in row] for row in rows]
         entries = tuple(map(tuple, M))
         spectrum = curvature_module._spectrum(M)
-    return CurvatureMatrix(
-        point=(0,) * len(rows), entries=entries, precision_bits=precision_bits, spectrum=spectrum
-    )
+    return CurvatureMatrix(entries, spectrum)
 
 
 def hermitian_dev(H):
@@ -101,10 +99,10 @@ def test_hessian_matches_radial_closed_form_at_complex_point():
 
 def test_hessian_is_hermitian_and_point_recorded():
     w = (0.25 - 0.3j, 0.1 + 0.2j)
-    H = log_metric_hessian(PowerKernel(3, 2), w, max_degree=80, precision_bits=100)
-    assert hermitian_dev(H) < 1e-20
-    assert len(H.entries) == 2
-    assert tuple(complex(x) for x in H.point) == w
+    (p,) = curvature_points([PowerKernel(3, 2)], [w], max_degree=80, precision_bits=100)
+    assert hermitian_dev(p.hessian) < 1e-20
+    assert len(p.hessian.entries) == 2
+    assert p.w == w
 
 
 # -- PSD machinery -----------------------------------------------------------
@@ -130,22 +128,33 @@ def test_psd_check_accepts_and_rejects():
             psd_check(I2, tol=tol)
 
 
-def test_curvature_matrix_compares_without_its_spectrum():
-    # The spectrum comes with the entries and takes no part in == or hash.
-    def matrix(point=(0, 0), precision_bits=53, spectrum=(Decimal(2), Decimal(3))):
-        return CurvatureMatrix(point, ((2, 0), (0, 3)), precision_bits, spectrum)
+def test_curvature_records_are_named_tuples(monkeypatch):
+    # Both records are their fields and nothing else: == and hash take every
+    # field, the spectrum among them, and a point keeps no rounded
+    # eigenvalues; each read goes through eigenvalues().
+    assert CurvatureMatrix._fields == ("entries", "spectrum")
+    assert PshPoint._fields == ("w", "psi", "hessian")
+    entries, spectrum = ((2, 0), (0, 3)), (Decimal(2), Decimal(3))
+    H = CurvatureMatrix(entries, spectrum)
+    assert tuple(H) == (entries, spectrum)
+    assert H == CurvatureMatrix(entries, spectrum) and hash(H) == hash((entries, spectrum))
+    G = H._replace(spectrum=(Decimal(7),))
+    assert G != H and G.entries == H.entries
+    p = PshPoint((0, 0), 0.0, H)
+    assert tuple(p) == ((0, 0), 0.0, H)
+    assert p == PshPoint((0, 0), 0.0, H) and p != PshPoint((0, 0), 0.0, G)
+    assert not hasattr(p, "__dict__")
+    calls = []
+    real = curvature_module.eigenvalues
 
-    H = matrix()
-    assert eigenvalues(H) == (2.0, 3.0)
-    G = matrix(spectrum=(Decimal(7),))
-    assert G.spectrum == (Decimal(7),)
-    assert G == H and hash(G) == hash(H)
-    assert H != matrix(precision_bits=80)
-    assert H != matrix(point=(0, 1))
-    p, q = PshPoint(w=(0, 0), psi=0.0, hessian=H), PshPoint(w=(0, 0), psi=0.0, hessian=G)
-    assert p == q and hash(p) == hash(q)
-    assert p.eigenvalues == (2.0, 3.0) and q.eigenvalues == (7.0,)
-    assert p.eigenvalues is p.eigenvalues
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(curvature_module, "eigenvalues", counting)
+    assert p.eigenvalues == (2.0, 3.0) and p.min_eig == 2.0
+    assert p.eigenvalues == (2.0, 3.0)
+    assert calls == [H, H, H]
 
 
 def test_eigenvalues_are_ascending():
@@ -486,8 +495,8 @@ def _psh_pair(kind):
 def test_psh_report_equals_the_four_jet_composition(kind, bits):
     # The report takes psi and the Hessian from one jet per weight and one
     # series cache for the grid.  The reference composes two metric jets and
-    # curvature_difference, each a call of its own on freshly built weights,
-    # so no cache is shared.
+    # a single-point curvature_points call, each a call of its own on freshly
+    # built weights, so no cache is shared.
     deg = 60
     grid = radial_grid(2, 2, 4)
     report = psh_boundedness_report(*_psh_pair(kind), grid, max_degree=deg, precision_bits=bits)
@@ -497,10 +506,10 @@ def test_psh_report_equals_the_four_jet_composition(kind, bits):
         h2 = point_jet(_psh_pair(kind)[1], w, max_degree=deg, precision_bits=bits)
         with localcontext(working_context(bits)):
             psi = float(h1.h.ln() - h2.h.ln())
-        H = curvature_difference(*_psh_pair(kind), w, max_degree=deg, precision_bits=bits)
+        (ref,) = curvature_points(_psh_pair(kind), [w], max_degree=deg, precision_bits=bits)
         assert p.psi == psi
-        assert p.hessian.entries == H.entries
-        assert p.hessian.point == H.point
+        assert p.hessian.entries == ref.hessian.entries
+        assert p.w == ref.w == w
 
 
 @pytest.mark.parametrize("kind", ["perturbed45", "polynomial"])
@@ -510,9 +519,8 @@ def test_grid_log_hessians_equal_the_per_point_ones(kind):
     got = curvature_points([W], grid, max_degree=60, precision_bits=120)
     assert len(got) == len(grid)
     for p, w in zip(got, grid):
-        H = p.hessian
-        ref = log_metric_hessian(_psh_pair(kind)[0], w, max_degree=60, precision_bits=120)
-        assert (H.point, H.entries) == (ref.point, ref.entries)
+        (ref,) = curvature_points([_psh_pair(kind)[0]], [w], max_degree=60, precision_bits=120)
+        assert (p.w, p.hessian.entries) == (ref.w, ref.hessian.entries)
 
 
 def test_pair_point_is_the_difference_of_the_single_points():
@@ -537,8 +545,7 @@ def test_pair_point_is_the_difference_of_the_single_points():
                 scale = max(abs(x) for q in (E1, E2) for row in q for x in row)
                 for got, want in zip(sum(E, ()), sum(diff, ())):
                     assert abs(got - want) <= mp.mpf(2) ** -112 * scale
-            assert p.hessian.point == p1.hessian.point
-            assert p.w == w
+            assert p.w == p1.w == p2.w == w
     W = PowerKernel(2, 2)
     for weights, message in (
         ([], "one or two weights, got 0"),

@@ -34,6 +34,15 @@ def test_frac_str_always_shows_denominator():
     assert frac_str(7) == "7/1"
 
 
+def test_fractions_past_the_digit_limit_are_written_in_full():
+    # str() refuses an int of more than 4,300 digits, the interpreter's
+    # default limit; a report writes every Fraction whole.
+    x = F(10**5000 + 1, 3)
+    digits = "1" + "0" * 4999 + "1"
+    assert canonical_json({"x": x}) == f'{{"x":"{digits}/3"}}\n'
+    assert render_csv(["x"], [[-x]]) == f"x\n-{digits}/3\n"
+
+
 def test_float_str_round_trips_doubles():
     for x in [0.1, 1 / 3, 4.0186199886992406e-05, -2.5, 1e300]:
         assert float(float_str(x)) == x

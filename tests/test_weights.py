@@ -331,7 +331,10 @@ def test_parse_fraction(text, expected):
     assert parse_fraction(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0", None, 1.5, True, "1_0/3", "\uff12/3"])
+@pytest.mark.parametrize(
+    "bad",
+    ["abc", "1/0", None, 1.5, True, "1_0/3", "\uff12/3", "0.5", "1e-5000", "1E3", "+3", "inf"],
+)
 def test_parse_fraction_rejects(bad):
     with pytest.raises(WeightSpecError):
         parse_fraction(bad)
