@@ -1,16 +1,21 @@
 """Command line interface.
 
-Subcommands emit canonical JSON reports on stdout, optionally writing the
-same bytes to --out atomically.  Handlers put result values (Fractions,
-index tuples, Hessian entries, grid points) into the report dicts as they
-are, often through ``report.pick``; ``report.canonical_json`` alone decides
-how each is written.  Exit codes: 0 for a clean run, 1 when the emitted
-report contains a witness object (a violation, growth flag, or failed
-stage), 2 for malformed input or usage errors (a --tol that is negative or
-not finite among them), 3 when the numerics refuse to give an answer (no
-rigorous tail bound, a truncated metric that is not positive, or another
-internal RuntimeError, or a value past float64 range); exit 3 prints one
-JSON line {"error": ..., "kind": ...} on stderr.
+An adapter: ``main`` parses the arguments and checks the count of --weights
+against the subcommand's allowed counts; each handler refuses its own bad
+flag combinations before it reads a weight file, calls one layer, and hands
+its params and body to ``_report``, which gives every report the envelope
+{"schema_version", "command", "params", ...body}.  Reports are canonical
+JSON on stdout, optionally written to --out atomically.  Handlers put
+result values (Fractions, index tuples, Hessian entries, grid points) into
+the report as they are, often through ``report.pick``;
+``report.canonical_json`` alone decides how each is written.  Exit codes: 0
+for a clean run, 1 when the emitted report contains a witness object (a
+violation, growth flag, or failed stage), 2 for malformed input or usage
+errors (a --tol that is negative or not finite among them), 3 when the
+numerics refuse to give an answer (no rigorous tail bound, a truncated
+metric that is not positive, another internal RuntimeError, or a value
+past float64 range, in JSON and in CSV); exit 3 prints one JSON line
+{"error": ..., "kind": ...} on stderr.
 """
 
 from __future__ import annotations
@@ -102,11 +107,16 @@ _RAY = ("alpha", "direction", "length")  # RayWitness
 _PSH = ("psi_min", "psi_max", "hessian_min_eig", "all_psd", "unbounded_trend", "n_points")
 
 
-def _emit(report: dict, args, csv_text: str | None = None) -> int:
+def _report(command: str, params: dict, body: dict) -> dict:
+    """Every report: the envelope, then the subcommand's body."""
+    return {"schema_version": rpt.SCHEMA_VERSION, "command": command, "params": params, **body}
+
+
+def _emit(args, report: dict, csv_text: str | None = None) -> int:
     """Print (and optionally write) the report, or ``csv_text`` when the
     handler built it for --format csv; return the exit code."""
     text = rpt.canonical_json(report) if csv_text is None else csv_text
-    if getattr(args, "out", None):
+    if args.out:
         rpt.write_atomic(args.out, text)
     sys.stdout.write(text)
     return 1 if "witness" in report else 0
@@ -122,54 +132,47 @@ def cmd_verify_identities(args) -> int:
         raise UsageError(f"--dims must be >= 1, got {args.dims}")
     if args.n_max < 2:
         raise UsageError(f"--n-max must be >= 2, got {args.n_max}")
+    dims = range(1, args.dims + 1)
+    families = {
+        "vandermonde": (
+            (mi.verify_vandermonde(beta, i), {"beta": beta, "i": i})
+            for m in dims
+            for beta in mi.enumerate_leq_degree(m, args.beta_max)
+            for i in range(mi.degree(beta) + 1)
+        ),
+        "negative-binomial-convolution": (
+            (mi.verify_negative_binomial_convolution(n, j), {"n": n, "j": j})
+            for n in range(2, args.n_max + 1)
+            for j in range(2, 3 * n + 1)
+        ),
+        "alternating-sum": (
+            (mi.verify_alternating_sum(n, stop), {"n": n, "stop": stop})
+            for n in range(1, args.n_max + 1)
+            for stop in range(n + 1)
+        ),
+        "multinomial-theorem": (
+            (
+                sum(mi.multinomial(k, a) for a in mi.enumerate_exact_degree(m, k)) == m**k,
+                {"m": m, "k": k},
+            )
+            for m in dims
+            for k in range(min(args.beta_max, 10) + 1)
+        ),
+    }
     checks = {}
     failures = []
-    count = 0
-    for m in range(1, args.dims + 1):
-        for beta in mi.enumerate_leq_degree(m, args.beta_max):
-            for i in range(mi.degree(beta) + 1):
-                count += 1
-                if not mi.verify_vandermonde(beta, i):
-                    failures.append({"identity": "vandermonde", "beta": beta, "i": i})
-    checks["vandermonde"] = count
-
-    count = 0
-    for n in range(2, args.n_max + 1):
-        for j in range(2, 3 * n + 1):
+    for identity, cases in families.items():
+        count = 0
+        for holds, case in cases:
             count += 1
-            if not mi.verify_negative_binomial_convolution(n, j):
-                failures.append(
-                    {"identity": "negative-binomial-convolution", "n": n, "j": j}
-                )
-    checks["negative_binomial_convolution"] = count
-
-    count = 0
-    for n in range(1, args.n_max + 1):
-        for stop in range(0, n + 1):
-            count += 1
-            if not mi.verify_alternating_sum(n, stop):
-                failures.append({"identity": "alternating-sum", "n": n, "stop": stop})
-    checks["alternating_sum"] = count
-
-    count = 0
-    for m in range(1, args.dims + 1):
-        for k in range(0, min(args.beta_max, 10) + 1):
-            total = sum(mi.multinomial(k, a) for a in mi.enumerate_exact_degree(m, k))
-            count += 1
-            if total != m**k:
-                failures.append({"identity": "multinomial-theorem", "m": m, "k": k})
-    checks["multinomial_theorem"] = count
-
-    report = {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "command": "verify-identities",
-        "params": {"n_max": args.n_max, "beta_max": args.beta_max, "dims": args.dims},
-        "checks": checks,
-        "pass": not failures,
-    }
+            if not holds:
+                failures.append({"identity": identity, **case})
+        checks[identity.replace("-", "_")] = count
+    body = {"checks": checks, "pass": not failures}
     if failures:
-        report["witness"] = failures[0]
-    return _emit(report, args)
+        body["witness"] = failures[0]
+    params = {"n_max": args.n_max, "beta_max": args.beta_max, "dims": args.dims}
+    return _emit(args, _report(args.command, params, body))
 
 
 def cmd_check_hyper(args) -> int:
@@ -177,45 +180,33 @@ def cmd_check_hyper(args) -> int:
 
     W = _load_weight(args.weights[0])
     res = is_n_hyper_up_to(W, args.n, args.degree)
-    report = {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "command": "check-hyper",
-        "params": {
-            "weight": W.spec_dict(),
-            "order": args.n,
-            "degree": args.degree,
-        },
-        "verdict": res.verdict,
-    }
+    body = {"verdict": res.verdict}
     if res.witness is not None:
-        report["witness"] = rpt.pick(res.witness, *_DEFECT_WITNESS)
-    return _emit(report, args)
+        body["witness"] = rpt.pick(res.witness, *_DEFECT_WITNESS)
+    params = {"weight": W.spec_dict(), "order": args.n, "degree": args.degree}
+    return _emit(args, _report(args.command, params, body))
 
 
 def cmd_necessary(args) -> int:
+    if (args.degree is None) == (args.alpha is None):
+        raise UsageError("necessary needs exactly one of --degree or --alpha")
     from .hypercontraction import necessary_condition, necessary_scan
 
     W = _load_weight(args.weights[0])
-    report = {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "command": "necessary",
-        "params": {"weight": W.spec_dict(), "order": args.n},
-    }
+    params = {"weight": W.spec_dict(), "order": args.n}
     if args.alpha is not None:
-        alpha = _parse_alpha(args.alpha, W.m)
+        params["alpha"] = alpha = _parse_alpha(args.alpha, W.m)
         chk = necessary_condition(W, args.n, alpha)
-        report["params"]["alpha"] = alpha
-        report.update(rpt.pick(chk, "lhs", "rhs", "holds"))
-        if not chk.holds:
-            report["witness"] = rpt.pick(chk, *_CONDITION)
-        return _emit(report, args)
-    report["params"]["degree"] = args.degree
-    res = necessary_scan(W, args.n, args.degree)
-    report["checked"] = res.checked
-    report["verdict"] = res.verdict
-    if res.witness is not None:
-        report["witness"] = rpt.pick(res.witness, *_CONDITION)
-    return _emit(report, args)
+        body = rpt.pick(chk, "lhs", "rhs", "holds")
+        witness = None if chk.holds else chk
+    else:
+        params["degree"] = args.degree
+        res = necessary_scan(W, args.n, args.degree)
+        body = rpt.pick(res, "checked", "verdict")
+        witness = res.witness
+    if witness is not None:
+        body["witness"] = rpt.pick(witness, *_CONDITION)
+    return _emit(args, _report(args.command, params, body))
 
 
 def cmd_similarity_scan(args) -> int:
@@ -225,22 +216,20 @@ def cmd_similarity_scan(args) -> int:
     W2 = _load_weight(args.weights[1])
     growth = parse_fraction(args.growth_factor)
     res = similarity_scan(W1, W2, args.degree, args.ray_length, growth_factor=growth)
-    report = {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "command": "similarity-scan",
-        "params": {
-            "weight1": W1.spec_dict(),
-            "weight2": W2.spec_dict(),
-            "degree": args.degree,
-            "ray_length": args.ray_length,
-            "growth_factor": growth,
-        },
+    params = {
+        "weight1": W1.spec_dict(),
+        "weight2": W2.spec_dict(),
+        "degree": args.degree,
+        "ray_length": args.ray_length,
+        "growth_factor": growth,
+    }
+    body = {
         **rpt.pick(res, "min_ratio_sq", "max_ratio_sq", "spread", "spread_half", "verdict"),
         "argmin": rpt.pick(res.argmin, *_RAY),
         "argmax": rpt.pick(res.argmax, *_RAY),
     }
     if res.verdict == "growth-flagged":
-        report["witness"] = rpt.pick(res.argmax, *_RAY, "value")
+        body["witness"] = rpt.pick(res.argmax, *_RAY, "value")
     csv_text = None
     if args.format == "csv":
         # Each stored ratio is formatted once; its cells share the text.
@@ -251,18 +240,18 @@ def cmd_similarity_scan(args) -> int:
                 for alpha, i, l, text in res.cells(rpt.float_str)
             ]
         )
-    return _emit(report, args, csv_text=csv_text)
+    return _emit(args, _report(args.command, params, body), csv_text)
 
 
 def cmd_curvature(args) -> int:
     from .curvature import check_tol, curvature_points, psd_check, psh_boundedness_report
 
     weights = [_load_weight(p) for p in args.weights]
-    m = weights[0].m
-    grid = _parse_grid(args.grid, m)
+    grid = _parse_grid(args.grid, weights[0].m)
     prec = args.precision_bits
     deg = args.eval_degree
     params = {"grid": args.grid, "eval_degree": deg, "precision_bits": prec, "tol": args.tol}
+    csv_text = None
     if len(weights) == 1:
         W = weights[0]
         check_tol(args.tol)  # before the grid's jets, as the pair report does
@@ -274,16 +263,13 @@ def cmd_curvature(args) -> int:
             }
             for p in curvature_points([W], grid, max_degree=deg, precision_bits=prec)
         ]
-        report = {
-            "schema_version": rpt.SCHEMA_VERSION,
-            "command": "curvature",
-            "params": {"weight": W.spec_dict(), **params},
+        params["weight"] = W.spec_dict()
+        body = {
             "n_points": len(records),
             "all_psd": all(r["psd"] for r in records),
             "min_eig": min(r["min_eig"] for r in records),
             "records": records,
         }
-        csv_text = None
         if args.format == "csv":
             def point_cell(w):
                 return ";".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in w)
@@ -292,54 +278,47 @@ def cmd_curvature(args) -> int:
                 ["index", "point", "min_eig", "psd"],
                 [[i, point_cell(r["w"]), r["min_eig"], r["psd"]] for i, r in enumerate(records)],
             )
-        return _emit(report, args, csv_text=csv_text)
-
-    W1, W2 = weights
-    res = psh_boundedness_report(
-        W1, W2, grid, max_degree=deg, precision_bits=prec, psd_tol=args.tol
-    )
-    report = {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "command": "curvature",
-        "params": {"weight1": W1.spec_dict(), "weight2": W2.spec_dict(), **params},
-        **rpt.pick(res, *_PSH, "shells"),
-        "records": [
-            {**rpt.pick(p, "w", "eigenvalues", "psi"), "hessian": p.hessian.entries}
-            for p in res.points
-        ],
-    }
-    csv_text = None
-    if args.format == "csv":
-        csv_text = rpt.render_csv(
-            ["radius", "max_abs_psi"], [[r, v] for r, v in res.shells]
+    else:
+        W1, W2 = weights
+        res = psh_boundedness_report(
+            W1, W2, grid, max_degree=deg, precision_bits=prec, psd_tol=args.tol
         )
-    return _emit(report, args, csv_text=csv_text)
+        params.update(weight1=W1.spec_dict(), weight2=W2.spec_dict())
+        body = {
+            **rpt.pick(res, *_PSH, "shells"),
+            "records": [
+                {**rpt.pick(p, "w", "eigenvalues", "psi"), "hessian": p.hessian.entries}
+                for p in res.points
+            ],
+        }
+        if args.format == "csv":
+            csv_text = rpt.render_csv(["radius", "max_abs_psi"], [[r, v] for r, v in res.shells])
+    return _emit(args, _report(args.command, params, body), csv_text)
 
 
 def cmd_truncate(args) -> int:
+    if args.alpha is None:
+        if args.k_max is not None:
+            raise UsageError("truncate --k-max needs --alpha")
+        if args.format == "csv":
+            raise UsageError("truncate --format csv needs --alpha")
     from .truncation import Truncation
 
     W = _load_weight(args.weights[0])
     model = Truncation(W, args.degree)
-    report = {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "command": "truncate",
-        "params": {"weight": W.spec_dict(), "degree": args.degree},
-        **rpt.pick(model, "dimension", "commutator_exact", "commutator_float"),
-    }
+    params = {"weight": W.spec_dict(), "degree": args.degree}
+    body = rpt.pick(model, "dimension", "commutator_exact", "commutator_float")
     csv_text = None
     if args.defect_order is not None:
-        report["defect"] = model.defect(args.defect_order)
+        body["defect"] = model.defect(args.defect_order)
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha, W.m)
         k_max = args.k_max if args.k_max is not None else mi.degree(alpha) + 1
         curve = model.decay(alpha, k_max)
-        report["decay"] = {"alpha": alpha, "values": curve}
+        body["decay"] = {"alpha": alpha, "values": curve}
         if args.format == "csv":
-            csv_text = rpt.render_csv(
-                ["k", "value"], [[k, float(v)] for k, v in enumerate(curve)]
-            )
-    return _emit(report, args, csv_text=csv_text)
+            csv_text = rpt.render_csv(["k", "value"], [[k, float(v)] for k, v in enumerate(curve)])
+    return _emit(args, _report(args.command, params, body), csv_text)
 
 
 def kernel_bound(corrections, n: int) -> dict:
@@ -453,24 +432,18 @@ def run_example45(
     stages["curvature"] = {"pass": True, **rpt.pick(psh, *_PSH)}
 
     ok = all(s["pass"] for s in stages.values())
-    report = {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "command": "example45",
-        "params": {
-            "n": n,
-            "m": m,
-            "blocks": blocks,
-            "scan_degree": scan_degree,
-            "eval_degree": eval_degree,
-            "precision_bits": precision_bits,
-        },
-        "stages": stages,
-        "pass": ok,
-    }
+    body = {"stages": stages, "pass": ok}
     if not ok:
-        failed = sorted(name for name, s in stages.items() if not s["pass"])
-        report["witness"] = {"stage": failed[0]}
-    return report
+        body["witness"] = {"stage": min(name for name, s in stages.items() if not s["pass"])}
+    params = {
+        "n": n,
+        "m": m,
+        "blocks": blocks,
+        "scan_degree": scan_degree,
+        "eval_degree": eval_degree,
+        "precision_bits": precision_bits,
+    }
+    return _report("example45", params, body)
 
 
 def cmd_example45(args) -> int:
@@ -482,7 +455,7 @@ def cmd_example45(args) -> int:
         eval_degree=args.eval_degree,
         precision_bits=args.precision_bits,
     )
-    return _emit(report, args)
+    return _emit(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, weights: int | None = 1, csv: bool = False):
-        if weights:
+    def common(p, func, n_weights=(1,), csv: bool = False):
+        """--weights, --out and --format, and the handler with the counts
+        of --weights it takes ((0,) for none)."""
+        if n_weights != (0,):
             p.add_argument(
                 "--weights",
                 action="append",
@@ -507,82 +482,67 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--out", help="also write the report to this path (atomic)")
         p.add_argument("--format", choices=["json", "csv"] if csv else ["json"], default="json")
+        p.set_defaults(func=func, n_weights=n_weights)
 
     p = sub.add_parser("verify-identities", help="run the combinatorial identity suite")
     p.add_argument("--n-max", type=_int_flag, default=8)
     p.add_argument("--beta-max", type=_int_flag, default=8)
     p.add_argument("--dims", type=_int_flag, default=3)
-    common(p, weights=None)
-    p.set_defaults(func=cmd_verify_identities, n_weights=0)
+    common(p, cmd_verify_identities, n_weights=(0,))
 
     p = sub.add_parser("check-hyper", help="scan defect diagonals for negativity")
-    common(p)
+    common(p, cmd_check_hyper)
     p.add_argument("--n", type=_int_flag, required=True, help="hypercontraction order")
     p.add_argument("--degree", type=_int_flag, required=True, help="scan bound on |alpha|")
-    p.set_defaults(func=cmd_check_hyper, n_weights=1)
 
     p = sub.add_parser("necessary", help="check the neighbour-sum necessary condition")
-    common(p)
+    common(p, cmd_necessary)
     p.add_argument("--n", type=_int_flag, required=True)
     p.add_argument("--degree", type=_int_flag, help="scan all 0 < |alpha| <= degree")
     p.add_argument("--alpha", help="single multi-index, comma separated")
-    p.set_defaults(func=cmd_necessary, n_weights=1)
 
     p = sub.add_parser("similarity-scan", help="scan squared ray ratios for two weights")
-    common(p, csv=True)
+    common(p, cmd_similarity_scan, n_weights=(2,), csv=True)
     p.add_argument("--degree", type=_int_flag, required=True, help="base point degree bound")
     p.add_argument("--ray-length", type=_int_flag, required=True)
     p.add_argument("--growth-factor", default="2", help="flag threshold, rational")
-    p.set_defaults(func=cmd_similarity_scan, n_weights=2)
 
     p = sub.add_parser("curvature", help="log-metric Hessians on a grid")
-    common(p, csv=True)
+    common(p, cmd_curvature, n_weights=(1, 2), csv=True)
     p.add_argument("--grid", default="radial:6x8", help="grid spec, radial:<steps>x<angles>")
     p.add_argument("--eval-degree", type=_int_flag, default=40)
     p.add_argument("--precision-bits", type=_int_flag, default=80)
     p.add_argument("--tol", type=_float_flag, default=1e-10)
-    p.set_defaults(func=cmd_curvature, n_weights=(1, 2))
 
     p = sub.add_parser("truncate", help="finite matrix model diagnostics")
-    common(p, csv=True)
+    common(p, cmd_truncate, csv=True)
     p.add_argument("--degree", type=_int_flag, required=True)
     p.add_argument("--defect-order", type=_int_flag)
     p.add_argument("--alpha", help="basis index for the decay curve")
     p.add_argument("--k-max", type=_int_flag)
-    p.set_defaults(func=cmd_truncate, n_weights=1)
 
     p = sub.add_parser("example45", help="reproduce the perturbed-kernel counterexample")
-    common(p, weights=None)
+    common(p, cmd_example45, n_weights=(0,))
     p.add_argument("--n", type=_int_flag, default=2)
     p.add_argument("--m", type=_int_flag, default=2)
     p.add_argument("--blocks", type=_int_flag, default=2)
     p.add_argument("--scan-degree", type=_int_flag)
     p.add_argument("--eval-degree", type=_int_flag, default=240)
     p.add_argument("--precision-bits", type=_int_flag, default=80)
-    p.set_defaults(func=cmd_example45, n_weights=0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    expected = args.n_weights
-    given = len(getattr(args, "weights", []) or [])
+    args = build_parser().parse_args(argv)
+    allowed = args.n_weights
+    given = len(getattr(args, "weights", ()))
     try:
-        if isinstance(expected, tuple):
-            if given not in expected:
-                raise UsageError(
-                    f"{args.command} takes {' or '.join(map(str, expected))} --weights, got {given}"
-                )
-        elif expected and given != expected:
-            raise UsageError(f"{args.command} takes exactly {expected} --weights, got {given}")
-        if args.command == "necessary" and (args.degree is None) == (args.alpha is None):
-            raise UsageError("necessary needs exactly one of --degree or --alpha")
-        if args.command == "truncate" and args.k_max is not None and args.alpha is None:
-            raise UsageError("truncate --k-max needs --alpha")
-        if args.command == "truncate" and args.format == "csv" and args.alpha is None:
-            raise UsageError("truncate --format csv needs --alpha")
+        if given not in allowed:
+            counts = " or ".join(map(str, allowed))
+            if len(allowed) == 1:
+                counts = f"exactly {counts}"
+            raise UsageError(f"{args.command} takes {counts} --weights, got {given}")
         return args.func(args)
     except (RuntimeError, OverflowError) as exc:
         sys.stderr.write(rpt.canonical_json({"error": str(exc), "kind": type(exc).__name__}))

@@ -40,6 +40,7 @@ from .precision import (
     conj_mul,
     parts,
     to_decimal,
+    to_float,
     working_context,
 )
 from .weights import RadialSequence, WeightFunction
@@ -418,7 +419,7 @@ def _log_class(jets) -> tuple:
         for i in range(m)
     ]
     return (
-        float(psi) + 0.0,
+        to_float(psi),
         [DecimalComplex(x) for x in diagonal],
         d2,
         _spectrum(M),
@@ -495,7 +496,7 @@ def psd_check(H: CurvatureMatrix, tol: float = 1e-10) -> bool:
 def eigenvalues(H: CurvatureMatrix) -> tuple[float, ...]:
     """Eigenvalues of H, ascending, rounded to float from ``H.spectrum``
     (a -0.0 is written as 0.0)."""
-    return tuple(float(x) + 0.0 for x in H.spectrum)
+    return tuple(to_float(x) for x in H.spectrum)
 
 
 def radial_grid(m: int, steps: int, angles: int, max_radius: float = 0.95) -> list[tuple]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, log10
+from math import ceil, isinf, log10
 
 # Products and sums of exact operands, never rounded.
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -40,6 +40,16 @@ def working_context(precision_bits: int) -> Context:
     while 10**digits < bound:
         digits += 1
     return Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def to_float(x) -> float:
+    """x rounded to the nearest float, a zero written as 0.0, never -0.0.
+    A finite x past float64 range raises OverflowError, as ``float`` of a
+    Fraction does, where ``float`` of a Decimal would give an infinity."""
+    f = float(x) + 0.0
+    if isinf(f):
+        raise OverflowError(f"{x:.6e} is past float64 range")
+    return f
 
 
 def to_decimal(x: Fraction) -> Decimal:
@@ -86,7 +96,7 @@ class DecimalComplex:
         return DecimalComplex(c * self.real, c * self.imag)
 
     def __complex__(self) -> complex:
-        return complex(float(self.real) + 0.0, float(self.imag) + 0.0)
+        return complex(to_float(self.real), to_float(self.imag))
 
     def __eq__(self, other) -> bool:
         """Equal to any number with equal real and imaginary parts."""

@@ -201,8 +201,6 @@ class WeightFunction:
     """Base class: a positive rational weight on multi-indices of fixed
     dimension m, normalized so that rho(0) is finite and positive."""
 
-    kind = "abstract"
-
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("dimension m must be >= 1")
@@ -243,12 +241,7 @@ class WeightFunction:
 
     # -- metric structure ----------------------------------------------------
 
-    def radial_sequence(self) -> RadialSequence | None:
-        """The radial profile a with rho(alpha) = a(|alpha|) |alpha|!/alpha!,
-        when the weight is exactly radial; None otherwise."""
-        return None
-
-    def metric_decomposition(self) -> tuple[RadialSequence | None, list[tuple[MultiIndex, Fraction]]]:
+    def metric_decomposition(self) -> tuple[RadialSequence, list[tuple[MultiIndex, Fraction]]]:
         """Split rho into a radial base plus finitely many exact corrections.
 
         Returns (base, corrections) with corrections a list of pairs
@@ -266,15 +259,13 @@ class WeightFunction:
         base exactly at every index not listed in the corrections, so a
         unit step s_i(alpha) = rho(alpha - e_i)/rho(alpha) is read from the
         base unless alpha or alpha - e_i is listed.  A subclass that
-        overrides ``_rho`` must therefore also override this method (or
-        ``radial_sequence``), or the engine scans the base instead of it.
+        overrides ``_rho`` must therefore also override this method, or
+        the engine scans the base instead of it.  A weight with no radial
+        base raises TailUnreliableError.
         """
-        base = self.radial_sequence()
-        if base is None:
-            raise TailUnreliableError(
-                f"{self.kind} weight has no radial decomposition for metric evaluation"
-            )
-        return base, []
+        raise TailUnreliableError(
+            f"{type(self).__name__} has no radial decomposition for metric evaluation"
+        )
 
     def spec_dict(self) -> dict:
         raise NotImplementedError
@@ -282,8 +273,6 @@ class WeightFunction:
 
 class RadialWeight(WeightFunction):
     """rho(alpha) = a(|alpha|) |alpha|! / alpha! for a coefficient sequence a."""
-
-    kind = "radial"
 
     def __init__(self, m: int, sequence: RadialSequence):
         super().__init__(m)
@@ -314,6 +303,9 @@ class RadialWeight(WeightFunction):
     def radial_sequence(self) -> RadialSequence:
         return self.sequence
 
+    def metric_decomposition(self):
+        return self.sequence, []
+
     def spec_dict(self) -> dict:
         return {"kind": "radial", "m": self.m, "a": self.sequence.spec_dict()}
 
@@ -321,8 +313,6 @@ class RadialWeight(WeightFunction):
 class PowerKernel(RadialWeight):
     """rho_n(alpha) = (n + |alpha| - 1)! / (alpha! (n - 1)!), the radial
     weight on ``PowerSequence(n)``."""
-
-    kind = "power"
 
     def __init__(self, n: int, m: int):
         super().__init__(m, PowerSequence(n))
@@ -335,8 +325,6 @@ class PowerKernel(RadialWeight):
 class TableWeight(WeightFunction):
     """Explicit values on finitely many multi-indices with an optional
     fallback weight covering everything else."""
-
-    kind = "table"
 
     def __init__(
         self,
@@ -423,8 +411,6 @@ class PerturbedPower(TableWeight):
     every kernel-level quantity moves by at most a fixed factor of 2.
     Requires m >= 2 and n >= 2.
     """
-
-    kind = "perturbed45"
 
     def __init__(self, n: int, m: int, blocks: int):
         if m < 2:

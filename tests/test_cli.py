@@ -435,6 +435,19 @@ def test_values_past_float_range_exit_3(capsys, tmp_path, command):
     assert _refusal(capsys)["kind"] == "OverflowError"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_decimal_past_float_range_exits_3(capsys, tmp_path, fmt):
+    # rho(1) = 10^400 puts the origin's Hessian eigenvalue, a working-
+    # precision Decimal, past float64 range: both formats refuse it alike,
+    # where the JSON report used to exit 2 and the CSV to write "inf".
+    rho = [{"alpha": [0], "rho": "1"}, {"alpha": [1], "rho": "1" + "0" * 400}]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "table", "m": 1, "fallback": "power:1", "entries": rho}))
+    argv = ["curvature", "--weights", str(path), "--grid", "radial:1x1", "--format", fmt]
+    assert main(argv) == 3
+    assert _refusal(capsys)["kind"] == "OverflowError"
+
+
 def test_refused_numerics_exit_3(capsys, tmp_path):
     # a(i) = 5 - i + i^2 has a negative coefficient, so no ratio bound: the
     # tail of the metric series cannot be certified.
@@ -690,29 +703,22 @@ def test_out_path_in_missing_directory(capsys, tmp_path, weight_files):
 
 def test_weight_count_is_enforced(capsys, weight_files):
     one = weight_files["power2m1"]
-    assert (
-        main(["similarity-scan", "--weights", one, "--degree", "2", "--ray-length", "2"]) == 2
-    )
-    assert (
-        main(
-            [
-                "check-hyper",
-                "--weights",
-                one,
-                "--weights",
-                one,
-                "--n",
-                "1",
-                "--degree",
-                "2",
-            ]
-        )
-        == 2
-    )
-    assert (
-        main(["curvature"] + ["--weights", one] * 3) == 2
-    )
-    capsys.readouterr()
+    cases = [
+        (
+            ["similarity-scan", "--weights", one, "--degree", "2", "--ray-length", "2"],
+            "similarity-scan takes exactly 2 --weights, got 1",
+        ),
+        (
+            ["check-hyper", "--weights", one, "--weights", one, "--n", "1", "--degree", "2"],
+            "check-hyper takes exactly 1 --weights, got 2",
+        ),
+        (["curvature"] + ["--weights", one] * 3, "curvature takes 1 or 2 --weights, got 3"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_invalid_alpha_and_orders(capsys, weight_files):

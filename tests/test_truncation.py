@@ -13,6 +13,7 @@ import helpers
 from hypershift import (
     PerturbedPower,
     PowerKernel,
+    RadialWeight,
     TableWeight,
     Truncation,
     WeightFunction,
@@ -370,7 +371,7 @@ def test_matrix_model_never_calls_the_defect_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the matrix model called the defect engine")
 
-    for cls in (WeightFunction, TableWeight, PerturbedPower):
+    for cls in (WeightFunction, RadialWeight, TableWeight, PerturbedPower):
         monkeypatch.setattr(cls, "metric_decomposition", refuse)
     for name, obj in list(vars(hypercontraction).items()):
         if callable(obj) and getattr(obj, "__module__", None) == hypercontraction.__name__:
