@@ -13,9 +13,9 @@ for a clean run, 1 when the emitted report contains a witness object (a
 violation, growth flag, or failed stage), 2 for malformed input or usage
 errors (a --tol that is negative or not finite among them), 3 when the
 numerics refuse to give an answer (no rigorous tail bound, a truncated
-metric that is not positive, another internal RuntimeError, or a value
-past float64 range, in JSON and in CSV); exit 3 prints one JSON line
-{"error": ..., "kind": ...} on stderr.
+metric that is not positive, another internal RuntimeError, a value past
+float64 range, in JSON and in CSV, or running out of memory); exit 3 prints
+one JSON line {"error": ..., "kind": ...} on stderr.
 """
 
 from __future__ import annotations
@@ -248,22 +248,22 @@ def cmd_curvature(args) -> int:
 
     weights = [_load_weight(p) for p in args.weights]
     grid = _parse_grid(args.grid, weights[0].m)
+    check_tol(args.tol)  # before any jet runs
     prec = args.precision_bits
     deg = args.eval_degree
+    points = curvature_points(weights, grid, max_degree=deg, precision_bits=prec)
     params = {"grid": args.grid, "eval_degree": deg, "precision_bits": prec, "tol": args.tol}
     csv_text = None
     if len(weights) == 1:
-        W = weights[0]
-        check_tol(args.tol)  # before the grid's jets, as the pair report does
         records = [
             {
                 **rpt.pick(p, "w", "eigenvalues", "min_eig"),
                 "hessian": p.hessian.entries,
                 "psd": psd_check(p.hessian, tol=args.tol),
             }
-            for p in curvature_points([W], grid, max_degree=deg, precision_bits=prec)
+            for p in points
         ]
-        params["weight"] = W.spec_dict()
+        params["weight"] = weights[0].spec_dict()
         body = {
             "n_points": len(records),
             "all_psd": all(r["psd"] for r in records),
@@ -279,16 +279,13 @@ def cmd_curvature(args) -> int:
                 [[i, point_cell(r["w"]), r["min_eig"], r["psd"]] for i, r in enumerate(records)],
             )
     else:
-        W1, W2 = weights
-        res = psh_boundedness_report(
-            W1, W2, grid, max_degree=deg, precision_bits=prec, psd_tol=args.tol
-        )
-        params.update(weight1=W1.spec_dict(), weight2=W2.spec_dict())
+        res = psh_boundedness_report(points, psd_tol=args.tol)
+        params.update(weight1=weights[0].spec_dict(), weight2=weights[1].spec_dict())
         body = {
             **rpt.pick(res, *_PSH, "shells"),
             "records": [
                 {**rpt.pick(p, "w", "eigenvalues", "psi"), "hessian": p.hessian.entries}
-                for p in res.points
+                for p in points
             ],
         }
         if args.format == "csv":
@@ -379,7 +376,7 @@ def run_example45(
     against the unperturbed kernel on the grid radial:6x4.  Stages (a)-(c)
     are pass/fail; (d) is informational.
     """
-    from .curvature import check_jet_args, psh_boundedness_report, radial_grid
+    from .curvature import check_jet_args, curvature_points, psh_boundedness_report, radial_grid
     from .hypercontraction import is_n_hyper_up_to, necessary_condition
     from .similarity import ray_ratio_sq
 
@@ -425,10 +422,10 @@ def run_example45(
     stages["ray_ratio"] = {"pass": all_match, "witnesses": witnesses}
 
     # (d) curvature comparison, informational.
-    grid = radial_grid(m, 6, 4)
-    psh = psh_boundedness_report(
-        W, base, grid, max_degree=eval_degree, precision_bits=precision_bits
+    points = curvature_points(
+        [W, base], radial_grid(m, 6, 4), max_degree=eval_degree, precision_bits=precision_bits
     )
+    psh = psh_boundedness_report(points)
     stages["curvature"] = {"pass": True, **rpt.pick(psh, *_PSH)}
 
     ok = all(s["pass"] for s in stages.values())
@@ -544,7 +541,7 @@ def main(argv=None) -> int:
                 counts = f"exactly {counts}"
             raise UsageError(f"{args.command} takes {counts} --weights, got {given}")
         return args.func(args)
-    except (RuntimeError, OverflowError) as exc:
+    except (RuntimeError, OverflowError, MemoryError) as exc:
         sys.stderr.write(rpt.canonical_json({"error": str(exc), "kind": type(exc).__name__}))
         return 3
     except (UsageError, ValueError, OSError) as exc:

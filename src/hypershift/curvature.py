@@ -552,26 +552,14 @@ class PshReport(NamedTuple):
     all_psd: bool
     unbounded_trend: bool
     shells: tuple  # (radius, max |psi|) pairs, ascending radius
-    points: tuple  # per-point PshPoint records, grid order
     n_points: int
 
 
-def psh_boundedness_report(
-    W1: WeightFunction,
-    W2: WeightFunction,
-    grid,
-    max_degree: int = 40,
-    precision_bits: int = 80,
-    psd_tol: float = 1e-10,
-) -> PshReport:
-    """Evaluate psi = log(h1/h2) and its Hessian over the grid from
-    ``curvature_points``.  A psd_tol that is negative or not finite raises
-    ValueError before any jet runs.
+def psh_boundedness_report(records, psd_tol: float = 1e-10) -> PshReport:
+    """Summarise the ``PshPoint`` records of a pair that ``curvature_points``
+    gave.  Raises ValueError for no records and, from ``psd_check``, for a
+    psd_tol that is negative or not finite.
     """
-    check_tol(psd_tol)
-    records = curvature_points(
-        [W1, W2], grid, max_degree=max_degree, precision_bits=precision_bits
-    )
     if not records:
         raise ValueError("grid must be nonempty")
 
@@ -594,6 +582,5 @@ def psh_boundedness_report(
         all_psd=psd_check(worst.hessian, psd_tol),
         unbounded_trend=trend,
         shells=tuple(shell_list),
-        points=tuple(records),
         n_points=len(records),
     )

@@ -197,7 +197,6 @@ class HyperReport(NamedTuple):
     part of the hypercontraction condition.
     """
 
-    order: int
     max_degree: int
     verdict: str
     witness: HyperWitness | None
@@ -214,20 +213,10 @@ def is_n_hyper_up_to(W: WeightFunction, n: int, max_degree: int) -> HyperReport:
         raise ValueError("order n must be >= 1")
     hit = _first_violation(W, n, max_degree, lambda degree, row: any(p < 0 for p, q in row))
     if hit is None:
-        return HyperReport(
-            order=n,
-            max_degree=max_degree,
-            verdict=f"no-violation-up-to-{max_degree}",
-            witness=None,
-        )
+        return HyperReport(max_degree, f"no-violation-up-to-{max_degree}", None)
     alpha, row = hit
     k, (p, q) = next((k, e) for k, e in enumerate(row, start=1) if e[0] < 0)
-    return HyperReport(
-        order=n,
-        max_degree=max_degree,
-        verdict="violation",
-        witness=HyperWitness(order=k, alpha=alpha, value=Fraction(p, q)),
-    )
+    return HyperReport(max_degree, "violation", HyperWitness(k, alpha, Fraction(p, q)))
 
 
 class ConditionCheck(NamedTuple):
@@ -239,7 +228,6 @@ class ConditionCheck(NamedTuple):
     which every n-hypercontractive diagonal shift tuple satisfies."""
 
     alpha: MultiIndex
-    order: int
     lhs: Fraction
     rhs: Fraction
 
@@ -262,7 +250,7 @@ def necessary_condition(W: WeightFunction, n: int, alpha: MultiIndex) -> Conditi
     for i in range(W.m):
         if alpha[i] >= 1:
             lhs += W.rho_ratio(alpha, mi.unit(W.m, i))
-    return ConditionCheck(alpha=alpha, order=n, lhs=lhs, rhs=Fraction(d, d + n - 1))
+    return ConditionCheck(alpha, lhs, Fraction(d, d + n - 1))
 
 
 class NecessaryScan(NamedTuple):
@@ -273,8 +261,6 @@ class NecessaryScan(NamedTuple):
     evaluated, including the witness, at which the scan stops.
     """
 
-    order: int
-    max_degree: int
     verdict: str
     checked: int
     witness: ConditionCheck | None
@@ -298,22 +284,11 @@ def necessary_scan(W: WeightFunction, n: int, max_degree: int) -> NecessaryScan:
 
     hit = _first_violation(W, 1, max_degree, violates)
     if hit is None:
-        checked = comb(max_degree + W.m, W.m) - 1
-        return NecessaryScan(
-            order=n, max_degree=max_degree, verdict="all-hold", checked=checked, witness=None
-        )
+        return NecessaryScan("all-hold", comb(max_degree + W.m, W.m) - 1, None)
     alpha, row = hit
     d = mi.degree(alpha)
-    chk = ConditionCheck(
-        alpha=alpha, order=n, lhs=1 - Fraction(*row[0]), rhs=Fraction(d, d + n - 1)
-    )
-    return NecessaryScan(
-        order=n,
-        max_degree=max_degree,
-        verdict="violated",
-        checked=mi.graded_lex_rank(alpha),
-        witness=chk,
-    )
+    chk = ConditionCheck(alpha, 1 - Fraction(*row[0]), Fraction(d, d + n - 1))
+    return NecessaryScan("violated", mi.graded_lex_rank(alpha), chk)
 
 
 def radial_necessary(sequence: RadialSequence, n: int, degree: int) -> bool:

@@ -7,7 +7,9 @@ integer arithmetic; no floats enter at any point.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import comb, factorial as _fact
+import operator
 from typing import Iterator
 
 from .errors import DimensionMismatch
@@ -77,13 +79,13 @@ def scale(alpha: MultiIndex, c: int) -> MultiIndex:
 
 
 def _compositions(d: int, m: int) -> Iterator[MultiIndex]:
-    """All alpha with |alpha| = d in ascending lexicographic order."""
-    if m == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _compositions(d - first, m - 1):
-            yield (first,) + rest
+    """All alpha with |alpha| = d in ascending lexicographic order, without
+    recursion: the m - 1 cuts 0 <= x_1 <= ... <= x_{m-1} <= d give
+    alpha_i = x_{i+1} - x_i (x_0 = 0, x_m = d), and the cuts come in lex
+    order exactly when the compositions do."""
+    end = (d,)
+    for cuts in combinations_with_replacement(range(d + 1), m - 1):
+        yield tuple(map(operator.sub, cuts + end, (0,) + cuts))
 
 
 def enumerate_exact_degree(m: int, d: int) -> list[MultiIndex]:
@@ -127,20 +129,26 @@ def graded_lex_rank(alpha: MultiIndex) -> int:
 def dominated_by(alpha: MultiIndex, max_degree: int | None = None) -> Iterator[MultiIndex]:
     """All beta <= alpha, optionally restricted to |beta| <= max_degree.
 
-    Order is a plain product order over the coordinates; callers that sum
-    exact terms do not depend on it.
+    Order is ascending lexicographic, by an odometer that carries out of a
+    coordinate once it reaches alpha_i or the degree budget; callers that
+    sum exact terms do not depend on the order.
     """
     bound = degree(alpha) if max_degree is None else max_degree
-
-    def rec(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if pos == len(alpha):
-            yield ()
+    if bound < 0:
+        return
+    beta = [0] * len(alpha)
+    total = 0  # |beta|
+    while True:
+        yield tuple(beta)
+        i = len(beta) - 1
+        while i >= 0 and (beta[i] == alpha[i] or total >= bound):
+            total -= beta[i]
+            beta[i] = 0
+            i -= 1
+        if i < 0:
             return
-        for b in range(min(alpha[pos], remaining) + 1):
-            for rest in rec(pos + 1, remaining - b):
-                yield (b,) + rest
-
-    return rec(0, bound)
+        beta[i] += 1
+        total += 1
 
 
 def multinomial(k: int, alpha: MultiIndex) -> int:

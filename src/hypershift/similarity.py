@@ -109,7 +109,6 @@ class RatioScanReport(NamedTuple):
     m: int
     base_degree: int
     ray_length: int
-    growth_factor: Fraction
     min_ratio_sq: Fraction
     max_ratio_sq: Fraction
     argmin: RayWitness
@@ -232,7 +231,6 @@ def similarity_scan(
         m=W1.m,
         base_degree=base_degree,
         ray_length=ray_length,
-        growth_factor=growth_factor,
         min_ratio_sq=lo[3],
         max_ratio_sq=hi[3],
         argmin=RayWitness(*lo),

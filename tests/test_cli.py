@@ -332,6 +332,32 @@ def test_curvature_pair_report(capsys, weight_files):
     assert radii == sorted(radii)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--weights", "power2m2", "--grid", "radial:2x4"],
+        ["curvature", "--weights", "perturbed", "--weights", "power2m2", "--grid", "radial:2x4"],
+        ["example45", "--eval-degree", "40"],
+    ],
+    ids=["single", "pair", "example45"],
+)
+def test_curvature_reports_make_one_points_call(capsys, weight_files, monkeypatch, argv):
+    # The pair summary reads the records its caller holds, so each report
+    # builds its points once, for one weight or a pair.
+    real = hypershift.curvature.curvature_points
+    calls = []
+
+    def counting(weights, grid, *args, **kwargs):
+        calls.append(len(weights))
+        return real(weights, grid, *args, **kwargs)
+
+    monkeypatch.setattr(hypershift.curvature, "curvature_points", counting)
+    argv = [weight_files.get(a, a) for a in argv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [argv.count("--weights") or 2]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="a truncated metric series is reported as exact; ROADMAP item 1 removes this marker",
@@ -446,6 +472,33 @@ def test_decimal_past_float_range_exits_3(capsys, tmp_path, fmt):
     argv = ["curvature", "--weights", str(path), "--grid", "radial:1x1", "--format", fmt]
     assert main(argv) == 3
     assert _refusal(capsys)["kind"] == "OverflowError"
+
+
+def test_running_out_of_memory_exits_3(capsys, weight_files, monkeypatch):
+    # Exit 1 means "the report has a witness"; a MemoryError used to take it
+    # with a traceback.
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(hypershift.truncation, "Truncation", no_memory)
+    assert main(["truncate", "--weights", weight_files["power2m2"], "--degree", "300"]) == 3
+    assert _refusal(capsys)["kind"] == "MemoryError"
+
+
+def test_weights_past_the_recursion_limit_scan(capsys, tmp_path):
+    # m = 1200 coordinates: the correction cone of the table's one entry is
+    # enumerate_leq_degree(1200, 1), which used to exit 3 with a
+    # RecursionError.
+    path = tmp_path / "wide.json"
+    entries = [{"alpha": [0] * 1200, "rho": "2"}]
+    path.write_text(
+        json.dumps({"kind": "table", "m": 1200, "fallback": "power:2", "entries": entries})
+    )
+    code, report = run_json(
+        capsys, ["check-hyper", "--weights", str(path), "--n", "1", "--degree", "2"]
+    )
+    assert code == 0
+    assert report["verdict"] == "no-violation-up-to-2"
 
 
 def test_refused_numerics_exit_3(capsys, tmp_path):

@@ -13,12 +13,17 @@ from hypothesis import strategies as st
 
 import hypershift.curvature as curvature_module
 from hypershift import (
+    ConditionCheck,
     CurvatureMatrix,
+    HyperReport,
+    NecessaryScan,
     PerturbedPower,
     PolynomialSequence,
     PowerKernel,
     PshPoint,
+    PshReport,
     RadialWeight,
+    RatioScanReport,
     TableWeight,
     curvature_points,
     eigenvalues,
@@ -157,6 +162,39 @@ def test_curvature_records_are_named_tuples(monkeypatch):
     assert calls == [H, H, H]
 
 
+def test_result_records_echo_no_input():
+    # A result holds what the run found, not the arguments its caller
+    # already holds: no order, growth factor or per-point records.  The scan
+    # bound stays in HyperReport, where the benchmark's scan counter reads
+    # it, and a ray scan keeps the window that cells() expands.
+    assert HyperReport._fields == ("max_degree", "verdict", "witness")
+    assert NecessaryScan._fields == ("verdict", "checked", "witness")
+    assert ConditionCheck._fields == ("alpha", "lhs", "rhs")
+    assert RatioScanReport._fields == (
+        "m",
+        "base_degree",
+        "ray_length",
+        "min_ratio_sq",
+        "max_ratio_sq",
+        "argmin",
+        "argmax",
+        "spread",
+        "spread_half",
+        "verdict",
+        "table",
+        "exact",
+    )
+    assert PshReport._fields == (
+        "psi_min",
+        "psi_max",
+        "hessian_min_eig",
+        "all_psd",
+        "unbounded_trend",
+        "shells",
+        "n_points",
+    )
+
+
 def test_eigenvalues_are_ascending():
     rng = random.Random(47)
     for _ in range(10):
@@ -267,7 +305,7 @@ def test_one_spectrum_per_modulus_class(monkeypatch, capsys, tmp_path):
     assert calls == [2] * 6
     calls.clear()
     W = PerturbedPower(2, 2, 2)
-    psh_boundedness_report(W, W.base, grid, max_degree=40)
+    psh_boundedness_report(curvature_points([W, W.base], grid, max_degree=40))
     assert calls == [2] * 6
 
 
@@ -421,12 +459,13 @@ def test_radial_grid_respects_the_ball_budget():
 
 def test_psh_report_of_identical_weights():
     W = PowerKernel(2, 1)
-    report = psh_boundedness_report(W, W, radial_grid(1, 3, 4))
+    records = curvature_points([W, W], radial_grid(1, 3, 4))
+    report = psh_boundedness_report(records)
     assert report.psi_min == report.psi_max == 0.0
     assert report.all_psd
     assert not report.unbounded_trend
-    assert report.n_points == len(report.points)
-    p0 = report.points[0]
+    assert report.n_points == len(records)
+    p0 = records[0]
     assert p0.w == (0j,) and p0.psi == 0.0
     assert p0.min_eig == p0.eigenvalues[0]
     assert len(p0.eigenvalues) == 1
@@ -435,13 +474,13 @@ def test_psh_report_of_identical_weights():
 def test_psh_report_flags_the_unbounded_quotient():
     # psi = log(h_1/h_2) = log(1 - t) for the order-1/order-2 pair: unbounded
     # below, Hessian negative definite.
-    report = psh_boundedness_report(
-        PowerKernel(1, 1),
-        PowerKernel(2, 1),
+    records = curvature_points(
+        [PowerKernel(1, 1), PowerKernel(2, 1)],
         radial_grid(1, 10, 8),
         max_degree=400,
         precision_bits=100,
     )
+    report = psh_boundedness_report(records)
     assert report.unbounded_trend
     assert not report.all_psd
     assert report.hessian_min_eig < -1
@@ -455,13 +494,13 @@ def test_psh_report_bounded_quotient_shows_no_trend():
     # a(i) = i + 2 against the order-2 line kernel: psi = log(2 - t), bounded
     # in (0, log 2] on the ball; |psi| shrinks outward so no trend fires.
     W1 = RadialWeight(1, PolynomialSequence([F(2), F(1)]))
-    report = psh_boundedness_report(
-        W1,
-        PowerKernel(2, 1),
+    records = curvature_points(
+        [W1, PowerKernel(2, 1)],
         radial_grid(1, 10, 8),
         max_degree=400,
         precision_bits=100,
     )
+    report = psh_boundedness_report(records)
     assert not report.unbounded_trend
     assert 0 < report.psi_min
     assert report.psi_max <= float(mp.log(2)) + 1e-12
@@ -472,9 +511,13 @@ def test_psh_report_bounded_quotient_shows_no_trend():
 def test_psh_report_input_validation():
     W = PowerKernel(2, 1)
     with pytest.raises(ValueError):
-        psh_boundedness_report(W, PowerKernel(2, 2), [(0.0,)])
+        psh_boundedness_report(curvature_points([W, PowerKernel(2, 2)], [(0.0,)]))
     with pytest.raises(ValueError):
-        psh_boundedness_report(W, W, [])
+        psh_boundedness_report(curvature_points([W, W], []))
+    records = curvature_points([W, W], [(0.0,)])
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="psd tolerance"):
+            psh_boundedness_report(records, psd_tol=tol)
 
 
 # -- one metric jet per weight per point --------------------------------------
@@ -493,15 +536,16 @@ def _psh_pair(kind):
 @pytest.mark.parametrize("bits", [80, 120])
 @pytest.mark.parametrize("kind", ["perturbed45", "polynomial"])
 def test_psh_report_equals_the_four_jet_composition(kind, bits):
-    # The report takes psi and the Hessian from one jet per weight and one
-    # series cache for the grid.  The reference composes two metric jets and
-    # a single-point curvature_points call, each a call of its own on freshly
-    # built weights, so no cache is shared.
+    # The grid records take psi and the Hessian from one jet per weight and
+    # one series cache for the grid.  The reference composes two metric jets
+    # and a single-point curvature_points call, each a call of its own on
+    # freshly built weights, so no cache is shared.
     deg = 60
     grid = radial_grid(2, 2, 4)
-    report = psh_boundedness_report(*_psh_pair(kind), grid, max_degree=deg, precision_bits=bits)
+    records = curvature_points(_psh_pair(kind), grid, max_degree=deg, precision_bits=bits)
+    report = psh_boundedness_report(records)
     assert report.n_points == len(grid)
-    for p, w in zip(report.points, grid):
+    for p, w in zip(records, grid):
         h1 = point_jet(_psh_pair(kind)[0], w, max_degree=deg, precision_bits=bits)
         h2 = point_jet(_psh_pair(kind)[1], w, max_degree=deg, precision_bits=bits)
         with localcontext(working_context(bits)):
@@ -557,7 +601,7 @@ def test_pair_point_is_the_difference_of_the_single_points():
 
 
 def test_psh_report_takes_one_jet_per_weight_per_point(monkeypatch):
-    # One metric_jets call per report yields one jet per weight per point.
+    # One metric_jets call per grid yields one jet per weight per point.
     # Within it each weight's correction table is built once, and each
     # weight's jet is evaluated once per modulus class.
     real_jets = curvature_module.metric_jets
@@ -583,7 +627,7 @@ def test_psh_report_takes_one_jet_per_weight_per_point(monkeypatch):
     monkeypatch.setattr(curvature_module, "_class_jet", counting_class)
     W = PerturbedPower(2, 2, 2)
     grid = radial_grid(2, 2, 4)
-    psh_boundedness_report(W, W.base, grid, max_degree=40)
+    psh_boundedness_report(curvature_points([W, W.base], grid, max_degree=40))
     assert calls == [([W, W.base], [2] * len(grid))]
     assert tables == [W, W.base]
     # Every class but the origin's, once for each weight.
@@ -601,10 +645,11 @@ def test_psh_report_at_the_origin_needs_no_tail_bound():
         (bare, bare): (0.0, (0.0, 0.0), True),
     }
     for (W1, W2), (min_eig, eigs, psd) in expected.items():
-        report = psh_boundedness_report(W1, W2, [(0j, 0j)])
+        records = curvature_points([W1, W2], [(0j, 0j)])
+        report = psh_boundedness_report(records)
         assert (report.psi_min, report.psi_max) == (0.0, 0.0)
         assert report.hessian_min_eig == min_eig
-        assert report.points[0].eigenvalues == eigs
+        assert records[0].eigenvalues == eigs
         assert report.all_psd is psd
         assert report.unbounded_trend is False
         assert report.shells == ((0.0, 0.0),)

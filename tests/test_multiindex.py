@@ -1,6 +1,7 @@
 """Multi-index arithmetic and the combinatorial identity certificates."""
 
 import random
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -74,6 +75,33 @@ def test_dominated_by_is_the_product_order_box():
     got = set(mi.dominated_by((2, 1)))
     assert got == {(a, b) for a in range(3) for b in range(2)}
     assert set(mi.dominated_by((2, 1), 1)) == {(0, 0), (0, 1), (1, 0)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_enumerations_equal_a_filtered_product(m):
+    # Neither enumeration recurses; each equals the sorted, filtered box.
+    for d in range(7):
+        box = list(product(range(d + 1), repeat=m))
+        assert mi.enumerate_exact_degree(m, d) == sorted(a for a in box if sum(a) == d)
+        leq = sorted((a for a in box if sum(a) <= d), key=lambda a: (sum(a), a))
+        assert mi.enumerate_leq_degree(m, d) == leq
+        for alpha in mi.enumerate_exact_degree(m, d):
+            below = list(product(*(range(a + 1) for a in alpha)))
+            for k in (None, -1, 0, 1, 2, 3, d + 1):
+                bound = d if k is None else k
+                want = sorted(beta for beta in below if sum(beta) <= bound)
+                assert list(mi.dominated_by(alpha, k)) == want
+
+
+def test_enumerations_past_the_recursion_limit():
+    # One frame per coordinate refused every index set past ~990
+    # coordinates with a RecursionError.
+    m = 1200
+    units = mi.enumerate_exact_degree(m, 1)
+    assert units == sorted(mi.unit(m, i) for i in range(m))
+    assert len(mi.enumerate_leq_degree(m, 1)) == m + 1
+    top = mi.unit(m, m - 1)
+    assert list(mi.dominated_by(top, 1)) == [(0,) * m, top]
 
 
 def test_multinomial_matches_factorial_formula():
