@@ -9,9 +9,9 @@ to bounded degree, plus a CLI that reproduces a ray-perturbed
 counterexample family end to end.
 
 The package needs only the standard library: metrics and curvature run
-in ``decimal`` at a working precision (see ``precision``).  The core
-(errors, multi-indices, weights, and the precision and report helpers
-that weights use) is imported with the package; the names of the
+in ``decimal`` at a working precision (see ``curvature``).  The core
+(errors, multi-indices, weights, and the report helpers that weights
+use) is imported with the package; the names of the
 hypercontraction, similarity, curvature and truncation modules are resolved
 on first use, so a caller loads only the layers it calls.  Result records
 are ``typing.NamedTuple``s or plain classes, not dataclasses: importing

@@ -542,7 +542,9 @@ def main(argv=None) -> int:
             raise UsageError(f"{args.command} takes {counts} --weights, got {given}")
         return args.func(args)
     except (RuntimeError, OverflowError, MemoryError) as exc:
-        sys.stderr.write(rpt.canonical_json({"error": str(exc), "kind": type(exc).__name__}))
+        # The allocator's MemoryError carries no message.
+        message = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else repr(exc))
+        sys.stderr.write(rpt.canonical_json({"error": message, "kind": type(exc).__name__}))
         return 3
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

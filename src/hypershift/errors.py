@@ -2,7 +2,7 @@
 
 
 class DimensionMismatch(ValueError):
-    """Multi-indices or points of different lengths were combined."""
+    """Multi-indices, points or weights of different dimensions were combined."""
 
 
 class WeightDomainError(ValueError):

@@ -35,13 +35,14 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from . import multiindex as mi
+from .errors import DimensionMismatch
 from .multiindex import MultiIndex
 from .weights import WeightFunction, radial_split
 
 
 def _check_pair(W1: WeightFunction, W2: WeightFunction) -> None:
     if W1.m != W2.m:
-        raise ValueError(f"weights have dimensions {W1.m} and {W2.m}")
+        raise DimensionMismatch(f"weights have dimensions {W1.m} and {W2.m}")
 
 
 def ray_ratio_sq(
@@ -78,8 +79,8 @@ def ray_ratio_sq_literal(
     cur = tuple(alpha)
     e = mi.unit(W1.m, direction)
     for _ in range(length + 1):
-        out *= W1.shift_weight_sq(cur, direction) / W2.shift_weight_sq(cur, direction)
         cur = mi.add(cur, e)
+        out *= W1.rho_ratio(cur, e) / W2.rho_ratio(cur, e)
     return out
 
 

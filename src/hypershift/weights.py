@@ -28,8 +28,10 @@ All weight values are exact ``Fraction``s and nothing here rounds: a
 sequence states its values, its ratio bound ``ratio_sup`` and its last index
 ``max_index``, and a weight its ``metric_decomposition``; ``curvature``
 sums the truncated metric series from these at a working precision.
-Instances are immutable after construction apart from internal value and
-ratio caches, so they are safe to share across threads for reading.
+Instances are immutable after construction apart from two memos, the
+radial factors of ``RadialWeight.rho_ratio`` and the values of a
+``PolynomialSequence``, so they are safe to share across threads for
+reading.
 """
 
 from __future__ import annotations
@@ -38,7 +40,13 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from . import multiindex as mi
-from .errors import SequenceExhausted, TailUnreliableError, WeightDomainError, WeightSpecError
+from .errors import (
+    DimensionMismatch,
+    SequenceExhausted,
+    TailUnreliableError,
+    WeightDomainError,
+    WeightSpecError,
+)
 from .multiindex import MultiIndex
 from .report import frac_str
 
@@ -192,9 +200,9 @@ class ExplicitSequence(RadialSequence):
 
 def _check_ratio_lengths(m: int, alpha: MultiIndex, beta: MultiIndex) -> None:
     if len(alpha) != m:
-        raise ValueError("dimension mismatch")
+        raise DimensionMismatch("dimension mismatch")
     if len(beta) != m:
-        raise ValueError("dimension mismatch in rho_ratio")
+        raise DimensionMismatch("dimension mismatch in rho_ratio")
 
 
 class WeightFunction:
@@ -205,22 +213,18 @@ class WeightFunction:
         if m < 1:
             raise ValueError("dimension m must be >= 1")
         self.m = m
-        self._cache: dict[MultiIndex, Fraction] = {}
 
     # -- exact values ------------------------------------------------------
 
     def rho(self, alpha: MultiIndex) -> Fraction:
         alpha = tuple(alpha)
         if len(alpha) != self.m:
-            raise ValueError(f"multi-index has length {len(alpha)}, weight has m = {self.m}")
-        cached = self._cache.get(alpha)
-        if cached is None:
-            mi.validate(alpha)
-            cached = self._rho(alpha)
-            if cached <= 0:
-                raise WeightDomainError(f"weight is not positive at {alpha!r}")
-            self._cache[alpha] = cached
-        return cached
+            raise DimensionMismatch(f"multi-index has length {len(alpha)}, weight has m = {self.m}")
+        mi.validate(alpha)
+        value = self._rho(alpha)
+        if value <= 0:
+            raise WeightDomainError(f"weight is not positive at {alpha!r}")
+        return value
 
     def _rho(self, alpha: MultiIndex) -> Fraction:
         raise NotImplementedError
@@ -233,11 +237,6 @@ class WeightFunction:
         full values.
         """
         return self.rho(mi.sub(alpha, beta)) / self.rho(alpha)
-
-    def shift_weight_sq(self, alpha: MultiIndex, i: int) -> Fraction:
-        """Squared shift weight rho(alpha) / rho(alpha + e_i)."""
-        e = mi.unit(self.m, i)
-        return self.rho_ratio(mi.add(alpha, e), e)
 
     # -- metric structure ----------------------------------------------------
 
@@ -337,13 +336,13 @@ class TableWeight(WeightFunction):
         for alpha, value in entries.items():
             alpha = mi.validate(tuple(alpha))
             if len(alpha) != m:
-                raise ValueError(f"table entry {alpha!r} has wrong dimension")
+                raise DimensionMismatch(f"table entry {alpha!r} has wrong dimension")
             value = Fraction(value)
             if value <= 0:
                 raise ValueError(f"table entry at {alpha!r} must be positive")
             norm[alpha] = value
         if fallback is not None and fallback.m != m:
-            raise ValueError("fallback weight has mismatched dimension")
+            raise DimensionMismatch("fallback weight has mismatched dimension")
         self.entries = norm
         self.fallback = fallback
 

@@ -38,10 +38,9 @@ from hypershift import (
     ray_ratio_sq,
 )
 from hypershift import multiindex as mi
-from hypershift.curvature import metric_jets
+from hypershift.curvature import EXACT, DecimalComplex, metric_jets, working_context
 from hypershift.hypercontraction import _cone_layers
 from hypershift.multiindex import MultiIndex
-from hypershift.precision import EXACT, DecimalComplex, working_context
 from hypershift.weights import WeightFunction
 
 

@@ -482,7 +482,10 @@ def test_running_out_of_memory_exits_3(capsys, weight_files, monkeypatch):
 
     monkeypatch.setattr(hypershift.truncation, "Truncation", no_memory)
     assert main(["truncate", "--weights", weight_files["power2m2"], "--degree", "300"]) == 3
-    assert _refusal(capsys)["kind"] == "MemoryError"
+    refusal = _refusal(capsys)
+    assert refusal["kind"] == "MemoryError"
+    # The allocator's bare MemoryError has no message of its own.
+    assert refusal["error"] == "out of memory"
 
 
 def test_weights_past_the_recursion_limit_scan(capsys, tmp_path):

@@ -32,7 +32,7 @@ from hypershift import (
     radial_grid,
 )
 from hypershift.cli import main
-from hypershift.precision import working_context
+from hypershift.curvature import working_context
 from helpers import as_array, finite_diff_check, modulus_class, modulus_classes, point_jet, to_mp
 
 F = Fraction

@@ -28,8 +28,7 @@ from hypershift import (
     curvature_points,
 )
 from hypershift import multiindex as mi
-from hypershift.precision import working_context
-from hypershift.curvature import _spectrum, metric_jets
+from hypershift.curvature import _spectrum, metric_jets, working_context
 from helpers import to_mp
 
 F = Fraction

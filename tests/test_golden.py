@@ -142,6 +142,10 @@ CASES = {
         ),
     ),
     "curvature_perturbed45_m3_power23_2x4.json": (0, _curvature("perturbed45_m3", "power23")),
+    # An m = 3 cubic alone: 4 of its 11 class matrices have nonzero
+    # off-diagonal entries, so their spectra take Jacobi rotations, where
+    # every class matrix of the m = 3 pair above is diagonal at 80 bits.
+    "curvature_cubic_m3_2x4.json": (0, _curvature("cubic_m3")),
     "curvature_perturbed45_3x4.json": (
         0,
         _scan("curvature", "perturbed45.json", "--grid", "radial:3x4"),

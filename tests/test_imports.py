@@ -35,8 +35,8 @@ print(json.dumps({
 """
 
 # The modules every CLI call loads: the package core and the CLI itself.
-# The working-precision arithmetic (``precision``) and the metric numerics
-# in ``curvature`` load only with the subcommands that evaluate a metric.
+# The metric numerics in ``curvature``, with their working-precision
+# arithmetic, load only with the subcommands that evaluate a metric.
 CORE = ["cli", "errors", "multiindex", "report", "weights"]
 
 # Runs main(argv) with numpy and mpmath made unimportable and prints its exit
@@ -132,11 +132,11 @@ def test_importing_the_cli_loads_no_numerics():
         ),
         (
             ["curvature", "--weights", "power22.json", "--grid", "radial:1x2"],
-            ["curvature", "precision"],
+            ["curvature"],
         ),
         (
             ["example45", "--eval-degree", "20"],
-            ["curvature", "hypercontraction", "precision", "similarity"],
+            ["curvature", "hypercontraction", "similarity"],
         ),
     ],
     ids=[
@@ -163,13 +163,15 @@ def test_subcommand_loads_only_its_numerics(argv, layers):
     [
         "example45_eval40.json",
         "curvature_perturbed45_m3_power23_2x4.json",
+        "curvature_cubic_m3_2x4.json",
         "curvature_perturbed45_3x4.json",
         "truncate_power22_d40.json",
         "truncate_perturbed45_d30.json",
     ],
 )
 def test_golden_report_without_numpy(name):
-    # The m = 3 pair takes the Jacobi eigenvalue path, example45 the m = 2
+    # The m = 3 pair takes the Jacobi eigenvalue path on diagonal class
+    # matrices and the m = 3 cubic its rotations, example45 the m = 2
     # closed form, the perturbed weight alone the single-weight report, and
     # truncate its float fields from the step products; none of them can
     # import numpy or mpmath.
@@ -222,7 +224,7 @@ def test_every_exported_name_has_a_caller():
 def test_weights_module_holds_no_rounding():
     # The weights state exact Fraction facts; every rounding lives with the
     # metric numerics in ``curvature``, so weights imports neither decimal
-    # nor the working-precision helpers.
+    # nor ``curvature``.
     import ast
 
     tree = ast.parse((ROOT / "src" / "hypershift" / "weights.py").read_text())
@@ -232,5 +234,5 @@ def test_weights_module_holds_no_rounding():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
-    assert imported.isdisjoint({"decimal", ".precision", "hypershift.precision"})
+    assert imported.isdisjoint({"decimal", ".curvature", "hypershift.curvature"})
     assert {".multiindex", ".report", "fractions"} <= imported

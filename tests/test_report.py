@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from hypershift.precision import DecimalComplex
+from hypershift.curvature import DecimalComplex
 from hypershift.report import (
     SCHEMA_VERSION,
     canonical_json,

@@ -11,6 +11,7 @@ import pytest
 
 from hypershift import (
     BallDomainError,
+    DimensionMismatch,
     ExplicitSequence,
     GeometricSequence,
     PerturbedPower,
@@ -23,7 +24,9 @@ from hypershift import (
     TailUnreliableError,
     WeightDomainError,
     WeightSpecError,
+    curvature_points,
     parse_fraction,
+    ray_ratio_sq,
     weight_from_dict,
 )
 import hypershift.curvature as curvature_module
@@ -143,6 +146,40 @@ def test_radial_rho_ratio_is_the_quotient_cold_and_warm():
                 assert W.rho_ratio(alpha, beta) == expected
 
 
+_P2, _P3 = PowerKernel(2, 2), PowerKernel(2, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _P2.rho((1,)), "multi-index has length 1, weight has m = 2"),
+        (lambda: _P2.rho_ratio((1,), (0, 0)), "dimension mismatch"),
+        (lambda: _P2.rho_ratio((1, 1), (1,)), "dimension mismatch in rho_ratio"),
+        (lambda: TableWeight(2, {(1,): 1}), "table entry (1,) has wrong dimension"),
+        (lambda: TableWeight(2, {}, _P3), "fallback weight has mismatched dimension"),
+        (lambda: metric_jets([_P2], [(0.5,)]), "point has dimension 1, weight has m = 2"),
+        (lambda: curvature_points([_P2, _P3], [(0.0, 0.0)]), "weights have dimensions 2 and 3"),
+        (lambda: ray_ratio_sq(_P2, _P3, (0, 0), 0, 1), "weights have dimensions 2 and 3"),
+    ],
+    ids=[
+        "rho",
+        "rho_ratio-alpha",
+        "rho_ratio-beta",
+        "table-entry",
+        "table-fallback",
+        "metric_jets-point",
+        "curvature_points-pair",
+        "similarity-pair",
+    ],
+)
+def test_every_dimension_check_raises_dimension_mismatch(call, message):
+    # A DimensionMismatch is a ValueError, so the CLI still exits 2 with the
+    # same message.
+    with pytest.raises(DimensionMismatch) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_rho_ratio_rejects_undominated():
     W = PowerKernel(2, 2)
     with pytest.raises(ValueError):
@@ -154,7 +191,8 @@ def test_shift_weight_sq_is_the_step_quotient():
     for alpha in mi.enumerate_leq_degree(2, 4):
         for i in range(2):
             e = mi.unit(2, i)
-            assert W.shift_weight_sq(alpha, i) == W.rho(alpha) / W.rho(mi.add(alpha, e))
+            # The squared shift weight rho(alpha) / rho(alpha + e_i).
+            assert W.rho_ratio(mi.add(alpha, e), e) == W.rho(alpha) / W.rho(mi.add(alpha, e))
 
 
 def test_table_weight_lookup_and_fallback():
