@@ -8,7 +8,7 @@ integer arithmetic; no floats enter at any point.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import comb, factorial as _fact
+from math import comb
 import operator
 from typing import Iterator
 
@@ -31,14 +31,6 @@ def validate(alpha: tuple[int, ...]) -> MultiIndex:
 def degree(alpha: MultiIndex) -> int:
     """|alpha| = sum of the coordinates."""
     return sum(alpha)
-
-
-def factorial(alpha: MultiIndex) -> int:
-    """alpha! = product of coordinate factorials."""
-    out = 1
-    for x in alpha:
-        out *= _fact(x)
-    return out
 
 
 def _check_dims(alpha: MultiIndex, beta: MultiIndex) -> None:
@@ -152,13 +144,16 @@ def dominated_by(alpha: MultiIndex, max_degree: int | None = None) -> Iterator[M
 
 
 def multinomial(k: int, alpha: MultiIndex) -> int:
-    """k! / (alpha! * (k - |alpha|)!); requires |alpha| <= k."""
+    """k! / (alpha! * (k - |alpha|)!); requires |alpha| <= k.  A product of
+    binomials: choose alpha_1 of the k places, then alpha_2 of the k - alpha_1
+    left, and so on."""
     d = degree(alpha)
     if d > k:
         raise ValueError(f"multinomial undefined: |alpha| = {d} exceeds k = {k}")
-    out = _fact(k) // (_fact(k - d))
+    out = 1
     for x in alpha:
-        out //= _fact(x)
+        out *= comb(k, x)
+        k -= x
     return out
 
 

@@ -10,26 +10,27 @@ the adjoint shift tuple acts on the orthonormal diagonal basis by
 Every weight follows one of two rules:
 
 * ``RadialWeight``: rho(alpha) = a(|alpha|) |alpha|! / alpha! for a positive
-  coefficient sequence a, with ``rho_ratio`` in closed form.
+  coefficient sequence a, with its ratio in closed form.
   ``PowerKernel(n, m)`` is the radial weight on a(i) = C(n + i - 1, i), i.e.
   rho_n(alpha) = (n + |alpha| - 1)! / (alpha! (n-1)!), the coefficient family
   of (1 - <z, w>)^{-n}.
 * ``TableWeight``: finitely many explicit values over an optional fallback
-  weight.  ``rho_ratio`` is the fallback's where neither index is an entry,
-  and the quotient of two values otherwise.  ``PerturbedPower``, the
+  weight.  Its ratio is the fallback's where neither index is an entry, and
+  the quotient of two values otherwise.  ``PerturbedPower``, the
   counterexample family, is the table over ``PowerKernel(n, m)`` that divides
   the power values along finitely many rays by small integers.
 
-``rho_ratio`` reads only these rules, never ``metric_decomposition`` or
-``radial_split``, so the checks that read rho_ratio stay independent of the
-split the exact scans and the metric read.
+``rho`` and ``rho_ratio`` check their indices' lengths once and read the
+weight's rule, ``_rho`` or ``_ratio``, which never reads
+``metric_decomposition`` or ``radial_split``; so the checks that read
+rho_ratio stay independent of the split the exact scans and the metric read.
 
 All weight values are exact ``Fraction``s and nothing here rounds: a
 sequence states its values, its ratio bound ``ratio_sup`` and its last index
 ``max_index``, and a weight its ``metric_decomposition``; ``curvature``
 sums the truncated metric series from these at a working precision.
 Instances are immutable after construction apart from two memos, the
-radial factors of ``RadialWeight.rho_ratio`` and the values of a
+radial factors of ``RadialWeight._ratio`` and the values of a
 ``PolynomialSequence``, so they are safe to share across threads for
 reading.
 """
@@ -133,8 +134,7 @@ class PolynomialSequence(RadialSequence):
             raise ValueError("polynomial sequence needs at least one coefficient")
         self.coefficients = coeffs
         self._values: dict[int, Fraction] = {}
-        if self.value(0) <= 0:
-            raise ValueError("sequence must be positive at index 0")
+        self.value(0)  # raises WeightDomainError unless a(0) > 0
 
     def value(self, i: int) -> Fraction:
         out = self._values.get(i)
@@ -198,13 +198,6 @@ class ExplicitSequence(RadialSequence):
 # Weight functions
 
 
-def _check_ratio_lengths(m: int, alpha: MultiIndex, beta: MultiIndex) -> None:
-    if len(alpha) != m:
-        raise DimensionMismatch("dimension mismatch")
-    if len(beta) != m:
-        raise DimensionMismatch("dimension mismatch in rho_ratio")
-
-
 class WeightFunction:
     """Base class: a positive rational weight on multi-indices of fixed
     dimension m, normalized so that rho(0) is finite and positive."""
@@ -220,7 +213,10 @@ class WeightFunction:
         alpha = tuple(alpha)
         if len(alpha) != self.m:
             raise DimensionMismatch(f"multi-index has length {len(alpha)}, weight has m = {self.m}")
-        mi.validate(alpha)
+        return self._value(mi.validate(alpha))
+
+    def _value(self, alpha: MultiIndex) -> Fraction:
+        """``_rho`` at an index of length m, refused unless positive."""
         value = self._rho(alpha)
         if value <= 0:
             raise WeightDomainError(f"weight is not positive at {alpha!r}")
@@ -230,13 +226,16 @@ class WeightFunction:
         raise NotImplementedError
 
     def rho_ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
-        """rho(alpha - beta) / rho(alpha) for beta <= alpha.
+        """rho(alpha - beta) / rho(alpha) for beta <= alpha, read by the
+        weight's rule ``_ratio`` once both lengths are checked."""
+        if len(alpha) != self.m:
+            raise DimensionMismatch("dimension mismatch")
+        if len(beta) != self.m:
+            raise DimensionMismatch("dimension mismatch in rho_ratio")
+        return self._ratio(tuple(alpha), tuple(beta))
 
-        Radial weights override this with a telescoped closed form and
-        tables with their fallback's ratio; the generic version divides two
-        full values.
-        """
-        return self.rho(mi.sub(alpha, beta)) / self.rho(alpha)
+    def _ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
+        raise NotImplementedError
 
     # -- metric structure ----------------------------------------------------
 
@@ -276,15 +275,14 @@ class RadialWeight(WeightFunction):
     def __init__(self, m: int, sequence: RadialSequence):
         super().__init__(m)
         self.sequence = sequence
-        # (N, b) -> a(N - b) / (a(N) (N)_b), the radial factor of rho_ratio.
+        # (N, b) -> a(N - b) / (a(N) (N)_b), the radial factor of _ratio.
         self._radial_factor: dict[tuple[int, int], Fraction] = {}
 
     def _rho(self, alpha: MultiIndex) -> Fraction:
         d = mi.degree(alpha)
-        return self.sequence.value(d) * Fraction(factorial(d), mi.factorial(alpha))
+        return self.sequence.value(d) * mi.multinomial(d, alpha)
 
-    def rho_ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
-        _check_ratio_lengths(self.m, alpha, beta)
+    def _ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
         num = 1
         b_deg = 0
         for a, b in zip(alpha, beta):
@@ -352,17 +350,15 @@ class TableWeight(WeightFunction):
             return value
         if self.fallback is None:
             raise WeightDomainError(f"no table entry for {alpha!r} and no fallback")
-        return self.fallback.rho(alpha)
+        return self.fallback._value(alpha)
 
-    def rho_ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
+    def _ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
         """The fallback's ratio where neither alpha nor alpha - beta is an
         entry, else the quotient of the two table values."""
-        _check_ratio_lengths(self.m, alpha, beta)
-        if self.fallback is not None:
-            alpha = tuple(alpha)
-            if alpha not in self.entries and mi.sub(alpha, beta) not in self.entries:
-                return self.fallback.rho_ratio(alpha, beta)
-        return super().rho_ratio(alpha, beta)
+        below = mi.sub(alpha, beta)
+        if self.fallback is None or alpha in self.entries or below in self.entries:
+            return self._value(below) / self._value(alpha)
+        return self.fallback._ratio(alpha, beta)
 
     def metric_decomposition(self):
         if self.fallback is None:
@@ -409,6 +405,11 @@ class PerturbedPower(TableWeight):
     back to 1, so each block injects a bounded ray distortion of size l while
     every kernel-level quantity moves by at most a fixed factor of 2.
     Requires m >= 2 and n >= 2.
+
+    With x_l = n^n 2^{3l+1} / (n-1)!, b_l is the closed form
+    floor(x_l) - n + 1, the smallest integer above x_l - n, and both bounds
+    hold for it: n^n / (n-1)! >= n gives x_1 - n >= 15n > n - 2, and
+    b_l - b_{l-1} >= x_l - x_{l-1} - 1 >= 7 2^{3l-2} n - 1 > 2(l-1).
     """
 
     def __init__(self, n: int, m: int, blocks: int):
@@ -431,17 +432,7 @@ class PerturbedPower(TableWeight):
 
     @staticmethod
     def _block_base_degrees(n: int, blocks: int) -> list[int]:
-        degrees: list[int] = []
-        prev = None
-        for l in range(1, blocks + 1):
-            lo = Fraction(n**n * 2 ** (3 * l + 1), factorial(n - 1)) - n
-            lo = max(lo, Fraction(n - 2))
-            b = lo.numerator // lo.denominator + 1
-            if prev is not None and b <= prev + 2 * (l - 1):
-                b = prev + 2 * (l - 1) + 1
-            degrees.append(b)
-            prev = b
-        return degrees
+        return [n**n * 2 ** (3 * l + 1) // factorial(n - 1) - n + 1 for l in range(1, blocks + 1)]
 
     def perturbed_entries(self) -> list[tuple[MultiIndex, int]]:
         """All (alpha, divisor) pairs with divisor > 1, graded order."""

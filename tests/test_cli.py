@@ -417,9 +417,10 @@ def test_curvature_rejects_bad_tol(capsys, weight_files, monkeypatch, tol, names
     assert captured.err == f"error: psd tolerance must be finite and >= 0, got {float(tol)}\n"
 
 
-@pytest.mark.parametrize("tol", ["1_0", "1e-1_0", "\uff11", "\u0661e-3"])
+@pytest.mark.parametrize("tol", ["1_0", "1e-1_0", "\uff11", "\u0661e-3", "abc"])
 def test_tol_is_ascii_without_underscores(capsys, weight_files, tol):
-    # float() reads "1_0" as 10 and takes other scripts' digits.
+    # float() reads "1_0" as 10 and takes other scripts' digits; "abc" is
+    # ASCII text that float() refuses.
     argv = ["curvature", "--weights", weight_files["power2m2"], "--tol", tol]
     with pytest.raises(SystemExit) as exc:
         main(argv)

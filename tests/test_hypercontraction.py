@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
@@ -314,6 +315,21 @@ def test_radial_row_is_the_radial_reduction(seq):
                 for v in (defect_diag_radial(seq, k, N) for k in range(1, n + 1))
             ]
         assert N == 40
+
+
+def test_a_layer_left_early_is_finished_for_the_next():
+    # A caller that reads one cone row per layer still gets the later rows
+    # right: the engine finishes each layer before the next.  The cone of
+    # the correction at (2, 511) ends at degree 515, where the row of
+    # (3, 512) reads (3, 511), the second row of layer 514.
+    W = PerturbedPower(2, 2, 2)
+    full = {N: list(rows) for N, _, _, rows in _cone_layers(W, 2, 515)}
+    assert len(full[514]) == 2
+    for N, _, _, rows in _cone_layers(W, 2, 515):
+        if N < 515:
+            assert list(islice(rows, 1)) == full[N][:1]
+        else:
+            assert list(rows) == full[515]
 
 
 def test_deep_scans_stop_at_the_perturbed_witness():

@@ -385,6 +385,18 @@ def test_matrix_model_never_calls_the_defect_engine(monkeypatch):
         assert decay_curve(tt, tt.basis[-1], D + 1) == decay
 
 
+def test_a_ratio_that_is_no_quotient_of_values_fails_to_commute():
+    # s_0(alpha) = alpha_1 + 1 and s_1 = 1: at (1, 1), s_0(1, 0) s_1(1, 1) = 1
+    # but s_1(0, 1) s_0(1, 1) = 2.
+    class Skewed(PowerKernel):
+        def _ratio(self, alpha, beta):
+            return F(alpha[1] + 1) if beta[0] else F(1)
+
+    with pytest.raises(RuntimeError) as info:
+        Truncation(Skewed(2, 2), 2)
+    assert str(info.value) == "truncated tuple fails to commute: defect 1"
+
+
 # -- truncate against the matrix model ---------------------------------------
 
 

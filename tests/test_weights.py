@@ -4,7 +4,7 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import mpmath as mp
 import pytest
@@ -27,6 +27,7 @@ from hypershift import (
     curvature_points,
     parse_fraction,
     ray_ratio_sq,
+    ray_ratio_sq_literal,
     weight_from_dict,
 )
 import hypershift.curvature as curvature_module
@@ -180,6 +181,43 @@ def test_every_dimension_check_raises_dimension_mismatch(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mi.enumerate_exact_degree(0, 1), "dimension must be >= 1"),
+        (lambda: mi.enumerate_exact_degree(2, -1), "degree must be >= 0"),
+        (lambda: mi.enumerate_leq_degree(0, 1), "dimension must be >= 1"),
+        (lambda: mi.verify_alternating_sum(0, 0), "n must be >= 1"),
+        (lambda: ray_ratio_sq_literal(_P2, _P2, (0, 0), 0, -1), "ray length must be >= 0"),
+        (lambda: PowerSequence(0), "kernel power n must be >= 1"),
+        (lambda: GeometricSequence(0), "geometric ratio must be positive"),
+        (lambda: PolynomialSequence([]), "polynomial sequence needs at least one coefficient"),
+        (lambda: PowerSequence(2).value(-1), "sequence index must be >= 0"),
+        (lambda: GeometricSequence(F(1, 2)).value(-1), "sequence index must be >= 0"),
+        (lambda: ExplicitSequence([1]).value(-1), "sequence index must be >= 0"),
+        (lambda: PowerKernel(2, 0), "dimension m must be >= 1"),
+    ],
+    ids=[
+        "exact-degree-m",
+        "exact-degree-d",
+        "leq-degree-m",
+        "alternating-sum-n",
+        "ray-literal-length",
+        "power-sequence-n",
+        "geometric-sequence-r",
+        "polynomial-sequence-empty",
+        "power-value-index",
+        "geometric-value-index",
+        "explicit-value-index",
+        "power-kernel-m",
+    ],
+)
+def test_every_refusal_keeps_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_rho_ratio_rejects_undominated():
     W = PowerKernel(2, 2)
     with pytest.raises(ValueError):
@@ -228,6 +266,19 @@ def test_perturbed_block_base_degrees():
     degrees = PerturbedPower(2, 2, 4).base_degrees
     for l in range(1, len(degrees)):
         assert degrees[l] > degrees[l - 1] + 2 * l
+
+
+def test_block_base_degrees_are_the_smallest_admissible():
+    # b_l is the smallest integer above n^n 2^{3l+1}/(n-1)! - n, and it meets
+    # the docstring's two bounds with no adjustment.
+    for n in range(2, 13):
+        for L in range(1, 9):
+            degrees = PerturbedPower(n, 2, L).base_degrees
+            for l, b in enumerate(degrees, start=1):
+                assert b - 1 <= F(n**n * 2 ** (3 * l + 1), factorial(n - 1)) - n < b
+                assert b > n - 2
+                if l > 1:
+                    assert b > degrees[l - 2] + 2 * (l - 1)
 
 
 def test_perturbed_entries_desk_scale():
@@ -696,7 +747,7 @@ def test_unit_steps_follow_the_metric_decomposition():
         delta = dict(corrections)
         for alpha in indices:
             N = mi.degree(alpha)
-            radial = base.value(N) * F(factorial(N), mi.factorial(alpha))
+            radial = base.value(N) * F(factorial(N), prod(map(factorial, alpha)))
             assert W.rho(alpha) == radial + delta.get(alpha, 0)
             for i, a in enumerate(alpha):
                 below = mi.sub(alpha, mi.unit(W.m, i)) if a else None
