@@ -9,6 +9,12 @@ operator (I - M_T)^k (I) is diagonal with entries
 T is an n-hypercontraction iff d_k >= 0 for all alpha and all 1 <= k <= n.
 Everything in this module is exact rational arithmetic.
 
+That is Agler's (I - M_T)^k (I) = sum_j (-1)^j C(k, j) M_T^j (I) on the
+diagonal.  ``moments`` gives [M_T^j(I)]_{alpha,alpha} for j <= k from the
+one walk over the beta <= alpha, and it is the only one: ``defect_diag``,
+``necessary_condition`` ([M_T(I)]_{alpha,alpha}, the neighbour sum) and
+``Truncation.decay`` read it.
+
 The scans (``is_n_hyper_up_to``, ``necessary_scan``) share one engine that
 never evaluates the multinomial sum.  Writing
 (I - M_T)^k (I) = (I - M_T)((I - M_T)^{k-1} (I)) and
@@ -43,8 +49,8 @@ the number of indices.
 The scans take the graded-lex-first witness of a layer from two candidates:
 the first violating cone entry (no cone row past it is computed), and the
 first index outside the cone when the radial row violates.
-``defect_diag`` keeps the multinomial sum as the independent oracle the
-tests compare the engine against.
+``defect_diag`` keeps the multinomial sum, read through ``moments``, as the
+independent oracle the tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -59,18 +65,27 @@ from .multiindex import MultiIndex
 from .weights import RadialSequence, WeightFunction, radial_split
 
 
+def moments(W: WeightFunction, alpha: MultiIndex, k_max: int) -> list[Fraction]:
+    """[M_T^k(I)]_{alpha,alpha} = sum_{beta <= alpha, |beta| = k} (k!/beta!)
+    rho(alpha-beta)/rho(alpha) for k = 0..k_max, exactly 0 past |alpha|; the
+    k = 0 entry is 1 and reads no weight value."""
+    alpha = tuple(alpha)
+    if len(alpha) != W.m:
+        raise DimensionMismatch(f"multi-index has length {len(alpha)}, weight has m = {W.m}")
+    out = [Fraction(1)] + [Fraction(0)] * k_max
+    for beta in mi.dominated_by(alpha, k_max):
+        k = mi.degree(beta)
+        if k:
+            out[k] += mi.multinomial(k, beta) * W.rho_ratio(alpha, beta)
+    return out
+
+
 def defect_diag(W: WeightFunction, k: int, alpha: MultiIndex) -> Fraction:
-    """The diagonal entry of (I - M_T)^k (I) at e_alpha, exact."""
+    """The diagonal entry of (I - M_T)^k (I) at e_alpha, exact: the
+    binomial sum sum_j (-1)^j C(k, j) [M_T^j(I)]_{alpha,alpha}."""
     if k < 0:
         raise ValueError("defect order k must be >= 0")
-    alpha = tuple(alpha)
-    total = Fraction(0)
-    for beta in mi.dominated_by(alpha, k):
-        b = mi.degree(beta)
-        coeff = mi.multinomial(k, beta)
-        term = Fraction(coeff) * W.rho_ratio(alpha, beta)
-        total += term if b % 2 == 0 else -term
-    return total
+    return sum((-1) ** j * comb(k, j) * x for j, x in enumerate(moments(W, alpha, k)))
 
 
 def _row(terms, n: int) -> list[tuple[int, int]]:
@@ -246,11 +261,7 @@ def necessary_condition(W: WeightFunction, n: int, alpha: MultiIndex) -> Conditi
     d = mi.degree(alpha)
     if d == 0:
         raise ValueError("the condition is only defined for alpha != 0")
-    lhs = Fraction(0)
-    for i in range(W.m):
-        if alpha[i] >= 1:
-            lhs += W.rho_ratio(alpha, mi.unit(W.m, i))
-    return ConditionCheck(alpha, lhs, Fraction(d, d + n - 1))
+    return ConditionCheck(alpha, moments(W, alpha, 1)[1], Fraction(d, d + n - 1))
 
 
 class NecessaryScan(NamedTuple):

@@ -12,7 +12,7 @@ has a direct form:
   in float64;
 - the order-k defect (I - M_T)^k (I) has the entries d_k(alpha) that the
   defect engine of ``hypercontraction`` computes layer by layer;
-- the decay entry [M_T^k(I)]_{alpha,alpha} is
+- the decay entry [M_T^k(I)]_{alpha,alpha} is ``hypercontraction.moments``,
   sum_{beta <= alpha, |beta| = k} (k choose beta) rho(alpha - beta)/rho(alpha).
 
 The float64 fields repeat the dense matrix products entry by entry: the
@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import sqrt
 
 from . import multiindex as mi
-from .hypercontraction import _cone_layers
+from .hypercontraction import _cone_layers, moments
 from .multiindex import MultiIndex
 from .weights import WeightFunction
 
@@ -101,19 +101,14 @@ class Truncation:
         """Yield (alpha, (p, q)) with d_k(alpha) = p/q for every basis
         index in graded-lex order: the engine's cone row where alpha has
         one, else its layer's radial row."""
-        m = self.weight.m
         if k == 0:
             for alpha in self.steps:
                 yield alpha, (1, 1)
             return
         for degree, radial, _, rows in _cone_layers(self.weight, k, self.degree):
-            hit = next(rows, None)
-            for alpha in mi.enumerate_exact_degree(m, degree):
-                if hit is not None and hit[0] == alpha:
-                    yield alpha, hit[1][k - 1]
-                    hit = next(rows, None)
-                else:
-                    yield alpha, radial[k - 1]
+            cone = dict(rows)
+            for alpha in mi.enumerate_exact_degree(self.weight.m, degree):
+                yield alpha, cone.get(alpha, radial)[k - 1]
 
     def defect(self, k: int) -> dict:
         """The ``defect`` block: the extremes of d_k over the basis, the
@@ -153,18 +148,11 @@ class Truncation:
         }
 
     def decay(self, alpha: MultiIndex, k_max: int) -> list[Fraction]:
-        """[M_T^k(I)]_{alpha,alpha} for k = 0..k_max, from one walk over the
-        beta <= alpha; exactly 0 once k exceeds |alpha|."""
+        """[M_T^k(I)]_{alpha,alpha} for k = 0..k_max, from
+        ``hypercontraction.moments``; exactly 0 once k exceeds |alpha|."""
         alpha = tuple(alpha)
         if alpha not in self.steps:
             raise ValueError(f"{alpha!r} is outside the truncation")
         if k_max < 0:
             raise ValueError("k_max must be >= 0")
-        # The beta = 0 term is 1; like the column-map model, it reads no
-        # weight value.
-        curve = [Fraction(1)] + [Fraction(0)] * k_max
-        for beta in mi.dominated_by(alpha, k_max):
-            k = mi.degree(beta)
-            if k:
-                curve[k] += mi.multinomial(k, beta) * self.weight.rho_ratio(alpha, beta)
-        return curve
+        return moments(self.weight, alpha, k_max)

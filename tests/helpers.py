@@ -390,13 +390,9 @@ def defect_layers(W, n: int, max_degree: int):
     engine's cone rows, and its radial row at every index outside the
     cone."""
     for degree, radial, _, rows in _cone_layers(W, n, max_degree):
-        hit = next(rows, None)
+        cone = dict(rows)
         for alpha in mi.enumerate_exact_degree(W.m, degree):
-            if hit is not None and hit[0] == alpha:
-                yield hit
-                hit = next(rows, None)
-            else:
-                yield alpha, radial
+            yield alpha, cone.get(alpha, radial)
 
 
 def defect_diag_radial(sequence, k: int, degree: int) -> Fraction:

@@ -2,11 +2,14 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import hypershift.curvature
 import hypershift.hypercontraction
+import hypershift.multiindex
+import hypershift.similarity
 import hypershift.truncation
 from hypershift import (
     PerturbedPower,
@@ -17,6 +20,7 @@ from hypershift import (
 from hypershift.cli import _float_flag, _int_flag, build_parser, kernel_bound, main
 
 F = Fraction
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -62,6 +66,17 @@ def test_verify_identities_passes(capsys):
         "multinomial_theorem",
     }
     assert all(v > 0 for v in report["checks"].values())
+
+
+def test_verify_identities_reports_the_first_failure(capsys, monkeypatch):
+    # A failing identity makes the report a witness: exit 1, and the
+    # witness is the first failing case in the report's order.
+    monkeypatch.setattr(hypershift.multiindex, "verify_alternating_sum", lambda n, stop: stop > 0)
+    code, report = run_json(capsys, ["verify-identities", "--n-max", "3", "--dims", "2"])
+    assert code == 1
+    assert report["pass"] is False
+    assert report["witness"] == {"identity": "alternating-sum", "n": 1, "stop": 0}
+    assert report["checks"]["alternating_sum"] == 2 + 3 + 4
 
 
 @pytest.mark.parametrize(
@@ -489,6 +504,18 @@ def test_running_out_of_memory_exits_3(capsys, weight_files, monkeypatch):
     assert refusal["error"] == "out of memory"
 
 
+def test_jacobi_that_does_not_settle_exits_3(capsys, monkeypatch):
+    # The m = 3 cubic's class matrices go through _jacobi; with no sweeps
+    # allowed it refuses with a RuntimeError, which is exit 3.
+    monkeypatch.setattr(hypershift.curvature, "_MAX_SWEEPS", 0)
+    argv = ["curvature", "--weights", str(DATA / "cubic_m3.json"), "--grid", "radial:2x4"]
+    assert main(argv) == 3
+    assert _refusal(capsys) == {
+        "error": "Jacobi eigenvalue iteration did not settle in 0 sweeps",
+        "kind": "RuntimeError",
+    }
+
+
 def test_weights_past_the_recursion_limit_scan(capsys, tmp_path):
     # m = 1200 coordinates: the correction cone of the table's one entry is
     # enumerate_leq_degree(1200, 1), which used to exit 3 with a
@@ -632,6 +659,23 @@ def test_example45_checks_the_metric_arguments_first(capsys, monkeypatch, flags,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_example45_wrong_ray_ratio_fails_stage_c(capsys, monkeypatch):
+    # A ray ratio other than the block index l fails stage (c) alone, and
+    # the report names it as the witness with exit 1.
+    monkeypatch.setattr(hypershift.similarity, "ray_ratio_sq", lambda *args: F(3, 2))
+    argv = ["example45", "--eval-degree", "40", "--precision-bits", "60"]
+    code, report = run_json(capsys, argv)
+    assert code == 1
+    assert report["pass"] is False
+    assert report["witness"] == {"stage": "ray_ratio"}
+    stages = report["stages"]
+    assert stages["ray_ratio"]["pass"] is False
+    assert stages["ray_ratio"]["witnesses"] == [
+        {"alpha": [0, 511], "block": 2, "length": 1, "ratio_sq": "3/2"}
+    ]
+    assert [name for name, stage in stages.items() if not stage["pass"]] == ["ray_ratio"]
 
 
 def test_example45_short_scan_misses_the_witness(capsys):

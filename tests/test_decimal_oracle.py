@@ -28,7 +28,8 @@ from hypershift import (
     curvature_points,
 )
 from hypershift import multiindex as mi
-from hypershift.curvature import _spectrum, metric_jets, working_context
+import hypershift.curvature as curvature_module
+from hypershift.curvature import DecimalComplex, _spectrum, metric_jets, working_context
 from helpers import to_mp
 
 F = Fraction
@@ -238,6 +239,28 @@ def test_jacobi_spectrum_matches_eighe(rows, bits):
 def test_working_digits_carry_the_working_bits():
     # P is the fewest digits whose unit roundoff 5 10^-P is no coarser
     # than the binary 2^-p.
-    for p in (53, 80, 100, 110, 120, 128, 200, 4000):
+    for p in [*range(4001), 100000]:
         P = working_context(p).prec
         assert 10 ** (P - 1) < 5 * 2**p <= 10**P
+
+
+def test_working_digits_settle_a_float_estimate_off_by_one(monkeypatch):
+    # The float estimate ceil(p log10 2 + log10 5) is right for every p up
+    # to 3,000,000; moved one digit either way, the exact loops restore P.
+    real = curvature_module.ceil
+    for off in (-1, 1):
+        monkeypatch.setattr(curvature_module, "ceil", lambda x: real(x) + off)
+        for p in (2, 53, 80, 4000):
+            P = working_context.__wrapped__(p).prec
+            assert 10 ** (P - 1) < 5 * 2**p <= 10**P
+
+
+def test_decimal_complex_equality_and_repr():
+    z = DecimalComplex(Decimal("0.25"), Decimal("-1.5"))
+    assert z == complex(0.25, -1.5) and z == DecimalComplex(Decimal("0.25"), Decimal("-1.5"))
+    assert z != DecimalComplex(Decimal("0.25"))
+    # A non-number has no real and imag parts: __eq__ defers, and == is False.
+    assert z.__eq__("0.25-1.5j") is NotImplemented
+    assert (z == "0.25-1.5j") is False
+    assert repr(z) == "DecimalComplex(Decimal('0.25'), Decimal('-1.5'))"
+    assert repr(DecimalComplex(Decimal(3))) == "DecimalComplex(Decimal('3'), Decimal('0'))"

@@ -24,11 +24,13 @@ from hypershift import (
 )
 from hypershift import DimensionMismatch, TailUnreliableError, WeightDomainError
 from hypershift import multiindex as mi
-from hypershift.hypercontraction import HyperWitness, _cone_layers
+from hypershift.hypercontraction import HyperWitness, _cone_layers, moments
 
 from helpers import (
+    build_truncated,
     defect_diag_radial,
     defect_layers,
+    m_power_diag,
     random_fraction,
     random_radial_sequence,
     random_table_weight,
@@ -85,6 +87,88 @@ def test_radial_reduction_agrees_with_direct_sum():
 def test_perturbed_defect_entry_is_negative():
     W = PerturbedPower(2, 2, 2)
     assert defect_diag(W, 1, (2, 511)) == F(-256, 257)
+
+
+# -- the moment sum [M_T^k(I)]_{alpha,alpha} -----------------------------------
+
+
+def moment_weights(rng):
+    """Seeded weights of every family on m <= 3: power, polynomial and
+    geometric bases, tables without and with a fallback, and the
+    counterexample."""
+    for m in (1, 2, 3):
+        yield PowerKernel(rng.randint(1, 4), m)
+        yield random_polynomial_weight(rng, m)
+        yield RadialWeight(m, GeometricSequence(random_fraction(rng, 1, 4)))
+        yield random_table_weight(rng, m=m, degree=5)
+        yield sparse_power_table(rng, m, 4)
+    yield PerturbedPower(2, 2, 2)
+    yield PerturbedPower(2, 3, 2)
+
+
+def path_moment(W, alpha, k):
+    """[M_T^k(I)]_{alpha,alpha} as sum_{|beta| = k} (k!/beta!) |T^beta e_alpha|^2,
+    each squared norm a product of unit steps along one path down from
+    alpha, never a rho_ratio over beta itself."""
+    total = F(0)
+    for beta in mi.enumerate_exact_degree(W.m, k):
+        if not mi.leq(beta, alpha):
+            continue
+        norm, at = F(1), alpha
+        for i, b in enumerate(beta):
+            for _ in range(b):
+                norm *= W.rho_ratio(at, mi.unit(W.m, i))
+                at = at[:i] + (at[i] - 1,) + at[i + 1 :]
+        total += mi.multinomial(k, beta) * norm
+    return total
+
+
+def test_moments_are_the_matrix_models_power_diagonals():
+    rng = random.Random(3001)
+    for W in moment_weights(rng):
+        D = 4 if W.m < 3 else 3
+        tt = build_truncated(W, D)
+        model = [m_power_diag(tt, k) for k in range(4)]
+        for pos, alpha in enumerate(tt.basis):
+            assert moments(W, alpha, 3) == [model[k][pos] for k in range(4)]
+
+
+def test_moments_on_the_perturbed_window():
+    # The column-map model cannot reach degree 511; one column of it, the
+    # unit-step products down from alpha, can.
+    W = PerturbedPower(2, 2, 2)
+    for alpha in [(2, 511), (3, 511), (2, 512), (1, 510), (1, 512), (0, 513)]:
+        assert moments(W, alpha, 3) == [path_moment(W, alpha, k) for k in range(4)]
+    assert moments(W, (2, 511), 1)[1] == F(513, 257)
+
+
+def test_neighbour_sum_is_one_minus_the_first_defect():
+    rng = random.Random(3003)
+    for W in moment_weights(rng):
+        D = 4 if W.m < 3 else 3
+        indices = mi.enumerate_leq_degree(W.m, D)[1:]
+        if isinstance(W, PerturbedPower):
+            indices = [mi.add(alpha, (2, 508) + (0,) * (W.m - 2)) for alpha in indices]
+        for alpha in indices:
+            n = rng.randint(1, 4)
+            assert necessary_condition(W, n, alpha).lhs == 1 - defect_diag(W, 1, alpha)
+
+
+def test_defect_at_the_origin_reads_no_weight():
+    # Every defect entry at alpha = 0 is 1, the engine's layer-0 row, even
+    # for a table that has no value at 0.
+    W = TableWeight(2, {(1, 0): F(1, 2), (0, 1): F(3), (1, 1): F(5)})
+    with pytest.raises(WeightDomainError):
+        W.rho((0, 0))
+    for k in range(4):
+        assert defect_diag(W, k, (0, 0)) == 1
+    assert moments(W, (0, 0), 3) == [1, 0, 0, 0]
+    assert is_n_hyper_up_to(W, 3, 0).witness is None
+    assert list(defect_layers(W, 3, 0)) == [((0, 0), [(1, 1)] * 3)]
+    # Reading no value is no licence for an index of the wrong length.
+    for alpha in [(0,), (0, 0, 0)]:
+        with pytest.raises(DimensionMismatch, match="multi-index has length"):
+            defect_diag(W, 1, alpha)
 
 
 # -- the layered defect engine ------------------------------------------------

@@ -197,6 +197,23 @@ def test_every_exported_name_resolves():
     assert rest.strip() == "[] [] []"
 
 
+def test_dir_lists_the_lazy_names_without_importing_them(monkeypatch):
+    # With the lazy modules unloaded and their names not yet resolved, dir()
+    # still lists every lazy name, sorted, and loads nothing.
+    import hypershift
+
+    modules = {f"hypershift.{module}" for module in hypershift._LAZY.values()}
+    for module in modules:
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    for name in hypershift._LAZY:
+        monkeypatch.delitem(vars(hypershift), name, raising=False)
+    names = dir(hypershift)
+    assert names == sorted(names)
+    assert set(hypershift._LAZY) <= set(names)
+    assert set(hypershift.__all__) <= set(names)
+    assert modules.isdisjoint(sys.modules)
+
+
 def test_every_exported_name_has_a_caller():
     # A public name stays only while package code outside __init__ refers
     # to it (a call, an annotation, an isinstance) or the benchmark imports

@@ -23,6 +23,7 @@ from hypershift import (
     TableWeight,
     TailUnreliableError,
     WeightDomainError,
+    WeightFunction,
     WeightSpecError,
     curvature_points,
     parse_fraction,
@@ -770,3 +771,17 @@ def test_radial_split_lists_corrections_or_no_base():
     short = RadialWeight(2, ExplicitSequence([1, 2, 3]))
     assert radial_split(TableWeight(2, {(3, 0): F(1)}, short)) == (None, frozenset())
     assert radial_split(TableWeight(2, {(1, 1): P.rho((1, 1))}, P)) == (P.sequence, frozenset())
+
+
+def test_a_weight_with_only_a_rule_for_values_has_no_base():
+    # A subclass that states rho alone inherits no radial split: the metric
+    # refuses it, and the exact scans read it at every index.
+    class Values(WeightFunction):
+        def _rho(self, alpha):
+            return F(1 + sum(alpha))
+
+    W = Values(2)
+    assert W.rho((1, 2)) == 4
+    with pytest.raises(TailUnreliableError, match="^Values has no radial decomposition"):
+        W.metric_decomposition()
+    assert radial_split(W) == (None, frozenset())
