@@ -388,8 +388,7 @@ def run_example45(
     stages: dict = {}
 
     # (a) kernel bound.
-    _, corrections = W.metric_decomposition()
-    stages["kernel_bound"] = {**kernel_bound(corrections, n), "base_degrees": W.base_degrees}
+    stages["kernel_bound"] = {**kernel_bound(W.corrections, n), "base_degrees": W.base_degrees}
 
     # (b) necessary-condition violation at the last block midpoint, then a
     # defect witness by graded scan.

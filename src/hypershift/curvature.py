@@ -339,10 +339,8 @@ def _series(coeffs: list, ratio: Decimal, t: Decimal) -> tuple:
 def _sequence_key(seq: RadialSequence):
     """Equal keys mark radial sequences with bit-identical series: the same
     instance, or the same class with the same spec."""
-    try:
-        return type(seq), repr(seq.spec_dict())
-    except NotImplementedError:
-        return seq
+    spec = seq.spec_dict()
+    return seq if spec is None else (type(seq), repr(spec))
 
 
 def _correction_table(W: WeightFunction) -> tuple:
@@ -355,10 +353,15 @@ def _correction_table(W: WeightFunction) -> tuple:
     exact coefficient rounded once, and the exponents e are already shifted,
     so no negative power of s is formed and s_i = 0 needs no special case.
     """
-    base, corrections = W.metric_decomposition()
-    m = W.m
+    if W.corrections is None:
+        raise TailUnreliableError(
+            "table weight without fallback has no series tail bound"
+            if W.sequence is None
+            else "radial sequence is undefined at a table entry; no series tail bound"
+        )
+    base, m = W.sequence, W.m
     terms = []
-    for alpha, delta in corrections:
+    for alpha, delta in W.corrections:
         terms.append(((), to_decimal(delta), alpha))
         for i, a in enumerate(alpha):
             if not a:

@@ -25,9 +25,9 @@ recurrence
     d_0 = 1,    d_k(alpha) = d_{k-1}(alpha) - sum_{i: alpha_i > 0} s_i(alpha) d_{k-1}(alpha - e_i),
 
 so degree layer N needs only layer N - 1.  The unit steps come from the
-weight's ``metric_decomposition``, read through ``weights.radial_split``
-(which the similarity scan shares): off its finitely many corrections C,
-rho is the radial base a(|alpha|) |alpha|!/alpha!, where
+weight's ``sequence`` a and ``corrections`` (which the similarity scan
+shares): off the finitely many corrected indices C, rho is the radial value
+a(|alpha|) |alpha|!/alpha!, where
 
     s_i(alpha) = alpha_i c_N,    c_N = a(N - 1) / (N a(N)),    N = |alpha|.
 
@@ -41,10 +41,10 @@ d_k(N) = sum_i (-1)^i C(k, i) a(N - i) / a(N).  So each degree layer holds
 one radial row and exact rows only on its part of the finite cone, all from
 one row update on reduced integer pairs (``_row``).  A lower neighbour
 outside the cone reads the previous radial row, and ``rho_ratio`` is called
-only where alpha or alpha - e_i is a correction.  A weight with no radial
-base puts every index in the cone and calls ``rho_ratio`` at each.  A scan
-costs O(n) per layer plus n*m exact multiply-adds per cone index, whatever
-the number of indices.
+only where alpha or alpha - e_i is a correction.  A weight with no split
+(``corrections`` is None) puts every index in the cone and calls
+``rho_ratio`` at each.  A scan costs O(n) per layer plus n*m exact
+multiply-adds per cone index, whatever the number of indices.
 
 The scans take the graded-lex-first witness of a layer from two candidates:
 the first violating cone entry (no cone row past it is computed), and the
@@ -62,7 +62,7 @@ from typing import Iterator, NamedTuple
 from . import multiindex as mi
 from .errors import DimensionMismatch
 from .multiindex import MultiIndex
-from .weights import RadialSequence, WeightFunction, radial_split
+from .weights import RadialSequence, WeightFunction
 
 
 def moments(W: WeightFunction, alpha: MultiIndex, k_max: int) -> list[Fraction]:
@@ -112,9 +112,9 @@ def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
 
     A row is [(p, q)] with row[k - 1] = d_k = p/q for k = 1..n, a reduced
     integer pair with q > 0.  ``radial`` is the row of every index of layer
-    N outside the cone, or None for a weight with no radial base.  ``cone``
+    N outside the cone, or None for a weight with no split.  ``cone``
     lists the layer's cone indices in lex order (every index when there is
-    no base) and ``rows`` yields (alpha, row) for them lazily in that order,
+    no split) and ``rows`` yields (alpha, row) for them lazily in that order,
     so a caller that stops early computes no row past its stop.
     """
     if max_degree < 0:
@@ -124,7 +124,8 @@ def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
     # Cone indices in `exact` (a correction or one step above one) take
     # W.rho_ratio; all others take alpha_i times the layer factor
     # c = a(N-1)/(N a(N)), and the radial row takes N c.
-    base, exact = radial_split(W)
+    base = None if W.corrections is None else W.sequence
+    exact = {alpha for alpha, _ in W.corrections or ()}
     cones: dict[int, set[MultiIndex]] = {}
     for alpha in exact:
         for beta in mi.enumerate_leq_degree(m, n):

@@ -9,9 +9,10 @@ through l + 1 steps telescopes to a single quotient of weight ratios:
     R(alpha, i, l) = [rho_1(alpha)/rho_1(alpha + (l+1) e_i)]
                    / [rho_2(alpha)/rho_2(alpha + (l+1) e_i)].
 
-Off the finitely many corrections C of two weights with radial bases a_1
-and a_2 (``weights.radial_split``), rho_k(alpha) = a_k(|alpha|) |alpha|!/alpha!
-and the multinomial factors cancel, so with N = |alpha|
+Off the finitely many corrected indices C of two weights with radial
+sequences a_1 and a_2 (each weight's ``sequence`` and ``corrections``),
+rho_k(alpha) = a_k(|alpha|) |alpha|!/alpha! and the multinomial factors
+cancel, so with N = |alpha|
 
     R(alpha, i, l) = q(N + l + 1) / q(N),    q = a_2 / a_1,
 
@@ -22,9 +23,10 @@ cells that touch C.  A ray whose cells are all off C and whose degree row is
 already filled is skipped whole.  A scan over |alpha| <= D and lengths
 0..L thus makes at most (D + 1)(L + 1) table calls to ``ray_ratio_sq`` plus
 one per cell touching C, instead of one per cell, C(D + m, m) m (L + 1);
-the remaining per-ray work is a set lookup.  When either weight has no
-radial base every cell is computed exactly, as a per-cell scan would, so a
-weight that fails fails at the same cell with the same error.
+the remaining per-ray work is a set lookup.  When either weight's
+``corrections`` is None (no radial split) every cell is computed exactly,
+as a per-cell scan would, so a weight that fails fails at the same cell
+with the same error.
 
 Exact rational arithmetic throughout.
 """
@@ -37,7 +39,7 @@ from typing import Iterator, NamedTuple
 from . import multiindex as mi
 from .errors import DimensionMismatch
 from .multiindex import MultiIndex
-from .weights import WeightFunction, radial_split
+from .weights import WeightFunction
 
 
 def _check_pair(W1: WeightFunction, W2: WeightFunction) -> None:
@@ -152,10 +154,8 @@ def _scanned_cells(
     it, so its ratio equals an earlier one.
     """
     m = W1.m
-    base1, corrected1 = radial_split(W1)
-    base2, corrected2 = radial_split(W2)
-    tabled = base1 is not None and base2 is not None
-    corrected = corrected1 | corrected2
+    tabled = W1.corrections is not None and W2.corrections is not None
+    corrected = {alpha for W in (W1, W2) for alpha, _ in W.corrections or ()}
     # (alpha, i) -> lengths l whose top alpha + (l+1) e_i is corrected.
     hits: dict[tuple[MultiIndex, int], set[int]] = {}
     for c in corrected:

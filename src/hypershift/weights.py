@@ -7,30 +7,38 @@ the adjoint shift tuple acts on the orthonormal diagonal basis by
 
     T_i e_alpha = sqrt(rho(alpha - e_i) / rho(alpha)) e_{alpha - e_i}.
 
-Every weight follows one of two rules:
+Every weight is one ``WeightFunction``: a radial coefficient sequence a
+(or none) and a finite map of exact values,
 
-* ``RadialWeight``: rho(alpha) = a(|alpha|) |alpha|! / alpha! for a positive
-  coefficient sequence a, with its ratio in closed form.
-  ``PowerKernel(n, m)`` is the radial weight on a(i) = C(n + i - 1, i), i.e.
+    rho(alpha) = the entry at alpha, else a(|alpha|) |alpha|! / alpha!,
+
+with its ``corrections``, the entries' differences from the radial values,
+computed once at construction.  The constructors name the shapes a spec
+can build:
+
+* ``RadialWeight(m, a)``: no entries.  ``PowerKernel(n, m)`` is the radial
+  weight on a(i) = C(n + i - 1, i), i.e.
   rho_n(alpha) = (n + |alpha| - 1)! / (alpha! (n-1)!), the coefficient family
   of (1 - <z, w>)^{-n}.
-* ``TableWeight``: finitely many explicit values over an optional fallback
-  weight.  Its ratio is the fallback's where neither index is an entry, and
-  the quotient of two values otherwise.  ``PerturbedPower``, the
-  counterexample family, is the table over ``PowerKernel(n, m)`` that divides
-  the power values along finitely many rays by small integers.
+* ``TableWeight(m, entries, fallback)``: finitely many explicit values over
+  the fallback's sequence and entries, or over nothing.
+* ``PerturbedPower(n, m, L)``, the counterexample family: the entries that
+  divide the values of ``PowerKernel(n, m)`` along finitely many rays by
+  small integers.
 
-``rho`` and ``rho_ratio`` check their indices' lengths once and read the
-weight's rule, ``_rho`` or ``_ratio``, which never reads
-``metric_decomposition`` or ``radial_split``; so the checks that read
-rho_ratio stay independent of the split the exact scans and the metric read.
+``rho`` and ``rho_ratio`` check their indices' lengths once and read the two
+rules: a value is the entry, else the radial value; a ratio is the quotient
+of two values where either index is an entry, else the radial ratio in
+closed form.  Neither reads ``corrections``, so the checks that read
+rho_ratio stay independent of the split the exact scans and the metric
+read.
 
 All weight values are exact ``Fraction``s and nothing here rounds: a
 sequence states its values, its ratio bound ``ratio_sup`` and its last index
-``max_index``, and a weight its ``metric_decomposition``; ``curvature``
-sums the truncated metric series from these at a working precision.
-Instances are immutable after construction apart from two memos, the
-radial factors of ``RadialWeight._ratio`` and the values of a
+``max_index``, and a weight its ``sequence`` and ``corrections``;
+``curvature`` sums the truncated metric series from these at a working
+precision.  Instances are immutable after construction apart from two
+memos, the radial factors of ``WeightFunction._ratio`` and the values of a
 ``PolynomialSequence``, so they are safe to share across threads for
 reading.
 """
@@ -44,7 +52,6 @@ from . import multiindex as mi
 from .errors import (
     DimensionMismatch,
     SequenceExhausted,
-    TailUnreliableError,
     WeightDomainError,
     WeightSpecError,
 )
@@ -73,8 +80,9 @@ class RadialSequence:
         """Largest defined index, or None when the sequence is unbounded."""
         return None
 
-    def spec_dict(self) -> dict:
-        raise NotImplementedError
+    def spec_dict(self) -> dict | None:
+        """The JSON-level spec, or None when no spec describes the sequence."""
+        return None
 
 
 class PowerSequence(RadialSequence):
@@ -198,14 +206,70 @@ class ExplicitSequence(RadialSequence):
 # Weight functions
 
 
-class WeightFunction:
-    """Base class: a positive rational weight on multi-indices of fixed
-    dimension m, normalized so that rho(0) is finite and positive."""
+def _dimension(m: int) -> int:
+    if m < 1:
+        raise ValueError("dimension m must be >= 1")
+    return m
 
-    def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("dimension m must be >= 1")
-        self.m = m
+
+def _graded(item: tuple) -> tuple:
+    """The graded order of (alpha, ...) pairs: degree, then alpha."""
+    return mi.degree(item[0]), item[0]
+
+
+class WeightFunction:
+    """A positive rational weight on multi-indices of dimension m: the finite
+    map ``entries`` of exact values over the radial ``sequence`` a,
+
+        rho(alpha) = entries[alpha]                 at an entry,
+        rho(alpha) = a(|alpha|) |alpha|! / alpha!   elsewhere,
+
+    and no value off the entries when ``sequence`` is None.
+
+    ``corrections``, computed once here, lists the pairs (alpha, rho(alpha)
+    - a(|alpha|) |alpha|!/alpha!) with a nonzero difference, sorted by
+    degree and then alpha.  The diagonal metric is then
+
+        h(w) = sum_d a(d) |w|^{2d} + sum_corr delta * |w^alpha|^2
+
+    and only the radial series needs a tail bound; the exact scans read a
+    unit step s_i(alpha) = rho(alpha - e_i)/rho(alpha) from a unless alpha
+    or alpha - e_i is listed.  It is None when there is no sequence, or
+    when the sequence is undefined at an entry: the scans then read rho at
+    every index, and the metric refuses the weight.
+
+    ``spec`` is the canonical JSON-level spec that ``spec_dict`` returns, or
+    None when no spec describes the weight.  ``entries`` holds positive
+    ``Fraction``s at indices of length m; ``TableWeight`` checks them.
+    """
+
+    def __init__(
+        self,
+        m: int,
+        sequence: RadialSequence | None,
+        entries: dict[MultiIndex, Fraction],
+        spec: dict | None,
+    ):
+        self.m = _dimension(m)
+        self.sequence = sequence
+        self.entries = entries
+        self.spec = spec
+        # (N, b) -> a(N - b) / (a(N) (N)_b), the radial factor of _ratio.
+        self._radial_factor: dict[tuple[int, int], Fraction] = {}
+        self.corrections = self._split()
+
+    def _split(self) -> list[tuple[MultiIndex, Fraction]] | None:
+        if self.sequence is None:
+            return None
+        corrections = []
+        for alpha, value in self.entries.items():
+            try:
+                delta = value - self._radial(alpha)
+            except WeightDomainError:
+                return None
+            if delta:
+                corrections.append((alpha, delta))
+        return sorted(corrections, key=_graded)
 
     # -- exact values ------------------------------------------------------
 
@@ -213,21 +277,29 @@ class WeightFunction:
         alpha = tuple(alpha)
         if len(alpha) != self.m:
             raise DimensionMismatch(f"multi-index has length {len(alpha)}, weight has m = {self.m}")
-        return self._value(mi.validate(alpha))
+        return self._rho(mi.validate(alpha))
 
-    def _value(self, alpha: MultiIndex) -> Fraction:
-        """``_rho`` at an index of length m, refused unless positive."""
-        value = self._rho(alpha)
+    def _rho(self, alpha: MultiIndex) -> Fraction:
+        """rho at an index of length m: the entry, else the radial value."""
+        if self.entries:
+            value = self.entries.get(alpha)
+            if value is not None:
+                return value
+        return self._radial(alpha)
+
+    def _radial(self, alpha: MultiIndex) -> Fraction:
+        """a(|alpha|) multinomial(|alpha|, alpha), refused unless positive."""
+        if self.sequence is None:
+            raise WeightDomainError(f"no table entry for {alpha!r} and no fallback")
+        d = mi.degree(alpha)
+        value = self.sequence.value(d) * mi.multinomial(d, alpha)
         if value <= 0:
             raise WeightDomainError(f"weight is not positive at {alpha!r}")
         return value
 
-    def _rho(self, alpha: MultiIndex) -> Fraction:
-        raise NotImplementedError
-
     def rho_ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
-        """rho(alpha - beta) / rho(alpha) for beta <= alpha, read by the
-        weight's rule ``_ratio`` once both lengths are checked."""
+        """rho(alpha - beta) / rho(alpha) for beta <= alpha, read by
+        ``_ratio`` once both lengths are checked."""
         if len(alpha) != self.m:
             raise DimensionMismatch("dimension mismatch")
         if len(beta) != self.m:
@@ -235,54 +307,13 @@ class WeightFunction:
         return self._ratio(tuple(alpha), tuple(beta))
 
     def _ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
-        raise NotImplementedError
-
-    # -- metric structure ----------------------------------------------------
-
-    def metric_decomposition(self) -> tuple[RadialSequence, list[tuple[MultiIndex, Fraction]]]:
-        """Split rho into a radial base plus finitely many exact corrections.
-
-        Returns (base, corrections) with corrections a list of pairs
-        (alpha, rho(alpha) - rho_base(alpha)).  The diagonal metric is then
-
-            h(w) = sum_d a(d) |w|^{2d} + sum_corr delta * |w^alpha|^2
-
-        and only the radial base needs a series tail bound.
-
-        A table adds its entries' differences from its fallback to the
-        fallback's corrections: one negative correction per divided ray
-        point for ``PerturbedPower``.
-
-        The defect engine relies on the same split: rho equals the radial
-        base exactly at every index not listed in the corrections, so a
-        unit step s_i(alpha) = rho(alpha - e_i)/rho(alpha) is read from the
-        base unless alpha or alpha - e_i is listed.  A subclass that
-        overrides ``_rho`` must therefore also override this method, or
-        the engine scans the base instead of it.  A weight with no radial
-        base raises TailUnreliableError.
-        """
-        raise TailUnreliableError(
-            f"{type(self).__name__} has no radial decomposition for metric evaluation"
-        )
-
-    def spec_dict(self) -> dict:
-        raise NotImplementedError
-
-
-class RadialWeight(WeightFunction):
-    """rho(alpha) = a(|alpha|) |alpha|! / alpha! for a coefficient sequence a."""
-
-    def __init__(self, m: int, sequence: RadialSequence):
-        super().__init__(m)
-        self.sequence = sequence
-        # (N, b) -> a(N - b) / (a(N) (N)_b), the radial factor of _ratio.
-        self._radial_factor: dict[tuple[int, int], Fraction] = {}
-
-    def _rho(self, alpha: MultiIndex) -> Fraction:
-        d = mi.degree(alpha)
-        return self.sequence.value(d) * mi.multinomial(d, alpha)
-
-    def _ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
+        """The quotient of two values where alpha or alpha - beta is an
+        entry (or there is no sequence), else the radial ratio in closed
+        form."""
+        if self.entries or self.sequence is None:
+            below = mi.sub(alpha, beta)
+            if self.sequence is None or alpha in self.entries or below in self.entries:
+                return self._rho(below) / self._rho(alpha)
         num = 1
         b_deg = 0
         for a, b in zip(alpha, beta):
@@ -297,102 +328,74 @@ class RadialWeight(WeightFunction):
             self._radial_factor[(d, b_deg)] = factor
         return factor * num
 
-    def radial_sequence(self) -> RadialSequence:
+    def radial_sequence(self) -> RadialSequence | None:
         return self.sequence
 
-    def metric_decomposition(self):
-        return self.sequence, []
-
     def spec_dict(self) -> dict:
-        return {"kind": "radial", "m": self.m, "a": self.sequence.spec_dict()}
+        """The canonical spec, shared with the weight: callers read it."""
+        if self.spec is None:
+            raise WeightSpecError(
+                "no spec describes this weight: a table serializes only over a "
+                "power-kernel fallback, a radial weight only over a sequence with a spec"
+            )
+        return self.spec
 
 
-class PowerKernel(RadialWeight):
+def RadialWeight(m: int, sequence: RadialSequence) -> WeightFunction:
+    """rho(alpha) = a(|alpha|) |alpha|! / alpha! for a coefficient sequence a."""
+    a = sequence.spec_dict()
+    spec = None if a is None else {"kind": "radial", "m": m, "a": a}
+    return WeightFunction(m, sequence, {}, spec)
+
+
+def PowerKernel(n: int, m: int) -> WeightFunction:
     """rho_n(alpha) = (n + |alpha| - 1)! / (alpha! (n - 1)!), the radial
     weight on ``PowerSequence(n)``."""
-
-    def __init__(self, n: int, m: int):
-        super().__init__(m, PowerSequence(n))
-        self.n = n
-
-    def spec_dict(self) -> dict:
-        return {"kind": "power", "n": self.n, "m": self.m}
+    return WeightFunction(m, PowerSequence(n), {}, {"kind": "power", "n": n, "m": m})
 
 
-class TableWeight(WeightFunction):
-    """Explicit values on finitely many multi-indices with an optional
-    fallback weight covering everything else."""
-
-    def __init__(
-        self,
-        m: int,
-        entries: dict[MultiIndex, Fraction],
-        fallback: WeightFunction | None = None,
-    ):
-        super().__init__(m)
-        norm: dict[MultiIndex, Fraction] = {}
-        for alpha, value in entries.items():
-            alpha = mi.validate(tuple(alpha))
-            if len(alpha) != m:
-                raise DimensionMismatch(f"table entry {alpha!r} has wrong dimension")
-            value = Fraction(value)
-            if value <= 0:
-                raise ValueError(f"table entry at {alpha!r} must be positive")
-            norm[alpha] = value
-        if fallback is not None and fallback.m != m:
-            raise DimensionMismatch("fallback weight has mismatched dimension")
-        self.entries = norm
-        self.fallback = fallback
-
-    def _rho(self, alpha: MultiIndex) -> Fraction:
-        value = self.entries.get(alpha)
-        if value is not None:
-            return value
-        if self.fallback is None:
-            raise WeightDomainError(f"no table entry for {alpha!r} and no fallback")
-        return self.fallback._value(alpha)
-
-    def _ratio(self, alpha: MultiIndex, beta: MultiIndex) -> Fraction:
-        """The fallback's ratio where neither alpha nor alpha - beta is an
-        entry, else the quotient of the two table values."""
-        below = mi.sub(alpha, beta)
-        if self.fallback is None or alpha in self.entries or below in self.entries:
-            return self._value(below) / self._value(alpha)
-        return self.fallback._ratio(alpha, beta)
-
-    def metric_decomposition(self):
-        if self.fallback is None:
-            raise TailUnreliableError("table weight without fallback has no series tail bound")
-        base, base_corr = self.fallback.metric_decomposition()
-        corrections = dict(base_corr)
-        for alpha, value in self.entries.items():
-            delta = value - self.fallback.rho(alpha)
-            corrections[alpha] = corrections.get(alpha, Fraction(0)) + delta
-        items = [(a, d) for a, d in corrections.items() if d != 0]
-        items.sort(key=lambda p: (mi.degree(p[0]), p[0]))
-        return base, items
-
-    def spec_dict(self) -> dict:
-        out: dict = {
-            "kind": "table",
-            "m": self.m,
-            "entries": [
-                {"alpha": list(a), "rho": frac_str(v)}
-                for a, v in sorted(self.entries.items(), key=lambda p: (mi.degree(p[0]), p[0]))
-            ],
-        }
-        if self.fallback is not None:
-            if isinstance(self.fallback, PowerKernel):
-                out["fallback"] = f"power:{self.fallback.n}"
-            else:
-                raise WeightSpecError("only power-kernel fallbacks serialize")
-        return out
+def TableWeight(
+    m: int,
+    entries: dict[MultiIndex, Fraction],
+    fallback: WeightFunction | None = None,
+) -> WeightFunction:
+    """Explicit values on finitely many multi-indices over an optional
+    fallback weight covering everything else: the fallback's sequence, and
+    these entries over the fallback's own.  The spec lists the entries in
+    graded order and a power-kernel fallback as ``power:<n>``; over any
+    other fallback the weight has no spec."""
+    _dimension(m)  # before any entry is checked against it
+    exact: dict[MultiIndex, Fraction] = {}
+    for alpha, value in entries.items():
+        alpha = mi.validate(tuple(alpha))
+        if len(alpha) != m:
+            raise DimensionMismatch(f"table entry {alpha!r} has wrong dimension")
+        value = Fraction(value)
+        if value <= 0:
+            raise ValueError(f"table entry at {alpha!r} must be positive")
+        exact[alpha] = value
+    spec: dict | None = {
+        "kind": "table",
+        "m": m,
+        "entries": [
+            {"alpha": list(a), "rho": frac_str(v)} for a, v in sorted(exact.items(), key=_graded)
+        ],
+    }
+    if fallback is None:
+        return WeightFunction(m, None, exact, spec)
+    if fallback.m != m:
+        raise DimensionMismatch("fallback weight has mismatched dimension")
+    if fallback.spec is not None and fallback.spec["kind"] == "power":
+        spec["fallback"] = f"power:{fallback.spec['n']}"
+    else:
+        spec = None
+    return WeightFunction(m, fallback.sequence, {**fallback.entries, **exact}, spec)
 
 
-class PerturbedPower(TableWeight):
-    """A power kernel divided by small integers along finitely many rays: a
-    table over the fallback ``base = PowerKernel(n, m)`` whose entries are
-    base.rho(alpha) / d at the finitely many indices with divisor d > 1.
+class PerturbedPower(WeightFunction):
+    """A power kernel divided by small integers along finitely many rays:
+    the entries base.rho(alpha) / d over the sequence of ``base =
+    PowerKernel(n, m)``, at the finitely many indices with divisor d > 1.
 
     Block l (l = 1 .. blocks) sits over the base point (0, b_l, 0, ..., 0)
     where b_l is the smallest admissible base degree
@@ -422,41 +425,20 @@ class PerturbedPower(TableWeight):
         self.n = n
         self.blocks = blocks
         self.base = PowerKernel(n, m)
-        self.base_degrees = self._block_base_degrees(n, blocks)
+        self.base_degrees = [
+            n**n * 2 ** (3 * l + 1) // factorial(n - 1) - n + 1 for l in range(1, blocks + 1)
+        ]
         self._divisors: dict[MultiIndex, int] = {}
         for l, b in enumerate(self.base_degrees, start=1):
             for j in range(2, 2 * l - 1):
                 self._divisors[(j, b) + (0,) * (m - 2)] = min(j, 2 * l - j)
         entries = {alpha: self.base.rho(alpha) / d for alpha, d in self._divisors.items()}
-        super().__init__(m, entries, self.base)
-
-    @staticmethod
-    def _block_base_degrees(n: int, blocks: int) -> list[int]:
-        return [n**n * 2 ** (3 * l + 1) // factorial(n - 1) - n + 1 for l in range(1, blocks + 1)]
+        spec = {"kind": "perturbed45", "n": n, "m": m, "L": blocks}
+        super().__init__(m, self.base.sequence, entries, spec)
 
     def perturbed_entries(self) -> list[tuple[MultiIndex, int]]:
         """All (alpha, divisor) pairs with divisor > 1, graded order."""
-        return sorted(self._divisors.items(), key=lambda p: (mi.degree(p[0]), p[0]))
-
-    def spec_dict(self) -> dict:
-        return {"kind": "perturbed45", "n": self.n, "m": self.m, "L": self.blocks}
-
-
-def radial_split(W: WeightFunction) -> tuple[RadialSequence | None, frozenset]:
-    """(base, corrected indices) from W's ``metric_decomposition``.
-
-    rho equals the radial base a(|alpha|) |alpha|!/alpha! at every index
-    outside the finite corrected set, so the exact scans read it from the
-    base there.  A weight with no radial base, or a table whose fallback is
-    undefined at one of its entries, gives (None, frozenset()): the scans
-    then read rho at every index, and fail, if at all, where a per-index
-    scan fails.
-    """
-    try:
-        base, corrections = W.metric_decomposition()
-    except (TailUnreliableError, WeightDomainError):
-        return None, frozenset()
-    return base, frozenset(alpha for alpha, _ in corrections)
+        return sorted(self._divisors.items(), key=_graded)
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,10 @@ def commutator_float_norm(tt) -> float:
 # diagonal is a checked output, not an input assumption.  The powers T^beta
 # are built one degree layer at a time, T^{beta + e_i} = T_i o T^beta, from
 # the previous layer alone.  The weight enters only through ``rho_ratio`` at
-# construction; nothing here calls the defect engine or
-# ``metric_decomposition``, which is what makes the model independent of
-# the closed forms ``truncate`` reports from.
+# construction; nothing here calls the defect engine or reads the weight's
+# ``sequence`` or ``corrections``, which is what makes the model independent
+# of the closed forms ``truncate`` reports from (a poisoned ``corrections``
+# moves the engine and leaves the model, ``tests/test_truncation.py``).
 
 # col -> (row, p, q): the squared matrix entry is p/q with gcd(p, q) = 1 and
 # q > 0; absent columns map to zero.

@@ -79,7 +79,7 @@ def reference_class_jet(W, w, max_degree):
     [F_ij, magnitude], each magnitude the sum of the absolute values of the
     terms of that quantity."""
     m = W.m
-    base, corrections = W.metric_decomposition()
+    base, corrections = W.sequence, W.corrections
     s = [mp.mpf(x.real) ** 2 + mp.mpf(x.imag) ** 2 for x in w]
     t = sum(s)
     a = [mp.mpf(base.value(d).numerator) / base.value(d).denominator for d in range(max_degree + 1)]

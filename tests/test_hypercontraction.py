@@ -16,13 +16,14 @@ from hypershift import (
     PowerSequence,
     RadialWeight,
     TableWeight,
+    WeightFunction,
     defect_diag,
     is_n_hyper_up_to,
     necessary_condition,
     necessary_scan,
     radial_necessary,
 )
-from hypershift import DimensionMismatch, TailUnreliableError, WeightDomainError
+from hypershift import DimensionMismatch, WeightDomainError
 from hypershift import multiindex as mi
 from hypershift.hypercontraction import HyperWitness, _cone_layers, moments
 
@@ -279,13 +280,11 @@ def test_sparse_table_scans_match_the_oracles():
 
 def in_cone(W, n, alpha):
     """alpha lies within order n above a correction of W (every index, for
-    a weight with no radial base)."""
-    try:
-        _, corrections = W.metric_decomposition()
-    except (TailUnreliableError, WeightDomainError):
+    a weight with no split)."""
+    if W.corrections is None:
         return True
     return any(
-        mi.leq(c, alpha) and mi.degree(alpha) - mi.degree(c) <= n for c, _ in corrections
+        mi.leq(c, alpha) and mi.degree(alpha) - mi.degree(c) <= n for c, _ in W.corrections
     )
 
 
@@ -432,23 +431,15 @@ def test_deep_scans_stop_at_the_perturbed_witness():
 
 
 def count_rho_ratio_calls(monkeypatch):
-    """Record the alpha of every outermost rho_ratio call made on any weight
-    family; a table's call into its fallback is part of its own call."""
+    """Record the alpha of every rho_ratio call made on any weight."""
     calls = []
-    depth = [0]
-    for cls in (RadialWeight, TableWeight):
-        original = cls.rho_ratio
+    original = WeightFunction.rho_ratio
 
-        def counting(self, alpha, beta, original=original):
-            if not depth[0]:
-                calls.append(tuple(alpha))
-            depth[0] += 1
-            try:
-                return original(self, alpha, beta)
-            finally:
-                depth[0] -= 1
+    def counting(self, alpha, beta):
+        calls.append(tuple(alpha))
+        return original(self, alpha, beta)
 
-        monkeypatch.setattr(cls, "rho_ratio", counting)
+    monkeypatch.setattr(WeightFunction, "rho_ratio", counting)
     return calls
 
 
@@ -474,8 +465,7 @@ def test_engine_calls_rho_ratio_only_next_to_corrections(monkeypatch):
     rng = random.Random(71)
     for m in (1, 2, 3):
         W = sparse_power_table(rng, m, 4)
-        _, corrections = W.metric_decomposition()
-        listed = {alpha for alpha, _ in corrections}
+        listed = {alpha for alpha, _ in W.corrections}
         assert len(listed) == len(W.entries) - 1  # the fallback-valued entry
         near = listed | {mi.add(a, mi.unit(m, i)) for a in listed for i in range(m)}
         expected = [

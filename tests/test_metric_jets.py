@@ -130,7 +130,7 @@ def reference_jet(W, w, max_degree, precision_bits):
                 tail_hess=zero,
             )
 
-        base, corrections = W.metric_decomposition()
+        base, corrections = W.sequence, W.corrections
         g, gp, gpp, tail0, tail1, tail2 = reference_series(base, t, max_degree)
 
         h = g

@@ -12,12 +12,16 @@ import pytest
 import helpers
 from hypershift import (
     PerturbedPower,
+    PolynomialSequence,
     PowerKernel,
     RadialWeight,
     TableWeight,
     Truncation,
-    WeightFunction,
     defect_diag,
+    is_n_hyper_up_to,
+    necessary_scan,
+    ray_ratio_sq_literal,
+    similarity_scan,
 )
 from hypershift import hypercontraction
 from hypershift import multiindex as mi
@@ -355,7 +359,8 @@ def test_compose_runs_once_per_monomial_past_degree_one(monkeypatch):
 
 def test_matrix_model_never_calls_the_defect_engine(monkeypatch):
     # The model reads the weight only through rho_ratio, so it still agrees
-    # with the multinomial formula when every engine entry point refuses.
+    # with the multinomial formula when every engine entry point refuses
+    # and every weight's split is wrong.
     rng = random.Random(107)
     weights = list(_weights_up_to_three_variables(rng, 6))
     weights.append(TableWeight(2, {(1, 2): F(1, 5), (0, 3): F(7)}, fallback=PowerKernel(2, 2)))
@@ -371,8 +376,8 @@ def test_matrix_model_never_calls_the_defect_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the matrix model called the defect engine")
 
-    for cls in (WeightFunction, RadialWeight, TableWeight, PerturbedPower):
-        monkeypatch.setattr(cls, "metric_decomposition", refuse)
+    for W, *_ in cases:
+        monkeypatch.setattr(W, "corrections", [((0,) * W.m, F(1))])
     for name, obj in list(vars(hypercontraction).items()):
         if callable(obj) and getattr(obj, "__module__", None) == hypercontraction.__name__:
             monkeypatch.setattr(hypercontraction, name, refuse)
@@ -388,13 +393,74 @@ def test_matrix_model_never_calls_the_defect_engine(monkeypatch):
 def test_a_ratio_that_is_no_quotient_of_values_fails_to_commute():
     # s_0(alpha) = alpha_1 + 1 and s_1 = 1: at (1, 1), s_0(1, 0) s_1(1, 1) = 1
     # but s_1(0, 1) s_0(1, 1) = 2.
-    class Skewed(PowerKernel):
-        def _ratio(self, alpha, beta):
-            return F(alpha[1] + 1) if beta[0] else F(1)
-
+    W = PowerKernel(2, 2)
+    W._ratio = lambda alpha, beta: F(alpha[1] + 1) if beta[0] else F(1)
     with pytest.raises(RuntimeError) as info:
-        Truncation(Skewed(2, 2), 2)
+        Truncation(W, 2)
     assert str(info.value) == "truncated tuple fails to commute: defect 1"
+
+
+# -- the split is only a shortcut ----------------------------------------------
+
+
+def _split_weights():
+    P = PowerKernel(2, 2)
+    yield TableWeight(2, {(2, 3): 2 * F(30)}, P)  # the entry is the base value
+    yield TableWeight(2, {(2, 3): F(30)}, P)  # halved: d_1(2, 3) < 0
+    yield TableWeight(2, {(1, 2): F(1, 5), (0, 3): F(7), (1, 1): P.rho((1, 1))}, P)
+    yield TableWeight(3, {(1, 1, 0): F(3), (0, 2, 1): F(2, 9)}, PowerKernel(3, 3))
+    yield RadialWeight(2, PolynomialSequence([F(1), F(2), F(1)]))
+
+
+def _engine_results(W, D=6):
+    P = PowerKernel(2, W.m)
+    scan = similarity_scan(W, P, 3, 4)
+    return (
+        is_n_hyper_up_to(W, 2, D),
+        necessary_scan(W, 2, D),
+        scan._replace(table=None, exact=None),
+        list(scan.cells()),
+        [Truncation(W, D).defect(k) for k in (1, 2)],
+    )
+
+
+def test_forcing_no_split_leaves_the_engines_results(monkeypatch):
+    # With corrections None the engines read rho at every index, and every
+    # scan, ratio and defect comes out the same.
+    for W in _split_weights():
+        split = _engine_results(W)
+        monkeypatch.setattr(W, "corrections", None)
+        assert _engine_results(W) == split
+
+
+def test_a_poisoned_split_moves_the_engines_not_the_oracles(monkeypatch):
+    # Listing no corrections makes the engines read the power base at the
+    # halved entry, so their results move; defect_diag, the literal ray
+    # product and the column-map model read rho_ratio and stay.
+    W = TableWeight(2, {(2, 3): F(30)}, PowerKernel(2, 2))
+    P = PowerKernel(2, 2)
+    basis = mi.enumerate_leq_degree(2, 6)
+
+    def oracles():
+        tt = build_truncated(W, 6)
+        return (
+            [defect_diag(W, k, alpha) for k in (1, 2) for alpha in basis],
+            [
+                ray_ratio_sq_literal(W, P, alpha, i, l)
+                for alpha in basis[:10]
+                for i in (0, 1)
+                for l in range(5)
+            ],
+            [defect_operator(tt, k).diagonal for k in (1, 2)],
+            m_power_diag(tt, 1),
+        )
+
+    engines, before = _engine_results(W), oracles()
+    monkeypatch.setattr(W, "corrections", [])
+    moved = _engine_results(W)
+    assert [a != b for a, b in zip(moved, engines)] == [True] * 5
+    assert moved[0].witness is None and engines[0].witness.alpha == (2, 3)
+    assert oracles() == before
 
 
 # -- truncate against the matrix model ---------------------------------------

@@ -1,13 +1,17 @@
 """Weight families, serialization, and the diagonal metric evaluator."""
 
+import json
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypershift import (
     BallDomainError,
@@ -18,12 +22,12 @@ from hypershift import (
     PolynomialSequence,
     PowerKernel,
     PowerSequence,
+    RadialSequence,
     RadialWeight,
     SequenceExhausted,
     TableWeight,
     TailUnreliableError,
     WeightDomainError,
-    WeightFunction,
     WeightSpecError,
     curvature_points,
     parse_fraction,
@@ -34,7 +38,6 @@ from hypershift import (
 import hypershift.curvature as curvature_module
 from hypershift import multiindex as mi
 from hypershift.curvature import metric_jets
-from hypershift.weights import radial_split
 
 from helpers import (
     point_jet,
@@ -248,13 +251,15 @@ def test_table_weight_lookup_and_fallback():
 
 
 def test_weight_positivity_guard():
-    class Broken(PowerKernel):
-        def _rho(self, alpha):
+    class Negative(RadialSequence):
+        def value(self, i):
             return F(-1)
 
-    W = Broken(2, 1)
+    W = RadialWeight(1, Negative())
     with pytest.raises(WeightDomainError):
         W.rho((1,))
+    # A sequence that is not positive at an entry gives no split.
+    assert TableWeight(1, {(1,): F(1)}, fallback=W).corrections is None
 
 
 # -- the perturbed counterexample family ------------------------------------
@@ -449,6 +454,74 @@ def test_weight_dict_round_trip():
             assert clone.rho(alpha) == W.rho(alpha)
 
 
+def _report_weights():
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        report = json.loads(path.read_text())
+        for key, spec in report.get("params", {}).items():
+            if key.startswith("weight"):
+                yield f"{path.name}:{key}", spec
+
+
+@pytest.mark.parametrize(
+    "spec, canonical",
+    [
+        (
+            {
+                "kind": "table",
+                "m": 2,
+                "entries": [
+                    {"alpha": [1, 1], "rho": "6/4"},
+                    {"alpha": [0, 0], "rho": "1"},
+                    {"alpha": [2, 0], "rho": "5"},
+                ],
+                "fallback": "none",
+            },
+            {
+                "kind": "table",
+                "m": 2,
+                "entries": [
+                    {"alpha": [0, 0], "rho": "1/1"},
+                    {"alpha": [1, 1], "rho": "3/2"},
+                    {"alpha": [2, 0], "rho": "5/1"},
+                ],
+            },
+        ),
+        (
+            {
+                "kind": "table",
+                "m": 2,
+                "entries": [{"alpha": [0, 3], "rho": "6/4"}, {"alpha": [2, 0], "rho": "2/2"}],
+                "fallback": "power:2",
+            },
+            {
+                "kind": "table",
+                "m": 2,
+                "entries": [{"alpha": [2, 0], "rho": "1/1"}, {"alpha": [0, 3], "rho": "3/2"}],
+                "fallback": "power:2",
+            },
+        ),
+        (
+            {"kind": "radial", "m": 1, "a": {"generator": "polynomial", "coefficients": ["2/2"]}},
+            {"kind": "radial", "m": 1, "a": {"generator": "polynomial", "coefficients": ["1/1"]}},
+        ),
+        (
+            {"kind": "radial", "m": 2, "a": {"generator": "geometric", "r": "4/6"}},
+            {"kind": "radial", "m": 2, "a": {"generator": "geometric", "r": "2/3"}},
+        ),
+        (
+            {"kind": "radial", "m": 2, "a": {"list": ["2/2", "3"]}},
+            {"kind": "radial", "m": 2, "a": {"list": ["1/1", "3/1"]}},
+        ),
+        *(pytest.param(spec, spec, id=name) for name, spec in _report_weights()),
+    ],
+)
+def test_spec_dict_is_the_canonical_form(spec, canonical):
+    # A weight's spec is rebuilt from its parsed values, not echoed: reduced
+    # rationals, entries in graded order, no "fallback": "none"; and every
+    # weight a golden report lists in its params is already canonical.
+    assert weight_from_dict(spec).spec_dict() == canonical
+
+
 def test_weight_dict_rejects_malformed():
     with pytest.raises(WeightSpecError):
         weight_from_dict({"kind": "nope"})
@@ -504,6 +577,11 @@ def test_weight_dict_rejects_malformed():
                 re.escape(f"not a nonnegative integer: {n!r}"),
             )
             for n in ("2_0", " 2", "+2", "2 ", "\u00b2", "\uff12", "")
+        ),
+        # The dimension is checked before any table entry is held against it.
+        (
+            {"kind": "table", "m": 0, "entries": [{"alpha": [1], "rho": "1"}]},
+            "dimension m must be >= 1",
         ),
     ],
 )
@@ -588,26 +666,24 @@ def test_metric_corrections_enter_exactly():
         assert abs((h_pert.h - h_base.h) - delta) < 1e-25
 
 
-def test_metric_decomposition_merges_and_sorts():
+def test_corrections_merge_and_sort():
     base = PowerKernel(2, 2)
     W = TableWeight(
         2,
         {(0, 2): base.rho((0, 2)) * 2, (1, 0): base.rho((1, 0)), (2, 0): F(1)},
         fallback=base,
     )
-    seq, corrections = W.metric_decomposition()
     # The untouched (1,0) entry drops out; the rest arrive in graded order.
-    assert [alpha for alpha, _ in corrections] == [(0, 2), (2, 0)]
-    assert corrections[0][1] == base.rho((0, 2))
-    assert isinstance(seq, PowerSequence) and seq.n == 2
-
-
-def test_perturbed_metric_decomposition():
-    W = PerturbedPower(2, 2, 2)
-    seq, corrections = W.metric_decomposition()
+    assert [alpha for alpha, _ in W.corrections] == [(0, 2), (2, 0)]
+    assert W.corrections[0][1] == base.rho((0, 2))
+    assert W.sequence is base.sequence
+    # A table over a table lists the merged differences from the sequence.
+    T = TableWeight(2, {(2, 0): F(5), (1, 1): base.rho((1, 1))}, fallback=W)
+    assert T.corrections == [((0, 2), base.rho((0, 2))), ((2, 0), 5 - base.rho((2, 0)))]
+    P = PerturbedPower(2, 2, 2)
     rho = PowerKernel(2, 2).rho((2, 511))
-    assert corrections == [((2, 511), rho / 2 - rho)]
-    assert isinstance(seq, PowerSequence) and seq.n == 2
+    assert P.corrections == [((2, 511), rho / 2 - rho)]
+    assert P.sequence.spec_dict() == {"generator": "power", "n": 2}
 
 
 def test_metric_domain_errors():
@@ -708,11 +784,11 @@ def test_series_memo_matches_a_fresh_sequence(monkeypatch):
 def test_weights_share_their_radial_sequence():
     W = PerturbedPower(2, 2, 2)
     seq = W.base.radial_sequence()
-    assert W.base.radial_sequence() is seq
-    assert W.metric_decomposition()[0] is seq
+    assert W.base.radial_sequence() is seq is W.base.sequence
+    assert W.sequence is seq
     base = PowerKernel(2, 2)
     T = TableWeight(2, {(1, 1): F(1)}, fallback=base)
-    assert T.metric_decomposition()[0] is base.radial_sequence()
+    assert T.sequence is base.radial_sequence()
 
 
 def decomposition_families():
@@ -741,11 +817,10 @@ def decomposition_families():
 
 
 def test_unit_steps_follow_the_metric_decomposition():
-    # rho is the radial base exactly off the listed corrections, so every
+    # rho is the radial value exactly off the listed corrections, so every
     # unit step with neither end listed is alpha_i a(N-1) / (N a(N)).
     for W, indices in decomposition_families():
-        base, corrections = W.metric_decomposition()
-        delta = dict(corrections)
+        base, delta = W.sequence, dict(W.corrections)
         for alpha in indices:
             N = mi.degree(alpha)
             radial = base.value(N) * F(factorial(N), prod(map(factorial, alpha)))
@@ -758,30 +833,64 @@ def test_unit_steps_follow_the_metric_decomposition():
                 assert step == W.rho(below) / W.rho(alpha) == W.rho_ratio(alpha, mi.unit(W.m, i))
 
 
-
-def test_radial_split_lists_corrections_or_no_base():
-    base, corrected = radial_split(PerturbedPower(2, 2, 2))
-    assert base.spec_dict() == {"generator": "power", "n": 2}
-    assert corrected == {(2, 511)}
-    # No fallback: no base.  A fallback undefined at a table entry (an
-    # explicit list of three terms below an entry of degree 3): no base
-    # either, rather than the fallback's error.
-    P = PowerKernel(2, 2)
-    assert radial_split(TableWeight(2, {(0, 0): F(1)})) == (None, frozenset())
-    short = RadialWeight(2, ExplicitSequence([1, 2, 3]))
-    assert radial_split(TableWeight(2, {(3, 0): F(1)}, short)) == (None, frozenset())
-    assert radial_split(TableWeight(2, {(1, 1): P.rho((1, 1))}, P)) == (P.sequence, frozenset())
+def _fractions(hi=6):
+    return st.builds(F, st.integers(1, hi), st.integers(1, hi))
 
 
-def test_a_weight_with_only_a_rule_for_values_has_no_base():
-    # A subclass that states rho alone inherits no radial split: the metric
-    # refuses it, and the exact scans read it at every index.
-    class Values(WeightFunction):
-        def _rho(self, alpha):
-            return F(1 + sum(alpha))
+@st.composite
+def split_cases(draw):
+    """(W, a): a weight and the sequence its values split against, with a
+    None where W has no split."""
+    kind = draw(st.sampled_from(["radial", "bare", "short", "perturbed"]))
+    if kind == "perturbed":
+        W = PerturbedPower(draw(st.integers(2, 3)), 2, draw(st.integers(1, 2)))
+        return W, W.base.sequence
+    m = draw(st.integers(1, 3))
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), unique=True, max_size=4))
+    values = [draw(_fractions()) for _ in alphas]
+    if kind == "bare":
+        return TableWeight(m, dict(zip(alphas, values))), None
+    if kind == "short":
+        # An explicit list that ends below the degree of an entry.
+        top = (draw(st.integers(1, 4)),) + (0,) * (m - 1)
+        entries = {**dict(zip(alphas, values)), top: F(1)}
+        short = ExplicitSequence(draw(st.lists(_fractions(), min_size=1, max_size=top[0])))
+        return TableWeight(m, entries, RadialWeight(m, short)), None
+    a = draw(
+        st.one_of(
+            st.integers(1, 5).map(PowerSequence),
+            _fractions(4).map(GeometricSequence),
+            st.lists(_fractions(), min_size=1, max_size=3).map(PolynomialSequence),
+        )
+    )
+    P = RadialWeight(m, a)
+    if alphas:  # one entry keeps its radial value
+        values[0] = P.rho(alphas[0])
+    return TableWeight(m, dict(zip(alphas, values)), P), a
 
-    W = Values(2)
-    assert W.rho((1, 2)) == 4
-    with pytest.raises(TailUnreliableError, match="^Values has no radial decomposition"):
-        W.metric_decomposition()
-    assert radial_split(W) == (None, frozenset())
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(split_cases())
+def test_split_matches_the_values(case):
+    # Off the corrections rho is the radial value; at each listed index it
+    # differs from it by the listed nonzero delta; the list is in graded
+    # order; and there is no list exactly when some value has no radial
+    # counterpart.
+    W, a = case
+    if a is None:
+        assert W.corrections is None
+        return
+    assert W.sequence is a and W.corrections is not None
+
+    def radial(alpha):
+        d = mi.degree(alpha)
+        return a.value(d) * mi.multinomial(d, alpha)
+
+    listed = dict(W.corrections)
+    assert len(listed) == len(W.corrections)
+    assert W.corrections == sorted(W.corrections, key=lambda p: (mi.degree(p[0]), p[0]))
+    for alpha, delta in W.corrections:
+        assert delta != 0 and W.rho(alpha) - radial(alpha) == delta
+    for alpha in [*mi.enumerate_leq_degree(W.m, 8), *W.entries]:
+        if alpha not in listed:
+            assert W.rho(alpha) == radial(alpha)
