@@ -28,6 +28,7 @@ from hypershift import (
     TableWeight,
     TailUnreliableError,
     WeightDomainError,
+    WeightFunction,
     WeightSpecError,
     curvature_points,
     parse_fraction,
@@ -666,7 +667,8 @@ def test_metric_corrections_enter_exactly():
         assert abs((h_pert.h - h_base.h) - delta) < 1e-25
 
 
-def test_corrections_merge_and_sort():
+def test_metric_decomposition_merges_and_sorts():
+    # The metric reads W.sequence and W.corrections.
     base = PowerKernel(2, 2)
     W = TableWeight(
         2,
@@ -677,12 +679,17 @@ def test_corrections_merge_and_sort():
     assert [alpha for alpha, _ in W.corrections] == [(0, 2), (2, 0)]
     assert W.corrections[0][1] == base.rho((0, 2))
     assert W.sequence is base.sequence
+    assert isinstance(W.sequence, PowerSequence) and W.sequence.n == 2
     # A table over a table lists the merged differences from the sequence.
     T = TableWeight(2, {(2, 0): F(5), (1, 1): base.rho((1, 1))}, fallback=W)
     assert T.corrections == [((0, 2), base.rho((0, 2))), ((2, 0), 5 - base.rho((2, 0)))]
+
+
+def test_perturbed_metric_decomposition():
     P = PerturbedPower(2, 2, 2)
     rho = PowerKernel(2, 2).rho((2, 511))
     assert P.corrections == [((2, 511), rho / 2 - rho)]
+    assert isinstance(P.sequence, PowerSequence) and P.sequence.n == 2
     assert P.sequence.spec_dict() == {"generator": "power", "n": 2}
 
 
@@ -831,6 +838,37 @@ def test_unit_steps_follow_the_metric_decomposition():
                     continue
                 step = a * base.value(N - 1) / (N * base.value(N))
                 assert step == W.rho(below) / W.rho(alpha) == W.rho_ratio(alpha, mi.unit(W.m, i))
+
+
+def test_radial_split_lists_corrections_or_no_base():
+    P = PerturbedPower(2, 2, 2)
+    assert P.sequence.spec_dict() == {"generator": "power", "n": 2}
+    assert [alpha for alpha, _ in P.corrections] == [(2, 511)]
+    # No fallback: no split.  A fallback undefined at a table entry (an
+    # explicit list of three terms below an entry of degree 3): no split
+    # either, rather than the fallback's error.
+    K = PowerKernel(2, 2)
+    bare = TableWeight(2, {(0, 0): F(1)})
+    assert (bare.sequence, bare.corrections) == (None, None)
+    short = RadialWeight(2, ExplicitSequence([1, 2, 3]))
+    assert TableWeight(2, {(3, 0): F(1)}, short).corrections is None
+    same = TableWeight(2, {(1, 1): K.rho((1, 1))}, K)
+    assert (same.sequence, same.corrections) == (K.sequence, [])
+
+
+def test_a_weight_with_only_a_rule_for_values_has_no_base():
+    # A subclass that states rho alone, over no sequence, has no split: the
+    # metric refuses it, and the exact ratios read its values at every index.
+    class Values(WeightFunction):
+        def _rho(self, alpha):
+            return F(1 + sum(alpha))
+
+    W = Values(2, None, {}, None)
+    assert W.rho((1, 2)) == 4
+    assert W.corrections is None
+    assert W.rho_ratio((1, 2), (1, 1)) == F(2, 4)
+    with pytest.raises(TailUnreliableError, match="no series tail bound"):
+        point_jet(W, (0.1, 0.1))
 
 
 def _fractions(hi=6):
