@@ -383,6 +383,8 @@ def run_example45(
     if blocks < 2:
         raise UsageError("the counterexample needs at least 2 blocks")
     check_jet_args(eval_degree, precision_bits)  # stage (d)'s refusals, before stage (a)
+    if scan_degree is not None and scan_degree < 0:  # and stage (b)'s
+        raise ValueError("max_degree must be >= 0")
     W = PerturbedPower(n, m, blocks)
     base = W.base
     stages: dict = {}

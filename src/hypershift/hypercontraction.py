@@ -24,27 +24,27 @@ recurrence
 
     d_0 = 1,    d_k(alpha) = d_{k-1}(alpha) - sum_{i: alpha_i > 0} s_i(alpha) d_{k-1}(alpha - e_i),
 
-so degree layer N needs only layer N - 1.  The unit steps come from the
-weight's ``sequence`` a and ``corrections`` (which the similarity scan
-shares): off the finitely many corrected indices C, rho is the radial value
-a(|alpha|) |alpha|!/alpha!, where
+so degree layer N needs only layer N - 1.  The weight's ``sequence`` a and
+``corrections`` (the split the similarity scan shares) place the work: off
+the finitely many corrected indices C, rho is the radial value
+a(|alpha|) |alpha|!/alpha! and s_i(alpha) = alpha_i a(N - 1) / (N a(N)) with
+N = |alpha|.  An entry d_k(alpha) with k <= n reads rho only at
+alpha - beta, |beta| <= k, so outside the cone C + {beta : |beta| <= n} it
+depends only on N:
 
-    s_i(alpha) = alpha_i c_N,    c_N = a(N - 1) / (N a(N)),    N = |alpha|.
-
-An entry d_k(alpha) with k <= n reads rho only at alpha - beta, |beta| <= k,
-so outside the cone C + {beta : |beta| <= n} it depends only on N:
-
-    d_k(N) = d_{k-1}(N) - N c_N d_{k-1}(N - 1),
+    d_k(N) = d_{k-1}(N) - (a(N - 1) / a(N)) d_{k-1}(N - 1),
 
 the recurrence above with one term, and the recurrence form of
 d_k(N) = sum_i (-1)^i C(k, i) a(N - i) / a(N).  So each degree layer holds
-one radial row and exact rows only on its part of the finite cone, all from
-one row update on reduced integer pairs (``_row``).  A lower neighbour
-outside the cone reads the previous radial row, and ``rho_ratio`` is called
-only where alpha or alpha - e_i is a correction.  A weight with no split
-(``corrections`` is None) puts every index in the cone and calls
-``rho_ratio`` at each.  A scan costs O(n) per layer plus n*m exact
-multiply-adds per cone index, whatever the number of indices.
+one radial row, read from a, and exact rows only on its part of the finite
+cone, all from one row update on reduced integer pairs (``_row``).  A cone
+row reads each of its unit steps from ``rho_ratio``, which holds the one
+rule for a step (the quotient of two values at an entry, else the cached
+radial closed form); a lower neighbour outside the cone reads the previous
+radial row.  A weight with no split (``corrections`` is None) puts every
+index in the cone.  A scan costs O(n) per layer plus, per cone index, one
+``rho_ratio`` call and n exact multiply-adds per nonzero coordinate,
+whatever the number of indices.
 
 The scans take the graded-lex-first witness of a layer from two candidates:
 the first violating cone entry (no cone row past it is computed), and the
@@ -121,39 +121,27 @@ def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
         raise ValueError("max_degree must be >= 0")
     m = W.m
     units = [mi.unit(m, i) for i in range(m)]
-    # Cone indices in `exact` (a correction or one step above one) take
-    # W.rho_ratio; all others take alpha_i times the layer factor
-    # c = a(N-1)/(N a(N)), and the radial row takes N c.
     base = None if W.corrections is None else W.sequence
-    exact = {alpha for alpha, _ in W.corrections or ()}
     cones: dict[int, set[MultiIndex]] = {}
-    for alpha in exact:
+    for alpha, _ in W.corrections or ():
         for beta in mi.enumerate_leq_degree(m, n):
             gamma = mi.add(alpha, beta)
             cones.setdefault(mi.degree(gamma), set()).add(gamma)
-    exact |= {mi.add(alpha, e) for alpha in exact for e in units}
 
-    def rows(cone, cn, cd, prev, prev_radial, layer):
+    def rows(cone, prev, prev_radial, layer):
         # A lower neighbour missing from `prev` lies outside the cone.
         for alpha in cone:
-            on_base = base is not None and alpha not in exact
             terms = []
             for i, a in enumerate(alpha):
                 if a:
-                    if on_base:
-                        g = gcd(a, cd)
-                        sn, sd = a // g * cn, cd // g
-                    else:
-                        s = W.rho_ratio(alpha, units[i])
-                        sn, sd = s.numerator, s.denominator
+                    s = W.rho_ratio(alpha, units[i])
                     below = alpha[:i] + (a - 1,) + alpha[i + 1 :]
-                    terms.append((sn, sd, prev.get(below, prev_radial)))
+                    terms.append((s.numerator, s.denominator, prev.get(below, prev_radial)))
             row = layer[alpha] = _row(terms, n)
             yield alpha, row
 
     prev: dict[MultiIndex, list[tuple[int, int]]] = {}
     prev_radial = None
-    cn = cd = 1
     for degree in range(max_degree + 1):
         radial = None
         if base is None:
@@ -161,13 +149,12 @@ def _cone_layers(W: WeightFunction, n: int, max_degree: int) -> Iterator[tuple]:
         else:
             cone = sorted(cones.get(degree, ()))
             terms = []
-            if degree:  # one term: s = N c_N = a(N-1)/a(N) on the row of N - 1
+            if degree:  # one term: s = a(N-1)/a(N) on the row of N - 1
                 step = base.value(degree - 1) / base.value(degree)
-                cn, cd = (step / degree).as_integer_ratio()
                 terms = [(step.numerator, step.denominator, prev_radial)]
             radial = _row(terms, n)
         layer: dict[MultiIndex, list[tuple[int, int]]] = {}
-        layer_rows = rows(cone, cn, cd, prev, prev_radial, layer)
+        layer_rows = rows(cone, prev, prev_radial, layer)
         yield degree, radial, cone, layer_rows
         for _ in layer_rows:  # finish the layer when the caller stopped early
             pass

@@ -26,7 +26,9 @@ one per cell touching C, instead of one per cell, C(D + m, m) m (L + 1);
 the remaining per-ray work is a set lookup.  When either weight's
 ``corrections`` is None (no radial split) every cell is computed exactly,
 as a per-cell scan would, so a weight that fails fails at the same cell
-with the same error.
+with the same error.  The extremes are ``min`` and ``max`` over the list of
+computed cells in scan order, each the first extreme it meets, and the
+half-window extremes the same over the lengths l <= L // 2.
 
 Exact rational arithmetic throughout.
 """
@@ -34,6 +36,7 @@ Exact rational arithmetic throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from . import multiindex as mi
@@ -199,9 +202,10 @@ def similarity_scan(
     """Tabulate ray_ratio_sq over the finite window and report extremes.
 
     Base points run in graded lexicographic order, directions ascending,
-    lengths ascending, so witnesses are the first extreme in that order.
-    Only computed cells are compared: a cell read from the table repeats a
-    value compared before it and cannot be a first extreme.
+    lengths ascending.  ``min`` and ``max`` over the computed cells, kept in
+    that order, return the first extreme they meet, so witnesses are the
+    first extremes in scan order: a cell read from the table repeats a value
+    computed before it and cannot be a first extreme.
     """
     _check_pair(W1, W2)
     if base_degree < 0 or ray_length < 0:
@@ -209,33 +213,23 @@ def similarity_scan(
     growth_factor = Fraction(growth_factor)
     if growth_factor <= 1:
         raise ValueError("growth_factor must exceed 1")
-    half = ray_length // 2
-    lo = hi = None  # (alpha, direction, length, ratio)
-    lo_half = hi_half = None
     table: dict[tuple[int, int], Fraction] = {}
     exact: dict[tuple[MultiIndex, int, int], Fraction] = {}
-    for cell in _scanned_cells(W1, W2, base_degree, ray_length, table, exact):
-        r = cell[3]
-        if lo is None or r < lo[3]:
-            lo = cell
-        if hi is None or r > hi[3]:
-            hi = cell
-        if cell[2] <= half:
-            if lo_half is None or r < lo_half:
-                lo_half = r
-            if hi_half is None or r > hi_half:
-                hi_half = r
-    spread = hi[3] / lo[3]
-    spread_half = hi_half / lo_half
+    cells = list(_scanned_cells(W1, W2, base_degree, ray_length, table, exact))
+    lo = RayWitness(*min(cells, key=itemgetter(3)))
+    hi = RayWitness(*max(cells, key=itemgetter(3)))
+    half = [r for _, _, l, r in cells if l <= ray_length // 2]
+    spread = hi.value / lo.value
+    spread_half = max(half) / min(half)
     flagged = spread >= growth_factor * spread_half
     return RatioScanReport(
         m=W1.m,
         base_degree=base_degree,
         ray_length=ray_length,
-        min_ratio_sq=lo[3],
-        max_ratio_sq=hi[3],
-        argmin=RayWitness(*lo),
-        argmax=RayWitness(*hi),
+        min_ratio_sq=lo.value,
+        max_ratio_sq=hi.value,
+        argmin=lo,
+        argmax=hi,
         spread=spread,
         spread_half=spread_half,
         verdict="growth-flagged" if flagged else "bounded-in-scan",

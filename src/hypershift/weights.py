@@ -232,9 +232,9 @@ class WeightFunction:
 
         h(w) = sum_d a(d) |w|^{2d} + sum_corr delta * |w^alpha|^2
 
-    and only the radial series needs a tail bound; the exact scans read a
-    unit step s_i(alpha) = rho(alpha - e_i)/rho(alpha) from a unless alpha
-    or alpha - e_i is listed.  It is None when there is no sequence, or
+    and only the radial series needs a tail bound; the exact scans read
+    ``rho_ratio`` only near the listed indices, and a elsewhere.  It is
+    None when there is no sequence, or
     when the sequence is undefined at an entry: the scans then read rho at
     every index, and the metric refuses the weight.
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import hypershift.cli
 import hypershift.curvature
 import hypershift.hypercontraction
 import hypershift.multiindex
@@ -646,15 +647,19 @@ def test_example45_needs_two_blocks(capsys):
     [
         (["--precision-bits", "10"], "precision_bits must be at least 53"),
         (["--eval-degree", "-1"], "max_degree must be >= 0"),
+        (["--scan-degree", "-1"], "max_degree must be >= 0"),
     ],
 )
 def test_example45_checks_the_metric_arguments_first(capsys, monkeypatch, flags, message):
     # The arguments stage (d) would refuse are refused before the scan of
     # stage (b), which used to run the degree-4,099 scan first at --blocks 3.
-    def no_scan(*args, **kwargs):
-        raise AssertionError("the defect scan ran")
+    # They, and a negative scan degree, are refused before stage (a), whose
+    # exact kernel bound takes over a second at --blocks 3.
+    def ran(*args, **kwargs):
+        raise AssertionError("stage (a) or the defect scan ran")
 
-    monkeypatch.setattr(hypershift.hypercontraction, "is_n_hyper_up_to", no_scan)
+    monkeypatch.setattr(hypershift.cli, "kernel_bound", ran)
+    monkeypatch.setattr(hypershift.hypercontraction, "is_n_hyper_up_to", ran)
     assert main(["example45", "--blocks", "3"] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -431,12 +431,12 @@ def test_deep_scans_stop_at_the_perturbed_witness():
 
 
 def count_rho_ratio_calls(monkeypatch):
-    """Record the alpha of every rho_ratio call made on any weight."""
+    """Record the (alpha, beta) of every rho_ratio call made on any weight."""
     calls = []
     original = WeightFunction.rho_ratio
 
     def counting(self, alpha, beta):
-        calls.append(tuple(alpha))
+        calls.append((tuple(alpha), tuple(beta)))
         return original(self, alpha, beta)
 
     monkeypatch.setattr(WeightFunction, "rho_ratio", counting)
@@ -460,30 +460,31 @@ def test_engine_reads_radial_weights_from_their_base(monkeypatch):
     assert calls == []
 
 
-def test_engine_calls_rho_ratio_only_next_to_corrections(monkeypatch):
+def test_engine_calls_rho_ratio_once_per_step_of_each_cone_index(monkeypatch):
+    # Every cone row reads each of its unit steps from rho_ratio, once, in
+    # layer order and then lex order; no index outside the cone is read.
     calls = count_rho_ratio_calls(monkeypatch)
     rng = random.Random(71)
-    for m in (1, 2, 3):
-        W = sparse_power_table(rng, m, 4)
-        listed = {alpha for alpha, _ in W.corrections}
-        assert len(listed) == len(W.entries) - 1  # the fallback-valued entry
-        near = listed | {mi.add(a, mi.unit(m, i)) for a in listed for i in range(m)}
-        expected = [
-            alpha
-            for alpha in mi.enumerate_leq_degree(m, 4)
-            if alpha in near
-            for a in alpha
-            if a
-        ]
-        calls.clear()
-        list(defect_layers(W, 2, 4))
-        assert calls == expected
-    # The counterexample scan stops at its single correction (2, 511) and
-    # calls rho_ratio there once per nonzero coordinate.
+    weights = [sparse_power_table(rng, m, 4) for m in (1, 2, 3)]
+    weights += [random_table_weight(rng, m=m, degree=4) for m in (1, 2)]  # all cone
+    for W in weights:
+        for n in (1, 2, 3):
+            expected = [
+                (alpha, mi.unit(W.m, i))
+                for alpha in mi.enumerate_leq_degree(W.m, 4)
+                if in_cone(W, n, alpha)
+                for i, a in enumerate(alpha)
+                if a
+            ]
+            calls.clear()
+            list(defect_layers(W, n, 4))
+            assert calls == expected
+    # The counterexample scan stops at the first index of its single cone,
+    # the correction (2, 511), and reads its two steps there.
     calls.clear()
     report = is_n_hyper_up_to(PerturbedPower(2, 2, 2), 2, 514)
     assert report.witness == HyperWitness(order=1, alpha=(2, 511), value=F(-256, 257))
-    assert sorted(set(calls)) == [(2, 511)]
+    assert calls == [((2, 511), (1, 0)), ((2, 511), (0, 1))]
 
 
 def test_scan_witness_matches_reference_scan():
