@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
@@ -64,6 +63,8 @@ def write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never observe a
     partially written report.  The file gets the mode a plain open() would
     give it (0666 less the process umask), not mkstemp's private 0600."""
+    import tempfile  # it loads shutil and random: import only to write a file
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")

@@ -16,19 +16,20 @@ cancel, so with N = |alpha|
 
     R(alpha, i, l) = q(N + l + 1) / q(N),    q = a_2 / a_1,
 
-a function of (N, l) alone.  ``similarity_scan`` therefore computes one
-ratio per (N, l), at the first cell of that pair in scan order whose base
-point and top alpha + (l+1) e_i both lie outside C, and exact ratios only at
-cells that touch C.  A ray whose cells are all off C and whose degree row is
-already filled is skipped whole.  A scan over |alpha| <= D and lengths
-0..L thus makes at most (D + 1)(L + 1) table calls to ``ray_ratio_sq`` plus
-one per cell touching C, instead of one per cell, C(D + m, m) m (L + 1);
-the remaining per-ray work is a set lookup.  When either weight's
-``corrections`` is None (no radial split) every cell is computed exactly,
-as a per-cell scan would, so a weight that fails fails at the same cell
-with the same error.  The extremes are ``min`` and ``max`` over the list of
-computed cells in scan order, each the first extreme it meets, and the
-half-window extremes the same over the lengths l <= L // 2.
+a function of (N, l) alone.  ``similarity_scan`` therefore decides each
+cell (alpha, i, l) by one rule: it is computed exactly when either weight's
+``corrections`` is None (no radial split) or when alpha or its top
+alpha + (l+1) e_i lies in C, and every other cell reads one table entry per
+(N, l), computed at the first such cell in scan order.  A scan over
+|alpha| <= D and lengths 0..L thus makes at most (D + 1)(L + 1) table calls
+to ``ray_ratio_sq`` plus one per cell touching C, instead of one per cell,
+C(D + m, m) m (L + 1); the remaining per-cell work is an int set lookup of
+the top's degree N + l + 1, and a lookup of the top itself only when that
+degree is corrected.  Without a split every cell is computed, as a per-cell
+scan would, so a weight that fails fails at the same cell with the same
+error.  The extremes are ``min`` and ``max`` over the list of computed
+cells in scan order, each the first extreme it meets, and the half-window
+extremes the same over the lengths l <= L // 2.
 
 Exact rational arithmetic throughout.
 """
@@ -142,56 +143,6 @@ class RatioScanReport(NamedTuple):
                     yield alpha, i, l, table[N, l] if r is None else r
 
 
-def _scanned_cells(
-    W1: WeightFunction,
-    W2: WeightFunction,
-    base_degree: int,
-    ray_length: int,
-    table: dict,
-    exact: dict,
-) -> Iterator[tuple[MultiIndex, int, int, Fraction]]:
-    """Yield (alpha, direction, length, ratio) for every cell whose ratio is
-    computed, in scan order, filling ``table`` and ``exact`` as it goes.
-
-    Every cell not yielded repeats a (degree, length) entry yielded before
-    it, so its ratio equals an earlier one.
-    """
-    m = W1.m
-    tabled = W1.corrections is not None and W2.corrections is not None
-    corrected = {alpha for W in (W1, W2) for alpha, _ in W.corrections or ()}
-    # (alpha, i) -> lengths l whose top alpha + (l+1) e_i is corrected.
-    hits: dict[tuple[MultiIndex, int], set[int]] = {}
-    for c in corrected:
-        for i in range(m):
-            for steps in range(1, min(c[i], ray_length + 1) + 1):
-                alpha = c[:i] + (c[i] - steps,) + c[i + 1 :]
-                hits.setdefault((alpha, i), set()).add(steps - 1)
-    lengths = range(ray_length + 1)
-    filled: dict[int, int] = {}  # degree -> table entries filled
-    for alpha in mi.enumerate_leq_degree(m, base_degree):
-        N = mi.degree(alpha)
-        for i in range(m):
-            if not tabled or alpha in corrected:
-                for l in lengths:
-                    r = exact[alpha, i, l] = ray_ratio_sq(W1, W2, alpha, i, l)
-                    yield alpha, i, l, r
-                continue
-            ray_hits = hits.get((alpha, i), ())
-            if filled.get(N) == ray_length + 1:
-                todo = sorted(ray_hits)  # the table row is full
-            else:
-                todo = lengths
-            for l in todo:
-                if l in ray_hits:
-                    r = exact[alpha, i, l] = ray_ratio_sq(W1, W2, alpha, i, l)
-                elif (N, l) in table:
-                    continue
-                else:
-                    r = table[N, l] = ray_ratio_sq(W1, W2, alpha, i, l)
-                    filled[N] = filled.get(N, 0) + 1
-                yield alpha, i, l, r
-
-
 def similarity_scan(
     W1: WeightFunction,
     W2: WeightFunction,
@@ -213,9 +164,28 @@ def similarity_scan(
     growth_factor = Fraction(growth_factor)
     if growth_factor <= 1:
         raise ValueError("growth_factor must exceed 1")
+    tabled = W1.corrections is not None and W2.corrections is not None
+    corrected = {alpha for W in (W1, W2) for alpha, _ in W.corrections or ()}
+    degrees = {mi.degree(c) for c in corrected}
     table: dict[tuple[int, int], Fraction] = {}
     exact: dict[tuple[MultiIndex, int, int], Fraction] = {}
-    cells = list(_scanned_cells(W1, W2, base_degree, ray_length, table, exact))
+    cells = []  # (alpha, direction, length, ratio) for every computed cell
+    for alpha in mi.enumerate_leq_degree(W1.m, base_degree):
+        N = mi.degree(alpha)
+        base_exact = not tabled or alpha in corrected
+        for i in range(W1.m):
+            for l in range(ray_length + 1):
+                # The top's degree first: an int lookup, cheaper than forming the top.
+                if base_exact or (
+                    N + l + 1 in degrees
+                    and alpha[:i] + (alpha[i] + l + 1,) + alpha[i + 1 :] in corrected
+                ):
+                    r = exact[alpha, i, l] = ray_ratio_sq(W1, W2, alpha, i, l)
+                elif (N, l) not in table:
+                    r = table[N, l] = ray_ratio_sq(W1, W2, alpha, i, l)
+                else:
+                    continue
+                cells.append((alpha, i, l, r))
     lo = RayWitness(*min(cells, key=itemgetter(3)))
     hi = RayWitness(*max(cells, key=itemgetter(3)))
     half = [r for _, _, l, r in cells if l <= ray_length // 2]

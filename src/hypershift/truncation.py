@@ -130,13 +130,16 @@ class Truncation:
                 lo = (p, q)
             if hi is None or p * hi[1] > hi[0] * q:
                 hi = (p, q)
-            # x_beta(alpha) = x_j(alpha - beta + e_j) x_{beta - e_j}(alpha)
-            x = {zero: 1.0}
+            # x_beta(alpha) = x_j(alpha - beta + e_j) x_{beta - e_j}(alpha),
+            # kept as beta -> (alpha - beta, x_beta(alpha)) for beta <= alpha
+            x = {zero: (alpha, 1.0)}
             dense = 1.0
             for beta, j, prev, c in terms:
-                if all(b <= a for a, b in zip(alpha, beta)):
-                    at = tuple(a - b for a, b in zip(alpha, prev))
-                    xb = x[beta] = self.steps[at][j][2] * x[prev]
+                parent = x.get(prev)
+                if parent is not None and parent[0][j]:
+                    at, xp = parent
+                    xb = self.steps[at][j][2] * xp
+                    x[beta] = (_lower(at, j), xb)
                     dense += xb * xb * c
             deviation = max(deviation, abs(dense - p / q))
         return {

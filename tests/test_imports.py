@@ -68,12 +68,12 @@ print(json.dumps({"code": code, "stdout": out.getvalue()}))
 """
 
 
-def run_python(code: str, *args: str) -> str:
+def run_python(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -94,6 +94,17 @@ def test_importing_the_cli_loads_no_numerics():
         "text = canonical_json({'x': Fraction(1, 3), 'w': (0.5j, 1.0)})\n"
         "assert text == '{\"w\":[[0.0,0.5],1.0],\"x\":\"1/3\"}\\n', text\n"
         "print(json.dumps([m for m in ('mpmath', 'numpy') if m in sys.modules]))"
+    )
+    assert json.loads(out) == []
+
+
+def test_importing_the_cli_loads_no_tempfile():
+    # write_atomic imports tempfile (with shutil and random) only when a
+    # report goes to a file.  With -S no site .pth file can load it first.
+    out = run_python(
+        "import json, sys, hypershift.cli\n"
+        "print(json.dumps([m for m in ('tempfile', 'shutil', 'random') if m in sys.modules]))",
+        flags=("-S",),
     )
     assert json.loads(out) == []
 
