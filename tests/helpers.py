@@ -1,5 +1,7 @@
-"""Shared builders for randomized test weights, the dense numpy references
-the float paths are tested against, the column-map matrix model that
+"""Shared builders for randomized test weights, the hypothesis strategy
+``single_entry_tables`` and the scaled weight ``scaled`` that the
+metamorphic tests draw from, the dense numpy references the float paths
+are tested against, the column-map matrix model that
 ``truncate`` is tested against (``build_truncated`` and its operators), the
 per-cell similarity scan the tabled one is tested against, the full-table
 view ``defect_layers`` of the defect engine, the modulus classes of a grid,
@@ -9,9 +11,9 @@ working-precision decimal numerics are checked against: ``to_mp``, the
 Wirtinger derivatives ``wirtinger`` of a real metric jet and the
 finite-difference stencil ``finite_diff_check``.
 
-Everything takes an explicit random.Random so tests stay reproducible; no
-module-level RNG state.  numpy and mpmath are test dependencies only: the
-package itself imports neither.
+The random builders take an explicit random.Random so tests stay
+reproducible; no module-level RNG state.  numpy and mpmath are test
+dependencies only: the package itself imports neither.
 """
 
 from decimal import Decimal, localcontext
@@ -22,6 +24,7 @@ from typing import Iterator, NamedTuple
 
 import mpmath as mp
 import numpy as np
+from hypothesis import strategies as st
 
 from hypershift import (
     ExplicitSequence,
@@ -30,6 +33,7 @@ from hypershift import (
     PolynomialSequence,
     PowerKernel,
     PowerSequence,
+    RadialSequence,
     RadialWeight,
     RayWitness,
     TableWeight,
@@ -76,6 +80,39 @@ def random_weight(rng, m=2, degree=10):
     if kind == "radial":
         return RadialWeight(m, random_radial_sequence(rng, needed_length=degree + 24))
     return random_table_weight(rng, m=m, degree=degree)
+
+
+@st.composite
+def single_entry_tables(draw, m: int) -> WeightFunction:
+    """A power(n) base on m coordinates, n <= 3, with one entry: the base
+    value at an index of degree <= 4 times a factor from 1/4 to 2."""
+    base = PowerKernel(draw(st.integers(1, 3)), m)
+    alpha = draw(st.sampled_from(mi.enumerate_leq_degree(m, 4)))
+    factor = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(2)]))
+    return TableWeight(m, {alpha: factor * base.rho(alpha)}, base)
+
+
+class ScaledSequence(RadialSequence):
+    """c a(i) for a radial sequence a and a rational c > 0, with a's ratio
+    bound and last index."""
+
+    def __init__(self, base: RadialSequence, c: Fraction):
+        self.base, self.c = base, c
+
+    def value(self, i: int) -> Fraction:
+        return self.c * self.base.value(i)
+
+    def ratio_sup(self, start: int) -> Fraction | None:
+        return self.base.ratio_sup(start)
+
+    def max_index(self) -> int | None:
+        return self.base.max_index()
+
+
+def scaled(W: WeightFunction, c: Fraction) -> WeightFunction:
+    """The weight c rho: W's sequence and entries, each times c > 0."""
+    entries = {alpha: c * v for alpha, v in W.entries.items()}
+    return WeightFunction(W.m, ScaledSequence(W.sequence, c), entries, None)
 
 
 def as_array(H):

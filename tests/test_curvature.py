@@ -1,6 +1,7 @@
 """Mixed Hessians of log-metrics, PSD checks, and grid reports."""
 
 import json
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypershift.curvature as curvature_module
@@ -33,7 +34,16 @@ from hypershift import (
 )
 from hypershift.cli import main
 from hypershift.curvature import working_context
-from helpers import as_array, finite_diff_check, modulus_class, modulus_classes, point_jet, to_mp
+from helpers import (
+    as_array,
+    finite_diff_check,
+    modulus_class,
+    modulus_classes,
+    point_jet,
+    scaled,
+    single_entry_tables,
+    to_mp,
+)
 
 F = Fraction
 
@@ -331,13 +341,25 @@ def test_difference_is_antisymmetric_in_arguments():
     assert float(np.max(np.abs(as_array(D12) + as_array(D21)))) < 1e-20
 
 
-def test_constant_rescaling_has_zero_difference():
-    # a(i) = 2(i+1) is twice the order-2 line kernel: log difference constant.
-    W1 = RadialWeight(1, PolynomialSequence([F(2), F(2)]))
-    W2 = PowerKernel(2, 1)
-    for w in [(0.0,), (0.5,), (0.4j,)]:
-        D = curvature_difference(W1, W2, w, max_degree=120, precision_bits=120)
-        assert abs(complex(D.entries[0][0])) < 1e-20
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(
+    st.tuples(single_entry_tables(2), st.sampled_from([F(1, 3), F(2), F(1000)])).map(
+        lambda case: (scaled(*case), case[0], case[1])
+    )
+)
+# a(i) = 2(i+1) is twice the order-2 line kernel.
+@example((RadialWeight(1, PolynomialSequence([F(2), F(2)])), PowerKernel(2, 1), F(2)))
+def test_constant_rescaling_has_zero_difference(case):
+    # W1 = c W2: log h1 - log h2 = log c, so H is the same for both.
+    W1, W2, c = case
+    m = W1.m
+    kwargs = {"max_degree": 120, "precision_bits": 120}
+    for w in [(0.0,) * m, (0.5,) + (0.1,) * (m - 1), (0.4j,) + (0.3,) * (m - 1)]:
+        (pair,) = curvature_points([W1, W2], [w], **kwargs)
+        (p1,), (p2,) = (curvature_points([W], [w], **kwargs) for W in (W1, W2))
+        assert abs(pair.psi - math.log(c)) < 1e-14
+        assert abs(p1.psi - p2.psi - math.log(c)) < 1e-14
+        assert all(abs(complex(x)) < 1e-20 for row in pair.hessian.entries for x in row)
 
 
 def test_kernel_order_gap_is_psd_on_the_ball():

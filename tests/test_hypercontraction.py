@@ -6,6 +6,8 @@ from itertools import islice
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypershift import (
     ExplicitSequence,
@@ -22,6 +24,7 @@ from hypershift import (
     necessary_condition,
     necessary_scan,
     radial_necessary,
+    similarity_scan,
 )
 from hypershift import DimensionMismatch, WeightDomainError
 from hypershift import multiindex as mi
@@ -36,6 +39,7 @@ from helpers import (
     random_radial_sequence,
     random_table_weight,
     random_weight,
+    single_entry_tables,
     subnormality_obstruction,
 )
 
@@ -88,6 +92,8 @@ def test_radial_reduction_agrees_with_direct_sum():
 def test_perturbed_defect_entry_is_negative():
     W = PerturbedPower(2, 2, 2)
     assert defect_diag(W, 1, (2, 511)) == F(-256, 257)
+    # A third, zero coordinate keeps the defect.
+    assert defect_diag(PerturbedPower(2, 3, 2), 1, (2, 511, 0)) == F(-256, 257)
 
 
 # -- the moment sum [M_T^k(I)]_{alpha,alpha} -----------------------------------
@@ -580,6 +586,81 @@ def test_scan_witness_is_graded_lex_first():
                 continue
             break
     assert hits > 5  # random tables trip the scan often enough to matter
+
+
+# -- metamorphic relations on single-entry tables -----------------------------
+
+# A halved power(3) entry at (1, 2): the first violation, d_1 = -1/5 there.
+HALVED_POWER3 = TableWeight(2, {(1, 2): F(15)}, PowerKernel(3, 2))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda m: st.tuples(single_entry_tables(m), st.permutations(range(m)))
+    )
+)
+@example((HALVED_POWER3, [1, 0]))
+def test_permuting_coordinates_keeps_verdicts_and_witness_values(case):
+    # Wp(sigma alpha) = W(alpha) with (sigma alpha)_i = alpha_perm[i]; the
+    # power base is symmetric, so only the entry moves.
+    W, perm = case
+    m, n = W.m, W.sequence.n
+    ((entry, value),) = W.entries.items()
+
+    def sigma(alpha):
+        return tuple(alpha[p] for p in perm)
+
+    def unsigma(alpha):
+        out = [0] * m
+        for i, p in enumerate(perm):
+            out[p] = alpha[i]
+        return tuple(out)
+
+    base = PowerKernel(n, m)
+    Wp = TableWeight(m, {sigma(entry): value}, base)
+    rows = dict(defect_layers(W, 3, 6))
+    assert {sigma(alpha): row for alpha, row in rows.items()} == dict(defect_layers(Wp, 3, 6))
+    for order in (1, n):
+        report, permuted = is_n_hyper_up_to(W, order, 6), is_n_hyper_up_to(Wp, order, 6)
+        assert report.verdict == permuted.verdict
+        if permuted.witness is not None:
+            wit = permuted.witness
+            assert defect_diag(W, wit.order, unsigma(wit.alpha)) == wit.value < 0
+        scan, permuted = necessary_scan(W, order, 6), necessary_scan(Wp, order, 6)
+        assert scan.verdict == permuted.verdict
+        if permuted.witness is not None:
+            chk = permuted.witness
+            assert necessary_condition(W, order, unsigma(chk.alpha)).lhs == chk.lhs
+    ratios = similarity_scan(W, base, 3, 3), similarity_scan(Wp, base, 3, 3)
+    assert ratios[0].min_ratio_sq == ratios[1].min_ratio_sq
+    assert ratios[0].max_ratio_sq == ratios[1].max_ratio_sq
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 2).flatmap(single_entry_tables))
+@example(HALVED_POWER3)
+def test_a_zero_coordinate_keeps_every_defect(W):
+    # d_k(W+, (alpha, 0)) = d_k(W, alpha): every beta <= (alpha, 0) ends in
+    # 0, and the power base and the entry keep their values there.
+    m, n = W.m, W.sequence.n
+    ((entry, value),) = W.entries.items()
+    plus = TableWeight(m + 1, {entry + (0,): value}, PowerKernel(n, m + 1))
+    rows = dict(defect_layers(plus, 3, 6))
+    for alpha, row in defect_layers(W, 3, 6):
+        assert rows[alpha + (0,)] == row
+        for k in range(4):
+            assert defect_diag(plus, k, alpha + (0,)) == defect_diag(W, k, alpha)
+    # So a violation of W is one of W+ (not conversely).
+    if is_n_hyper_up_to(W, n, 6).witness is not None:
+        assert is_n_hyper_up_to(plus, n, 6).witness is not None
+
+
+def test_a_halved_entry_is_the_witness_in_either_order():
+    base = PowerKernel(3, 2)
+    for alpha in [(1, 2), (2, 1)]:
+        W = TableWeight(2, {alpha: base.rho(alpha) / 2}, base)
+        assert is_n_hyper_up_to(W, 3, 6).witness == HyperWitness(1, alpha, F(-1, 5))
 
 
 # -- the neighbour-sum necessary condition -----------------------------------

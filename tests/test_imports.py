@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import CASES
+from golden import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -39,47 +39,23 @@ print(json.dumps({
 # arithmetic, load only with the subcommands that evaluate a metric.
 CORE = ["cli", "errors", "multiindex", "report", "weights"]
 
-# Runs main(argv) with numpy and mpmath made unimportable and prints its exit
-# code and stdout.
-NO_NUMPY_PROBE = """
-import contextlib, io, json, sys
 
-
-class BlockNumerics:
-    def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] in ("mpmath", "numpy"):
-            raise ImportError(f"{name} is blocked")
-        return None
-
-
-sys.meta_path.insert(0, BlockNumerics())
-for blocked in ("mpmath", "numpy"):
-    try:
-        __import__(blocked)
-    except ImportError:
-        pass
-    else:
-        raise SystemExit(f"{blocked} imported past the blocker")
-from hypershift.cli import main
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "stdout": out.getvalue()}))
-"""
-
-
-def run_python(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
+def python(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", code, *args],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         cwd=ROOT,
         timeout=120,
     )
+
+
+def run_python(*argv: str) -> str:
+    proc = python(*argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -88,6 +64,7 @@ def test_importing_the_cli_loads_no_numerics():
     # Encoding a report, complex entries included, loads nothing either: the
     # encoder recognises numbers by their __complex__ method.
     out = run_python(
+        "-c",
         "import json, sys, hypershift.cli\n"
         "from fractions import Fraction\n"
         "from hypershift.report import canonical_json\n"
@@ -102,9 +79,10 @@ def test_importing_the_cli_loads_no_tempfile():
     # write_atomic imports tempfile (with shutil and random) only when a
     # report goes to a file.  With -S no site .pth file can load it first.
     out = run_python(
+        "-S",
+        "-c",
         "import json, sys, hypershift.cli\n"
         "print(json.dumps([m for m in ('tempfile', 'shutil', 'random') if m in sys.modules]))",
-        flags=("-S",),
     )
     assert json.loads(out) == []
 
@@ -162,38 +140,33 @@ def test_importing_the_cli_loads_no_tempfile():
 )
 def test_subcommand_loads_only_its_numerics(argv, layers):
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
-    result = json.loads(run_python(CLI_PROBE, json.dumps(argv)))
+    result = json.loads(run_python("-c", CLI_PROBE, json.dumps(argv)))
     assert result["code"] in (0, 1)
     # No numeric library, and no dataclasses (nor the inspect it imports).
     assert result["loaded"] == []
     assert result["package"] == sorted(f"hypershift.{m}" for m in CORE + layers)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "example45_eval40.json",
-        "curvature_perturbed45_m3_power23_2x4.json",
-        "curvature_cubic_m3_2x4.json",
-        "curvature_perturbed45_3x4.json",
-        "truncate_power22_d40.json",
-        "truncate_perturbed45_d30.json",
-    ],
-)
-def test_golden_report_without_numpy(name):
-    # The m = 3 pair takes the Jacobi eigenvalue path on diagonal class
-    # matrices and the m = 3 cubic its rotations, example45 the m = 2
-    # closed form, the perturbed weight alone the single-weight report, and
-    # truncate its float fields from the step products; none of them can
-    # import numpy or mpmath.
-    code, argv = CASES[name]
-    result = json.loads(run_python(NO_NUMPY_PROBE, json.dumps(argv)))
-    assert result["code"] == code
-    assert result["stdout"] == (DATA / name).read_text()
+@pytest.fixture(scope="module")
+def numpy_free_golden_run():
+    # golden.py checks every golden case in one interpreter where numpy and
+    # mpmath cannot be imported, printing the count last and each case that
+    # differs as "<name>: <difference>" on stderr.
+    return python(str(ROOT / "tests" / "golden.py"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report_without_numpy(numpy_free_golden_run, name):
+    proc = numpy_free_golden_run
+    assert proc.stdout.startswith(
+        f"{len(CASES)} golden cases checked with numpy and mpmath unimportable, "
+    ), proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith(f"{name}: ")] == []
 
 
 def test_every_exported_name_resolves():
     out = run_python(
+        "-c",
         "import hypershift\n"
         "missing = [n for n in hypershift.__all__ if getattr(hypershift, n, None) is None]\n"
         "unlisted = sorted(set(hypershift.__all__) - set(dir(hypershift)))\n"

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypershift import (
     ExplicitSequence,
@@ -15,6 +17,8 @@ from hypershift import (
     PowerSequence,
     RadialWeight,
     TableWeight,
+    defect_diag,
+    necessary_condition,
     ray_ratio_sq,
     ray_ratio_sq_literal,
     similarity_scan,
@@ -24,14 +28,18 @@ from hypershift import multiindex as mi
 from hypershift import similarity
 
 from helpers import (
+    defect_layers,
     random_radial_sequence,
     random_table_weight,
     random_weight,
     reference_similarity_scan,
+    scaled,
+    single_entry_tables,
 )
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
+POWER22 = PowerKernel(2, 2)
 
 
 def data_weight(name):
@@ -75,13 +83,25 @@ def test_ray_ratio_reciprocity_and_identity():
         assert ray_ratio_sq(W1, W1, alpha, i, l) == 1
 
 
-def test_ray_ratio_ignores_overall_scaling():
-    base = PowerKernel(2, 2)
-    scaled = TableWeight(
-        2, {alpha: 3 * base.rho(alpha) for alpha in mi.enumerate_leq_degree(2, 12)}
-    )
-    for alpha, i, l in [((0, 0), 0, 5), ((2, 1), 1, 8), ((3, 3), 0, 0)]:
-        assert ray_ratio_sq(scaled, base, alpha, i, l) == 1
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.tuples(single_entry_tables(2), st.sampled_from([F(1, 3), F(1, 2), F(2), F(7, 3), F(1000)]))
+    .map(lambda case: (scaled(*case), case[0]))
+)
+@example((TableWeight(2, {a: 3 * POWER22.rho(a) for a in mi.enumerate_leq_degree(2, 12)}), POWER22))
+def test_ray_ratio_ignores_overall_scaling(pair):
+    # W1 = c W2 for a constant c > 0: every ray ratio between them is 1, and
+    # the defects and neighbour sums, quotients of W's values, agree.
+    W1, W2 = pair
+    cells = [((0, 0), 0, 5), ((2, 1), 1, 8), ((3, 3), 0, 0)]
+    cells += [(a, i, l) for a in mi.enumerate_leq_degree(2, 3) for i in (0, 1) for l in (0, 2, 5)]
+    for alpha, i, l in cells:
+        assert ray_ratio_sq(W1, W2, alpha, i, l) == 1
+    assert list(defect_layers(W1, 3, 6)) == list(defect_layers(W2, 3, 6))
+    for alpha in mi.enumerate_leq_degree(2, 6)[1:]:
+        for k in range(4):
+            assert defect_diag(W1, k, alpha) == defect_diag(W2, k, alpha)
+        assert necessary_condition(W1, 1, alpha).lhs == necessary_condition(W2, 1, alpha).lhs
 
 
 def test_telescoped_equals_literal_product():
