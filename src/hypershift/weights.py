@@ -26,6 +26,10 @@ can build:
   divide the values of ``PowerKernel(n, m)`` along finitely many rays by
   small integers.
 
+A radial sequence is a finite ``ExplicitSequence`` or the one closed form
+``PolynomialSequence``, a(d) = p(d) r^d, which ``PowerSequence`` and
+``GeometricSequence`` build with their own specs.
+
 ``rho`` and ``rho_ratio`` check their indices' lengths once and read the two
 rules: a value is the entry, else the radial value; a ratio is the quotient
 of two values where either index is an entry, else the radial ratio in
@@ -38,15 +42,15 @@ sequence states its values, its ratio bound ``ratio_sup`` and its last index
 ``max_index``, and a weight its ``sequence`` and ``corrections``;
 ``curvature`` sums the truncated metric series from these at a working
 precision.  Instances are immutable after construction apart from two
-memos, the radial factors of ``WeightFunction._ratio`` and the values of a
-``PolynomialSequence``, so they are safe to share across threads for
+memos, the radial factors of ``WeightFunction._ratio`` and the values p(d)
+of a ``PolynomialSequence``, so they are safe to share across threads for
 reading.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import factorial, lcm, perm
 
 from . import multiindex as mi
 from .errors import (
@@ -85,94 +89,91 @@ class RadialSequence:
         return None
 
 
-class PowerSequence(RadialSequence):
-    """a(i) = C(n + i - 1, i), the radial profile of PowerKernel(n)."""
+class PolynomialSequence(RadialSequence):
+    """a(d) = p(d) r^d for p(d) = c_0 + c_1 d + ... + c_k d^k with rational
+    coefficients and a rational r > 0, the one closed-form sequence; its
+    spec is the polynomial one for r = 1 unless ``spec`` is given.
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("kernel power n must be >= 1")
-        self.n = n
+    p(d) is evaluated by Horner's rule on integer numerators over one
+    common denominator and memoized (r^d is not: its bit length grows with
+    d); a non-positive p(d) raises on every request.
+    """
 
-    def value(self, i: int) -> Fraction:
-        if i < 0:
-            raise ValueError("sequence index must be >= 0")
-        return Fraction(comb(self.n + i - 1, i))
-
-    def ratio_sup(self, start: int) -> Fraction:
-        # a(i+1)/a(i) = (n + i)/(i + 1), decreasing in i.
-        return Fraction(self.n + start, start + 1)
-
-    def spec_dict(self) -> dict:
-        return {"generator": "power", "n": self.n}
-
-
-class GeometricSequence(RadialSequence):
-    """a(i) = r^i for a positive rational ratio r."""
-
-    def __init__(self, r: Fraction):
+    def __init__(self, coefficients: list[Fraction], r: Fraction = 1, spec: dict | None = None):
+        coeffs = [Fraction(c) for c in coefficients]
+        if not coeffs:
+            raise ValueError("polynomial sequence needs at least one coefficient")
         r = Fraction(r)
         if r <= 0:
             raise ValueError("geometric ratio must be positive")
         self.r = r
-
-    def value(self, i: int) -> Fraction:
-        if i < 0:
-            raise ValueError("sequence index must be >= 0")
-        return self.r**i
-
-    def ratio_sup(self, start: int) -> Fraction:
-        return self.r
-
-    def spec_dict(self) -> dict:
-        return {"generator": "geometric", "r": frac_str(self.r)}
-
-
-class PolynomialSequence(RadialSequence):
-    """a(i) = c_0 + c_1 i + ... + c_k i^k with rational coefficients.
-
-    Each index is evaluated once and memoized; positivity is checked on
-    every evaluation, so a non-positive index raises on every request.  A
-    ratio bound is only available when all coefficients are nonnegative
-    (then a(i+1)/a(i) <= ((i+1)/i)^k for i >= 1 by termwise comparison).
-    """
-
-    def __init__(self, coefficients: list[Fraction]):
-        coeffs = [Fraction(c) for c in coefficients]
-        if not coeffs:
-            raise ValueError("polynomial sequence needs at least one coefficient")
-        self.coefficients = coeffs
-        self._values: dict[int, Fraction] = {}
+        den = lcm(*(c.denominator for c in coeffs))
+        # Highest degree first, for Horner's rule, from the degree of p on.
+        nums = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+        while len(nums) > 1 and not nums[0]:
+            del nums[0]
+        self._numerators = nums
+        self._denominator = den
+        if spec is None and r == 1:
+            spec = {"generator": "polynomial", "coefficients": [frac_str(c) for c in coeffs]}
+        self.spec = spec
+        self._p: dict[int, Fraction] = {}
         self.value(0)  # raises WeightDomainError unless a(0) > 0
 
     def value(self, i: int) -> Fraction:
-        out = self._values.get(i)
-        if out is None:
+        p = self._p.get(i)
+        if p is None:
             if i < 0:
                 raise ValueError("sequence index must be >= 0")
-            out = self._horner(i)
-            if out <= 0:
+            numerator = self._horner(i)
+            if numerator <= 0:
                 raise WeightDomainError(f"polynomial sequence is not positive at index {i}")
-            self._values[i] = out
-        return out
+            p = self._p[i] = Fraction(numerator, self._denominator)
+        if self.r == 1:
+            return p
+        return p * self.r**i
 
-    def _horner(self, i: int) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coefficients):
+    def _horner(self, i: int) -> int:
+        """p(i) times the common denominator."""
+        out = 0
+        for c in self._numerators:
             out = out * i + c
         return out
 
     def ratio_sup(self, start: int) -> Fraction | None:
-        if any(c < 0 for c in self.coefficients):
+        """The larger of the k = deg p exact steps a(i+1)/a(i), s <= i < s+k,
+        and r ((s+k+1)/(s+k))^k, which bounds every later step termwise;
+        None unless every coefficient is nonnegative."""
+        if any(c < 0 for c in self._numerators):
             return None
-        deg = len(self.coefficients) - 1
-        if start == 0:
-            # Exact step at 0, then the i >= 1 bound evaluated at its maximum.
-            bound = Fraction(2) ** deg
-            return max(self.value(1) / self.value(0), bound)
-        return Fraction(start + 1, start) ** deg
+        k = len(self._numerators) - 1
+        bound = self.r * Fraction((start + k + 1) ** k, (start + k) ** k)
+        for i in range(start, start + k):
+            bound = max(bound, self.value(i + 1) / self.value(i))
+        return bound
 
-    def spec_dict(self) -> dict:
-        return {"generator": "polynomial", "coefficients": [frac_str(c) for c in self.coefficients]}
+    def spec_dict(self) -> dict | None:
+        return self.spec
+
+
+def PowerSequence(n: int) -> PolynomialSequence:
+    """a(d) = C(n + d - 1, d) = (d + 1) ... (d + n - 1) / (n - 1)!, the radial
+    profile of PowerKernel(n)."""
+    if n < 1:
+        raise ValueError("kernel power n must be >= 1")
+    coeffs = [1]
+    for j in range(1, n):
+        # Times (d + j), on integers: the new c_t is j c_t + c_{t-1}.
+        coeffs = [j * c + lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
+    den = factorial(n - 1)
+    coeffs = [Fraction(c, den) for c in coeffs]
+    return PolynomialSequence(coeffs, spec={"generator": "power", "n": n})
+
+
+def GeometricSequence(r: Fraction) -> PolynomialSequence:
+    """a(d) = r^d for a positive rational ratio r."""
+    r = Fraction(r)
+    return PolynomialSequence([1], r, {"generator": "geometric", "r": frac_str(r)})
 
 
 class ExplicitSequence(RadialSequence):
@@ -422,23 +423,25 @@ class PerturbedPower(WeightFunction):
             raise ValueError("perturbed family needs n >= 2")
         if blocks < 1:
             raise ValueError("block count must be >= 1")
-        self.n = n
-        self.blocks = blocks
         self.base = PowerKernel(n, m)
         self.base_degrees = [
             n**n * 2 ** (3 * l + 1) // factorial(n - 1) - n + 1 for l in range(1, blocks + 1)
         ]
-        self._divisors: dict[MultiIndex, int] = {}
+        entries = {}
         for l, b in enumerate(self.base_degrees, start=1):
             for j in range(2, 2 * l - 1):
-                self._divisors[(j, b) + (0,) * (m - 2)] = min(j, 2 * l - j)
-        entries = {alpha: self.base.rho(alpha) / d for alpha, d in self._divisors.items()}
+                alpha = (j, b) + (0,) * (m - 2)
+                entries[alpha] = self.base.rho(alpha) / min(j, 2 * l - j)
         spec = {"kind": "perturbed45", "n": n, "m": m, "L": blocks}
         super().__init__(m, self.base.sequence, entries, spec)
 
     def perturbed_entries(self) -> list[tuple[MultiIndex, int]]:
-        """All (alpha, divisor) pairs with divisor > 1, graded order."""
-        return sorted(self._divisors.items(), key=_graded)
+        """All (alpha, divisor) pairs with divisor > 1, graded order; each
+        divisor is the base value over the entry."""
+        return [
+            (alpha, int(self.base.rho(alpha) / value))
+            for alpha, value in sorted(self.entries.items(), key=_graded)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,8 @@ CASES = {
         0,
         _scan("curvature", "perturbed45.json", "--grid", "radial:3x4"),
     ),
+    # A geometric base, a(d) = 2^-d: its tails read the ratio bound r = 1/2.
+    "curvature_geometric_half_2x4.json": (0, _curvature("geometric_half")),
     **_CURVATURE_REFUSALS,
     **_NONPOSITIVE_REFUSALS,
     # power(1,2) against power(3,2): the ray ratios keep widening with the
@@ -192,6 +194,14 @@ CASES = {
         ],
     ),
     **_SIMILARITY_REFUSALS,
+    # The geometric base a(d) = 2^-d against power(2,2), every cell.
+    "similarity_scan_geometric_half_power22.csv": (
+        1,
+        _scan(
+            "similarity-scan", "geometric_half.json", "--weights", str(DATA / "power22.json"),
+            "--degree", "2", "--ray-length", "2", "--format", "csv",
+        ),
+    ),
     # Rays through the halved table entry (2, 3) against the power base,
     # every cell in scan order.
     "similarity_scan_table_halved_power22.csv": (
@@ -225,6 +235,12 @@ CASES = {
     "check_hyper_table_halved.json": (
         1,
         _scan("check-hyper", "table_power2_halved.json", "--n", "2", "--degree", "8"),
+    ),
+    # The geometric base a(d) = 2^-d: rho(0, 1) = rho(0, 0) / 2, so d_1 = -1
+    # at (0, 1).
+    "check_hyper_geometric_half.json": (
+        1,
+        _scan("check-hyper", "geometric_half.json", "--n", "2", "--degree", "4"),
     ),
     "check_hyper_power33.json": (
         0,

@@ -1,7 +1,8 @@
 """Shared builders for randomized test weights, the hypothesis strategy
 ``single_entry_tables`` and the scaled weight ``scaled`` that the
-metamorphic tests draw from, the dense numpy references the float paths
-are tested against, the column-map matrix model that
+metamorphic tests draw from, the ratio bound of each closed-form family by
+its own rule (``family_ratio_sup``), the dense numpy references the float
+paths are tested against, the column-map matrix model that
 ``truncate`` is tested against (``build_truncated`` and its operators), the
 per-cell similarity scan the tabled one is tested against, the full-table
 view ``defect_layers`` of the defect engine, the modulus classes of a grid,
@@ -113,6 +114,25 @@ def scaled(W: WeightFunction, c: Fraction) -> WeightFunction:
     """The weight c rho: W's sequence and entries, each times c > 0."""
     entries = {alpha: c * v for alpha, v in W.entries.items()}
     return WeightFunction(W.m, ScaledSequence(W.sequence, c), entries, None)
+
+
+def family_ratio_sup(spec: dict, start: int) -> Fraction | None:
+    """The ratio bound of a closed-form sequence by its family's own rule,
+    read from its spec: (n+s)/(s+1) for power(n), r for a geometric base,
+    and for a polynomial of degree k with nonnegative coefficients
+    max(a(1)/a(0), 2^k) at s = 0 and ((s+1)/s)^k from s = 1 on (None with a
+    negative coefficient)."""
+    if spec["generator"] == "power":
+        return Fraction(spec["n"] + start, start + 1)
+    if spec["generator"] == "geometric":
+        return Fraction(spec["r"])
+    coeffs = [Fraction(c) for c in spec["coefficients"]]
+    if any(c < 0 for c in coeffs):
+        return None
+    k = len(coeffs) - 1
+    if start == 0:
+        return max(sum(coeffs) / coeffs[0], Fraction(2) ** k)
+    return Fraction(start + 1, start) ** k
 
 
 def as_array(H):

@@ -122,6 +122,58 @@ MUTANTS = [
             "tests/test_weights.py::test_spec_dict_is_the_canonical_form",
         ),
     ),
+    # weights: the closed-form ratio bound without its exact steps.
+    Mutant(
+        "src/hypershift/weights.py",
+        "        for i in range(start, start + k):\n"
+        "            bound = max(bound, self.value(i + 1) / self.value(i))\n",
+        "",
+        (
+            "tests/test_weights.py::test_power_sequence_is_binomial",
+            "tests/test_weights.py::test_one_ratio_bound_for_every_closed_form_base",
+        ),
+    ),
+    # weights: the tail bound without its factor r.
+    Mutant(
+        "src/hypershift/weights.py",
+        "bound = self.r * Fraction(",
+        "bound = Fraction(",
+        (
+            "tests/test_weights.py::test_metric_tail_refusals",
+            "tests/test_weights.py::test_one_ratio_bound_for_every_closed_form_base",
+        ),
+    ),
+    # weights: a closed-form value without its factor r^d.
+    Mutant(
+        "src/hypershift/weights.py",
+        "return p * self.r**i",
+        "return p",
+        (
+            "tests/test_weights.py::test_geometric_and_polynomial_values",
+            _golden("check_hyper_geometric_half.json"),
+        ),
+    ),
+    # weights: the tail bound taken from s + k - 1 instead of s + k.
+    Mutant(
+        "src/hypershift/weights.py",
+        "Fraction((start + k + 1) ** k, (start + k) ** k)",
+        "Fraction((start + k) ** k, (start + k - 1) ** k)",
+        (
+            "tests/test_weights.py::test_power_sequence_is_binomial",
+            "tests/test_cli.py::test_one_sequence_written_two_ways_gives_one_report"
+            "[curvature-power2-is-i-plus-1]",
+        ),
+    ),
+    # weights: k read from the coefficient count, not the degree of p.
+    Mutant(
+        "src/hypershift/weights.py",
+        "while len(nums) > 1 and not nums[0]:",
+        "while False:",
+        (
+            "tests/test_cli.py::test_one_sequence_written_two_ways_gives_one_report"
+            "[curvature-trailing-zero]",
+        ),
+    ),
     # hypercontraction: moments weighted by the multinomial of k_max.
     Mutant(
         "src/hypershift/hypercontraction.py",

@@ -349,6 +349,39 @@ def test_curvature_pair_report(capsys, weight_files):
 
 
 @pytest.mark.parametrize(
+    "a, b",
+    [
+        ({"generator": "power", "n": 2}, {"generator": "polynomial", "coefficients": ["1", "1"]}),
+        ({"generator": "geometric", "r": "1"}, {"generator": "polynomial", "coefficients": ["1"]}),
+        (
+            {"generator": "polynomial", "coefficients": ["1", "1", "0"]},
+            {"generator": "polynomial", "coefficients": ["1", "1"]},
+        ),
+    ],
+    ids=["power2-is-i-plus-1", "geometric1-is-constant", "trailing-zero"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--grid", "radial:1x1", "--eval-degree", "9"],
+        ["check-hyper", "--n", "2", "--degree", "6"],
+    ],
+    ids=["curvature", "check-hyper"],
+)
+def test_one_sequence_written_two_ways_gives_one_report(capsys, tmp_path, a, b, argv):
+    # Both specs of one a(i) reach the same values and the same ratio bound,
+    # so their reports differ in params alone.
+    reports = []
+    for name, spec in [("a", a), ("b", b)]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": "radial", "m": 2, "a": spec}))
+        code, report = run_json(capsys, [*argv, "--weights", str(path)])
+        del report["params"]
+        reports.append((code, report))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["curvature", "--weights", "power2m2", "--grid", "radial:2x4"],

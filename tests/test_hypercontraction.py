@@ -605,7 +605,7 @@ def test_permuting_coordinates_keeps_verdicts_and_witness_values(case):
     # Wp(sigma alpha) = W(alpha) with (sigma alpha)_i = alpha_perm[i]; the
     # power base is symmetric, so only the entry moves.
     W, perm = case
-    m, n = W.m, W.sequence.n
+    m, n = W.m, W.sequence.spec_dict()["n"]
     ((entry, value),) = W.entries.items()
 
     def sigma(alpha):
@@ -643,7 +643,7 @@ def test_permuting_coordinates_keeps_verdicts_and_witness_values(case):
 def test_a_zero_coordinate_keeps_every_defect(W):
     # d_k(W+, (alpha, 0)) = d_k(W, alpha): every beta <= (alpha, 0) ends in
     # 0, and the power base and the entry keep their values there.
-    m, n = W.m, W.sequence.n
+    m, n = W.m, W.sequence.spec_dict()["n"]
     ((entry, value),) = W.entries.items()
     plus = TableWeight(m + 1, {entry + (0,): value}, PowerKernel(n, m + 1))
     rows = dict(defect_layers(plus, 3, 6))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypershift import (
@@ -41,6 +41,7 @@ from hypershift import multiindex as mi
 from hypershift.curvature import metric_jets
 
 from helpers import (
+    family_ratio_sup,
     point_jet,
     random_radial_sequence,
     random_table_weight,
@@ -59,8 +60,11 @@ def test_power_sequence_is_binomial():
     a = PowerSequence(3)
     assert [a.value(i) for i in range(5)] == [1, 3, 6, 10, 15]
     # a(i+1)/a(i) = (n+i)/(i+1) is what ratio_sup promises, exactly.
-    for start in range(6):
-        assert a.value(start + 1) / a.value(start) == a.ratio_sup(start)
+    for n in range(1, 13):
+        a = PowerSequence(n)
+        for start in range(301):
+            step = a.value(start + 1) / a.value(start)
+            assert a.ratio_sup(start) == step == F(n + start, start + 1)
 
 
 def test_geometric_and_polynomial_values():
@@ -90,6 +94,37 @@ def test_polynomial_ratio_sup_bounds_actual_ratios():
         bound = p.ratio_sup(start)
         for i in range(start, start + 20):
             assert p.value(i + 1) / p.value(i) <= bound
+
+
+_positive = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+_nonnegative_cubics = st.tuples(
+    _positive, st.lists(st.builds(F, st.integers(0, 9), st.integers(1, 9)), max_size=3)
+).map(lambda t: [t[0], *t[1]])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 12).map(PowerSequence),
+        _positive.map(GeometricSequence),
+        _nonnegative_cubics.map(PolynomialSequence),
+        # p(d) r^d with p a cubic: no family has a rule for it.
+        st.tuples(_nonnegative_cubics, _positive).map(lambda t: PolynomialSequence(*t)),
+    ),
+    st.integers(0, 300),
+)
+@example(PolynomialSequence([F(1), F(1)]), 9)  # power(2) written as i + 1
+@example(PolynomialSequence([F(1), F(1)], F(3, 2)), 0)
+def test_one_ratio_bound_for_every_closed_form_base(a, start):
+    # Equal to the power and geometric rules, never above the polynomial
+    # rule, and above every actual step in a window past the start.
+    bound = a.ratio_sup(start)
+    spec = a.spec_dict()
+    if spec is not None:
+        oracle = family_ratio_sup(spec, start)
+        assert bound <= oracle if spec["generator"] == "polynomial" else bound == oracle
+    for i in range(start, start + 24):
+        assert a.value(i + 1) / a.value(i) <= bound
 
 
 def test_explicit_sequence_exhaustion():
@@ -679,7 +714,7 @@ def test_metric_decomposition_merges_and_sorts():
     assert [alpha for alpha, _ in W.corrections] == [(0, 2), (2, 0)]
     assert W.corrections[0][1] == base.rho((0, 2))
     assert W.sequence is base.sequence
-    assert isinstance(W.sequence, PowerSequence) and W.sequence.n == 2
+    assert W.sequence.spec_dict() == {"generator": "power", "n": 2}
     # A table over a table lists the merged differences from the sequence.
     T = TableWeight(2, {(2, 0): F(5), (1, 1): base.rho((1, 1))}, fallback=W)
     assert T.corrections == [((0, 2), base.rho((0, 2))), ((2, 0), 5 - base.rho((2, 0)))]
@@ -689,7 +724,6 @@ def test_perturbed_metric_decomposition():
     P = PerturbedPower(2, 2, 2)
     rho = PowerKernel(2, 2).rho((2, 511))
     assert P.corrections == [((2, 511), rho / 2 - rho)]
-    assert isinstance(P.sequence, PowerSequence) and P.sequence.n == 2
     assert P.sequence.spec_dict() == {"generator": "power", "n": 2}
 
 
