@@ -11,8 +11,8 @@ counterexample family end to end.
 The package needs only the standard library: metrics and curvature run
 in ``decimal`` at a working precision (see ``curvature``).  The core
 (errors, multi-indices, weights, and the report helpers that weights
-use) is imported with the package; the names of the
-hypercontraction, similarity, curvature and truncation modules are resolved
+use) is imported with the package; the names of the hypercontraction,
+similarity, curvature, truncation and counterexample modules are resolved
 on first use, so a caller loads only the layers it calls.  Result records
 are ``typing.NamedTuple``s or plain classes, not dataclasses: importing
 ``dataclasses`` and building its classes would cost every short-lived CLI
@@ -32,7 +32,6 @@ from .errors import (
 from .weights import (
     ExplicitSequence,
     GeometricSequence,
-    PerturbedPower,
     PolynomialSequence,
     PowerKernel,
     PowerSequence,
@@ -89,6 +88,7 @@ _LAZY = {
             ),
         ),
         ("truncation", ("Truncation",)),
+        ("counterexample", ("PerturbedPower",)),
     )
     for name in names
 }

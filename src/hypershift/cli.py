@@ -23,16 +23,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import multiindex as mi
 from . import report as rpt
 from .errors import WeightSpecError
-from .weights import PerturbedPower, parse_fraction, parse_natural, weight_from_dict
+from .weights import parse_fraction, parse_natural, weight_from_dict
 
-# The hypercontraction, similarity, curvature and truncation layers are
-# imported in the handlers that use them, so each call loads only what its
-# subcommand runs; every layer needs only the standard library.
+# The hypercontraction, similarity, curvature, truncation and
+# counterexample layers are imported in the handlers that use them, so each
+# call loads only what its subcommand runs; every layer needs only the
+# standard library.
 
 
 class UsageError(Exception):
@@ -100,11 +100,8 @@ def _parse_grid(text: str, m: int):
     raise UsageError(f"unknown grid spec {text!r}")
 
 
-# Report blocks read straight off result objects.
-_DEFECT_WITNESS = ("order", "alpha", "value")  # HyperWitness
-_CONDITION = ("alpha", "lhs", "rhs")  # ConditionCheck
+# The ray of a similarity extreme, without its value.
 _RAY = ("alpha", "direction", "length")  # RayWitness
-_PSH = ("psi_min", "psi_max", "hessian_min_eig", "all_psd", "unbounded_trend", "n_points")
 
 
 def _report(command: str, params: dict, body: dict) -> dict:
@@ -182,7 +179,7 @@ def cmd_check_hyper(args) -> int:
     res = is_n_hyper_up_to(W, args.n, args.degree)
     body = {"verdict": res.verdict}
     if res.witness is not None:
-        body["witness"] = rpt.pick(res.witness, *_DEFECT_WITNESS)
+        body["witness"] = res.witness._asdict()
     params = {"weight": W.spec_dict(), "order": args.n, "degree": args.degree}
     return _emit(args, _report(args.command, params, body))
 
@@ -205,7 +202,7 @@ def cmd_necessary(args) -> int:
         body = rpt.pick(res, "checked", "verdict")
         witness = res.witness
     if witness is not None:
-        body["witness"] = rpt.pick(witness, *_CONDITION)
+        body["witness"] = witness._asdict()
     return _emit(args, _report(args.command, params, body))
 
 
@@ -229,7 +226,7 @@ def cmd_similarity_scan(args) -> int:
         "argmax": rpt.pick(res.argmax, *_RAY),
     }
     if res.verdict == "growth-flagged":
-        body["witness"] = rpt.pick(res.argmax, *_RAY, "value")
+        body["witness"] = res.argmax._asdict()
     csv_text = None
     if args.format == "csv":
         # Each stored ratio is formatted once; its cells share the text.
@@ -282,7 +279,7 @@ def cmd_curvature(args) -> int:
         res = psh_boundedness_report(points, psd_tol=args.tol)
         params.update(weight1=weights[0].spec_dict(), weight2=weights[1].spec_dict())
         body = {
-            **rpt.pick(res, *_PSH, "shells"),
+            **res._asdict(),
             "records": [
                 {**rpt.pick(p, "w", "eigenvalues", "psi"), "hessian": p.hessian.entries}
                 for p in points
@@ -318,130 +315,13 @@ def cmd_truncate(args) -> int:
     return _emit(args, _report(args.command, params, body), csv_text)
 
 
-def kernel_bound(corrections, n: int) -> dict:
-    """Stage (a) of ``example45`` for a power kernel of order n plus exact
-    corrections (alpha, delta).
+def run_example45(**kwargs) -> dict:
+    """The ``example45`` report: the params and body of
+    ``counterexample.example45(**kwargs)`` in the envelope.  It stays a CLI
+    function because the benchmark's tracer times ``cli.run_example45``."""
+    from .counterexample import example45
 
-    For the power kernel K(w,w)(1-|w|^2)^n = 1 exactly; each correction
-    moves it by at most |delta| sup_{|w|^2=t} |w^alpha|^2 (1-t)^n, and the
-    supremum over the sphere is t^N prod alpha_i^alpha_i / N^N with
-    N = |alpha|.  t^N (1-t)^n peaks at t* = N/(N+n), so ``sup_bound``, the
-    sum of the per-term sups at t*, bounds the deviation on the whole ball
-    and decides ``pass``; the exact maximum on a grid of t is reported
-    beside it.
-    """
-    terms = []
-    for alpha, delta in corrections:
-        N = mi.degree(alpha)
-        mono_sup = Fraction(1)
-        for a in alpha:
-            if a:
-                mono_sup *= Fraction(a) ** a
-        terms.append((N, -delta * mono_sup / Fraction(N) ** N))
-    t_grid = [Fraction(k, 20) for k in range(20)] + [Fraction(99, 100)]
-    max_dev = Fraction(0)
-    worst_t = t_grid[0]
-    for t in t_grid:
-        dev = sum(c * t**N * (1 - t) ** n for N, c in terms)
-        if dev > max_dev:
-            max_dev = dev
-            worst_t = t
-    sup_bound = sum(abs(c) * Fraction(N, N + n) ** N * Fraction(n, N + n) ** n for N, c in terms)
-    return {
-        "pass": Fraction(1, 8) - sup_bound > 0,
-        "sup_bound": float(sup_bound),
-        "max_deviation": float(max_dev),
-        "margin": float(Fraction(1, 8) - max_dev),
-        "worst_t": worst_t,
-        "t_grid_size": len(t_grid),
-    }
-
-
-def run_example45(
-    n: int = 2,
-    m: int = 2,
-    blocks: int = 2,
-    scan_degree: int | None = None,
-    eval_degree: int = 240,
-    precision_bits: int = 80,
-) -> dict:
-    """Reproduce the perturbed-kernel counterexample end to end.
-
-    Stages: (a) certify sup_w |K(w,w)(1-|w|^2)^n - 1| < 1/8 on the whole
-    ball by the exact ``sup_bound``, the sum of each correction's exact
-    supremum, and report the exact maximum on a grid of t beside it; (b) exhibit
-    the neighbour-sum violation at the last block midpoint and find a
-    negative defect entry by scan; (c) verify the ray ratio witness equals
-    the block index l for each block; (d) run the curvature comparison
-    against the unperturbed kernel on the grid radial:6x4.  Stages (a)-(c)
-    are pass/fail; (d) is informational.
-    """
-    from .curvature import check_jet_args, curvature_points, psh_boundedness_report, radial_grid
-    from .hypercontraction import is_n_hyper_up_to, necessary_condition
-    from .similarity import ray_ratio_sq
-
-    if blocks < 2:
-        raise UsageError("the counterexample needs at least 2 blocks")
-    check_jet_args(eval_degree, precision_bits)  # stage (d)'s refusals, before stage (a)
-    if scan_degree is not None and scan_degree < 0:  # and stage (b)'s
-        raise ValueError("max_degree must be >= 0")
-    W = PerturbedPower(n, m, blocks)
-    base = W.base
-    stages: dict = {}
-
-    # (a) kernel bound.
-    stages["kernel_bound"] = {**kernel_bound(W.corrections, n), "base_degrees": W.base_degrees}
-
-    # (b) necessary-condition violation at the last block midpoint, then a
-    # defect witness by graded scan.
-    b_last = W.base_degrees[-1]
-    mid = (blocks, b_last) + (0,) * (m - 2)
-    chk = necessary_condition(W, n, mid)
-    if scan_degree is None:
-        scan_degree = b_last + blocks + 1
-    scan = is_n_hyper_up_to(W, n, scan_degree)
-    stage_b = {
-        "pass": (not chk.holds) and scan.witness is not None and scan.witness.value < 0,
-        **rpt.pick(chk, *_CONDITION),
-        "scan_degree": scan_degree,
-        "verdict": scan.verdict,
-    }
-    if scan.witness is not None:
-        stage_b["defect_witness"] = rpt.pick(scan.witness, *_DEFECT_WITNESS)
-    stages["necessary_violation"] = stage_b
-
-    # (c) ray ratio witnesses: going up the first coordinate from each block
-    # base point, the squared ratio against the unperturbed kernel is l.
-    witnesses = []
-    all_match = True
-    for l in range(2, blocks + 1):
-        base_pt = (0, W.base_degrees[l - 1]) + (0,) * (m - 2)
-        r = ray_ratio_sq(W, base, base_pt, 0, l - 1)
-        witnesses.append({"block": l, "alpha": base_pt, "length": l - 1, "ratio_sq": r})
-        if r != l:
-            all_match = False
-    stages["ray_ratio"] = {"pass": all_match, "witnesses": witnesses}
-
-    # (d) curvature comparison, informational.
-    points = curvature_points(
-        [W, base], radial_grid(m, 6, 4), max_degree=eval_degree, precision_bits=precision_bits
-    )
-    psh = psh_boundedness_report(points)
-    stages["curvature"] = {"pass": True, **rpt.pick(psh, *_PSH)}
-
-    ok = all(s["pass"] for s in stages.values())
-    body = {"stages": stages, "pass": ok}
-    if not ok:
-        body["witness"] = {"stage": min(name for name, s in stages.items() if not s["pass"])}
-    params = {
-        "n": n,
-        "m": m,
-        "blocks": blocks,
-        "scan_degree": scan_degree,
-        "eval_degree": eval_degree,
-        "precision_bits": precision_bits,
-    }
-    return _report("example45", params, body)
+    return _report("example45", *example45(**kwargs))
 
 
 def cmd_example45(args) -> int:

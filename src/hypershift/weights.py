@@ -22,9 +22,11 @@ can build:
   of (1 - <z, w>)^{-n}.
 * ``TableWeight(m, entries, fallback)``: finitely many explicit values over
   the fallback's sequence and entries, or over nothing.
-* ``PerturbedPower(n, m, L)``, the counterexample family: the entries that
-  divide the values of ``PowerKernel(n, m)`` along finitely many rays by
-  small integers.
+
+The counterexample family ``PerturbedPower(n, m, L)``, whose entries divide
+the values of ``PowerKernel(n, m)`` along finitely many rays by small
+integers, lives with the rest of the counterexample in ``counterexample``;
+a ``perturbed45`` spec loads it.
 
 A radial sequence is a finite ``ExplicitSequence`` or the one closed form
 ``PolynomialSequence``, a(d) = p(d) r^d, which ``PowerSequence`` and
@@ -393,55 +395,15 @@ def TableWeight(
     return WeightFunction(m, fallback.sequence, {**fallback.entries, **exact}, spec)
 
 
-class PerturbedPower(WeightFunction):
-    """A power kernel divided by small integers along finitely many rays:
-    the entries base.rho(alpha) / d over the sequence of ``base =
-    PowerKernel(n, m)``, at the finitely many indices with divisor d > 1.
+def __getattr__(name: str):
+    # The counterexample family lives in ``counterexample``; this binding
+    # keeps ``hypershift.weights.PerturbedPower`` importable for the
+    # benchmark's workloads until they import it from there (ROADMAP item 8).
+    if name == "PerturbedPower":
+        from .counterexample import PerturbedPower
 
-    Block l (l = 1 .. blocks) sits over the base point (0, b_l, 0, ..., 0)
-    where b_l is the smallest admissible base degree
-
-        b_l  >  max(n^n 2^{3l+1} / (n-1)! - n,  n - 2),
-        b_l  >  b_{l-1} + 2(l-1),
-
-    and divides rho at the ray points base + j e_0 (1 <= j <= 2l-1) by
-    min(j, 2l-j).  The divisor profile rises to l at the midpoint and falls
-    back to 1, so each block injects a bounded ray distortion of size l while
-    every kernel-level quantity moves by at most a fixed factor of 2.
-    Requires m >= 2 and n >= 2.
-
-    With x_l = n^n 2^{3l+1} / (n-1)!, b_l is the closed form
-    floor(x_l) - n + 1, the smallest integer above x_l - n, and both bounds
-    hold for it: n^n / (n-1)! >= n gives x_1 - n >= 15n > n - 2, and
-    b_l - b_{l-1} >= x_l - x_{l-1} - 1 >= 7 2^{3l-2} n - 1 > 2(l-1).
-    """
-
-    def __init__(self, n: int, m: int, blocks: int):
-        if m < 2:
-            raise ValueError("perturbed family needs m >= 2")
-        if n < 2:
-            raise ValueError("perturbed family needs n >= 2")
-        if blocks < 1:
-            raise ValueError("block count must be >= 1")
-        self.base = PowerKernel(n, m)
-        self.base_degrees = [
-            n**n * 2 ** (3 * l + 1) // factorial(n - 1) - n + 1 for l in range(1, blocks + 1)
-        ]
-        entries = {}
-        for l, b in enumerate(self.base_degrees, start=1):
-            for j in range(2, 2 * l - 1):
-                alpha = (j, b) + (0,) * (m - 2)
-                entries[alpha] = self.base.rho(alpha) / min(j, 2 * l - j)
-        spec = {"kind": "perturbed45", "n": n, "m": m, "L": blocks}
-        super().__init__(m, self.base.sequence, entries, spec)
-
-    def perturbed_entries(self) -> list[tuple[MultiIndex, int]]:
-        """All (alpha, divisor) pairs with divisor > 1, graded order; each
-        divisor is the base value over the entry."""
-        return [
-            (alpha, int(self.base.rho(alpha) / value))
-            for alpha, value in sorted(self.entries.items(), key=_graded)
-        ]
+        return PerturbedPower
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +498,8 @@ def weight_from_dict(spec: dict) -> WeightFunction:
                 fallback = _parse_fallback(spec["fallback"], m)
             return TableWeight(m, entries, fallback)
         if kind == "perturbed45":
+            from .counterexample import PerturbedPower
+
             return PerturbedPower(
                 _integer(spec["n"], "n"), _integer(spec["m"], "m"), _integer(spec["L"], "L")
             )

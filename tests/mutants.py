@@ -49,14 +49,52 @@ MUTANTS = [
             "tests/test_multiindex.py::test_degree_and_factorial",
         ),
     ),
-    # weights: the block base degree one past its closed form.
+    # counterexample: the block base degree one past its closed form.
     Mutant(
-        "src/hypershift/weights.py",
+        "src/hypershift/counterexample.py",
         "// factorial(n - 1) - n + 1 for l",
         "// factorial(n - 1) - n + 2 for l",
         (
             "tests/test_weights.py::test_perturbed_block_base_degrees",
             "tests/test_weights.py::test_block_base_degrees_are_the_smallest_admissible",
+            "tests/test_acceptance.py::test_criterion_5_counterexample_reproduction",
+        ),
+    ),
+    # counterexample: stage (b) passing on a defect witness alone.
+    Mutant(
+        "src/hypershift/counterexample.py",
+        '"pass": (not chk.holds) and scan.witness is not None,',
+        '"pass": scan.witness is not None,',
+        (
+            "tests/test_cli.py::test_example45_needs_the_neighbour_sum_violation",
+        ),
+    ),
+    # counterexample: stage (c) accepting a ray ratio above the block index.
+    Mutant(
+        "src/hypershift/counterexample.py",
+        "        if r != l:\n",
+        "        if r < l:\n",
+        (
+            "tests/test_cli.py::test_example45_wrong_ray_ratio_fails_stage_c",
+        ),
+    ),
+    # counterexample: the kernel bound's t-grid without its last point.
+    Mutant(
+        "src/hypershift/counterexample.py",
+        " + [Fraction(99, 100)]",
+        "",
+        (
+            "tests/test_cli.py::test_kernel_bound_passes_on_the_whole_ball_sup",
+            "tests/test_acceptance.py::test_criterion_5_counterexample_reproduction",
+        ),
+    ),
+    # counterexample: the whole-ball sup with (1 - t*)^(n + 1).
+    Mutant(
+        "src/hypershift/counterexample.py",
+        "Fraction(n, N + n) ** n for N, c in terms",
+        "Fraction(n, N + n) ** (n + 1) for N, c in terms",
+        (
+            "tests/test_cli.py::test_kernel_bound_passes_on_the_whole_ball_sup",
             "tests/test_acceptance.py::test_criterion_5_counterexample_reproduction",
         ),
     ),

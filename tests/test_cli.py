@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hypershift.cli
+import hypershift.counterexample
 import hypershift.curvature
 import hypershift.hypercontraction
 import hypershift.multiindex
@@ -18,7 +19,8 @@ from hypershift import (
     PowerKernel,
     RadialWeight,
 )
-from hypershift.cli import _float_flag, _int_flag, build_parser, kernel_bound, main
+from hypershift.cli import _float_flag, _int_flag, build_parser, main
+from hypershift.counterexample import kernel_bound
 
 F = Fraction
 DATA = Path(__file__).resolve().parent / "data"
@@ -691,7 +693,7 @@ def test_example45_checks_the_metric_arguments_first(capsys, monkeypatch, flags,
     def ran(*args, **kwargs):
         raise AssertionError("stage (a) or the defect scan ran")
 
-    monkeypatch.setattr(hypershift.cli, "kernel_bound", ran)
+    monkeypatch.setattr(hypershift.counterexample, "kernel_bound", ran)
     monkeypatch.setattr(hypershift.hypercontraction, "is_n_hyper_up_to", ran)
     assert main(["example45", "--blocks", "3"] + flags) == 2
     captured = capsys.readouterr()
@@ -700,20 +702,38 @@ def test_example45_checks_the_metric_arguments_first(capsys, monkeypatch, flags,
 
 
 def test_example45_wrong_ray_ratio_fails_stage_c(capsys, monkeypatch):
-    # A ray ratio other than the block index l fails stage (c) alone, and
-    # the report names it as the witness with exit 1.
-    monkeypatch.setattr(hypershift.similarity, "ray_ratio_sq", lambda *args: F(3, 2))
+    # A ray ratio other than the block index l, below it or above it, fails
+    # stage (c) alone, and the report names it as the witness with exit 1.
+    for ratio, text in [(F(3, 2), "3/2"), (F(3), "3/1")]:
+        monkeypatch.setattr(hypershift.similarity, "ray_ratio_sq", lambda *args, r=ratio: r)
+        argv = ["example45", "--eval-degree", "40", "--precision-bits", "60"]
+        code, report = run_json(capsys, argv)
+        assert code == 1
+        assert report["pass"] is False
+        assert report["witness"] == {"stage": "ray_ratio"}
+        stages = report["stages"]
+        assert stages["ray_ratio"]["pass"] is False
+        assert stages["ray_ratio"]["witnesses"] == [
+            {"alpha": [0, 511], "block": 2, "length": 1, "ratio_sq": text}
+        ]
+        assert [name for name, stage in stages.items() if not stage["pass"]] == ["ray_ratio"]
+
+
+def test_example45_needs_the_neighbour_sum_violation(capsys, monkeypatch):
+    # A defect witness alone does not pass stage (b): with the neighbour-sum
+    # bound holding at the midpoint, the stage fails and is the witness.
+    def holds(W, n, alpha):
+        return hypershift.hypercontraction.ConditionCheck(alpha, F(0), F(1))
+
+    monkeypatch.setattr(hypershift.hypercontraction, "necessary_condition", holds)
     argv = ["example45", "--eval-degree", "40", "--precision-bits", "60"]
     code, report = run_json(capsys, argv)
     assert code == 1
-    assert report["pass"] is False
-    assert report["witness"] == {"stage": "ray_ratio"}
-    stages = report["stages"]
-    assert stages["ray_ratio"]["pass"] is False
-    assert stages["ray_ratio"]["witnesses"] == [
-        {"alpha": [0, 511], "block": 2, "length": 1, "ratio_sq": "3/2"}
-    ]
-    assert [name for name, stage in stages.items() if not stage["pass"]] == ["ray_ratio"]
+    assert report["witness"] == {"stage": "necessary_violation"}
+    stage = report["stages"]["necessary_violation"]
+    assert stage["pass"] is False
+    assert stage["lhs"] == "0/1"
+    assert stage["defect_witness"] == {"order": 1, "alpha": [2, 511], "value": "-256/257"}
 
 
 def test_example45_short_scan_misses_the_witness(capsys):

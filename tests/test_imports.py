@@ -62,7 +62,8 @@ def run_python(*argv: str) -> str:
 
 def test_importing_the_cli_loads_no_numerics():
     # Encoding a report, complex entries included, loads nothing either: the
-    # encoder recognises numbers by their __complex__ method.
+    # encoder recognises numbers by their __complex__ method.  Of the
+    # package, only the core loads.
     out = run_python(
         "-c",
         "import json, sys, hypershift.cli\n"
@@ -70,9 +71,12 @@ def test_importing_the_cli_loads_no_numerics():
         "from hypershift.report import canonical_json\n"
         "text = canonical_json({'x': Fraction(1, 3), 'w': (0.5j, 1.0)})\n"
         "assert text == '{\"w\":[[0.0,0.5],1.0],\"x\":\"1/3\"}\\n', text\n"
-        "print(json.dumps([m for m in ('mpmath', 'numpy') if m in sys.modules]))"
+        "print(json.dumps([m for m in ('mpmath', 'numpy') if m in sys.modules]))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hypershift.'))))"
     )
-    assert json.loads(out) == []
+    numerics, package = out.splitlines()
+    assert json.loads(numerics) == []
+    assert json.loads(package) == sorted(f"hypershift.{m}" for m in CORE)
 
 
 def test_importing_the_cli_loads_no_tempfile():
@@ -125,7 +129,11 @@ def test_importing_the_cli_loads_no_tempfile():
         ),
         (
             ["example45", "--eval-degree", "20"],
-            ["curvature", "hypercontraction", "similarity"],
+            ["counterexample", "curvature", "hypercontraction", "similarity"],
+        ),
+        (
+            ["check-hyper", "--weights", "perturbed45.json", "--n", "2", "--degree", "3"],
+            ["counterexample", "hypercontraction"],
         ),
     ],
     ids=[
@@ -136,6 +144,7 @@ def test_importing_the_cli_loads_no_tempfile():
         "truncate",
         "curvature",
         "example45",
+        "check-hyper-perturbed45",
     ],
 )
 def test_subcommand_loads_only_its_numerics(argv, layers):
@@ -176,7 +185,7 @@ def test_every_exported_name_resolves():
         "print(len(hypershift.__all__), missing, unlisted, unstarred)"
     )
     count, rest = out.split(" ", 1)
-    # 18 names of the core and 24 resolved on first use.
+    # 17 names of the core and 25 resolved on first use.
     assert int(count) == 42
     assert rest.strip() == "[] [] []"
 
@@ -222,18 +231,37 @@ def test_every_exported_name_has_a_caller():
     assert sorted(set(hypershift.__all__) - used) == []
 
 
-def test_weights_module_holds_no_rounding():
-    # The weights state exact Fraction facts; every rounding lives with the
-    # metric numerics in ``curvature``, so weights imports neither decimal
-    # nor ``curvature``.
+def imports_of(module: str) -> set[str]:
+    """The modules a package module imports anywhere in its text, relative
+    ones with their leading dots (``from . import x`` gives ``.x``)."""
     import ast
 
-    tree = ast.parse((ROOT / "src" / "hypershift" / "weights.py").read_text())
+    tree = ast.parse((ROOT / "src" / "hypershift" / f"{module}.py").read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
+            if node.module:
+                imported.add("." * node.level + node.module)
+            else:
+                imported.update("." * node.level + alias.name for alias in node.names)
+    return imported
+
+
+def test_weights_module_holds_no_rounding():
+    # The weights state exact Fraction facts; every rounding lives with the
+    # metric numerics in ``curvature``, so weights imports neither decimal
+    # nor ``curvature``.
+    imported = imports_of("weights")
     assert imported.isdisjoint({"decimal", ".curvature", "hypershift.curvature"})
     assert {".multiindex", ".report", "fractions"} <= imported
+
+
+def test_counterexample_module_imports_no_cli():
+    # The counterexample returns its params and body and the CLI wraps them:
+    # importing ``cli`` from it would compile cli.py a second time under
+    # ``python -m hypershift.cli``.
+    imported = imports_of("counterexample")
+    assert imported.isdisjoint({".cli", "hypershift.cli"})
+    assert {".weights", ".hypercontraction", ".similarity", ".curvature"} <= imported
