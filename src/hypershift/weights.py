@@ -160,9 +160,14 @@ class PolynomialSequence(RadialSequence):
 
 def PowerSequence(n: int) -> PolynomialSequence:
     """a(d) = C(n + d - 1, d) = (d + 1) ... (d + n - 1) / (n - 1)!, the radial
-    profile of PowerKernel(n)."""
+    profile of PowerKernel(n).
+
+    Building p and each ``ratio_sup`` cost O(n^2) big-integer work, so n is
+    capped at 512 (~0.1 s) and a spec with a huge n is refused, not run."""
     if n < 1:
         raise ValueError("kernel power n must be >= 1")
+    if n > 512:
+        raise ValueError("kernel power n must be <= 512")
     coeffs = [1]
     for j in range(1, n):
         # Times (d + j), on integers: the new c_t is j c_t + c_{t-1}.

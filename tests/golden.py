@@ -161,6 +161,11 @@ CASES = {
     "curvature_geometric_half_2x4.json": (0, _curvature("geometric_half")),
     **_CURVATURE_REFUSALS,
     **_NONPOSITIVE_REFUSALS,
+    # Truncated at degree 0, power(2,2)'s tail ratio bound 2 at |w|^2 =
+    # 0.9025 puts x = r t past 1: the geometric tail has no sum (exit 3).
+    "curvature_power22_1x1_eval0.err": (
+        3, _curvature("power22", grid="radial:1x1") + ["--eval-degree", "0"]
+    ),
     # power(1,2) against power(3,2): the ray ratios keep widening with the
     # ray length, so the scan flags growth and the report carries a witness.
     "similarity_scan_power12_power32.json": (

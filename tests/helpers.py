@@ -10,16 +10,21 @@ the exact oracles ``defect_diag_radial``, ``subnormality_obstruction``,
 ``power_map`` and ``m_power_diag``, and the mpmath oracles the
 working-precision decimal numerics are checked against: ``to_mp``, the
 Wirtinger derivatives ``wirtinger`` of a real metric jet and the
-finite-difference stencil ``finite_diff_check``.
+finite-difference stencil ``finite_diff_check``, and ``python``, which runs
+a fresh interpreter on the source tree.
 
 The random builders take an explicit random.Random so tests stay
 reproducible; no module-level RNG state.  numpy and mpmath are test
 dependencies only: the package itself imports neither.
 """
 
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, gcd, sqrt
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple
 
@@ -47,6 +52,27 @@ from hypershift.curvature import EXACT, DecimalComplex, metric_jets, working_con
 from hypershift.hypercontraction import _cone_layers
 from hypershift.multiindex import MultiIndex
 from hypershift.weights import WeightFunction
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def python(*argv: str, timeout: float = 120, preexec_fn=None) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a fresh interpreter that imports the package
+    from src/, in the repository root, and capture its text output.  Past
+    ``timeout`` seconds the child is killed and ``TimeoutExpired`` raised;
+    ``preexec_fn`` runs in the child alone, before it starts."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=timeout,
+        preexec_fn=preexec_fn,
+    )
 
 
 def random_fraction(rng, lo=1, hi=16) -> Fraction:

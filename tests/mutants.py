@@ -9,11 +9,13 @@ exists.
 
     python tests/mutants.py
 
-copies src/, tests/ and pyproject.toml into a temporary directory, runs
-the union of the listed tests there once unmutated (they must pass), and
-then, for each mutant, applies it, runs its tests with ``pytest -x`` and
-restores the file.  It prints one line per mutant and exits 1 if any
-mutant survives (its tests pass) or its run errs instead of failing.
+copies src/, tests/, perfbench/ and pyproject.toml (all that the tests
+read, so any tier-1 test can be a mutant's killer) into a temporary
+directory, runs the union of the listed tests there once unmutated (they
+must pass), and then, for each mutant, applies it, runs its tests with
+``pytest -x`` and restores the file.  It prints one line per mutant and
+exits 1 if any mutant survives (its tests pass) or its run errs instead of
+failing.
 """
 
 import os
@@ -96,6 +98,15 @@ MUTANTS = [
         (
             "tests/test_cli.py::test_kernel_bound_passes_on_the_whole_ball_sup",
             "tests/test_acceptance.py::test_criterion_5_counterexample_reproduction",
+        ),
+    ),
+    # weights: the kernel power cap one too high.
+    Mutant(
+        "src/hypershift/weights.py",
+        "    if n > 512:\n",
+        "    if n > 513:\n",
+        (
+            "tests/test_weights.py::test_every_refusal_keeps_its_message[power-sequence-cap]",
         ),
     ),
     # weights: a ratio that reads the radial closed form next to an entry.
@@ -376,6 +387,15 @@ MUTANTS = [
             _golden("similarity_scan_power12_power32.json"),
         ),
     ),
+    # curvature: a geometric tail summed with its ratio x = r t past 1.
+    Mutant(
+        "src/hypershift/curvature.py",
+        "    if x >= 1:\n",
+        "    if x >= 2:\n",
+        (
+            _golden("curvature_power22_1x1_eval0.err"),
+        ),
+    ),
 ]
 
 
@@ -396,7 +416,7 @@ def _pytest(tree: Path, tests) -> int:
 def _check_all() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tree)
         listed = sorted({test for mutant in MUTANTS for test in mutant.tests})

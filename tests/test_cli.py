@@ -683,13 +683,15 @@ def test_example45_needs_two_blocks(capsys):
         (["--precision-bits", "10"], "precision_bits must be at least 53"),
         (["--eval-degree", "-1"], "max_degree must be >= 0"),
         (["--scan-degree", "-1"], "max_degree must be >= 0"),
+        (["--n", "513"], "kernel power n must be <= 512"),
     ],
 )
 def test_example45_checks_the_metric_arguments_first(capsys, monkeypatch, flags, message):
     # The arguments stage (d) would refuse are refused before the scan of
     # stage (b), which used to run the degree-4,099 scan first at --blocks 3.
-    # They, and a negative scan degree, are refused before stage (a), whose
-    # exact kernel bound takes over a second at --blocks 3.
+    # They, a negative scan degree and a kernel power past its cap are
+    # refused before stage (a), whose exact kernel bound takes over a second
+    # at --blocks 3.
     def ran(*args, **kwargs):
         raise AssertionError("stage (a) or the defect scan ran")
 
@@ -809,6 +811,10 @@ def test_weight_file_errors(capsys, tmp_path, weight_files):
         {"kind": "radial", "m": 1, "a": {"generator": "geometric", "r": "0.5"}},
         {"kind": "radial", "m": 1, "a": {"generator": "geometric", "r": "1e-5000"}},
         {"kind": "table", "m": 1, "entries": [{"alpha": [0], "rho": "+3"}]},
+        {"kind": "power", "n": 513, "m": 1},
+        {"kind": "radial", "m": 1, "a": {"generator": "power", "n": 10**30}},
+        {"kind": "perturbed45", "n": 10**30, "m": 2, "L": 2},
+        {"kind": "table", "m": 1, "fallback": "power:513", "entries": [{"alpha": [0], "rho": "1"}]},
     ],
 )
 def test_malformed_weight_spec_exits_2(capsys, tmp_path, monkeypatch, spec):
@@ -817,7 +823,9 @@ def test_malformed_weight_spec_exits_2(capsys, tmp_path, monkeypatch, spec):
     # rational outside the grammar (with "_", non-ASCII digits, a decimal,
     # an exponent or a "+"), is a usage error: exit 2 and one error line, no
     # traceback and no report, before any scan runs.  "1e-5000" used to run
-    # the whole scan and fail when its report was written.
+    # the whole scan and fail when its report was written.  So is a kernel
+    # power past 512, however it is written: n = 10^30 used to build a
+    # polynomial of 10^30 coefficients and never return.
     monkeypatch.setattr(hypershift.hypercontraction, "is_n_hyper_up_to", None)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(spec))

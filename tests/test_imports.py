@@ -8,16 +8,13 @@ long since imported numpy and mpmath.
 """
 
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from golden import CASES
+from helpers import ROOT, python
 
-ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 
 # Prints the exit code of main(argv), which of numpy, mpmath, dataclasses and
@@ -38,20 +35,6 @@ print(json.dumps({
 # The metric numerics in ``curvature``, with their working-precision
 # arithmetic, load only with the subcommands that evaluate a metric.
 CORE = ["cli", "errors", "multiindex", "report", "weights"]
-
-
-def python(*argv: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=ROOT,
-        timeout=120,
-    )
 
 
 def run_python(*argv: str) -> str:
@@ -135,6 +118,10 @@ def test_importing_the_cli_loads_no_tempfile():
             ["check-hyper", "--weights", "perturbed45.json", "--n", "2", "--degree", "3"],
             ["counterexample", "hypercontraction"],
         ),
+        (
+            ["necessary", "--weights", "perturbed45.json", "--n", "2", "--alpha", "2,511"],
+            ["counterexample", "hypercontraction"],
+        ),
     ],
     ids=[
         "verify-identities",
@@ -145,6 +132,7 @@ def test_importing_the_cli_loads_no_tempfile():
         "curvature",
         "example45",
         "check-hyper-perturbed45",
+        "necessary-alpha",
     ],
 )
 def test_subcommand_loads_only_its_numerics(argv, layers):

@@ -67,6 +67,14 @@ def test_power_sequence_is_binomial():
             assert a.ratio_sup(start) == step == F(n + start, start + 1)
 
 
+def test_power_sequence_builds_up_to_its_cap():
+    # n = 512 is the largest kernel power; 513 is refused (see the refusals
+    # below).
+    a = PowerSequence(512)
+    assert [a.value(i) for i in range(3)] == [1, 512, 512 * 513 // 2]
+    assert a.ratio_sup(240) == F(512 + 240, 241)
+
+
 def test_geometric_and_polynomial_values():
     g = GeometricSequence(F(3, 2))
     assert g.value(3) == F(27, 8)
@@ -230,6 +238,7 @@ def test_every_dimension_check_raises_dimension_mismatch(call, message):
         (lambda: mi.verify_alternating_sum(0, 0), "n must be >= 1"),
         (lambda: ray_ratio_sq_literal(_P2, _P2, (0, 0), 0, -1), "ray length must be >= 0"),
         (lambda: PowerSequence(0), "kernel power n must be >= 1"),
+        (lambda: PowerSequence(513), "kernel power n must be <= 512"),
         (lambda: GeometricSequence(0), "geometric ratio must be positive"),
         (lambda: PolynomialSequence([]), "polynomial sequence needs at least one coefficient"),
         (lambda: PowerSequence(2).value(-1), "sequence index must be >= 0"),
@@ -244,6 +253,7 @@ def test_every_dimension_check_raises_dimension_mismatch(call, message):
         "alternating-sum-n",
         "ray-literal-length",
         "power-sequence-n",
+        "power-sequence-cap",
         "geometric-sequence-r",
         "polynomial-sequence-empty",
         "power-value-index",
